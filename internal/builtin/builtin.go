@@ -162,20 +162,30 @@ func Register(repo *service.Repository) error {
 	return nil
 }
 
+// WireTypes returns one value of every built-in application's packet
+// payload type — everything RegisterWireTypes registers.
+func WireTypes() []any {
+	return []any{
+		[]int(nil),
+		&countsamps.Summary{},
+		&intrusion.ConnBatch{},
+		&intrusion.SiteReport{},
+		&surveillance.Frame{},
+		&surveillance.Detections{},
+		&tieredfilter.EventBatch{},
+		&compsteer.MeshChunk{},
+		&compsteer.SteeringCommand{},
+	}
+}
+
 // RegisterWireTypes registers every built-in application's packet payload
 // with encoding/gob, so the payloads survive a TCP hop between gates-node
 // processes. Registration is idempotent per type; callers composing their
 // own repositories with built-in payload types may call it directly.
 func RegisterWireTypes() {
-	gob.Register([]int(nil))
-	gob.Register(&countsamps.Summary{})
-	gob.Register(&intrusion.ConnBatch{})
-	gob.Register(&intrusion.SiteReport{})
-	gob.Register(&surveillance.Frame{})
-	gob.Register(&surveillance.Detections{})
-	gob.Register(&tieredfilter.EventBatch{})
-	gob.Register(&compsteer.MeshChunk{})
-	gob.Register(&compsteer.SteeringCommand{})
+	for _, v := range WireTypes() {
+		gob.Register(v)
+	}
 }
 
 // Fabric builds the demo grid the command-line tools deploy onto: four

@@ -15,9 +15,9 @@ import (
 // exceptions arriving back from the remote side should be fed to the local
 // upstream controller by the host program (see cmd/gates-node).
 //
-// With Batch > 1, packets are coalesced and flushed as one vectored write
-// per Batch packets (and at Finish), trading bounded per-packet latency for
-// one syscall per batch instead of two per packet.
+// With Batch > 1, packets are coalesced and flushed as one write per Batch
+// packets (and at Finish), trading bounded per-packet latency for one
+// syscall per batch instead of one per packet.
 type Egress struct {
 	client *Client
 	// Batch is the number of packets coalesced per flush. 0 or 1 sends
@@ -47,9 +47,6 @@ func (e *Egress) Init(*pipeline.Context) error { return nil }
 func (e *Egress) Process(_ *pipeline.Context, pkt *pipeline.Packet, _ *pipeline.Emitter) error {
 	sp := e.Tracer.StartTraced("egress.send", pkt.TraceID, pkt.TraceHops)
 	defer sp.End()
-	if e.Batch <= 1 {
-		return e.client.Send(PacketMessage(pkt))
-	}
 	e.pending = append(e.pending, PacketMessage(pkt))
 	if len(e.pending) >= e.Batch {
 		return e.flush()
@@ -65,9 +62,6 @@ func (e *Egress) Finish(*pipeline.Context, *pipeline.Emitter) error {
 }
 
 func (e *Egress) flush() error {
-	if len(e.pending) == 0 {
-		return nil
-	}
 	err := e.client.SendBatch(e.pending)
 	e.pending = e.pending[:0]
 	return err
@@ -185,41 +179,22 @@ func (i *Ingress) Deliver(m Message) {
 // drainPendingLocked moves parked frames into the channel while both have
 // capacity, oldest first. Callers hold i.mu.
 func (i *Ingress) drainPendingLocked() {
-	moved := false
-	for len(i.pending) > 0 {
+	n := 0
+fill:
+	for ; n < len(i.pending); n++ {
 		select {
-		case i.ch <- i.pending[0]:
-			i.pending[0] = nil
-			i.pending = i.pending[1:]
-			moved = true
+		case i.ch <- i.pending[n]:
+			i.pending[n] = nil
 		default:
-			if moved {
-				i.cond.Broadcast()
-			}
-			return
+			break fill
 		}
 	}
-	if moved {
+	if n > 0 {
 		i.cond.Broadcast()
 	}
-	i.pending = nil
-}
-
-// takeParked pops the oldest parked frame, or nil when the lot is empty.
-func (i *Ingress) takeParked() *pipeline.Packet {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if len(i.pending) == 0 {
-		return nil
-	}
-	pkt := i.pending[0]
-	i.pending[0] = nil
-	i.pending = i.pending[1:]
-	if len(i.pending) == 0 {
+	if i.pending = i.pending[n:]; len(i.pending) == 0 {
 		i.pending = nil
 	}
-	i.cond.Broadcast()
-	return pkt
 }
 
 // Run implements pipeline.Source: it emits received packets until the
@@ -256,25 +231,22 @@ func (i *Ingress) Run(ctx *pipeline.Context, out *pipeline.Emitter) error {
 				return err
 			}
 		case <-i.kick:
-			// Drain the backlog: everything already in the channel is
-			// older than anything parked, so empty it first.
+			// Parked frames have one way out — pending → ch → here — so
+			// they can never overtake older frames still in the channel.
+			// Run is the channel's only consumer: if it is empty after a
+			// refill, the lot is empty too.
 			for {
-				select {
-				case pkt := <-i.ch:
-					done, err := i.handle(ctx, out, op, pkt, &finals)
+				i.mu.Lock()
+				i.drainPendingLocked()
+				i.mu.Unlock()
+				if len(i.ch) == 0 {
+					break
+				}
+				for len(i.ch) > 0 {
+					done, err := i.handle(ctx, out, op, <-i.ch, &finals)
 					if done || err != nil {
 						return err
 					}
-					continue
-				default:
-				}
-				pkt := i.takeParked()
-				if pkt == nil {
-					break
-				}
-				done, err := i.handle(ctx, out, op, pkt, &finals)
-				if done || err != nil {
-					return err
 				}
 			}
 		}

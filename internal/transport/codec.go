@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"sync"
+	"io"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/adapt"
@@ -72,14 +72,6 @@ func ExceptionMessage(e adapt.Exception) Message {
 	return Message{Kind: KindException, Exception: e}
 }
 
-// Packet converts a KindPacket message back to a freshly allocated pipeline
-// packet. The hot ingress path uses PacketInto with a pooled packet instead.
-func (m Message) Packet() *pipeline.Packet {
-	p := &pipeline.Packet{}
-	m.PacketInto(p)
-	return p
-}
-
 // PacketInto fills p (typically drawn from the pipeline packet pool) with
 // the message's packet fields.
 func (m Message) PacketInto(p *pipeline.Packet) {
@@ -95,60 +87,156 @@ func (m Message) PacketInto(p *pipeline.Packet) {
 	p.TraceHops = m.TraceHops
 }
 
-// Encode serializes m as a self-contained gob blob.
-func Encode(m Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("transport: encode message: %w", err)
-	}
-	return buf.Bytes(), nil
+// maxTypeDefs bounds the type-definition messages one peer may send on a
+// connection: each grows the receiver's type table and compiled decode
+// engines for the connection's life. An honest peer sends a handful — the
+// Message envelope's; gob ships a Value's concrete type inside the value
+// message, where this count does not see it.
+const maxTypeDefs = 1024
+
+// streamEncoder is the sending half of one connection's gob stream. The
+// encoder lives as long as the connection, so type descriptors are sent
+// once; every Encode still lands in its own length-prefixed frame. Frames
+// accumulate in buf until flush. Not safe for concurrent use.
+type streamEncoder struct {
+	buf bytes.Buffer // frames appended since the last flush
+	enc *gob.Encoder // writes into buf
+	msg Message      // Encode gets a pointer to this: no per-call boxing
+	err error        // first encode failure; the stream cannot continue
 }
 
-// encBufPool recycles frame-encode buffers so steady-state sends allocate
-// no buffer memory: a frame write is one pooled buffer plus one coalesced
-// conn.Write. The residual allocation is gob's per-Encoder state — gob
-// streams are stateful (type descriptors are sent once per encoder), so a
-// reusable encoder would change the wire format; each frame stays a
-// self-contained blob instead.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getEncBuf() *bytes.Buffer {
-	b := encBufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
+func newStreamEncoder() *streamEncoder {
+	e := &streamEncoder{}
+	e.enc = gob.NewEncoder(&e.buf)
+	return e
 }
 
-func putEncBuf(b *bytes.Buffer) { encBufPool.Put(b) }
-
-// appendFrame appends one length-prefixed frame carrying m to buf — the
-// 4-byte header is reserved up front and backfilled after encoding, so the
-// buffer holds header and payload contiguously and a sequence of
-// appendFrame calls is byte-identical to the corresponding
-// WriteFrame(Encode(m)) sequence. Returns the payload size in bytes.
-func appendFrame(buf *bytes.Buffer, m Message) (int, error) {
-	start := buf.Len()
-	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(buf).Encode(m); err != nil {
-		buf.Truncate(start)
-		return 0, fmt.Errorf("transport: encode message: %w", err)
+// appendFrame appends one frame carrying m to the buffer — the 4-byte header
+// is reserved up front and backfilled after encoding — and returns the
+// payload size in bytes. A failure (an unregistered Value type, an oversized
+// frame) may leave the encoder believing descriptors sent that never reach
+// the peer, so it empties the buffer and breaks the stream for good.
+func (e *streamEncoder) appendFrame(m Message) (int, error) {
+	if e.err != nil {
+		return 0, fmt.Errorf("transport: stream broken by an earlier encode failure: %w", e.err)
 	}
-	n := buf.Len() - start - 4
-	if n > MaxFrameSize {
-		buf.Truncate(start)
-		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	start := e.buf.Len()
+	e.buf.Write([]byte{0, 0, 0, 0})
+	e.msg = m
+	err := e.enc.Encode(&e.msg)
+	e.msg = Message{} // do not pin the payload until the next send
+	n := e.buf.Len() - start - 4
+	if err != nil {
+		e.err = fmt.Errorf("transport: encode message: %w", err)
+	} else if n > MaxFrameSize {
+		e.err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	binary.BigEndian.PutUint32(buf.Bytes()[start:start+4], uint32(n))
+	if e.err != nil {
+		e.buf.Reset()
+		return 0, e.err
+	}
+	binary.BigEndian.PutUint32(e.buf.Bytes()[start:start+4], uint32(n))
 	return n, nil
+}
+
+// flush writes every buffered frame to w in one Write.
+func (e *streamEncoder) flush(w io.Writer) error {
+	_, err := w.Write(e.buf.Bytes())
+	e.buf.Reset()
+	return err
+}
+
+// streamDecoder is the receiving half of one connection's gob stream: one
+// decoder for the life of the connection, fed a frame at a time. A stateful
+// stream cannot resync, so the caller drops the connection on any error.
+type streamDecoder struct {
+	r        bytes.Reader // re-pointed at each frame's payload
+	dec      *gob.Decoder // reads from r (a ByteReader, so gob adds no buffering)
+	msg      Message
+	typeDefs int // type definitions received so far
+}
+
+func newStreamDecoder() *streamDecoder {
+	d := &streamDecoder{}
+	d.dec = gob.NewDecoder(&d.r)
+	return d
+}
+
+// decode consumes one frame's payload, which must hold exactly one message
+// (preceded by whatever type definitions it needs). The gob layer copies
+// everything it keeps, so frame may be reused once decode returns.
+func (d *streamDecoder) decode(frame []byte) (Message, error) {
+	if d.typeDefs += countTypeDefs(frame); d.typeDefs > maxTypeDefs {
+		return Message{}, errTypeDefCap
+	}
+	d.r.Reset(frame)
+	d.msg = Message{} // gob leaves fields the sender omitted as zero untouched
+	if err := d.dec.Decode(&d.msg); err != nil {
+		return Message{}, fmt.Errorf("transport: decode message: %w", err)
+	}
+	if d.r.Len() != 0 {
+		return Message{}, fmt.Errorf("transport: %d trailing bytes in frame", d.r.Len())
+	}
+	if d.msg.Kind != KindPacket && d.msg.Kind != KindException {
+		return Message{}, fmt.Errorf("transport: unknown message kind %d", d.msg.Kind)
+	}
+	return d.msg, nil
+}
+
+var errTypeDefCap = fmt.Errorf("transport: peer sent more than %d type definitions", maxTypeDefs)
+
+// countTypeDefs walks the gob messages in one frame — each a uint byte count
+// followed by that many bytes, which open with a signed type id — and
+// returns how many define a type (negative id). It stops at a malformed
+// header; Decode then fails on the same bytes.
+func countTypeDefs(frame []byte) (defs int) {
+	for len(frame) > 0 {
+		size, n := gobUint(frame)
+		if n == 0 || size > uint64(len(frame)-n) {
+			break
+		}
+		id, m := gobUint(frame[n : n+int(size)])
+		if m == 0 {
+			break
+		}
+		defs += int(id & 1) // gob keeps an integer's sign in bit 0
+		frame = frame[n+int(size):]
+	}
+	return defs
+}
+
+// gobUint decodes gob's unsigned integer at the head of b and returns it
+// with its encoded width, 0 when malformed: a byte below 128 is the value;
+// otherwise the byte is the negated count of big-endian bytes that follow.
+func gobUint(b []byte) (v uint64, width int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	w := -int(int8(b[0]))
+	if w > 8 || len(b) <= w {
+		return 0, 0
+	}
+	for _, c := range b[1 : 1+w] {
+		v = v<<8 | uint64(c)
+	}
+	return v, 1 + w
+}
+
+// Encode serializes m as the first frame's payload of a fresh stream: type
+// descriptors included, so Decode can read it alone. Connections pay this
+// cost once, not per message.
+func Encode(m Message) ([]byte, error) {
+	e := newStreamEncoder()
+	if _, err := e.appendFrame(m); err != nil {
+		return nil, err
+	}
+	return e.buf.Bytes()[4:], nil
 }
 
 // Decode deserializes a blob produced by Encode.
 func Decode(b []byte) (Message, error) {
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
-		return Message{}, fmt.Errorf("transport: decode message: %w", err)
-	}
-	if m.Kind != KindPacket && m.Kind != KindException {
-		return Message{}, fmt.Errorf("transport: unknown message kind %d", m.Kind)
-	}
-	return m, nil
+	return newStreamDecoder().decode(b)
 }

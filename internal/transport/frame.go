@@ -3,21 +3,23 @@
 //
 // The paper's deployment ran each GATES grid-service instance on its own
 // node, exchanging data and control (over/under-load exceptions) over Java
-// sockets. This package is the Go equivalent: a length-prefixed binary frame
-// layer, a gob message codec for packets and exceptions, and a client/server
-// pair with pipeline bridges (Egress forwards a local stage's output to a
-// remote host; Ingress feeds packets received from the network into a local
-// engine as a Source). The emulated in-process links in netsim remain the
-// transport used by the repeatable experiments; TCP mode is for genuinely
-// distributed runs (see cmd/gates-node).
+// sockets. This package is the Go equivalent: one gob stream per connection
+// and direction, cut into length-prefixed frames, and a client/server pair
+// with pipeline bridges (Egress forwards a local stage's output to a remote
+// host; Ingress feeds packets received from the network into a local engine
+// as a Source). Frames are not self-contained — type descriptors cross the
+// wire once per connection — so a decode error ends the connection and both
+// ends must run the same build. The emulated in-process links in netsim
+// remain the transport used by the repeatable experiments; TCP mode is for
+// genuinely distributed runs (see cmd/gates-node).
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 )
 
 // MaxFrameSize bounds a single frame's payload. Frames beyond it are
@@ -28,83 +30,25 @@ const MaxFrameSize = 16 << 20
 // ErrFrameTooLarge is returned for frames exceeding MaxFrameSize.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrameSize")
 
-// WriteFrame writes one length-prefixed frame: a 4-byte big-endian payload
-// length followed by the payload.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write frame payload: %w", err)
-	}
-	return nil
-}
-
-// WriteFrames writes many length-prefixed frames in one vectored flush: all
-// headers and payloads go through a single Buffers.WriteTo, which a net.Conn
-// turns into writev. A batch of small messages then costs one syscall
-// instead of two per message, which is the dominant per-packet cost of the
-// TCP edge for summary-sized payloads. The wire format is identical to
-// repeated WriteFrame calls.
-func WriteFrames(w io.Writer, payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	hdrs := make([]byte, 4*len(payloads))
-	bufs := make(net.Buffers, 0, 2*len(payloads))
-	for i, p := range payloads {
-		if len(p) > MaxFrameSize {
-			return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(p))
-		}
-		hdr := hdrs[4*i : 4*i+4]
-		binary.BigEndian.PutUint32(hdr, uint32(len(p)))
-		bufs = append(bufs, hdr, p)
-	}
-	if _, err := bufs.WriteTo(w); err != nil {
-		return fmt.Errorf("transport: write frames: %w", err)
-	}
-	return nil
-}
-
-// readFrameReuse reads one length-prefixed frame into *scratch, growing it
-// only when a frame exceeds its capacity, and returns the payload aliasing
-// *scratch. Steady-state reads therefore allocate nothing. The caller must
-// fully consume (or copy from) the payload before the next call.
-func readFrameReuse(r io.Reader, scratch *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrameReuse reads one frame — a 4-byte big-endian payload length, then
+// the payload — into *scratch, growing it only when a frame exceeds its
+// capacity, and returns the payload aliasing *scratch. Steady-state reads
+// therefore allocate nothing. The caller must fully consume (or copy from)
+// the payload before the next call.
+func readFrameReuse(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
+	hdr, err := r.Peek(4) // in place: a header array handed to Read would escape
+	if err != nil {
 		return nil, err // io.EOF passes through for clean stream end
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
+	r.Discard(4) // cannot fail: Peek just buffered these bytes
 	if uint32(cap(*scratch)) < n {
 		*scratch = make([]byte, n)
 	}
 	payload := (*scratch)[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("transport: short frame payload: %w", err)
-	}
-	return payload, nil
-}
-
-// ReadFrame reads one length-prefixed frame written by WriteFrame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through for clean stream end
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("transport: short frame payload: %w", err)
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -102,5 +103,49 @@ func TestIngressBuffersDuringRewiring(t *testing.T) {
 		if v != i {
 			t.Fatalf("frame %d out of order: got value %d", i, v)
 		}
+	}
+}
+
+// TestIngressParkedFramesKeepArrivalOrder pins the one-way-out rule for the
+// parking lot (pending → channel → Run). With a 4-deep channel and a
+// consumer that stalls every few packets, Deliver parks constantly and Run
+// keeps taking the kick branch; frames used to leave the lot directly there
+// and overtake older ones Deliver had just moved into the channel.
+func TestIngressParkedFramesKeepArrivalOrder(t *testing.T) {
+	const n = 20_000
+	ing := NewIngress(1, 4)
+	eng := pipeline.New(clock.NewScaled(1000))
+	inSt, err := eng.AddSourceStage("ingress", 0, ing, pipeline.StageConfig{DisableAdaptation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, misordered := 0, 0 // owned by the collector goroutine until Run returns
+	coll := &collectProc{fn: func(v any) {
+		if v.(int) != next {
+			misordered++
+		}
+		next = v.(int) + 1
+		if next%8 == 0 {
+			runtime.Gosched() // stall: let the wire run ahead and overflow the channel
+		}
+	}}
+	collSt, err := eng.AddProcessorStage("collect", 0, coll, pipeline.StageConfig{DisableAdaptation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Connect(inSt, collSt, nil); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for v := 0; v < n; v++ {
+			ing.Deliver(Message{Kind: KindPacket, Value: v, Items: 1, WireSize: 8})
+		}
+		ing.Deliver(Message{Kind: KindPacket, Final: true})
+	}()
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if next != n || misordered != 0 {
+		t.Fatalf("collector saw %d packets out of arrival order (last value %d, want %d)", misordered, next-1, n-1)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -18,8 +19,44 @@ func labelTransport() {
 		pprof.Labels("stage", "transport")))
 }
 
+// readBufSize is each connection's read buffer: one read(2) picks up a whole
+// batch of summary-sized frames instead of two reads per frame.
+const readBufSize = 64 << 10
+
 // Handler consumes messages arriving at a Server.
 type Handler func(Message)
+
+// readLoop decodes conn's inbound gob stream frame by frame, handing each
+// message to handler after onFrame (nil-able) has seen its payload size. It
+// returns at end of stream, on a broken peer, or on the first frame that
+// does not decode — a stateful stream cannot resync past one.
+func readLoop(conn net.Conn, onFrame func(payload int), handler Handler) {
+	labelTransport()
+	br := bufio.NewReaderSize(conn, readBufSize)
+	dec := newStreamDecoder()
+	var scratch []byte // reused: the decoder copies everything it keeps
+	for {
+		frame, err := readFrameReuse(br, &scratch)
+		if err != nil {
+			return
+		}
+		if onFrame != nil {
+			onFrame(len(frame))
+		}
+		msg, err := dec.decode(frame)
+		if err != nil {
+			return
+		}
+		handler(msg)
+	}
+}
+
+// upstream is one accepted connection and the gob stream the server writes
+// back on it. enc is guarded by Server.writeMu.
+type upstream struct {
+	net.Conn
+	enc *streamEncoder
+}
 
 // Server accepts stage-to-stage connections and dispatches every decoded
 // message to its handler. It is the listening half of a GATES grid-service
@@ -35,7 +72,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	writeMu sync.Mutex
-	conns   map[net.Conn]bool
+	conns   map[*upstream]bool
 	closed  bool
 	wg      sync.WaitGroup
 }
@@ -49,7 +86,7 @@ func Listen(addr string, handler Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, handler: handler, conns: make(map[net.Conn]bool)}
+	s := &Server{ln: ln, handler: handler, conns: make(map[*upstream]bool)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -62,10 +99,11 @@ func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	labelTransport()
 	for {
-		conn, err := s.ln.Accept()
+		nc, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		conn := &upstream{Conn: nc, enc: newStreamEncoder()}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -79,55 +117,41 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn *upstream) {
 	defer s.wg.Done()
-	labelTransport()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	// One reusable frame buffer per connection: Decode's gob layer copies
-	// everything it keeps, so the scratch can back the very next frame.
-	var scratch []byte
-	for {
-		frame, err := readFrameReuse(conn, &scratch)
-		if err != nil {
-			return // EOF or broken peer: connection ends
-		}
+	readLoop(conn, func(payload int) {
 		s.framesIn.Add(1)
-		s.bytesIn.Add(uint64(len(frame)))
-		msg, err := Decode(frame)
-		if err != nil {
-			return // corrupt peer: drop the connection
-		}
-		s.handler(msg)
-	}
+		s.bytesIn.Add(uint64(payload))
+	}, s.handler)
+	conn.Close()
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
 }
 
 // Broadcast writes one message back to every live upstream connection —
 // the §4 control plane over TCP: a stage host reports its over/under-load
 // exceptions "to the sending server" on the connections that feed it.
-// Broken peers are dropped silently (their read side ends the connection).
+// Each connection has its own gob stream, so the message is encoded once per
+// connection (exceptions are rare and tiny). Broken peers are dropped
+// silently (their read side ends the connection); a message that cannot be
+// encoded is returned as an error and costs the peer it was tried on.
 func (s *Server) Broadcast(m Message) error {
-	// Encode once into a pooled buffer (header + payload contiguous) and
-	// write the same bytes to every connection in one Write each.
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	n, err := appendFrame(buf, m)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
+	conns := make([]*upstream, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
 		s.writeMu.Lock()
-		_, err := c.Write(buf.Bytes())
+		n, err := c.enc.appendFrame(m)
+		if err != nil {
+			s.writeMu.Unlock()
+			c.Close() // its stream is broken for good
+			return err
+		}
+		err = c.enc.flush(c)
 		s.writeMu.Unlock()
 		if err != nil {
 			c.Close()
@@ -148,7 +172,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
+	conns := make([]*upstream, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
@@ -170,11 +194,14 @@ type Client struct {
 
 	mu   sync.Mutex
 	conn net.Conn
+	enc  *streamEncoder // the outbound gob stream; guarded by mu
 }
 
 // ReadLoop consumes messages the server writes back on this connection,
-// dispatching each to handler; it returns when the connection closes. Run
-// it in its own goroutine to receive the downstream host's load exceptions.
+// dispatching each to handler; it returns when the connection closes. Run it
+// once, in its own goroutine, to receive the downstream host's load
+// exceptions: it owns the inbound stream's decoder, and a second call would
+// start mid-stream without the type descriptors.
 func (c *Client) ReadLoop(handler Handler) {
 	c.mu.Lock()
 	conn := c.conn
@@ -182,19 +209,7 @@ func (c *Client) ReadLoop(handler Handler) {
 	if conn == nil || handler == nil {
 		return
 	}
-	labelTransport()
-	var scratch []byte
-	for {
-		frame, err := readFrameReuse(conn, &scratch)
-		if err != nil {
-			return
-		}
-		m, err := Decode(frame)
-		if err != nil {
-			return
-		}
-		handler(m)
-	}
+	readLoop(conn, nil, handler)
 }
 
 // Dial connects to a Server.
@@ -203,54 +218,35 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: conn, enc: newStreamEncoder()}, nil
 }
 
-// Send encodes and frames one message: one pooled buffer, one coalesced
-// conn.Write carrying header and payload together.
-func (c *Client) Send(m Message) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	n, err := appendFrame(buf, m)
-	if err != nil {
-		return err
+// Send encodes and frames one message and writes it in one conn.Write.
+func (c *Client) Send(m Message) error { return c.SendBatch([]Message{m}) }
+
+// SendBatch appends every message to the connection's gob stream, one frame
+// each, and flushes them in a single write; peers decode the result exactly
+// as a sequence of Send calls. A message that cannot be encoded (an
+// unregistered Value type, a frame beyond MaxFrameSize) sends nothing and
+// breaks the client: every later send fails rather than corrupt the peer.
+func (c *Client) SendBatch(msgs []Message) error {
+	if len(msgs) == 0 {
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
 		return errors.New("transport: client closed")
 	}
-	if _, err := c.conn.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	c.framesOut.Add(1)
-	c.bytesOut.Add(uint64(n))
-	return nil
-}
-
-// SendBatch encodes every message into one pooled buffer and flushes all
-// frames in a single write under a single lock acquisition. Peers decode
-// the result exactly as a sequence of Send calls; order is preserved.
-func (c *Client) SendBatch(msgs []Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	buf := getEncBuf()
-	defer putEncBuf(buf)
 	var total uint64
 	for _, m := range msgs {
-		n, err := appendFrame(buf, m)
+		n, err := c.enc.appendFrame(m)
 		if err != nil {
 			return err
 		}
 		total += uint64(n)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return errors.New("transport: client closed")
-	}
-	if _, err := c.conn.Write(buf.Bytes()); err != nil {
+	if err := c.enc.flush(c.conn); err != nil {
 		return fmt.Errorf("transport: write frames: %w", err)
 	}
 	c.framesOut.Add(uint64(len(msgs)))

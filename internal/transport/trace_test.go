@@ -24,7 +24,8 @@ func TestCodecTraceContextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Packet()
+	var got pipeline.Packet
+	m.PacketInto(&got)
 	if !got.Birth.Equal(birth) || got.TraceID != 0xDEADBEEF || got.TraceHops != 2 {
 		t.Fatalf("trace context mangled: birth=%v id=%x hops=%d", got.Birth, got.TraceID, got.TraceHops)
 	}

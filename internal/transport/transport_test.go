@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -15,16 +16,23 @@ import (
 	"github.com/gates-middleware/gates/internal/pipeline"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{0xAB}, 100_000)}
+// frameBytes lays payloads out as the wire does: a 4-byte big-endian length
+// before each.
+func frameBytes(payloads ...[]byte) []byte {
+	var out []byte
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
+		out = binary.BigEndian.AppendUint32(out, uint32(len(p)))
+		out = append(out, p...)
 	}
+	return out
+}
+
+func TestReadFrameReuse(t *testing.T) {
+	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{0xAB}, 100_000)}
+	r := bufio.NewReader(bytes.NewReader(frameBytes(payloads...)))
+	var scratch []byte
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := readFrameReuse(r, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,31 +40,27 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame mismatch: got %d bytes, want %d", len(got), len(want))
 		}
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, err := readFrameReuse(r, &scratch); !errors.Is(err, io.EOF) {
 		t.Fatalf("drained reader returned %v, want EOF", err)
 	}
 }
 
-func TestFrameTooLargeWrite(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized write = %v, want ErrFrameTooLarge", err)
-	}
-}
-
 func TestFrameTooLargeRead(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	hdr := binary.BigEndian.AppendUint32(nil, MaxFrameSize+1)
+	var scratch []byte
+	_, err := readFrameReuse(bufio.NewReader(bytes.NewReader(hdr)), &scratch)
+	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized read = %v, want ErrFrameTooLarge", err)
+	}
+	if scratch != nil {
+		t.Fatalf("oversized length prefix allocated %d bytes", cap(scratch))
 	}
 }
 
 func TestFrameShortPayload(t *testing.T) {
-	var buf bytes.Buffer
-	WriteFrame(&buf, []byte("hello"))
-	trunc := buf.Bytes()[:6] // header + 2 of 5 payload bytes
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	trunc := frameBytes([]byte("hello"))[:6] // header + 2 of 5 payload bytes
+	var scratch []byte
+	if _, err := readFrameReuse(bufio.NewReader(bytes.NewReader(trunc)), &scratch); err == nil {
 		t.Fatal("truncated frame read succeeded")
 	}
 }
@@ -78,7 +82,8 @@ func TestCodecPacketRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Packet()
+	var got pipeline.Packet
+	m.PacketInto(&got)
 	if got.SourceStage != "sampler" || got.SourceInstance != 3 || got.Seq != 42 ||
 		got.Items != 7 || got.WireSize != 128 || got.Value.(string) != "payload" {
 		t.Fatalf("round trip mismatch: %+v", got)
@@ -104,14 +109,10 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage decoded")
 	}
 	// A valid gob of an unknown kind is also rejected.
-	b, _ := Encode(Message{Kind: KindPacket})
-	var m Message
-	m.Kind = 0
-	b2, _ := Encode(m)
-	if _, err := Decode(b2); err == nil {
+	b, _ := Encode(Message{})
+	if _, err := Decode(b); err == nil {
 		t.Fatal("zero-kind message accepted")
 	}
-	_ = b
 }
 
 func TestClientServerEndToEnd(t *testing.T) {
@@ -400,47 +401,6 @@ func TestReadLoopNilSafe(t *testing.T) {
 	cli.ReadLoop(nil) // nil handler: returns immediately
 }
 
-func TestWriteFramesReadBackIdentical(t *testing.T) {
-	payloads := [][]byte{[]byte("alpha"), {}, bytes.Repeat([]byte{0x5C}, 9000), []byte("omega")}
-
-	var batched bytes.Buffer
-	if err := WriteFrames(&batched, payloads); err != nil {
-		t.Fatal(err)
-	}
-	var single bytes.Buffer
-	for _, p := range payloads {
-		if err := WriteFrame(&single, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(batched.Bytes(), single.Bytes()) {
-		t.Fatal("WriteFrames wire bytes differ from repeated WriteFrame")
-	}
-	for _, want := range payloads {
-		got, err := ReadFrame(&batched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame mismatch: got %d bytes, want %d", len(got), len(want))
-		}
-	}
-	if _, err := ReadFrame(&batched); !errors.Is(err, io.EOF) {
-		t.Fatalf("drained reader returned %v, want EOF", err)
-	}
-}
-
-func TestWriteFramesRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteFrames(&buf, [][]byte{[]byte("ok"), make([]byte, MaxFrameSize+1)})
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized batch = %v, want ErrFrameTooLarge", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("oversized batch wrote %d bytes before failing", buf.Len())
-	}
-}
-
 func TestSendBatchDeliveredInOrder(t *testing.T) {
 	const n = 50
 	var mu sync.Mutex
@@ -576,7 +536,9 @@ func TestCloseWriteDrainsBothDirections(t *testing.T) {
 			return
 		}
 		mu.Lock()
-		seen = append(seen, m.Packet())
+		pkt := &pipeline.Packet{}
+		m.PacketInto(pkt)
+		seen = append(seen, pkt)
 		n := len(seen)
 		mu.Unlock()
 		once.Do(func() { close(first) })

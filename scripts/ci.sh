@@ -26,6 +26,51 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== transport stream lane =="
+# The TCP wire is one gob stream per connection (DESIGN.md §6): the race
+# lane over the package and the node binary's in-process two-node test, the
+# receive path fuzzed for 10 s, an allocation guard on the steady-state
+# codec (the per-connection encoder must not allocate per frame; the decoder
+# only what the message keeps), and two separately started gates-node
+# processes that must agree on the stream format for a struct-valued payload.
+go test -race ./internal/transport ./cmd/gates-node
+go test -run '^$' -fuzz FuzzStreamDecode -fuzztime 10s ./internal/transport
+stream_raw="$(go test -run '^$' -bench 'BenchmarkStream(Encode|Decode)/ints$' \
+  -benchmem -benchtime 200ms ./internal/transport)"
+echo "$stream_raw"
+echo "$stream_raw" | awk '
+/^BenchmarkStream(Encode|Decode)/ {
+    limit = ($1 ~ /Encode/) ? 2 : 12
+    for (i = 2; i <= NF; i++) if ($i == "allocs/op") {
+        n++
+        if ($(i - 1) + 0 > limit) { printf "guard: %s reports %s allocs/op, limit %d\n", $1, $(i - 1), limit; bad = 1 }
+    }
+}
+END {
+    if (n != 2) { print "guard: stream codec benchmarks missing"; exit 1 }
+    if (bad) exit 1
+    print "guard: stream codec within its allocation budget"
+}'
+stream_tmp="$(mktemp -d)"
+go build -o "$stream_tmp/gates-node" ./cmd/gates-node
+"$stream_tmp/gates-node" -listen 127.0.0.1:19776 -stage compsteer/analyzer -scale 200 \
+  >"$stream_tmp/down.log" &
+stream_pid=$!
+for _i in 1 2 3 4 5 6 7 8 9 10; do
+	grep -q '^listening on' "$stream_tmp/down.log" && break
+	sleep 0.2
+done
+"$stream_tmp/gates-node" -stage compsteer/sampler -source compsteer/sim \
+  -forward 127.0.0.1:19776 -scale 200 >"$stream_tmp/up.log" \
+  || { kill "$stream_pid" 2>/dev/null; echo "stream lane: upstream node failed"; exit 1; }
+wait "$stream_pid"
+sent="$(sed -n 's/^egress\/0: in=\([0-9]*\) items.*/\1/p' "$stream_tmp/up.log")"
+got="$(sed -n 's/^ingress\/0: .* out=\([0-9]*\) pkts.*/\1/p' "$stream_tmp/down.log")"
+rm -rf "$stream_tmp"
+[ -n "$sent" ] && [ "$sent" = "$got" ] \
+  || { echo "stream lane: upstream sent '$sent' packets, downstream ingested '$got'"; exit 1; }
+echo "two gates-node processes: $sent packets across one gob stream ok"
+
 echo "== migration smoke =="
 # Live re-deployment lane: the deterministic manual-clock zero-loss
 # migration tests under the race detector, then the bandwidth-collapse
