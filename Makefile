@@ -25,7 +25,7 @@ ci:
 
 # Interactive benchmark run of the hot paths.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineThroughput|BenchmarkBatchSizeSweep|BenchmarkQueue' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineThroughput|BenchmarkBatchSizeSweep' -benchmem .
 
 # Regenerates the committed BENCH_pipeline.json artifact.
 bench-json:

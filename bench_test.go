@@ -19,7 +19,6 @@ import (
 	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/obs"
 	"github.com/gates-middleware/gates/internal/pipeline"
-	"github.com/gates-middleware/gates/internal/queue"
 	"github.com/gates-middleware/gates/internal/workload"
 )
 
@@ -195,16 +194,6 @@ func BenchmarkSketchTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkQueuePushPop measures the server-queue data path.
-func BenchmarkQueuePushPop(b *testing.B) {
-	q := queue.New[int](1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Push(i)
-		q.Pop()
-	}
-}
-
 // BenchmarkControllerObserve measures one adaptation-loop tick.
 func BenchmarkControllerObserve(b *testing.B) {
 	c := adapt.NewController(adapt.Defaults(200))
@@ -301,19 +290,6 @@ func BenchmarkPipelineThroughputObserved(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(context.Background()); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkQueueBatchPushPop measures the server queue moving 16 items per
-// lock acquisition (contrast with BenchmarkQueuePushPop).
-func BenchmarkQueueBatchPushPop(b *testing.B) {
-	q := queue.New[int](1024)
-	in := make([]int, 16)
-	out := make([]int, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += 16 {
-		q.PushBatch(in)
-		q.PopBatch(out, 16)
 	}
 }
 

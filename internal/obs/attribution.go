@@ -22,9 +22,6 @@ const (
 	// stage's drain loop spent parked on an empty input buffer — the
 	// starvation signal.
 	MetricQueuePopStall = "gates_queue_pop_stall_seconds_total"
-	// MetricQueueDropped counts items rejected by TryPush on a full
-	// input buffer.
-	MetricQueueDropped = "gates_queue_dropped_total"
 	// MetricQueueCapacity is the input buffer's capacity C.
 	MetricQueueCapacity = "gates_queue_capacity"
 	// MetricEmitStall is the cumulative wall-clock seconds a stage's emit
@@ -61,8 +58,6 @@ type StageVerdict struct {
 	// QueueFrac is the input buffer's occupancy over capacity at
 	// collection time.
 	QueueFrac JSONFloat `json:"queue_frac"`
-	// DroppedDelta counts TryPush drops at this stage's input this epoch.
-	DroppedDelta float64 `json:"dropped_delta,omitempty"`
 	// Score is InboundStallFrac - EmitStallFrac: a true bottleneck
 	// absorbs pressure without passing it on.
 	Score JSONFloat `json:"score"`
@@ -91,7 +86,7 @@ type AttributionReport struct {
 // stallCum is the cumulative counters remembered per stage instance so the
 // next epoch can take deltas.
 type stallCum struct {
-	push, pop, emit, dropped float64
+	push, pop, emit float64
 }
 
 // Attribution turns the raw backpressure counters into a named culprit. The
@@ -217,8 +212,6 @@ func (a *Attribution) Observe(points []MetricPoint) *AttributionReport {
 			touch(key).pop += v
 		case MetricEmitStall:
 			touch(key).emit += v
-		case MetricQueueDropped:
-			touch(key).dropped += v
 		case "gates_queue_depth":
 			touch(key).depth += v
 		case MetricQueueCapacity:
@@ -261,7 +254,6 @@ func (a *Attribution) Observe(points []MetricPoint) *AttributionReport {
 			InboundStallFrac: JSONFloat(frac(g.push - was.push)),
 			EmitStallFrac:    JSONFloat(frac(g.emit - was.emit)),
 			PopStallFrac:     JSONFloat(frac(g.pop - was.pop)),
-			DroppedDelta:     g.dropped - was.dropped,
 		}
 		if g.cap > 0 {
 			v.QueueFrac = JSONFloat(g.depth / g.cap)

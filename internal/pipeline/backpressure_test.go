@@ -85,7 +85,7 @@ func TestEmitStallTelemetry(t *testing.T) {
 	}
 	for _, name := range []string{
 		obs.MetricQueuePushStall, obs.MetricQueuePopStall, obs.MetricEmitStall,
-		obs.MetricQueueCapacity, obs.MetricQueueDropped,
+		obs.MetricQueueCapacity,
 		"gates_pool_gets_total", "gates_pool_misses_total", "gates_pool_free",
 	} {
 		if !series[name] {

@@ -106,7 +106,7 @@ func (e *Engine) addStage(id string, instance int, p Processor, src Source, cfg 
 		cfg:       cfg,
 		clk:       e.clk,
 		pacer:     clock.NewPacer(e.clk, cfg.ComputeQuantum),
-		in:        queue.New[*Packet](cfg.QueueCapacity),
+		in:        queue.NewMPSC[*Packet](cfg.QueueCapacity),
 		ctrl:      adapt.NewController(cfg.Adapt),
 		doneCh:    make(chan struct{}),
 		pauseWake: make(chan struct{}),
@@ -260,7 +260,15 @@ func (e *Engine) Run(ctx context.Context) error {
 		if st.cfg.ReplayBuffer > 0 {
 			st.enableFT(st.cfg.ReplayBuffer)
 		}
-		st.resolveQueue()
+		// The one SPSC-vs-MPSC decision: a single distinct upstream stage is
+		// a single producer goroutine, so the registration-time MPSC ring
+		// gives way to an SPSC one before any goroutine can touch either.
+		if st.producers() == 1 {
+			spsc := queue.NewSPSC[*Packet](st.cfg.QueueCapacity)
+			st.mu.Lock()
+			st.in = spsc
+			st.mu.Unlock()
+		}
 		if e.o != nil {
 			st.o = e.o
 			st.procOp = e.o.Tracer.Op("stage.process")
@@ -351,63 +359,14 @@ func (e *Engine) Run(ctx context.Context) error {
 	return nil
 }
 
-// resolveQueue swaps the stage's registration-time mutex queue for the ring
-// implementation its resolved QueueKind selects. It runs inside Engine.Run
-// before any stage goroutine exists, so the hot loops only ever see the
-// final buffer; concurrent external observers (monitor, migration) read the
-// reference through inq() under the stage mutex.
-//
-// The engine resolves QueueAuto exactly as the service Planner does at Plan
-// time: one distinct upstream stage means one producer goroutine, so the
-// edge takes the SPSC ring; more take MPSC. An explicit SPSC request with
-// several producers would corrupt the ring, so it degrades to MPSC instead
-// of trusting the override. Sources and input-less stages keep the inert
-// mutex queue — nothing ever flows through it.
-func (s *Stage) resolveQueue() {
-	if s.src != nil || s.inbound == 0 {
-		s.mu.Lock()
-		s.cfg.Queue = QueueMutex
-		s.mu.Unlock()
-		return
-	}
-	producers := 0
+// producers counts the distinct upstream stages wired into s: two Connect
+// calls from the same stage share its goroutine and count once.
+func (s *Stage) producers() int {
 	seen := make(map[*Stage]struct{}, len(s.upstream))
 	for _, up := range s.upstream {
-		if _, ok := seen[up]; !ok {
-			seen[up] = struct{}{}
-			producers++
-		}
+		seen[up] = struct{}{}
 	}
-	kind := s.cfg.Queue
-	switch kind {
-	case QueueAuto:
-		if producers == 1 {
-			kind = QueueSPSC
-		} else {
-			kind = QueueMPSC
-		}
-	case QueueSPSC:
-		if producers > 1 {
-			kind = QueueMPSC
-		}
-	}
-	var in queue.Buffer[*Packet]
-	switch kind {
-	case QueueSPSC:
-		in = queue.NewSPSC[*Packet](s.cfg.QueueCapacity)
-	case QueueMPSC:
-		in = queue.NewMPSC[*Packet](s.cfg.QueueCapacity)
-	default:
-		// QueueMutex: the registration-time queue already is one.
-		s.mu.Lock()
-		s.cfg.Queue = kind
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Lock()
-	s.cfg.Queue = kind
-	s.in = in
-	s.mu.Unlock()
+	return len(seen)
 }
 
 // adaptLoopFor dispatches to the queue-observing loop for processor stages

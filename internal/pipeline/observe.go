@@ -65,7 +65,7 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 		func() float64 { return s.Stats().ComputeCharged.Seconds() })
 
 	// Queue series read through inq(): Engine.Run may still be swapping in
-	// the resolved ring when an external monitor instruments a stage, and
+	// the SPSC ring when an external monitor instruments a stage, and
 	// scrapes must follow the live buffer either way.
 	reg.GaugeFunc("gates_queue_depth",
 		"Current input-queue occupancy d.", lb,
@@ -85,9 +85,6 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("gates_queue_high_water",
 		"Highest input-queue occupancy observed.", lb,
 		func() float64 { return float64(s.QueueStats().HighWater) })
-	reg.CounterFunc(obs.MetricQueueDropped,
-		"Items rejected by TryPush on a full input queue.", lb,
-		func() float64 { return float64(s.QueueStats().Dropped) })
 	reg.GaugeFunc(obs.MetricQueueCapacity,
 		"Input buffer capacity C.", lb,
 		func() float64 { return float64(s.inq().Cap()) })

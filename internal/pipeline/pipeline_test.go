@@ -225,6 +225,53 @@ func TestFanInFourSources(t *testing.T) {
 	}
 }
 
+// TestRunPicksRingByProducerCount pins the one SPSC-vs-MPSC rule: Engine.Run
+// gives a stage an SPSC ring iff exactly one distinct upstream stage feeds
+// it. Two Connect calls from the same stage share that stage's goroutine
+// and count once; a source's ring never carries anything.
+func TestRunPicksRingByProducerCount(t *testing.T) {
+	e := New(clock.NewScaled(100000))
+	cfg := StageConfig{DisableAdaptation: true}
+	src0, _ := e.AddSourceStage("src", 0, &testSource{values: []int{1, 2, 3}}, cfg)
+	src1, _ := e.AddSourceStage("src", 1, &testSource{values: []int{4, 5}}, cfg)
+	fanIn, _ := e.AddProcessorStage("fanin", 0, forwardProc{}, cfg)
+	twiceGot, tailGot := &collector{}, &collector{}
+	twice, _ := e.AddProcessorStage("twice", 0, twiceGot, cfg)
+	tail, _ := e.AddProcessorStage("tail", 0, tailGot, cfg)
+	for _, c := range [][2]*Stage{
+		{src0, fanIn}, {src1, fanIn}, // two distinct upstreams
+		{src1, twice}, {src1, twice}, // one upstream, two edges
+		{fanIn, tail}, // one upstream, one edge
+	} {
+		if err := e.Connect(c[0], c[1], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		st   *Stage
+		spsc bool
+	}{{fanIn, false}, {twice, true}, {tail, true}} {
+		if got := tc.st.inq().SPSC(); got != tc.spsc {
+			t.Errorf("%s: SPSC() = %v, want %v", tc.st.ID(), got, tc.spsc)
+		}
+	}
+	// Both edges of the doubled connection delivered, through the one ring.
+	if n := len(twiceGot.values()); n != 4 {
+		t.Errorf("twice received %d packets, want 4 (2 values x 2 edges)", n)
+	}
+	if n := len(tailGot.values()); n != 5 {
+		t.Errorf("tail received %d packets, want 5", n)
+	}
+	for _, src := range []*Stage{src0, src1} {
+		if st := src.QueueStats(); st.Pushed != 0 || st.HighWater != 0 || src.QueueLen() != 0 {
+			t.Errorf("source %s/%d ring saw traffic: %+v", src.ID(), src.Instance(), st)
+		}
+	}
+}
+
 func TestThreeStageChainTransforms(t *testing.T) {
 	e := New(clock.NewScaled(100000))
 	src, _ := e.AddSourceStage("src", 0, &testSource{values: []int{1, 2, 3}}, StageConfig{})

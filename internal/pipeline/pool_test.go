@@ -205,7 +205,7 @@ func (c *countSink) Finish(*Context, *Emitter) error { return nil }
 // the ring-backed stage graph: two sources fan into a forwarding stage
 // (MPSC ring) which feeds a sink (SPSC ring), while outside goroutines
 // hammer Pause/Resume and the Snapshot-based observers (QueuedState,
-// QueueStats, QueueLen, ResolvedQueue) on both ring stages. Every emitted
+// QueueStats, QueueLen, the ring kind) on both ring stages. Every emitted
 // packet must still arrive exactly once with its payload intact. Run it
 // under -race: the interesting failures are ordering violations, not
 // counts.
@@ -245,7 +245,7 @@ func TestRingStagesPauseResumeSnapshotRace(t *testing.T) {
 			for _, s := range []*Stage{mid, end} {
 				s.QueueStats()
 				s.QueueLen()
-				s.ResolvedQueue()
+				s.inq().SPSC()
 			}
 			runtime.Gosched()
 		}
@@ -304,15 +304,15 @@ func TestRingStagesPauseResumeSnapshotRace(t *testing.T) {
 	if bad := sink.bad.Load(); bad != 0 {
 		t.Fatalf("%d packets arrived with corrupted payloads", bad)
 	}
-	// The engine resolved the planned ring kinds: fan-in is MPSC, the
-	// linear edge SPSC.
-	if got := mid.ResolvedQueue(); got != QueueMPSC {
-		t.Fatalf("mid resolved %v, want mpsc", got)
+	// The engine picked the ring kinds: fan-in is MPSC, the linear edge
+	// SPSC.
+	if mid.inq().SPSC() {
+		t.Fatal("fan-in stage mid got an SPSC ring, want mpsc")
 	}
-	if got := end.ResolvedQueue(); got != QueueSPSC {
-		t.Fatalf("end resolved %v, want spsc", got)
+	if !end.inq().SPSC() {
+		t.Fatal("single-upstream stage end got an MPSC ring, want spsc")
 	}
-	if got := s0.ResolvedQueue(); got != QueueMutex {
-		t.Fatalf("source resolved %v, want the inert mutex placeholder", got)
+	if st := s0.QueueStats(); st.Pushed != 0 || s0.QueueLen() != 0 {
+		t.Fatalf("source ring saw traffic: %+v", st)
 	}
 }

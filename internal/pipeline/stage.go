@@ -36,51 +36,10 @@ type Source interface {
 	Run(ctx *Context, out *Emitter) error
 }
 
-// QueueKind selects a stage's input-buffer implementation.
-type QueueKind int
-
-const (
-	// QueueAuto (the zero value) lets the engine decide at Run time:
-	// a lock-free SPSC ring when exactly one upstream stage feeds the
-	// instance, a lock-free MPSC ring otherwise. The service Planner
-	// makes the same decision at Plan time from the wire cardinality
-	// and records it in the Plan.
-	QueueAuto QueueKind = iota
-	// QueueSPSC is the single-producer single-consumer ring. Selecting
-	// it for a stage with more than one upstream stage is unsafe; the
-	// engine falls back to MPSC rather than corrupt the ring.
-	QueueSPSC
-	// QueueMPSC is the multi-producer single-consumer ring.
-	QueueMPSC
-	// QueueMutex is the original mutex+condvar queue (any producer and
-	// consumer cardinality). Sources keep it as an inert placeholder;
-	// it remains available as an explicit opt-out of the rings.
-	QueueMutex
-)
-
-// String renders the queue kind name.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueAuto:
-		return "auto"
-	case QueueSPSC:
-		return "spsc"
-	case QueueMPSC:
-		return "mpsc"
-	case QueueMutex:
-		return "mutex"
-	default:
-		return fmt.Sprintf("queuekind(%d)", int(k))
-	}
-}
-
 // StageConfig tunes one stage instance.
 type StageConfig struct {
 	// QueueCapacity is C, the capacity of the input buffer. Default 200.
 	QueueCapacity int
-	// Queue selects the input-buffer implementation; see QueueKind. The
-	// zero value (QueueAuto) picks per-edge-cardinality at Run time.
-	Queue QueueKind
 	// Adapt configures the §4 algorithm for this stage. Zero-valued
 	// fields default per adapt.Defaults with the stage's queue capacity.
 	Adapt adapt.Options
@@ -175,12 +134,12 @@ type Stage struct {
 	cfg   StageConfig
 	clk   clock.Clock
 	pacer *clock.Pacer
-	// in is the stage's input buffer. Registered as a mutex Queue, then
-	// replaced (under mu) by Engine.Run with the ring implementation the
-	// resolved QueueKind selects, before any stage goroutine exists. Hot
+	// in is the stage's input buffer: an MPSC ring from registration on,
+	// replaced once (under mu) by Engine.Run with an SPSC ring when exactly
+	// one upstream stage feeds it, before any stage goroutine exists. Hot
 	// loops read it directly (they start after the swap); external
-	// observers go through inq().
-	in   queue.Buffer[*Packet]
+	// observers go through inq(). A source's ring stays empty.
+	in   *queue.Ring[*Packet]
 	ctrl *adapt.Controller
 
 	// o, the trace ops, and the owned histograms are set before the stage
@@ -315,10 +274,10 @@ func (s *Stage) SetNode(node string) {
 func (s *Stage) Controller() *adapt.Controller { return s.ctrl }
 
 // inq returns the stage's input buffer for external observers. The buffer
-// reference is swapped once by Engine.Run (resolveQueue) before the stage
-// goroutines start; reading it under mu keeps observers that instrument a
-// stage concurrently with engine startup (monitor, migration) race-free.
-func (s *Stage) inq() queue.Buffer[*Packet] {
+// reference may be swapped once by Engine.Run before the stage goroutines
+// start; reading it under mu keeps observers that instrument a stage
+// concurrently with engine startup (monitor, migration) race-free.
+func (s *Stage) inq() *queue.Ring[*Packet] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.in
@@ -329,14 +288,6 @@ func (s *Stage) QueueLen() int { return s.inq().Len() }
 
 // QueueStats returns the input queue's counters.
 func (s *Stage) QueueStats() queue.Stats { return s.inq().Stats() }
-
-// ResolvedQueue reports which input-buffer implementation the stage ended up
-// with (meaningful after Engine.Run has started the stage).
-func (s *Stage) ResolvedQueue() QueueKind {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Queue
-}
 
 // Stats returns a snapshot of the stage's activity counters.
 func (s *Stage) Stats() StageStats {

@@ -5,37 +5,26 @@
 // queuing network whose input buffer is the server's queue; the
 // self-adaptation algorithm observes the queue's current length d, its
 // recent average, and its capacity C. This package provides exactly that
-// observable queue: a blocking bounded FIFO whose occupancy statistics are
-// cheap to sample from a concurrent controller.
-//
-// The queue offers two granularities. Per-item Push/Pop pay one mutex
-// round-trip and one condvar wakeup per item. PushBatch/PopBatch move many
-// items under a single lock acquisition — the §4.1 model's per-batch
-// amortizable service cost — and Len reads an atomic occupancy mirror, so
-// the adaptation controller's periodic sampling never contends with the
-// data path.
+// observable queue, in one implementation: Ring, a bounded lock-free FIFO
+// with a single consumer (the owning stage's drain loop) and either one
+// producer (SPSC) or many (MPSC). Pushes and pops are a few atomic
+// operations; a goroutine parks on a condition variable only when the ring
+// is full or empty. PushBatch/PopBatch move many items per cursor update,
+// and Len and Stats are atomic loads, so the adaptation controller's
+// periodic sampling never contends with the data path.
 package queue
 
-import (
-	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "errors"
 
-// ErrClosed is returned by Push operations on a closed queue and by Pop
-// operations once a closed queue has been fully drained.
+// ErrClosed is returned by Push operations on a closed ring and by Pop
+// operations once a closed ring has been fully drained.
 var ErrClosed = errors.New("queue: closed")
 
-// ErrFull is returned by TryPush when the queue is at capacity.
-var ErrFull = errors.New("queue: full")
-
-// ErrEmpty is returned by TryPop when the queue holds no items.
+// ErrEmpty is returned by TryPop when the ring holds no items.
 var ErrEmpty = errors.New("queue: empty")
 
-// Stats is a snapshot of a queue's lifetime counters. All counts are
-// monotonically non-decreasing for the life of the queue.
+// Stats is a snapshot of a ring's lifetime counters. All counts are
+// monotonically non-decreasing for the life of the ring.
 type Stats struct {
 	// Pushed is the number of items accepted.
 	Pushed uint64
@@ -49,8 +38,6 @@ type Stats struct {
 	BlockedPops uint64
 	// HighWater is the maximum occupancy ever observed.
 	HighWater int
-	// Dropped counts items rejected by TryPush on a full queue.
-	Dropped uint64
 	// PushStallNS and PopStallNS are the cumulative wall-clock
 	// nanoseconds producers spent parked on a full buffer and the
 	// consumer spent parked on an empty one. Wall time, not virtual: a
@@ -59,595 +46,4 @@ type Stats struct {
 	// epoch. Only the parked slow path pays the clock reads.
 	PushStallNS uint64
 	PopStallNS  uint64
-}
-
-// Queue is a bounded FIFO safe for any number of concurrent producers and
-// consumers. The zero value is not usable; construct with New.
-type Queue[T any] struct {
-	mu       sync.Mutex
-	notFull  *sync.Cond
-	notEmpty *sync.Cond
-
-	buf    []T // ring buffer
-	head   int // index of the oldest element
-	n      int // number of elements
-	closed bool
-
-	// length mirrors n so Len can be sampled without taking mu.
-	length atomic.Int64
-
-	stats Stats
-}
-
-// New returns a queue with the given capacity. Capacity must be at least 1;
-// New panics otherwise, since a zero-capacity server queue is meaningless in
-// the paper's model.
-func New[T any](capacity int) *Queue[T] {
-	if capacity < 1 {
-		panic("queue: capacity must be >= 1")
-	}
-	q := &Queue[T]{buf: make([]T, capacity)}
-	q.notFull = sync.NewCond(&q.mu)
-	q.notEmpty = sync.NewCond(&q.mu)
-	return q
-}
-
-// Cap returns the fixed capacity C of the queue.
-func (q *Queue[T]) Cap() int { return len(q.buf) }
-
-// Len returns the current occupancy d of the queue. It is the quantity the
-// self-adaptation controller samples; the read is a single atomic load, so
-// a controller polling at any rate never blocks the data path.
-func (q *Queue[T]) Len() int { return int(q.length.Load()) }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
-
-// Stats returns a snapshot of the queue's counters.
-func (q *Queue[T]) Stats() Stats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.stats
-}
-
-// Snapshot returns the queued items oldest-first without removing them —
-// the state-capture hook live migration uses to account for the in-flight
-// buffer of a paused stage.
-func (q *Queue[T]) Snapshot() []T {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]T, q.n)
-	for i := 0; i < q.n; i++ {
-		out[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	return out
-}
-
-// Push appends v, blocking while the queue is full. It returns ErrClosed if
-// the queue is (or becomes) closed while waiting.
-func (q *Queue[T]) Push(v T) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == len(q.buf) && !q.closed {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPushes++
-			stall = time.Now()
-		}
-		q.notFull.Wait()
-	}
-	if blocked {
-		q.stats.PushStallNS += uint64(time.Since(stall))
-	}
-	if q.closed {
-		return ErrClosed
-	}
-	q.pushLocked(v)
-	return nil
-}
-
-// PushCtx is Push with cancellation. If ctx is done before space is
-// available it returns ctx.Err().
-func (q *Queue[T]) PushCtx(ctx context.Context, v T) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	q.mu.Lock()
-	// Fast path: space available, no watcher goroutine needed.
-	if q.closed {
-		q.mu.Unlock()
-		return ErrClosed
-	}
-	if q.n < len(q.buf) {
-		q.pushLocked(v)
-		q.mu.Unlock()
-		return nil
-	}
-	q.mu.Unlock()
-	return q.pushCtxSlow(ctx, v)
-}
-
-func (q *Queue[T]) pushCtxSlow(ctx context.Context, v T) error {
-	stop := q.watchCancel(ctx)
-	defer stop()
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == len(q.buf) && !q.closed && ctx.Err() == nil {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPushes++
-			stall = time.Now()
-		}
-		q.notFull.Wait()
-	}
-	if blocked {
-		q.stats.PushStallNS += uint64(time.Since(stall))
-	}
-	if err := ctx.Err(); err != nil {
-		// This waiter may have absorbed a Signal meant for another
-		// blocked producer; pass it on so the wakeup is not lost.
-		if q.n < len(q.buf) {
-			q.notFull.Signal()
-		}
-		return err
-	}
-	if q.closed {
-		return ErrClosed
-	}
-	q.pushLocked(v)
-	return nil
-}
-
-// watchCancel arranges for both condvars to be woken when ctx is canceled,
-// so a blocked waiter can observe the cancellation. The broadcast
-// synchronizes on q.mu: a waiter that has checked its predicate but not yet
-// suspended in Wait still holds the lock, so the wakeup cannot slip into
-// that window and be missed. The returned stop function releases the
-// watcher.
-func (q *Queue[T]) watchCancel(ctx context.Context) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			q.mu.Lock()
-			q.notFull.Broadcast()
-			q.notEmpty.Broadcast()
-			q.mu.Unlock()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
-}
-
-// TryPush appends v without blocking. It returns ErrFull when at capacity
-// (counting the item as dropped) or ErrClosed after Close.
-func (q *Queue[T]) TryPush(v T) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	if q.n == len(q.buf) {
-		q.stats.Dropped++
-		return ErrFull
-	}
-	q.pushLocked(v)
-	return nil
-}
-
-// PushBatch appends every item in order, blocking while the queue is full.
-// Items are moved in chunks of whatever capacity is free, each chunk under
-// one lock acquisition and one consumer wakeup, so the per-item condvar
-// round-trip of Push is amortized across the batch. FIFO order within the
-// batch and relative to concurrent per-item pushes is preserved (the whole
-// chunk is enqueued contiguously).
-//
-// If the queue is closed mid-batch, PushBatch returns ErrClosed; a prefix
-// of the batch may already have been accepted (and is counted in
-// Stats.Pushed).
-func (q *Queue[T]) PushBatch(items []T) error {
-	for len(items) > 0 {
-		q.mu.Lock()
-		blocked := false
-		var stall time.Time
-		for q.n == len(q.buf) && !q.closed {
-			if !blocked {
-				blocked = true
-				q.stats.BlockedPushes++
-				stall = time.Now()
-			}
-			q.notFull.Wait()
-		}
-		if blocked {
-			q.stats.PushStallNS += uint64(time.Since(stall))
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return ErrClosed
-		}
-		k := len(q.buf) - q.n
-		if k > len(items) {
-			k = len(items)
-		}
-		q.enqueueLocked(items[:k])
-		q.mu.Unlock()
-		items = items[k:]
-	}
-	return nil
-}
-
-// PushBatchCtx is PushBatch with cancellation. On ctx cancellation a prefix
-// of the batch may already have been accepted.
-func (q *Queue[T]) PushBatchCtx(ctx context.Context, items []T) error {
-	_, err := q.PushBatchN(ctx, items)
-	return err
-}
-
-// PushBatchN is PushBatchCtx reporting how many leading items were
-// accepted. On cancellation or close the caller knows exactly which suffix
-// never entered the queue and can retry it — what makes a blocked batched
-// emit a resumable pause boundary rather than an all-or-nothing loss.
-func (q *Queue[T]) PushBatchN(ctx context.Context, items []T) (int, error) {
-	pushed := 0
-	for len(items) > 0 {
-		if err := ctx.Err(); err != nil {
-			return pushed, err
-		}
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return pushed, ErrClosed
-		}
-		if q.n == len(q.buf) {
-			q.mu.Unlock()
-			if err := q.waitNotFull(ctx); err != nil {
-				return pushed, err
-			}
-			continue // re-check under a fresh lock
-		}
-		k := len(q.buf) - q.n
-		if k > len(items) {
-			k = len(items)
-		}
-		q.enqueueLocked(items[:k])
-		q.mu.Unlock()
-		items = items[k:]
-		pushed += k
-	}
-	return pushed, nil
-}
-
-// waitNotFull blocks until the queue has space, is closed, or ctx is done.
-// It returns nil when waiting ended for a (possibly stale) reason the
-// caller should re-examine under its own lock, or ctx.Err() on
-// cancellation.
-func (q *Queue[T]) waitNotFull(ctx context.Context) error {
-	stop := q.watchCancel(ctx)
-	defer stop()
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == len(q.buf) && !q.closed && ctx.Err() == nil {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPushes++
-			stall = time.Now()
-		}
-		q.notFull.Wait()
-	}
-	if blocked {
-		q.stats.PushStallNS += uint64(time.Since(stall))
-	}
-	if err := ctx.Err(); err != nil {
-		if q.n < len(q.buf) {
-			q.notFull.Signal() // hand off an absorbed wakeup
-		}
-		return err
-	}
-	return nil
-}
-
-// pushLocked appends one item; the caller holds mu.
-func (q *Queue[T]) pushLocked(v T) {
-	tail := (q.head + q.n) % len(q.buf)
-	q.buf[tail] = v
-	q.n++
-	q.length.Store(int64(q.n))
-	q.stats.Pushed++
-	if q.n > q.stats.HighWater {
-		q.stats.HighWater = q.n
-	}
-	// Exactly one item became available: exactly one consumer can
-	// proceed, so Signal, not Broadcast — waking every blocked consumer
-	// per item is a thundering herd that burns the data path's cycles.
-	q.notEmpty.Signal()
-}
-
-// enqueueLocked appends items contiguously (at most two ring segments); the
-// caller holds mu and guarantees capacity.
-func (q *Queue[T]) enqueueLocked(items []T) {
-	tail := (q.head + q.n) % len(q.buf)
-	copied := copy(q.buf[tail:], items)
-	if copied < len(items) {
-		copy(q.buf, items[copied:])
-	}
-	q.n += len(items)
-	q.length.Store(int64(q.n))
-	q.stats.Pushed += uint64(len(items))
-	if q.n > q.stats.HighWater {
-		q.stats.HighWater = q.n
-	}
-	if len(items) == 1 {
-		q.notEmpty.Signal()
-	} else {
-		// Several consumers can now proceed; wake them all once per
-		// batch rather than once per item.
-		q.notEmpty.Broadcast()
-	}
-}
-
-// Pop removes and returns the oldest item, blocking while the queue is
-// empty. Once the queue is closed and drained it returns ErrClosed.
-func (q *Queue[T]) Pop() (T, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == 0 && !q.closed {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPops++
-			stall = time.Now()
-		}
-		q.notEmpty.Wait()
-	}
-	if blocked {
-		q.stats.PopStallNS += uint64(time.Since(stall))
-	}
-	var zero T
-	if q.n == 0 { // closed and drained
-		return zero, ErrClosed
-	}
-	return q.popLocked(), nil
-}
-
-// PopCtx is Pop with cancellation.
-func (q *Queue[T]) PopCtx(ctx context.Context) (T, error) {
-	var zero T
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	q.mu.Lock()
-	// Fast path: an item is ready, no watcher goroutine needed.
-	if q.n > 0 {
-		v := q.popLocked()
-		q.mu.Unlock()
-		return v, nil
-	}
-	if q.closed {
-		q.mu.Unlock()
-		return zero, ErrClosed
-	}
-	q.mu.Unlock()
-	return q.popCtxSlow(ctx)
-}
-
-func (q *Queue[T]) popCtxSlow(ctx context.Context) (T, error) {
-	stop := q.watchCancel(ctx)
-	defer stop()
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var zero T
-	blocked := false
-	var stall time.Time
-	for q.n == 0 && !q.closed && ctx.Err() == nil {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPops++
-			stall = time.Now()
-		}
-		q.notEmpty.Wait()
-	}
-	if blocked {
-		q.stats.PopStallNS += uint64(time.Since(stall))
-	}
-	if err := ctx.Err(); err != nil {
-		if q.n > 0 {
-			q.notEmpty.Signal() // hand off an absorbed wakeup
-		}
-		return zero, err
-	}
-	if q.n == 0 {
-		return zero, ErrClosed
-	}
-	return q.popLocked(), nil
-}
-
-// TryPop removes and returns the oldest item without blocking. It returns
-// ErrEmpty when nothing is queued, or ErrClosed once closed and drained.
-func (q *Queue[T]) TryPop() (T, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var zero T
-	if q.n == 0 {
-		if q.closed {
-			return zero, ErrClosed
-		}
-		return zero, ErrEmpty
-	}
-	return q.popLocked(), nil
-}
-
-// PopBatch removes up to max items (bounded by len(dst)) into dst, blocking
-// while the queue is empty. It returns the number of items moved — at least
-// one — or 0 and ErrClosed once the queue is closed and drained. All
-// immediately available items up to the bound are taken under one lock
-// acquisition; PopBatch never waits for the queue to fill, so batching adds
-// no latency. max <= 0 means len(dst).
-func (q *Queue[T]) PopBatch(dst []T, max int) (int, error) {
-	if max <= 0 || max > len(dst) {
-		max = len(dst)
-	}
-	if max == 0 {
-		return 0, nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == 0 && !q.closed {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPops++
-			stall = time.Now()
-		}
-		q.notEmpty.Wait()
-	}
-	if blocked {
-		q.stats.PopStallNS += uint64(time.Since(stall))
-	}
-	if q.n == 0 {
-		return 0, ErrClosed
-	}
-	k := q.n
-	if k > max {
-		k = max
-	}
-	q.dequeueLocked(dst[:k])
-	return k, nil
-}
-
-// PopBatchCtx is PopBatch with cancellation.
-func (q *Queue[T]) PopBatchCtx(ctx context.Context, dst []T, max int) (int, error) {
-	if max <= 0 || max > len(dst) {
-		max = len(dst)
-	}
-	if max == 0 {
-		return 0, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	q.mu.Lock()
-	// Fast path mirroring PopCtx.
-	if q.n > 0 {
-		k := q.n
-		if k > max {
-			k = max
-		}
-		q.dequeueLocked(dst[:k])
-		q.mu.Unlock()
-		return k, nil
-	}
-	if q.closed {
-		q.mu.Unlock()
-		return 0, ErrClosed
-	}
-	q.mu.Unlock()
-	return q.popBatchCtxSlow(ctx, dst, max)
-}
-
-func (q *Queue[T]) popBatchCtxSlow(ctx context.Context, dst []T, max int) (int, error) {
-	stop := q.watchCancel(ctx)
-	defer stop()
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == 0 && !q.closed && ctx.Err() == nil {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPops++
-			stall = time.Now()
-		}
-		q.notEmpty.Wait()
-	}
-	if blocked {
-		q.stats.PopStallNS += uint64(time.Since(stall))
-	}
-	if err := ctx.Err(); err != nil {
-		if q.n > 0 {
-			q.notEmpty.Signal()
-		}
-		return 0, err
-	}
-	if q.n == 0 {
-		return 0, ErrClosed
-	}
-	k := q.n
-	if k > max {
-		k = max
-	}
-	q.dequeueLocked(dst[:k])
-	return k, nil
-}
-
-// popLocked removes one item; the caller holds mu.
-func (q *Queue[T]) popLocked() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero // release reference
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	q.length.Store(int64(q.n))
-	q.stats.Popped++
-	// Exactly one slot freed: exactly one producer can proceed.
-	q.notFull.Signal()
-	return v
-}
-
-// dequeueLocked moves the oldest len(dst) items into dst (at most two ring
-// segments); the caller holds mu and guarantees availability.
-func (q *Queue[T]) dequeueLocked(dst []T) {
-	k := len(dst)
-	first := len(q.buf) - q.head
-	if first > k {
-		first = k
-	}
-	copy(dst, q.buf[q.head:q.head+first])
-	copy(dst[first:], q.buf[:k-first])
-	var zero T
-	for i := q.head; i < q.head+first; i++ {
-		q.buf[i] = zero // release references
-	}
-	for i := 0; i < k-first; i++ {
-		q.buf[i] = zero
-	}
-	q.head = (q.head + k) % len(q.buf)
-	q.n -= k
-	q.length.Store(int64(q.n))
-	q.stats.Popped += uint64(k)
-	if k == 1 {
-		q.notFull.Signal()
-	} else {
-		// Several producers can now proceed; one wakeup for the batch.
-		q.notFull.Broadcast()
-	}
-}
-
-// Close marks the queue closed. Pending and future Push calls fail with
-// ErrClosed; Pop continues to drain remaining items and then fails with
-// ErrClosed. Close is idempotent.
-func (q *Queue[T]) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.closed = true
-	q.notFull.Broadcast()
-	q.notEmpty.Broadcast()
 }

@@ -7,38 +7,6 @@ import (
 	"time"
 )
 
-// Buffer is the contract a stage input buffer satisfies: the bounded,
-// observable FIFO of the §4.1 server model with batched variants,
-// cancellation, and the Snapshot hook live migration uses. Two
-// implementations exist: the mutex+condvar Queue (any number of producers
-// and consumers) and the lock-free Ring (SPSC or MPSC, single consumer).
-type Buffer[T any] interface {
-	Cap() int
-	Len() int
-	Closed() bool
-	Stats() Stats
-	Snapshot() []T
-	Close()
-
-	Push(v T) error
-	PushCtx(ctx context.Context, v T) error
-	TryPush(v T) error
-	PushBatch(items []T) error
-	PushBatchCtx(ctx context.Context, items []T) error
-	PushBatchN(ctx context.Context, items []T) (int, error)
-
-	Pop() (T, error)
-	PopCtx(ctx context.Context) (T, error)
-	TryPop() (T, error)
-	PopBatch(dst []T, max int) (int, error)
-	PopBatchCtx(ctx context.Context, dst []T, max int) (int, error)
-}
-
-var (
-	_ Buffer[int] = (*Queue[int])(nil)
-	_ Buffer[int] = (*Ring[int])(nil)
-)
-
 // ringSlot couples a value with its publication sequence. seq is used only
 // in MPSC mode: a producer that has claimed position p stores p+1 into the
 // slot's seq after writing the value, and the consumer treats a slot as
@@ -58,15 +26,15 @@ type ringSlot[T any] struct {
 // mutex+condvar only when the ring is full/empty, with atomic waiter counts
 // so the non-blocked side pays one atomic load to know nobody needs waking.
 //
-// Semantics match Queue: Push* fails with ErrClosed after Close, Pop* drains
-// then fails with ErrClosed, ctx variants return ctx.Err() on cancellation
-// without consuming anything, and Stats/Len are safe to sample from any
-// goroutine at any time.
+// Push* fails with ErrClosed after Close, Pop* drains then fails with
+// ErrClosed, ctx variants return ctx.Err() on cancellation without consuming
+// or inserting anything, and Stats/Len are safe to sample from any goroutine
+// at any time.
 //
-// Snapshot is the one operation with a narrower contract than Queue's: it
-// reads the occupied slots without synchronizing against the consumer, so it
-// is race-free only while the consumer is quiescent (e.g. the owning stage
-// is Paused) — exactly how live migration uses it. Concurrent producers are
+// Snapshot is the one operation with a narrower contract: it reads the
+// occupied slots without synchronizing against the consumer, so it is
+// race-free only while the consumer is quiescent (e.g. the owning stage is
+// Paused) — exactly how live migration uses it. Concurrent producers are
 // fine: Snapshot only examines slots published before it started.
 type Ring[T any] struct {
 	logical uint64 // capacity C exposed to callers
@@ -87,7 +55,6 @@ type Ring[T any] struct {
 	highWater     atomic.Int64
 	blockedPushes atomic.Uint64
 	blockedPops   atomic.Uint64
-	dropped       atomic.Uint64
 	// pushStallNS/popStallNS accumulate wall nanoseconds spent parked in
 	// waitNotFull/waitNotEmpty — the backpressure signal the attribution
 	// engine reads. Only the parked slow path touches the wall clock.
@@ -106,8 +73,8 @@ type Ring[T any] struct {
 	popWaiters  atomic.Int32
 	// watched caches one cancellation-watcher goroutine per live context,
 	// so parking with the same pop/run context never allocates after the
-	// first wait (the per-call watcher of Queue.watchCancel would cost a
-	// goroutine+channel per blocked operation).
+	// first wait (a per-call watcher would cost a goroutine+channel per
+	// blocked operation).
 	watched []context.Context
 }
 
@@ -158,8 +125,8 @@ func (r *Ring[T]) Len() int {
 	return int(n)
 }
 
-// Closed reports whether Close has been called.
-func (r *Ring[T]) Closed() bool { return r.closed.Load() }
+// SPSC reports whether the ring was built for exactly one producer.
+func (r *Ring[T]) SPSC() bool { return r.spsc }
 
 // Stats returns a snapshot of the ring's counters. Pushed counts claimed
 // positions (a producer mid-publish is included), Popped counts consumed
@@ -171,7 +138,6 @@ func (r *Ring[T]) Stats() Stats {
 		BlockedPushes: r.blockedPushes.Load(),
 		BlockedPops:   r.blockedPops.Load(),
 		HighWater:     int(r.highWater.Load()),
-		Dropped:       r.dropped.Load(),
 		PushStallNS:   r.pushStallNS.Load(),
 		PopStallNS:    r.popStallNS.Load(),
 	}
@@ -503,7 +469,7 @@ func (r *Ring[T]) waitNotEmpty(ctx context.Context) error {
 	return nil
 }
 
-// --- Queue-compatible API ---
+// --- blocking API ---
 
 // Push appends v, blocking while the ring is full; ErrClosed after Close.
 func (r *Ring[T]) Push(v T) error { return r.pushCtx(nil, v) }
@@ -530,39 +496,19 @@ func (r *Ring[T]) pushCtx(ctx context.Context, v T) error {
 	}
 }
 
-// TryPush appends v without blocking: ErrFull (counted as dropped) when at
-// capacity, ErrClosed after Close.
-func (r *Ring[T]) TryPush(v T) error {
-	if r.closed.Load() {
-		return ErrClosed
-	}
-	if r.push1(v) {
-		return nil
-	}
-	r.dropped.Add(1)
-	return ErrFull
-}
-
 // PushBatch appends every item in order, blocking while full. On ErrClosed
-// a prefix may already have been accepted, as with Queue.
-func (r *Ring[T]) PushBatch(items []T) error { return r.pushBatchCtx(nil, items) }
-
-// PushBatchCtx is PushBatch with cancellation.
-func (r *Ring[T]) PushBatchCtx(ctx context.Context, items []T) error {
-	return r.pushBatchCtx(ctx, items)
+// a prefix may already have been accepted.
+func (r *Ring[T]) PushBatch(items []T) error {
+	_, err := r.pushBatchN(nil, items)
+	return err
 }
 
-// PushBatchN is PushBatchCtx reporting how many leading items were
-// accepted, so on cancellation or close the caller can retry exactly the
-// suffix that never entered the ring (the resumable pause boundary of the
-// batched emit path).
+// PushBatchN is PushBatch with cancellation, reporting how many leading
+// items were accepted, so on cancellation or close the caller can retry
+// exactly the suffix that never entered the ring (the resumable pause
+// boundary of the batched emit path).
 func (r *Ring[T]) PushBatchN(ctx context.Context, items []T) (int, error) {
 	return r.pushBatchN(ctx, items)
-}
-
-func (r *Ring[T]) pushBatchCtx(ctx context.Context, items []T) error {
-	_, err := r.pushBatchN(ctx, items)
-	return err
 }
 
 func (r *Ring[T]) pushBatchN(ctx context.Context, items []T) (int, error) {

@@ -3,185 +3,349 @@ package queue
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
-func ringVariants(t *testing.T, cap int) map[string]*Ring[int] {
+// ringKind is one row of the table every behavioural test runs over.
+// producers is how many goroutines may push concurrently under the kind's
+// contract: tests that need "several blocked producers" use it so the SPSC
+// case stays legal.
+type ringKind struct {
+	name      string
+	mk        func(capacity int) *Ring[int]
+	producers int
+}
+
+// eachRing runs f as a subtest per ring kind.
+func eachRing(t *testing.T, f func(t *testing.T, k ringKind)) {
 	t.Helper()
-	return map[string]*Ring[int]{
-		"spsc": NewSPSC[int](cap),
-		"mpsc": NewMPSC[int](cap),
+	for _, k := range []ringKind{
+		{"spsc", NewSPSC[int], 1},
+		{"mpsc", NewMPSC[int], 8},
+	} {
+		t.Run(k.name, func(t *testing.T) { f(t, k) })
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after a generous
+// deadline. It replaces fixed wall-clock sleeps so slow machines cannot
+// flake the test and fast ones do not wait.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never reached")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitErr receives from ch with a deadline.
+func waitErr(t *testing.T, ch <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting: %s", what)
+		return nil
+	}
+}
+
+func TestRingPanicsOnBadCapacity(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		for _, c := range []int{0, -3} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("capacity %d did not panic", c)
+					}
+				}()
+				k.mk(c)
+			}()
+		}
+	})
+}
+
+func TestRingKind(t *testing.T) {
+	if !NewSPSC[int](1).SPSC() || NewMPSC[int](1).SPSC() {
+		t.Fatal("SPSC() does not report the constructor used")
 	}
 }
 
 func TestRingFIFO(t *testing.T) {
-	for name, r := range ringVariants(t, 7) { // non-power-of-two capacity
-		t.Run(name, func(t *testing.T) {
-			if r.Cap() != 7 {
-				t.Fatalf("Cap = %d, want 7", r.Cap())
-			}
-			// Several laps around the physical ring to exercise wraparound.
-			next := 0
-			for lap := 0; lap < 5; lap++ {
-				for i := 0; i < 7; i++ {
-					if err := r.Push(lap*7 + i); err != nil {
-						t.Fatal(err)
-					}
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(7) // non-power-of-two capacity
+		if r.Cap() != 7 {
+			t.Fatalf("Cap = %d, want 7", r.Cap())
+		}
+		// Several laps around the physical ring to exercise wraparound.
+		next := 0
+		for lap := 0; lap < 5; lap++ {
+			for i := 0; i < 7; i++ {
+				if err := r.Push(lap*7 + i); err != nil {
+					t.Fatal(err)
 				}
-				if r.Len() != 7 {
-					t.Fatalf("Len = %d, want 7", r.Len())
-				}
-				if err := r.TryPush(99); !errors.Is(err, ErrFull) {
-					t.Fatalf("TryPush on full ring: %v, want ErrFull", err)
-				}
-				for i := 0; i < 7; i++ {
-					v, err := r.Pop()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if v != next {
-						t.Fatalf("popped %d, want %d", v, next)
-					}
-					next++
+				if r.Len() != i+1 {
+					t.Fatalf("Len = %d after %d pushes", r.Len(), i+1)
 				}
 			}
-			if _, err := r.TryPop(); !errors.Is(err, ErrEmpty) {
-				t.Fatalf("TryPop on empty ring: %v, want ErrEmpty", err)
+			for i := 0; i < 7; i++ {
+				v, err := r.Pop()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v != next {
+					t.Fatalf("popped %d, want %d", v, next)
+				}
+				next++
+				if r.Len() != 6-i {
+					t.Fatalf("Len = %d after %d pops", r.Len(), i+1)
+				}
 			}
-			st := r.Stats()
-			if st.Pushed != 35 || st.Popped != 35 || st.Dropped != 5 || st.HighWater != 7 {
-				t.Fatalf("stats = %+v", st)
-			}
-		})
-	}
+		}
+		if _, err := r.TryPop(); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("TryPop on empty ring: %v, want ErrEmpty", err)
+		}
+		st := r.Stats()
+		if st.Pushed != 35 || st.Popped != 35 || st.HighWater != 7 {
+			t.Fatalf("stats = %+v", st)
+		}
+	})
 }
 
-func TestRingBatchOps(t *testing.T) {
-	for name, r := range ringVariants(t, 8) {
-		t.Run(name, func(t *testing.T) {
-			in := []int{1, 2, 3, 4, 5}
-			if err := r.PushBatch(in); err != nil {
-				t.Fatal(err)
-			}
-			got := r.Snapshot()
-			if len(got) != 5 {
-				t.Fatalf("snapshot %v", got)
-			}
-			for i, v := range got {
-				if v != i+1 {
-					t.Fatalf("snapshot[%d] = %d", i, v)
-				}
-			}
-			dst := make([]int, 8)
-			n, err := r.PopBatch(dst, 3)
-			if err != nil || n != 3 {
-				t.Fatalf("PopBatch = %d, %v", n, err)
-			}
-			if dst[0] != 1 || dst[2] != 3 {
-				t.Fatalf("PopBatch contents %v", dst[:n])
-			}
-			n, err = r.PopBatch(dst, 0) // 0 means len(dst)
-			if err != nil || n != 2 {
-				t.Fatalf("PopBatch rest = %d, %v", n, err)
-			}
-		})
-	}
+func TestRingHighWaterMark(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(8)
+		for i := 0; i < 5; i++ {
+			r.Push(i)
+		}
+		r.Pop()
+		r.Pop()
+		r.Push(5)
+		if hw := r.Stats().HighWater; hw != 5 {
+			t.Fatalf("HighWater = %d, want 5", hw)
+		}
+	})
+}
+
+func TestRingPushBlocksUntilPop(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(1)
+		r.Push(1)
+		done := make(chan error, 1)
+		go func() { done <- r.Push(2) }()
+		waitFor(t, func() bool { return r.Stats().BlockedPushes == 1 })
+		select {
+		case <-done:
+			t.Fatal("Push on a full ring returned without a Pop")
+		case <-time.After(10 * time.Millisecond):
+		}
+		if v, err := r.Pop(); err != nil || v != 1 {
+			t.Fatalf("Pop = (%d, %v)", v, err)
+		}
+		if err := waitErr(t, done, "blocked Push"); err != nil {
+			t.Fatalf("blocked Push: %v", err)
+		}
+		if got := r.Stats().BlockedPushes; got != 1 {
+			t.Fatalf("BlockedPushes = %d, want 1", got)
+		}
+		if v, err := r.Pop(); err != nil || v != 2 {
+			t.Fatalf("Pop = (%d, %v), want the unblocked item", v, err)
+		}
+	})
+}
+
+func TestRingPopBlocksUntilPush(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(1)
+		got := make(chan int, 1)
+		done := make(chan error, 1)
+		go func() {
+			v, err := r.Pop()
+			got <- v
+			done <- err
+		}()
+		waitFor(t, func() bool { return r.Stats().BlockedPops == 1 })
+		r.Push(99)
+		if err := waitErr(t, done, "blocked Pop"); err != nil {
+			t.Fatal(err)
+		}
+		if v := <-got; v != 99 {
+			t.Fatalf("Pop = %d, want 99", v)
+		}
+		if n := r.Stats().BlockedPops; n != 1 {
+			t.Fatalf("BlockedPops = %d, want 1 (one event per wait episode)", n)
+		}
+	})
 }
 
 func TestRingClose(t *testing.T) {
-	for name, r := range ringVariants(t, 4) {
-		t.Run(name, func(t *testing.T) {
-			if err := r.Push(1); err != nil {
-				t.Fatal(err)
-			}
-			r.Close()
-			r.Close() // idempotent
-			if !r.Closed() {
-				t.Fatal("Closed = false after Close")
-			}
-			if err := r.Push(2); !errors.Is(err, ErrClosed) {
-				t.Fatalf("Push after close: %v", err)
-			}
-			if err := r.PushBatch([]int{2}); !errors.Is(err, ErrClosed) {
-				t.Fatalf("PushBatch after close: %v", err)
-			}
-			// Close drains: queued item still pops, then ErrClosed.
-			if v, err := r.Pop(); err != nil || v != 1 {
-				t.Fatalf("Pop after close = %d, %v", v, err)
-			}
-			if _, err := r.Pop(); !errors.Is(err, ErrClosed) {
-				t.Fatalf("Pop on drained closed ring: %v", err)
-			}
-			if _, err := r.TryPop(); !errors.Is(err, ErrClosed) {
-				t.Fatalf("TryPop on drained closed ring: %v", err)
-			}
-		})
-	}
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(4)
+		r.Push(1)
+		r.Push(2)
+		r.Close()
+		r.Close() // idempotent
+		if err := r.Push(3); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Push after close: %v", err)
+		}
+		if err := r.PushBatch([]int{3, 4}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("PushBatch after close: %v", err)
+		}
+		// Close drains: queued items still pop, then ErrClosed.
+		if v, err := r.Pop(); err != nil || v != 1 {
+			t.Fatalf("Pop after close = %d, %v", v, err)
+		}
+		dst := make([]int, 2)
+		if n, err := r.PopBatch(dst, 2); err != nil || n != 1 || dst[0] != 2 {
+			t.Fatalf("PopBatch draining closed ring = (%d, %v) %v", n, err, dst)
+		}
+		if _, err := r.Pop(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Pop on drained closed ring: %v", err)
+		}
+		if _, err := r.TryPop(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("TryPop on drained closed ring: %v", err)
+		}
+		if n, err := r.PopBatch(dst, 2); !errors.Is(err, ErrClosed) || n != 0 {
+			t.Fatalf("PopBatch on drained closed ring = (%d, %v), want (0, ErrClosed)", n, err)
+		}
+	})
 }
 
 func TestRingCloseWakesBlocked(t *testing.T) {
-	for name, r := range ringVariants(t, 1) {
-		t.Run(name, func(t *testing.T) {
-			if err := r.Push(1); err != nil {
-				t.Fatal(err)
-			}
-			errs := make(chan error, 2)
-			go func() { errs <- r.Push(2) }() // blocks: full
-			empty := NewMPSC[int](1)
-			go func() {
-				_, err := empty.Pop() // blocks: empty
-				errs <- err
-			}()
-			time.Sleep(20 * time.Millisecond)
-			r.Close()
-			empty.Close()
-			if err := <-errs; !errors.Is(err, ErrClosed) {
-				t.Fatalf("blocked op after Close: %v", err)
-			}
-			if err := <-errs; !errors.Is(err, ErrClosed) {
-				t.Fatalf("blocked op after Close: %v", err)
-			}
+	eachRing(t, func(t *testing.T, k ringKind) {
+		full, empty := k.mk(1), k.mk(1)
+		full.Push(1)
+		pushErr := make(chan error, 1)
+		popErr := make(chan error, 1)
+		go func() { pushErr <- full.Push(2) }()
+		go func() { _, err := empty.Pop(); popErr <- err }()
+		waitFor(t, func() bool {
+			return full.Stats().BlockedPushes == 1 && empty.Stats().BlockedPops == 1
 		})
-	}
+		full.Close()
+		empty.Close()
+		if err := waitErr(t, pushErr, "Push blocked across Close"); !errors.Is(err, ErrClosed) {
+			t.Fatalf("blocked Push after Close: %v", err)
+		}
+		if err := waitErr(t, popErr, "Pop blocked across Close"); !errors.Is(err, ErrClosed) {
+			t.Fatalf("blocked Pop after Close: %v", err)
+		}
+	})
 }
 
+// TestRingCtxCancel: a canceled wait returns ctx.Err() having consumed and
+// inserted nothing.
 func TestRingCtxCancel(t *testing.T) {
-	for name, r := range ringVariants(t, 1) {
-		t.Run(name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(1)
+		ctx, cancel := context.WithCancel(context.Background())
+		popErr := make(chan error, 1)
+		go func() { _, err := r.PopCtx(ctx); popErr <- err }()
+		waitFor(t, func() bool { return r.Stats().BlockedPops == 1 })
+		cancel()
+		if err := waitErr(t, popErr, "PopCtx on cancel"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("PopCtx after cancel: %v", err)
+		}
 
-			// Blocked pop: cancellation returns ctx.Err without consuming.
-			popErr := make(chan error, 1)
-			go func() {
-				_, err := r.PopCtx(ctx)
-				popErr <- err
-			}()
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-			if err := <-popErr; !errors.Is(err, context.Canceled) {
-				t.Fatalf("PopCtx after cancel: %v", err)
-			}
+		r.Push(1)
+		ctx2, cancel2 := context.WithCancel(context.Background())
+		pushErr := make(chan error, 1)
+		go func() { pushErr <- r.PushCtx(ctx2, 2) }()
+		waitFor(t, func() bool { return r.Stats().BlockedPushes == 1 })
+		cancel2()
+		if err := waitErr(t, pushErr, "PushCtx on cancel"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("PushCtx after cancel: %v", err)
+		}
 
-			// Blocked push: ring full, cancellation unblocks.
-			if err := r.Push(1); err != nil {
-				t.Fatal(err)
+		// Neither cancellation moved anything: the one item is still queued.
+		if st := r.Stats(); st.Pushed != 1 || st.Popped != 0 || r.Len() != 1 {
+			t.Fatalf("after cancellations: stats %+v len %d", st, r.Len())
+		}
+		if v, err := r.TryPop(); err != nil || v != 1 {
+			t.Fatalf("TryPop = %d, %v", v, err)
+		}
+	})
+}
+
+func TestRingPopBatchCtxCancel(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(1)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.PopBatchCtx(ctx, make([]int, 4), 4)
+			done <- err
+		}()
+		waitFor(t, func() bool { return r.Stats().BlockedPops == 1 })
+		cancel()
+		if err := waitErr(t, done, "PopBatchCtx on cancel"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("PopBatchCtx = %v, want context.Canceled", err)
+		}
+	})
+}
+
+func TestRingCtxAlreadyCanceled(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(2)
+		r.Push(7)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := r.PushCtx(ctx, 1); !errors.Is(err, context.Canceled) {
+			t.Fatalf("PushCtx on canceled ctx = %v", err)
+		}
+		if n, err := r.PushBatchN(ctx, []int{1}); n != 0 || !errors.Is(err, context.Canceled) {
+			t.Fatalf("PushBatchN on canceled ctx = (%d, %v)", n, err)
+		}
+		if _, err := r.PopCtx(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("PopCtx on canceled ctx = %v", err)
+		}
+		if n, err := r.PopBatchCtx(ctx, make([]int, 2), 2); n != 0 || !errors.Is(err, context.Canceled) {
+			t.Fatalf("PopBatchCtx on canceled ctx = (%d, %v)", n, err)
+		}
+		// A live context delivers what is ready.
+		if v, err := r.PopCtx(context.Background()); err != nil || v != 7 {
+			t.Fatalf("PopCtx = (%d, %v), want (7, nil)", v, err)
+		}
+	})
+}
+
+// TestRingPushBatchNCancel: PushBatchN reports the accepted prefix on
+// cancellation, and exactly that prefix is in the ring.
+func TestRingPushBatchNCancel(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(2)
+		r.Push(0)
+		ctx, cancel := context.WithCancel(context.Background())
+		type res struct {
+			n   int
+			err error
+		}
+		done := make(chan res, 1)
+		go func() {
+			n, err := r.PushBatchN(ctx, []int{1, 2, 3})
+			done <- res{n, err}
+		}()
+		waitFor(t, func() bool { return r.Stats().BlockedPushes == 1 })
+		cancel()
+		select {
+		case got := <-done:
+			if got.n != 1 || !errors.Is(got.err, context.Canceled) {
+				t.Fatalf("PushBatchN = (%d, %v), want (1, context.Canceled)", got.n, got.err)
 			}
-			ctx2, cancel2 := context.WithCancel(context.Background())
-			pushErr := make(chan error, 1)
-			go func() { pushErr <- r.PushCtx(ctx2, 2) }()
-			time.Sleep(20 * time.Millisecond)
-			cancel2()
-			if err := <-pushErr; !errors.Is(err, context.Canceled) {
-				t.Fatalf("PushCtx after cancel: %v", err)
-			}
-			// The queued item survived both cancellations.
-			if v, err := r.TryPop(); err != nil || v != 1 {
-				t.Fatalf("TryPop = %d, %v", v, err)
-			}
-		})
-	}
+		case <-time.After(5 * time.Second):
+			t.Fatal("PushBatchN never unblocked on cancel")
+		}
+		if got := r.Snapshot(); !reflect.DeepEqual(got, []int{0, 1}) {
+			t.Fatalf("ring holds %v, want [0 1]", got)
+		}
+	})
 }
 
 // TestRingReplaceablePopCtx models the stage Pause/Resume pattern: a pop
@@ -189,142 +353,365 @@ func TestRingCtxCancel(t *testing.T) {
 // nothing, and a later pop with a fresh context picks up exactly where the
 // stream left off.
 func TestRingReplaceablePopCtx(t *testing.T) {
-	for name, r := range ringVariants(t, 8) {
-		t.Run(name, func(t *testing.T) {
-			for epoch := 0; epoch < 3; epoch++ {
-				ctx, cancel := context.WithCancel(context.Background())
-				woke := make(chan error, 1)
-				go func() {
-					_, err := r.PopCtx(ctx)
-					woke <- err
-				}()
-				time.Sleep(10 * time.Millisecond)
-				cancel() // pause: wake the pop without consuming
-				if err := <-woke; !errors.Is(err, context.Canceled) {
-					t.Fatalf("epoch %d: %v", epoch, err)
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(8)
+		for epoch := 0; epoch < 3; epoch++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			woke := make(chan error, 1)
+			go func() { _, err := r.PopCtx(ctx); woke <- err }()
+			waitFor(t, func() bool { return r.Stats().BlockedPops == uint64(epoch+1) })
+			cancel() // pause: wake the pop without consuming
+			if err := waitErr(t, woke, "paused pop"); !errors.Is(err, context.Canceled) {
+				t.Fatalf("epoch %d: %v", epoch, err)
+			}
+			if err := r.Push(epoch); err != nil {
+				t.Fatal(err)
+			}
+			// resume: fresh context sees the pushed item.
+			v, err := r.PopCtx(context.Background())
+			if err != nil || v != epoch {
+				t.Fatalf("epoch %d: resumed pop = %d, %v", epoch, v, err)
+			}
+		}
+	})
+}
+
+func TestRingBatchOps(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(8)
+		if err := r.PushBatch(nil); err != nil {
+			t.Fatalf("PushBatch(nil) = %v", err)
+		}
+		if n, err := r.PopBatch(nil, 0); n != 0 || err != nil {
+			t.Fatalf("PopBatch(nil) = (%d, %v), want (0, nil)", n, err)
+		}
+		if err := r.PushBatch([]int{1, 2, 3, 4, 5}); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]int, 8)
+		// max bounds the batch.
+		n, err := r.PopBatch(dst, 2)
+		if err != nil || n != 2 || dst[0] != 1 || dst[1] != 2 {
+			t.Fatalf("PopBatch(max=2) = (%d, %v) %v", n, err, dst[:n])
+		}
+		if v, _ := r.Pop(); v != 3 {
+			t.Fatalf("next Pop = %d, want 3", v)
+		}
+		// It takes only what is available and never waits to fill;
+		// max 0 means len(dst).
+		n, err = r.PopBatch(dst, 0)
+		if err != nil || n != 2 || dst[0] != 4 || dst[1] != 5 {
+			t.Fatalf("PopBatch rest = (%d, %v) %v", n, err, dst[:n])
+		}
+	})
+}
+
+// TestRingChunkedBatchFIFO pushes a batch far larger than the ring, so the
+// push proceeds in chunks as the consumer frees space; order must hold.
+func TestRingChunkedBatchFIFO(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(4)
+		const total = 32
+		batch := make([]int, total)
+		for i := range batch {
+			batch[i] = i
+		}
+		done := make(chan error, 1)
+		go func() { done <- r.PushBatch(batch) }()
+
+		got := make([]int, 0, total)
+		dst := make([]int, 3)
+		for len(got) < total {
+			n, err := r.PopBatch(dst, len(dst))
+			if err != nil {
+				t.Fatalf("PopBatch: %v", err)
+			}
+			if r.Len() > r.Cap() {
+				t.Fatalf("Len %d exceeds Cap %d", r.Len(), r.Cap())
+			}
+			got = append(got, dst[:n]...)
+		}
+		if err := waitErr(t, done, "chunked PushBatch"); err != nil {
+			t.Fatalf("PushBatch: %v", err)
+		}
+		if !reflect.DeepEqual(got, batch) {
+			t.Fatalf("FIFO violated: %v", got)
+		}
+		if st := r.Stats(); st.Pushed != total || st.Popped != total {
+			t.Fatalf("stats pushed=%d popped=%d, want both %d", st.Pushed, st.Popped, total)
+		}
+	})
+}
+
+func TestRingPushBatchCloseMidway(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(2)
+		done := make(chan error, 1)
+		go func() { done <- r.PushBatch([]int{1, 2, 3, 4}) }()
+		waitFor(t, func() bool { return r.Stats().BlockedPushes == 1 })
+		r.Close()
+		if err := waitErr(t, done, "PushBatch across Close"); !errors.Is(err, ErrClosed) {
+			t.Fatalf("PushBatch on closing ring = %v, want ErrClosed", err)
+		}
+		// The accepted prefix stayed and is drainable.
+		dst := make([]int, 4)
+		if n, err := r.PopBatch(dst, 4); err != nil || n != 2 || dst[0] != 1 || dst[1] != 2 {
+			t.Fatalf("drain after mid-batch close = (%v, %v)", dst[:n], err)
+		}
+	})
+}
+
+// TestRingWakesAllBlockedProducers is the no-lost-wakeup regression: every
+// producer parked on a full ring must eventually get through as the
+// consumer frees one slot at a time.
+func TestRingWakesAllBlockedProducers(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r, producers := k.mk(1), k.producers
+		r.Push(-1)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				if err := r.Push(p); err != nil {
+					t.Errorf("Push(%d): %v", p, err)
 				}
-				if err := r.Push(epoch); err != nil {
+			}(p)
+		}
+		waitFor(t, func() bool { return r.Stats().BlockedPushes >= uint64(producers) })
+
+		dst := make([]int, producers+1)
+		seen := map[int]bool{}
+		for len(seen) < producers+1 {
+			n, err := r.PopBatch(dst, len(dst))
+			if err != nil {
+				t.Fatalf("PopBatch: %v", err)
+			}
+			for _, v := range dst[:n] {
+				seen[v] = true
+			}
+		}
+		finished := make(chan error, 1)
+		go func() { wg.Wait(); finished <- nil }()
+		waitErr(t, finished, "all producers finished")
+	})
+}
+
+// TestRingCancelDoesNotSwallowWakeup: with two producers parked on a full
+// MPSC ring, canceling one must not cost the survivor the wakeup the next
+// pop delivers.
+func TestRingCancelDoesNotSwallowWakeup(t *testing.T) {
+	r := NewMPSC[int](1)
+	r.Push(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	canceled := make(chan error, 1)
+	go func() { canceled <- r.PushCtx(ctx, 1) }()
+	waitFor(t, func() bool { return r.Stats().BlockedPushes == 1 })
+	survivor := make(chan error, 1)
+	go func() { survivor <- r.Push(42) }()
+	waitFor(t, func() bool { return r.Stats().BlockedPushes == 2 })
+
+	cancel()
+	if err := waitErr(t, canceled, "canceled PushCtx"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled PushCtx = %v", err)
+	}
+	if v, err := r.Pop(); err != nil || v != 0 {
+		t.Fatalf("Pop = (%d, %v)", v, err)
+	}
+	if err := waitErr(t, survivor, "wakeup lost: surviving Push never got the slot"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.Pop(); err != nil || v != 42 {
+		t.Fatalf("Pop = (%d, %v), want the survivor's 42", v, err)
+	}
+}
+
+// TestRingSnapshot checks Snapshot returns the queued items in FIFO order
+// without consuming them, including after the cursors wrap.
+func TestRingSnapshot(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(4)
+		if got := r.Snapshot(); len(got) != 0 {
+			t.Fatalf("empty ring snapshot %v", got)
+		}
+		for i := 1; i <= 3; i++ {
+			r.Push(i)
+		}
+		if got := r.Snapshot(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+			t.Fatalf("snapshot %v, want [1 2 3]", got)
+		}
+		// Wrap: consume two, add two more, then fill.
+		r.Pop()
+		r.Pop()
+		r.Push(4)
+		r.Push(5)
+		if got := r.Snapshot(); !reflect.DeepEqual(got, []int{3, 4, 5}) {
+			t.Fatalf("post-wrap snapshot %v, want [3 4 5]", got)
+		}
+		r.Push(6)
+		if got := r.Snapshot(); !reflect.DeepEqual(got, []int{3, 4, 5, 6}) {
+			t.Fatalf("full-ring snapshot %v, want [3 4 5 6]", got)
+		}
+		// The snapshot did not consume anything.
+		if v, _ := r.Pop(); v != 3 {
+			t.Fatalf("pop after snapshot = %d, want 3", v)
+		}
+		if r.Len() != 3 {
+			t.Fatalf("len after snapshot+pop = %d, want 3", r.Len())
+		}
+	})
+}
+
+// Property: any single-goroutine interleaving of per-item and batch ops
+// preserves FIFO order, never exceeds capacity, and keeps Stats.Pushed and
+// Stats.Popped equal to the item counts moved, with Pushed-Popped == Len.
+func TestRingFIFOInterleavingProperty(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		f := func(script []uint8, capRaw uint8) bool {
+			capacity := int(capRaw%16) + 1
+			r := k.mk(capacity)
+			next, expect := 0, 0
+			dst := make([]int, capacity+4)
+			for _, op := range script {
+				switch op % 4 {
+				case 0: // per-item push, only with space so it cannot block
+					if r.Len() < r.Cap() {
+						if r.Push(next) != nil {
+							return false
+						}
+						next++
+					}
+				case 1: // per-item pop
+					if v, err := r.TryPop(); err == nil {
+						if v != expect {
+							return false
+						}
+						expect++
+					} else if !errors.Is(err, ErrEmpty) || r.Len() != 0 {
+						return false
+					}
+				case 2: // batch push, sized to free space so it cannot block
+					n := min(r.Cap()-r.Len(), int(op/4)%4+1)
+					batch := make([]int, n)
+					for i := range batch {
+						batch[i] = next + i
+					}
+					if r.PushBatch(batch) != nil {
+						return false
+					}
+					next += n
+				case 3: // batch pop, only when nonempty so it cannot block
+					if r.Len() == 0 {
+						continue
+					}
+					n, err := r.PopBatch(dst, int(op/4)%len(dst)+1)
+					if err != nil || n == 0 {
+						return false
+					}
+					for _, v := range dst[:n] {
+						if v != expect {
+							return false
+						}
+						expect++
+					}
+				}
+				if r.Len() != next-expect || r.Len() > r.Cap() {
+					return false
+				}
+			}
+			st := r.Stats()
+			return st.Pushed == uint64(next) && st.Popped == uint64(expect) &&
+				int(st.Pushed-st.Popped) == r.Len()
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRingConcurrent streams strictly ordered per-producer sequences through
+// a small ring, mixing single and batch pushes against one batch-popping
+// consumer: every item arrives exactly once, per-producer order holds,
+// occupancy never exceeds capacity, and the counters add up. One producer on
+// SPSC, four on MPSC. Run under -race.
+func TestRingConcurrent(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		r         *Ring[[2]int]
+		producers int
+	}{
+		{"spsc", NewSPSC[[2]int](32), 1},
+		{"mpsc", NewMPSC[[2]int](32), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const perProd = 25_000
+			r := tc.r
+			var wg sync.WaitGroup
+			for p := 0; p < tc.producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					buf := make([][2]int, 5)
+					for i := 0; i < perProd; {
+						if i%2 == 0 {
+							if err := r.Push([2]int{p, i}); err != nil {
+								t.Errorf("Push: %v", err)
+								return
+							}
+							i++
+							continue
+						}
+						k := len(buf)
+						if perProd-i < k {
+							k = perProd - i
+						}
+						for j := 0; j < k; j++ {
+							buf[j] = [2]int{p, i + j}
+						}
+						if err := r.PushBatch(buf[:k]); err != nil {
+							t.Errorf("PushBatch: %v", err)
+							return
+						}
+						i += k
+					}
+				}(p)
+			}
+			go func() {
+				wg.Wait()
+				r.Close()
+			}()
+			nextPer := make([]int, tc.producers)
+			seen := 0
+			dst := make([][2]int, 11)
+			for {
+				n, err := r.PopBatch(dst, len(dst))
+				if errors.Is(err, ErrClosed) {
+					break
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
-				// resume: fresh context sees the pushed item.
-				v, err := r.PopCtx(context.Background())
-				if err != nil || v != epoch {
-					t.Fatalf("epoch %d: resumed pop = %d, %v", epoch, v, err)
+				if r.Len() > r.Cap() {
+					t.Fatalf("Len %d exceeds Cap %d", r.Len(), r.Cap())
 				}
+				for _, v := range dst[:n] {
+					p, i := v[0], v[1]
+					if i != nextPer[p] {
+						t.Fatalf("producer %d: got %d, want %d", p, i, nextPer[p])
+					}
+					nextPer[p]++
+					seen++
+				}
+			}
+			want := tc.producers * perProd
+			if seen != want {
+				t.Fatalf("consumed %d, want %d", seen, want)
+			}
+			st := r.Stats()
+			if st.Pushed != uint64(want) || st.Popped != st.Pushed || st.HighWater > r.Cap() {
+				t.Fatalf("stats %+v, want pushed = popped = %d", st, want)
 			}
 		})
-	}
-}
-
-// TestRingSPSCConcurrent pushes a long strictly ordered stream through a
-// small SPSC ring under the race detector and asserts perfect order.
-func TestRingSPSCConcurrent(t *testing.T) {
-	const total = 100_000
-	r := NewSPSC[int](64)
-	go func() {
-		buf := make([]int, 17)
-		i := 0
-		for i < total {
-			k := len(buf)
-			if total-i < k {
-				k = total - i
-			}
-			for j := 0; j < k; j++ {
-				buf[j] = i + j
-			}
-			if err := r.PushBatch(buf[:k]); err != nil {
-				panic(err)
-			}
-			i += k
-		}
-		r.Close()
-	}()
-	dst := make([]int, 23)
-	next := 0
-	for {
-		n, err := r.PopBatch(dst, len(dst))
-		if errors.Is(err, ErrClosed) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range dst[:n] {
-			if v != next {
-				t.Fatalf("got %d, want %d", v, next)
-			}
-			next++
-		}
-	}
-	if next != total {
-		t.Fatalf("consumed %d, want %d", next, total)
-	}
-}
-
-// TestRingMPSCConcurrent hammers an MPSC ring with several producers mixing
-// single and batch pushes, asserting every item arrives exactly once and
-// per-producer order is preserved.
-func TestRingMPSCConcurrent(t *testing.T) {
-	const (
-		producers = 4
-		perProd   = 25_000
-	)
-	r := NewMPSC[[2]int](32)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			buf := make([][2]int, 5)
-			i := 0
-			for i < perProd {
-				if i%2 == 0 {
-					if err := r.Push([2]int{p, i}); err != nil {
-						panic(err)
-					}
-					i++
-					continue
-				}
-				k := len(buf)
-				if perProd-i < k {
-					k = perProd - i
-				}
-				for j := 0; j < k; j++ {
-					buf[j] = [2]int{p, i + j}
-				}
-				if err := r.PushBatch(buf[:k]); err != nil {
-					panic(err)
-				}
-				i += k
-			}
-		}(p)
-	}
-	go func() {
-		wg.Wait()
-		r.Close()
-	}()
-	nextPer := make([]int, producers)
-	seen := 0
-	dst := make([][2]int, 11)
-	for {
-		n, err := r.PopBatch(dst, len(dst))
-		if errors.Is(err, ErrClosed) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range dst[:n] {
-			p, i := v[0], v[1]
-			if i != nextPer[p] {
-				t.Fatalf("producer %d: got %d, want %d", p, i, nextPer[p])
-			}
-			nextPer[p]++
-			seen++
-		}
-	}
-	if seen != producers*perProd {
-		t.Fatalf("consumed %d, want %d", seen, producers*perProd)
 	}
 }
 
@@ -333,77 +720,45 @@ func TestRingMPSCConcurrent(t *testing.T) {
 // pushing until backpressure parks them, and Snapshot/Len/Stats are sampled
 // concurrently.
 func TestRingSnapshotWithLiveProducers(t *testing.T) {
-	for _, mode := range []string{"spsc", "mpsc"} {
-		t.Run(mode, func(t *testing.T) {
-			var r *Ring[int]
-			producers := 1
-			if mode == "mpsc" {
-				r = NewMPSC[int](16)
-				producers = 3
-			} else {
-				r = NewSPSC[int](16)
-			}
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						if err := r.Push(p*1_000_000 + i); err != nil {
-							return // ErrClosed ends the producer
-						}
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r, producers := k.mk(16), min(k.producers, 3)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					if err := r.Push(p*1_000_000 + i); err != nil {
+						return // ErrClosed ends the producer
 					}
-				}(p)
-			}
-			// Consumer paused: only observe.
-			deadline := time.Now().Add(50 * time.Millisecond)
-			for time.Now().Before(deadline) {
-				snap := r.Snapshot()
-				if len(snap) > r.Cap() {
-					t.Fatalf("snapshot longer than capacity: %d", len(snap))
 				}
-				_ = r.Len()
-				_ = r.Stats()
-			}
-			// Snapshot agrees with what a resumed consumer pops.
-			snap := r.Snapshot()
-			for i, want := range snap {
-				v, err := r.Pop()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v != want {
-					t.Fatalf("pop %d = %d, want snapshot value %d", i, v, want)
-				}
-			}
-			r.Close()
-			wg.Wait()
-			if st := r.Stats(); st.BlockedPushes == 0 {
-				t.Fatalf("expected backpressure on paused consumer, stats %+v", st)
-			}
-		})
-	}
-}
-
-// TestRingBlockedCounters checks the wait-episode accounting matches the
-// Queue semantics: one event per wait episode.
-func TestRingBlockedCounters(t *testing.T) {
-	r := NewMPSC[int](1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, err := r.Pop() // blocks: empty
-		if err != nil || v != 7 {
-			panic("bad pop")
+			}(p)
 		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if err := r.Push(7); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	st := r.Stats()
-	if st.BlockedPops != 1 {
-		t.Fatalf("BlockedPops = %d, want 1", st.BlockedPops)
-	}
+		// Consumer paused: only observe.
+		deadline := time.Now().Add(50 * time.Millisecond)
+		for time.Now().Before(deadline) {
+			snap := r.Snapshot()
+			if len(snap) > r.Cap() {
+				t.Fatalf("snapshot longer than capacity: %d", len(snap))
+			}
+			_ = r.Len()
+			_ = r.Stats()
+		}
+		// Snapshot agrees with what a resumed consumer pops.
+		snap := r.Snapshot()
+		for i, want := range snap {
+			v, err := r.Pop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != want {
+				t.Fatalf("pop %d = %d, want snapshot value %d", i, v, want)
+			}
+		}
+		r.Close()
+		wg.Wait()
+		if st := r.Stats(); st.BlockedPushes == 0 {
+			t.Fatalf("expected backpressure on paused consumer, stats %+v", st)
+		}
+	})
 }

@@ -10,112 +10,66 @@ import (
 // loose lower bound well under the delay.
 const stallDelay = 20 * time.Millisecond
 
-func TestQueuePushStallAccounting(t *testing.T) {
-	q := New[int](1)
-	if err := q.Push(1); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- q.Push(2) }() // parks: queue full
-	time.Sleep(stallDelay)
-	if _, err := q.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	st := q.Stats()
-	if st.BlockedPushes == 0 {
-		t.Fatal("blocked push not counted")
-	}
-	if st.PushStallNS < uint64(stallDelay/2) {
-		t.Fatalf("PushStallNS = %d, want at least ~%d", st.PushStallNS, stallDelay/2)
-	}
-}
-
-func TestQueuePopStallAccounting(t *testing.T) {
-	q := New[int](4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := q.Pop(); err != nil { // parks: queue empty
-			t.Error(err)
-		}
-	}()
-	time.Sleep(stallDelay)
-	if err := q.Push(1); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	st := q.Stats()
-	if st.BlockedPops == 0 {
-		t.Fatal("blocked pop not counted")
-	}
-	if st.PopStallNS < uint64(stallDelay/2) {
-		t.Fatalf("PopStallNS = %d, want at least ~%d", st.PopStallNS, stallDelay/2)
-	}
-}
-
-func TestQueueUncontendedNoStall(t *testing.T) {
-	q := New[int](8)
-	for i := 0; i < 8; i++ {
-		if err := q.Push(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := q.Pop(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := q.Stats()
-	if st.PushStallNS != 0 || st.PopStallNS != 0 {
-		t.Fatalf("uncontended traffic accrued stall: push=%d pop=%d", st.PushStallNS, st.PopStallNS)
-	}
-}
-
-func TestRingStallAccounting(t *testing.T) {
-	for name, mk := range map[string]func(int) *Ring[int]{
-		"spsc": NewSPSC[int], "mpsc": NewMPSC[int],
-	} {
-		t.Run(name, func(t *testing.T) {
-			r := mk(2)
-			for r.Len() < r.Cap() {
-				if err := r.Push(1); err != nil {
-					t.Fatal(err)
-				}
+func TestRingUncontendedNoStall(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(8)
+		for i := 0; i < 8; i++ {
+			if err := r.Push(i); err != nil {
+				t.Fatal(err)
 			}
-			done := make(chan error, 1)
-			go func() { done <- r.Push(2) }() // parks: ring full
-			time.Sleep(stallDelay)
+		}
+		for i := 0; i < 8; i++ {
 			if _, err := r.Pop(); err != nil {
 				t.Fatal(err)
 			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			if st := r.Stats(); st.PushStallNS < uint64(stallDelay/2) {
-				t.Fatalf("PushStallNS = %d, want at least ~%d", st.PushStallNS, stallDelay/2)
-			}
+		}
+		st := r.Stats()
+		if st.PushStallNS != 0 || st.PopStallNS != 0 || st.BlockedPushes != 0 || st.BlockedPops != 0 {
+			t.Fatalf("uncontended traffic accrued stall: %+v", st)
+		}
+	})
+}
 
-			// Drain everything, then park the consumer on empty.
-			for r.Len() > 0 {
-				if _, err := r.Pop(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			popped := make(chan error, 1)
-			go func() { _, err := r.Pop(); popped <- err }()
-			time.Sleep(stallDelay)
-			if err := r.Push(3); err != nil {
+func TestRingStallAccounting(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(2)
+		for r.Len() < r.Cap() {
+			if err := r.Push(1); err != nil {
 				t.Fatal(err)
 			}
-			if err := <-popped; err != nil {
+		}
+		done := make(chan error, 1)
+		go func() { done <- r.Push(2) }() // parks: ring full
+		waitFor(t, func() bool { return r.Stats().BlockedPushes == 1 })
+		time.Sleep(stallDelay)
+		if _, err := r.Pop(); err != nil {
+			t.Fatal(err)
+		}
+		if err := waitErr(t, done, "parked Push"); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.PushStallNS < uint64(stallDelay/2) {
+			t.Fatalf("PushStallNS = %d, want at least ~%d", st.PushStallNS, stallDelay/2)
+		}
+
+		// Drain everything, then park the consumer on empty.
+		for r.Len() > 0 {
+			if _, err := r.Pop(); err != nil {
 				t.Fatal(err)
 			}
-			if st := r.Stats(); st.PopStallNS < uint64(stallDelay/2) {
-				t.Fatalf("PopStallNS = %d, want at least ~%d", st.PopStallNS, stallDelay/2)
-			}
-		})
-	}
+		}
+		popped := make(chan error, 1)
+		go func() { _, err := r.Pop(); popped <- err }()
+		waitFor(t, func() bool { return r.Stats().BlockedPops == 1 })
+		time.Sleep(stallDelay)
+		if err := r.Push(3); err != nil {
+			t.Fatal(err)
+		}
+		if err := waitErr(t, popped, "parked Pop"); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.PopStallNS < uint64(stallDelay/2) {
+			t.Fatalf("PopStallNS = %d, want at least ~%d", st.PopStallNS, stallDelay/2)
+		}
+	})
 }

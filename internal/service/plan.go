@@ -7,7 +7,6 @@ import (
 	"github.com/gates-middleware/gates/internal/grid"
 	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/obs"
-	"github.com/gates-middleware/gates/internal/pipeline"
 	"github.com/gates-middleware/gates/internal/policy"
 )
 
@@ -31,16 +30,6 @@ type Wire struct {
 	ToInstance   int    `json:"toInstance"`
 }
 
-// QueueChoice records the input-buffer implementation planned for one
-// stage instance, derived from the wire cardinality: "spsc" when exactly
-// one upstream stage feeds the instance, "mpsc" otherwise. Source stages
-// (no inbound wires) carry no choice.
-type QueueChoice struct {
-	StageID  string `json:"stage"`
-	Instance int    `json:"instance"`
-	Kind     string `json:"kind"`
-}
-
 // Plan is the serializable outcome of resource matching: which node hosts
 // each stage instance and which instance-level wires connect them. A Plan
 // separates the §3.2 matching decision from its execution, so it can be
@@ -56,30 +45,6 @@ type Plan struct {
 	Assignments []Assignment `json:"assignments"`
 	// Wires are the instance-level connections to materialize.
 	Wires []Wire `json:"wires"`
-	// Queues records the planned input-buffer implementation per consumer
-	// instance (see QueueChoice); Apply passes each choice into the
-	// corresponding StageConfig so the engine builds the matching ring.
-	Queues []QueueChoice `json:"queues,omitempty"`
-}
-
-// QueueKindFor returns the planned queue implementation for instance i of
-// the named stage, or false when the plan recorded none (source stages, or
-// plans produced before queue planning existed).
-func (p *Plan) QueueKindFor(stageID string, instance int) (pipeline.QueueKind, bool) {
-	for _, q := range p.Queues {
-		if q.StageID == stageID && q.Instance == instance {
-			switch q.Kind {
-			case "spsc":
-				return pipeline.QueueSPSC, true
-			case "mpsc":
-				return pipeline.QueueMPSC, true
-			case "mutex":
-				return pipeline.QueueMutex, true
-			}
-			return pipeline.QueueAuto, false
-		}
-	}
-	return pipeline.QueueAuto, false
 }
 
 // NodeFor returns the node assigned to instance i of the named stage.
@@ -206,7 +171,6 @@ func (p *Planner) Plan(cfg *AppConfig) (*Plan, error) {
 		Assignments:   make([]Assignment, len(placements)),
 		Wires:         resolveWires(cfg),
 	}
-	plan.Queues = queueChoices(cfg, plan.Wires)
 	for i, pl := range placements {
 		plan.Assignments[i] = Assignment{
 			StageID:  pl.StageID,
@@ -305,43 +269,6 @@ func instanceRequests(cfg *AppConfig, plc policy.PlacementPolicy) ([]grid.Instan
 		}
 	}
 	return reqs, ruleNames
-}
-
-// queueChoices derives the input-buffer implementation for every consumer
-// instance from the resolved wires — the Plan-time half of the engine's
-// resolveQueue decision. One producer goroutine exists per distinct
-// upstream (stage, instance) pair, so exactly one such pair means the
-// lock-free SPSC ring and more mean MPSC. Source stages (no inbound wires)
-// are skipped.
-func queueChoices(cfg *AppConfig, wires []Wire) []QueueChoice {
-	type producer struct {
-		stage    string
-		instance int
-	}
-	feeders := make(map[instRef]map[producer]struct{})
-	for _, w := range wires {
-		to := instRef{stage: w.ToStage, instance: w.ToInstance}
-		if feeders[to] == nil {
-			feeders[to] = make(map[producer]struct{})
-		}
-		feeders[to][producer{stage: w.FromStage, instance: w.FromInstance}] = struct{}{}
-	}
-	var choices []QueueChoice
-	for i := range cfg.Stages {
-		s := &cfg.Stages[i]
-		for inst := 0; inst < s.EffectiveInstances(); inst++ {
-			n := len(feeders[instRef{stage: s.ID, instance: inst}])
-			if n == 0 {
-				continue // source or unwired: nothing flows through its queue
-			}
-			kind := "mpsc"
-			if n == 1 {
-				kind = "spsc"
-			}
-			choices = append(choices, QueueChoice{StageID: s.ID, Instance: inst, Kind: kind})
-		}
-	}
-	return choices
 }
 
 // resolveWires expands the descriptor's connections into instance-level

@@ -27,7 +27,7 @@ if [ -f "$out" ]; then
 fi
 
 go test -run '^$' \
-  -bench 'BenchmarkPipelineThroughput|BenchmarkBatchSizeSweep|BenchmarkQueuePushPop|BenchmarkQueueBatchPushPop|BenchmarkLinkTransfer' \
+  -bench 'BenchmarkPipelineThroughput|BenchmarkBatchSizeSweep|BenchmarkLinkTransfer' \
   -benchmem -benchtime 1s . | tee "$raw"
 
 awk -v prevfile="$prev" '

@@ -26,6 +26,12 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== bench module =="
+# bench/ is a Go module of its own (it replaces this one with ..), so the
+# ./... patterns above never compile it: an API removal here can break the
+# benchmark unseen. Vet it and run its tests (under 10 s).
+(cd bench && go vet ./... && go test ./...)
+
 echo "== transport stream lane =="
 # The TCP wire is one gob stream per connection (DESIGN.md §6): the race
 # lane over the package and the node binary's in-process two-node test, the
@@ -35,6 +41,9 @@ echo "== transport stream lane =="
 # processes that must agree on the stream format for a struct-valued payload.
 go test -race ./internal/transport ./cmd/gates-node
 go test -run '^$' -fuzz FuzzStreamDecode -fuzztime 10s ./internal/transport
+# The same fuzz step for the stage input buffer: both ring kinds against the
+# slice FIFO reference model, one op at a time (internal/queue/fuzz_test.go).
+go test -run '^$' -fuzz FuzzRingModel -fuzztime 10s ./internal/queue
 stream_raw="$(go test -run '^$' -bench 'BenchmarkStream(Encode|Decode)/ints$' \
   -benchmem -benchtime 200ms ./internal/transport)"
 echo "$stream_raw"
@@ -251,7 +260,7 @@ go test -coverprofile=coverage.out -covermode=atomic ./...
 go tool cover -func=coverage.out | tail -1
 
 echo "== short benchmarks =="
-go test -run '^$' -bench 'BenchmarkPipelineThroughput$|BenchmarkBatchSizeSweep|BenchmarkQueue' \
+go test -run '^$' -bench 'BenchmarkPipelineThroughput$|BenchmarkBatchSizeSweep' \
   -benchtime 100ms .
 
 echo "== zero-alloc guard =="
