@@ -5,7 +5,6 @@
 package builtin
 
 import (
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -19,6 +18,7 @@ import (
 	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/pipeline"
 	"github.com/gates-middleware/gates/internal/service"
+	"github.com/gates-middleware/gates/internal/transport"
 	"github.com/gates-middleware/gates/internal/workload"
 )
 
@@ -162,29 +162,42 @@ func Register(repo *service.Repository) error {
 	return nil
 }
 
-// WireTypes returns one value of every built-in application's packet
-// payload type — everything RegisterWireTypes registers.
-func WireTypes() []any {
-	return []any{
-		[]int(nil),
-		&countsamps.Summary{},
-		&intrusion.ConnBatch{},
-		&intrusion.SiteReport{},
-		&surveillance.Frame{},
-		&surveillance.Detections{},
-		&tieredfilter.EventBatch{},
-		&compsteer.MeshChunk{},
-		&compsteer.SteeringCommand{},
-	}
+// wireTypes is the value-tag table of the built-in applications' struct
+// payloads — part of the wire format (DESIGN.md §6): a tag, once shipped,
+// keeps its type. Tags below 16 belong to transport's own value types.
+var wireTypes = []struct {
+	tag uint8
+	new func() transport.WireValue
+}{
+	{16, func() transport.WireValue { return new(countsamps.Summary) }},
+	{17, func() transport.WireValue { return new(intrusion.ConnBatch) }},
+	{18, func() transport.WireValue { return new(intrusion.SiteReport) }},
+	{19, func() transport.WireValue { return new(surveillance.Frame) }},
+	{20, func() transport.WireValue { return new(surveillance.Detections) }},
+	{21, func() transport.WireValue { return new(tieredfilter.EventBatch) }},
+	{22, func() transport.WireValue { return new(compsteer.MeshChunk) }},
+	{23, func() transport.WireValue { return new(compsteer.SteeringCommand) }},
 }
 
-// RegisterWireTypes registers every built-in application's packet payload
-// with encoding/gob, so the payloads survive a TCP hop between gates-node
-// processes. Registration is idempotent per type; callers composing their
-// own repositories with built-in payload types may call it directly.
+// WireTypes returns one value of every built-in application's packet
+// payload type: []int, which transport encodes itself, and everything
+// RegisterWireTypes registers, in tag order.
+func WireTypes() []any {
+	vals := []any{[]int(nil)}
+	for _, wt := range wireTypes {
+		vals = append(vals, wt.new())
+	}
+	return vals
+}
+
+// RegisterWireTypes registers every built-in application's struct payload
+// with transport under its fixed tag, so the payloads survive a TCP hop
+// between gates-node processes. Registration is idempotent; callers
+// composing their own repositories with built-in payload types may call it
+// directly.
 func RegisterWireTypes() {
-	for _, v := range WireTypes() {
-		gob.Register(v)
+	for _, wt := range wireTypes {
+		transport.RegisterWireValue(wt.tag, wt.new)
 	}
 }
 

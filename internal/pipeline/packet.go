@@ -21,8 +21,9 @@ type Packet struct {
 	SourceInstance int
 	// Seq is the per-emitter sequence number.
 	Seq uint64
-	// Value is the in-process payload. Applications crossing a TCP edge
-	// must use gob-encodable values.
+	// Value is the in-process payload. To cross a TCP edge it must be one
+	// of transport's built-in value types or a registered
+	// transport.WireValue.
 	Value any
 	// Items is the logical item count the packet carries (for accounting
 	// and adaptation diagnostics). Zero is treated as one.

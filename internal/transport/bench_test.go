@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"github.com/gates-middleware/gates/internal/apps/countsamps"
-	"github.com/gates-middleware/gates/internal/builtin"
 	"github.com/gates-middleware/gates/internal/workload"
 )
 
 // benchMessages are the codec rung's two message shapes: "ints" is the
 // bench ladder's frame (a packet whose Value is 128 Zipf-distributed words),
 // "summary" the struct-valued packet real gates-node count-samps traffic
-// sends.
+// sends. (builtin imports this package, so the summary is registered here,
+// under the tag builtin gives it: the external tests in this binary register
+// it too.)
 func benchMessages() []benchMessage {
-	builtin.RegisterWireTypes()
+	RegisterWireValue(16, func() WireValue { return new(countsamps.Summary) })
 	vals := workload.Take(workload.NewZipf(20040607, 1.5, 50_000), 128)
 	return []benchMessage{
 		{"ints", Message{Kind: KindPacket, SourceStage: "src", Seq: 12345, WireSize: 1024, Value: vals}},
@@ -30,72 +31,29 @@ type benchMessage struct {
 
 var benchSink Message
 
-// BenchmarkStreamEncode is the steady state of a connection's send side: the
-// descriptors went out with the first frame.
+// BenchmarkStreamEncode is a connection's send side: one frame appended to
+// the client's reused buffer.
 func BenchmarkStreamEncode(b *testing.B) {
 	for _, bm := range benchMessages() {
 		m := bm.m
 		b.Run(bm.name, func(b *testing.B) {
-			enc := newStreamEncoder()
-			n, err := enc.appendFrame(m)
+			buf, err := appendFrame(nil, m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			enc.buf.Reset()
+			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n, _ = enc.appendFrame(m)
-				enc.buf.Reset()
+				buf, _ = appendFrame(buf[:0], m)
 			}
-			b.SetBytes(int64(n + 4))
 		})
 	}
 }
 
-// BenchmarkStreamDecode is the steady state of a connection's receive side:
-// the decode engine was compiled on the first frame.
+// BenchmarkStreamDecode is a connection's receive side: one frame's payload
+// through the connection's decoder.
 func BenchmarkStreamDecode(b *testing.B) {
-	for _, bm := range benchMessages() {
-		m := bm.m
-		b.Run(bm.name, func(b *testing.B) {
-			enc, dec := newStreamEncoder(), newStreamDecoder()
-			enc.appendFrame(m)
-			if _, err := dec.decode(enc.buf.Bytes()[4:]); err != nil {
-				b.Fatal(err)
-			}
-			enc.buf.Reset()
-			enc.appendFrame(m)
-			frame := enc.buf.Bytes()[4:] // a steady-state frame: replayable, it defines nothing
-			b.SetBytes(int64(len(frame) + 4))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink, _ = dec.decode(frame)
-			}
-		})
-	}
-}
-
-// BenchmarkOneShotEncode is what a connection's first frame costs: a fresh
-// encoder and the type descriptors.
-func BenchmarkOneShotEncode(b *testing.B) {
-	for _, bm := range benchMessages() {
-		m := bm.m
-		b.Run(bm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Encode(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkOneShotDecode is what a connection's first frame costs to read: a
-// fresh decoder compiling its engine for the descriptors it is sent.
-func BenchmarkOneShotDecode(b *testing.B) {
 	for _, bm := range benchMessages() {
 		m := bm.m
 		b.Run(bm.name, func(b *testing.B) {
@@ -103,10 +61,12 @@ func BenchmarkOneShotDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var dec decoder
+			b.SetBytes(int64(len(frame) + 4))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if benchSink, err = Decode(frame); err != nil {
+				if benchSink, err = dec.decode(frame); err != nil {
 					b.Fatal(err)
 				}
 			}

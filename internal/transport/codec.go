@@ -3,13 +3,14 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
+	"reflect"
+	"sync"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/adapt"
 	"github.com/gates-middleware/gates/internal/pipeline"
+	"github.com/gates-middleware/gates/internal/wire"
 )
 
 // MessageKind discriminates wire messages.
@@ -24,8 +25,10 @@ const (
 )
 
 // Message is the unit framed onto a connection: either a packet or an
-// exception. Packet Values must be gob-encodable (applications register
-// concrete types with gob.Register).
+// exception. A packet's Value must be one of the built-in value types (see
+// appendValue) or a WireValue registered with RegisterWireValue. Birth
+// crosses as Unix nanoseconds: the instant survives, its zone and monotonic
+// reading do not (compare with Equal), and it must lie in 1678–2262.
 type Message struct {
 	Kind MessageKind
 
@@ -87,156 +90,245 @@ func (m Message) PacketInto(p *pipeline.Packet) {
 	p.TraceHops = m.TraceHops
 }
 
-// maxTypeDefs bounds the type-definition messages one peer may send on a
-// connection: each grows the receiver's type table and compiled decode
-// engines for the connection's life. An honest peer sends a handful — the
-// Message envelope's; gob ships a Value's concrete type inside the value
-// message, where this count does not see it.
-const maxTypeDefs = 1024
-
-// streamEncoder is the sending half of one connection's gob stream. The
-// encoder lives as long as the connection, so type descriptors are sent
-// once; every Encode still lands in its own length-prefixed frame. Frames
-// accumulate in buf until flush. Not safe for concurrent use.
-type streamEncoder struct {
-	buf bytes.Buffer // frames appended since the last flush
-	enc *gob.Encoder // writes into buf
-	msg Message      // Encode gets a pointer to this: no per-call boxing
-	err error        // first encode failure; the stream cannot continue
+// WireValue is a packet payload that carries its own wire encoding: the
+// application structs' side of the format (DESIGN.md §6). AppendWire appends
+// the value's encoding to b. DecodeWire overwrites the value from exactly
+// the bytes AppendWire produced: it must reject trailing bytes, keep no
+// reference to b, and allocate nothing sized by a count it has not checked
+// against len(b) — internal/wire's Reader does all three.
+type WireValue interface {
+	AppendWire(b []byte) []byte
+	DecodeWire(b []byte) error
 }
 
-func newStreamEncoder() *streamEncoder {
-	e := &streamEncoder{}
-	e.enc = gob.NewEncoder(&e.buf)
-	return e
-}
+// Value tags: the byte ahead of a packet's value. Tags below firstWireTag
+// belong to the types appendValue encodes itself.
+const (
+	tagNil = iota
+	tagInt
+	tagInt64
+	tagUint64
+	tagFloat64
+	tagBool
+	tagString
+	tagInts
+	tagFloat64s
+	tagBytes
+	firstWireTag = 16
+)
 
-// appendFrame appends one frame carrying m to the buffer — the 4-byte header
-// is reserved up front and backfilled after encoding — and returns the
-// payload size in bytes. A failure (an unregistered Value type, an oversized
-// frame) may leave the encoder believing descriptors sent that never reach
-// the peer, so it empties the buffer and breaks the stream for good.
-func (e *streamEncoder) appendFrame(m Message) (int, error) {
-	if e.err != nil {
-		return 0, fmt.Errorf("transport: stream broken by an earlier encode failure: %w", e.err)
+// Packet flag bits: the byte after the kind. Unknown bits are rejected.
+const (
+	flagFinal  = 1 << iota
+	flagBirth  // Birth follows WireSize
+	flagTrace  // TraceID and TraceHops follow
+	flagsKnown = flagFinal | flagBirth | flagTrace
+)
+
+// The registration table, filled at start-up: wireTags maps a payload's
+// reflect.Type to its tag, wireNews a tag to the func() WireValue that makes
+// an empty one to decode into.
+var wireTags, wireNews sync.Map
+
+// RegisterWireValue gives the type newValue returns the value tag it crosses
+// the wire under; both ends of a connection must register the same pairs
+// (builtin.RegisterWireTypes holds the built-in applications'). Repeating a
+// registration is a no-op; a tag below 16, or a tag or type already paired
+// differently, panics — the table is a program constant.
+func RegisterWireValue(tag uint8, newValue func() WireValue) {
+	t := reflect.TypeOf(newValue())
+	old, known := wireTags.LoadOrStore(t, tag)
+	_, taken := wireNews.LoadOrStore(tag, newValue)
+	if tag < firstWireTag || known != taken || known && old != tag {
+		panic(fmt.Sprintf("transport: cannot register %v as value tag %d", t, tag))
 	}
-	start := e.buf.Len()
-	e.buf.Write([]byte{0, 0, 0, 0})
-	e.msg = m
-	err := e.enc.Encode(&e.msg)
-	e.msg = Message{} // do not pin the payload until the next send
-	n := e.buf.Len() - start - 4
+}
+
+// appendFrame appends one frame carrying m to b: the 4-byte length prefix,
+// backfilled once the payload's size is known, then the payload. On failure
+// (an unregistered Value type, a frame beyond MaxFrameSize) it returns b as
+// it was: frames are self-contained, so nothing has to be unsaid and the
+// caller may keep sending.
+func appendFrame(b []byte, m Message) ([]byte, error) {
+	start := len(b)
+	out, err := appendMessage(append(b, 0, 0, 0, 0), m)
+	n := len(out) - start - 4
+	if err == nil && n > MaxFrameSize {
+		err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
 	if err != nil {
-		e.err = fmt.Errorf("transport: encode message: %w", err)
-	} else if n > MaxFrameSize {
-		e.err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return out[:start], err
 	}
-	if e.err != nil {
-		e.buf.Reset()
-		return 0, e.err
-	}
-	binary.BigEndian.PutUint32(e.buf.Bytes()[start:start+4], uint32(n))
-	return n, nil
+	binary.BigEndian.PutUint32(out[start:], uint32(n))
+	return out, nil
 }
 
-// flush writes every buffered frame to w in one Write.
-func (e *streamEncoder) flush(w io.Writer) error {
-	_, err := w.Write(e.buf.Bytes())
-	e.buf.Reset()
-	return err
+// appendMessage appends m's payload encoding: the kind byte, then for an
+// exception its varint, for a packet the flags, the header fields and the
+// tagged value (DESIGN.md §6 has the table).
+func appendMessage(b []byte, m Message) ([]byte, error) {
+	switch m.Kind {
+	case KindException:
+		return wire.AppendInt(append(b, byte(KindException)), int(m.Exception)), nil
+	case KindPacket:
+	default:
+		return b, fmt.Errorf("transport: unknown message kind %d", m.Kind)
+	}
+	var flags byte
+	if m.Final {
+		flags |= flagFinal
+	}
+	if !m.Birth.IsZero() {
+		flags |= flagBirth
+	}
+	if m.TraceID != 0 || m.TraceHops != 0 {
+		flags |= flagTrace
+	}
+	b = wire.AppendUint(append(b, byte(KindPacket), flags), uint64(len(m.SourceStage)))
+	b = wire.AppendInt(append(b, m.SourceStage...), m.SourceInstance)
+	b = wire.AppendInt(wire.AppendInt(wire.AppendUint(b, m.Seq), m.Items), m.WireSize)
+	if flags&flagBirth != 0 {
+		b = binary.AppendVarint(b, m.Birth.UnixNano())
+	}
+	if flags&flagTrace != 0 {
+		b = append(wire.AppendUint(b, m.TraceID), m.TraceHops)
+	}
+	return appendValue(b, m.Value)
 }
 
-// streamDecoder is the receiving half of one connection's gob stream: one
-// decoder for the life of the connection, fed a frame at a time. A stateful
-// stream cannot resync, so the caller drops the connection on any error.
-type streamDecoder struct {
-	r        bytes.Reader // re-pointed at each frame's payload
-	dec      *gob.Decoder // reads from r (a ByteReader, so gob adds no buffering)
-	msg      Message
-	typeDefs int // type definitions received so far
-}
-
-func newStreamDecoder() *streamDecoder {
-	d := &streamDecoder{}
-	d.dec = gob.NewDecoder(&d.r)
-	return d
-}
-
-// decode consumes one frame's payload, which must hold exactly one message
-// (preceded by whatever type definitions it needs). The gob layer copies
-// everything it keeps, so frame may be reused once decode returns.
-func (d *streamDecoder) decode(frame []byte) (Message, error) {
-	if d.typeDefs += countTypeDefs(frame); d.typeDefs > maxTypeDefs {
-		return Message{}, errTypeDefCap
-	}
-	d.r.Reset(frame)
-	d.msg = Message{} // gob leaves fields the sender omitted as zero untouched
-	if err := d.dec.Decode(&d.msg); err != nil {
-		return Message{}, fmt.Errorf("transport: decode message: %w", err)
-	}
-	if d.r.Len() != 0 {
-		return Message{}, fmt.Errorf("transport: %d trailing bytes in frame", d.r.Len())
-	}
-	if d.msg.Kind != KindPacket && d.msg.Kind != KindException {
-		return Message{}, fmt.Errorf("transport: unknown message kind %d", d.msg.Kind)
-	}
-	return d.msg, nil
-}
-
-var errTypeDefCap = fmt.Errorf("transport: peer sent more than %d type definitions", maxTypeDefs)
-
-// countTypeDefs walks the gob messages in one frame — each a uint byte count
-// followed by that many bytes, which open with a signed type id — and
-// returns how many define a type (negative id). It stops at a malformed
-// header; Decode then fails on the same bytes.
-func countTypeDefs(frame []byte) (defs int) {
-	for len(frame) > 0 {
-		size, n := gobUint(frame)
-		if n == 0 || size > uint64(len(frame)-n) {
-			break
+// appendValue appends v's tag and encoding.
+func appendValue(b []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case nil:
+		return append(b, tagNil), nil
+	case int:
+		return wire.AppendInt(append(b, tagInt), v), nil
+	case int64:
+		return binary.AppendVarint(append(b, tagInt64), v), nil
+	case uint64:
+		return wire.AppendUint(append(b, tagUint64), v), nil
+	case float64:
+		return wire.AppendFloat64(append(b, tagFloat64), v), nil
+	case bool:
+		return wire.AppendBool(append(b, tagBool), v), nil
+	case string:
+		return append(wire.AppendUint(append(b, tagString), uint64(len(v))), v...), nil
+	case []byte:
+		return append(wire.AppendUint(append(b, tagBytes), uint64(len(v))), v...), nil
+	case []int:
+		return wire.AppendInts(append(b, tagInts), v), nil
+	case []float64:
+		return wire.AppendFloat64s(append(b, tagFloat64s), v), nil
+	case WireValue:
+		if tag, ok := wireTags.Load(reflect.TypeOf(v)); ok {
+			return v.AppendWire(append(b, tag.(uint8))), nil
 		}
-		id, m := gobUint(frame[n : n+int(size)])
-		if m == 0 {
-			break
+	}
+	return b, fmt.Errorf("transport: value type %T has no wire encoding (see RegisterWireValue)", v)
+}
+
+// decoder is the receiving half of one connection. Frames are self-contained;
+// the only thing carried from one to the next is the last SourceStage string,
+// so a connection fed by one stage allocates its name once.
+type decoder struct{ stage string }
+
+// decode parses one frame's payload, which must hold exactly one message.
+// Everything the message keeps is copied out of frame, and nothing is
+// allocated on the strength of a count until that many bytes are in hand.
+func (d *decoder) decode(frame []byte) (Message, error) {
+	r := wire.NewReader(frame)
+	switch kind := MessageKind(r.Byte()); kind {
+	case KindException:
+		m := Message{Kind: KindException, Exception: adapt.Exception(r.Int())}
+		return m, r.Done()
+	case KindPacket:
+	default:
+		return Message{}, fmt.Errorf("transport: unknown message kind %d", kind)
+	}
+	flags := r.Byte()
+	if flags&^flagsKnown != 0 {
+		return Message{}, fmt.Errorf("transport: unknown packet flags %#x", flags)
+	}
+	m := Message{Kind: KindPacket, Final: flags&flagFinal != 0}
+	if stage := r.Next(r.Count(1)); string(stage) != d.stage {
+		d.stage = string(stage)
+	}
+	m.SourceStage = d.stage
+	m.SourceInstance, m.Seq, m.Items, m.WireSize = r.Int(), r.Uint(), r.Int(), r.Int()
+	if flags&flagBirth != 0 {
+		m.Birth = time.Unix(0, r.Int64()).UTC()
+	}
+	if flags&flagTrace != 0 {
+		m.TraceID, m.TraceHops = r.Uint(), r.Byte()
+	}
+	var err error
+	m.Value, err = decodeValue(&r)
+	return m, err
+}
+
+// decodeValue reads the tagged value that ends a packet frame. A decoded
+// slice is freshly allocated — it belongs to the application from here on —
+// and a zero-length one is nil.
+func decodeValue(r *wire.Reader) (any, error) {
+	var v any
+	switch tag := r.Byte(); tag {
+	case tagNil:
+	case tagInt:
+		v = r.Int()
+	case tagInt64:
+		v = r.Int64()
+	case tagUint64:
+		v = r.Uint()
+	case tagFloat64:
+		v = r.Float64()
+	case tagBool:
+		v = r.Bool()
+	case tagString:
+		v = string(r.Next(r.Count(1)))
+	case tagBytes:
+		v = append([]byte(nil), r.Next(r.Count(1))...)
+	case tagInts:
+		v = r.Ints()
+	case tagFloat64s:
+		v = r.Float64s()
+	default:
+		newValue, ok := wireNews.Load(tag)
+		if !ok {
+			return nil, fmt.Errorf("transport: unknown value tag %d", tag)
 		}
-		defs += int(id & 1) // gob keeps an integer's sign in bit 0
-		frame = frame[n+int(size):]
+		wv := newValue.(func() WireValue)()
+		if err := wv.DecodeWire(r.Rest()); err != nil {
+			return nil, fmt.Errorf("transport: decode value tag %d: %w", tag, err)
+		}
+		return wv, nil
 	}
-	return defs
+	return v, r.Done()
 }
 
-// gobUint decodes gob's unsigned integer at the head of b and returns it
-// with its encoded width, 0 when malformed: a byte below 128 is the value;
-// otherwise the byte is the negated count of big-endian bytes that follow.
-func gobUint(b []byte) (v uint64, width int) {
-	if len(b) == 0 {
-		return 0, 0
-	}
-	if b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	w := -int(int8(b[0]))
-	if w > 8 || len(b) <= w {
-		return 0, 0
-	}
-	for _, c := range b[1 : 1+w] {
-		v = v<<8 | uint64(c)
-	}
-	return v, 1 + w
+// oneShot is what a connection owns — a send buffer and a decoder — pooled so
+// the exported Encode and Decode run the connection's code at its cost.
+type oneShot struct {
+	buf []byte
+	dec decoder
 }
 
-// Encode serializes m as the first frame's payload of a fresh stream: type
-// descriptors included, so Decode can read it alone. Connections pay this
-// cost once, not per message.
+var oneShots = sync.Pool{New: func() any { return new(oneShot) }}
+
+// Encode serializes m as one frame's payload, exactly as a Client sends it.
 func Encode(m Message) ([]byte, error) {
-	e := newStreamEncoder()
-	if _, err := e.appendFrame(m); err != nil {
+	o := oneShots.Get().(*oneShot)
+	defer oneShots.Put(o)
+	frame, err := appendFrame(o.buf[:0], m)
+	o.buf = frame[:0]
+	if err != nil {
 		return nil, err
 	}
-	return e.buf.Bytes()[4:], nil
+	return bytes.Clone(frame[4:]), nil
 }
 
-// Decode deserializes a blob produced by Encode.
+// Decode parses one frame's payload, exactly as a connection's reader does.
 func Decode(b []byte) (Message, error) {
-	return newStreamDecoder().decode(b)
+	o := oneShots.Get().(*oneShot)
+	defer oneShots.Put(o)
+	return o.dec.decode(b)
 }

@@ -1,4 +1,4 @@
-package transport
+package transport_test
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/metrics"
 	"github.com/gates-middleware/gates/internal/pipeline"
+	. "github.com/gates-middleware/gates/internal/transport"
 	"github.com/gates-middleware/gates/internal/workload"
 )
 

@@ -26,14 +26,14 @@ const readBufSize = 64 << 10
 // Handler consumes messages arriving at a Server.
 type Handler func(Message)
 
-// readLoop decodes conn's inbound gob stream frame by frame, handing each
-// message to handler after onFrame (nil-able) has seen its payload size. It
-// returns at end of stream, on a broken peer, or on the first frame that
-// does not decode — a stateful stream cannot resync past one.
+// readLoop decodes conn's inbound frames one by one, handing each message to
+// handler after onFrame (nil-able) has seen its payload size. It returns at
+// end of stream, on a broken peer, or on the first frame that does not
+// decode: a peer that sends garbage is broken or hostile, not worth a resync.
 func readLoop(conn net.Conn, onFrame func(payload int), handler Handler) {
 	labelTransport()
 	br := bufio.NewReaderSize(conn, readBufSize)
-	dec := newStreamDecoder()
+	var dec decoder
 	var scratch []byte // reused: the decoder copies everything it keeps
 	for {
 		frame, err := readFrameReuse(br, &scratch)
@@ -51,13 +51,6 @@ func readLoop(conn net.Conn, onFrame func(payload int), handler Handler) {
 	}
 }
 
-// upstream is one accepted connection and the gob stream the server writes
-// back on it. enc is guarded by Server.writeMu.
-type upstream struct {
-	net.Conn
-	enc *streamEncoder
-}
-
 // Server accepts stage-to-stage connections and dispatches every decoded
 // message to its handler. It is the listening half of a GATES grid-service
 // instance's network endpoint.
@@ -70,11 +63,10 @@ type Server struct {
 	framesOut atomic.Uint64 // broadcast (exception) frames written back
 	bytesOut  atomic.Uint64
 
-	mu      sync.Mutex
-	writeMu sync.Mutex
-	conns   map[*upstream]bool
-	closed  bool
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[net.Conn]bool // true once the handshake is done: Broadcast may write
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // Listen starts a server on addr ("host:port"; ":0" picks a free port).
@@ -86,7 +78,7 @@ func Listen(addr string, handler Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, handler: handler, conns: make(map[*upstream]bool)}
+	s := &Server{ln: ln, handler: handler, conns: make(map[net.Conn]bool)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -99,30 +91,37 @@ func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	labelTransport()
 	for {
-		nc, err := s.ln.Accept()
+		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		conn := &upstream{Conn: nc, enc: newStreamEncoder()}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
 			return
 		}
-		s.conns[conn] = true
+		s.conns[conn] = false
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
 }
 
-func (s *Server) serveConn(conn *upstream) {
+// serveConn checks the peer's preamble, then reads frames until the
+// connection ends. A peer with the wrong preamble, or none within the
+// deadline, is closed before any frame is read or counted.
+func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	readLoop(conn, func(payload int) {
-		s.framesIn.Add(1)
-		s.bytesIn.Add(uint64(payload))
-	}, s.handler)
+	if handshake(conn) == nil {
+		s.mu.Lock()
+		s.conns[conn] = true
+		s.mu.Unlock()
+		readLoop(conn, func(payload int) {
+			s.framesIn.Add(1)
+			s.bytesIn.Add(uint64(payload))
+		}, s.handler)
+	}
 	conn.Close()
 	s.mu.Lock()
 	delete(s.conns, conn)
@@ -132,33 +131,30 @@ func (s *Server) serveConn(conn *upstream) {
 // Broadcast writes one message back to every live upstream connection —
 // the §4 control plane over TCP: a stage host reports its over/under-load
 // exceptions "to the sending server" on the connections that feed it.
-// Each connection has its own gob stream, so the message is encoded once per
-// connection (exceptions are rare and tiny). Broken peers are dropped
-// silently (their read side ends the connection); a message that cannot be
-// encoded is returned as an error and costs the peer it was tried on.
+// The frame is encoded once and written whole to each connection (a net.Conn
+// serializes concurrent Writes). Broken peers are dropped silently (their
+// read side ends the connection); a message that cannot be encoded is
+// returned as an error and reaches nobody.
 func (s *Server) Broadcast(m Message) error {
+	frame, err := appendFrame(nil, m)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
-	conns := make([]*upstream, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c, ready := range s.conns {
+		if ready {
+			conns = append(conns, c)
+		}
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		s.writeMu.Lock()
-		n, err := c.enc.appendFrame(m)
-		if err != nil {
-			s.writeMu.Unlock()
-			c.Close() // its stream is broken for good
-			return err
-		}
-		err = c.enc.flush(c)
-		s.writeMu.Unlock()
-		if err != nil {
+		if _, err := c.Write(frame); err != nil {
 			c.Close()
 			continue
 		}
 		s.framesOut.Add(1)
-		s.bytesOut.Add(uint64(n))
+		s.bytesOut.Add(uint64(len(frame) - 4))
 	}
 	return nil
 }
@@ -172,7 +168,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]*upstream, 0, len(s.conns))
+	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
@@ -194,14 +190,13 @@ type Client struct {
 
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *streamEncoder // the outbound gob stream; guarded by mu
+	buf  []byte // frames encoded since the last write; guarded by mu
 }
 
 // ReadLoop consumes messages the server writes back on this connection,
 // dispatching each to handler; it returns when the connection closes. Run it
 // once, in its own goroutine, to receive the downstream host's load
-// exceptions: it owns the inbound stream's decoder, and a second call would
-// start mid-stream without the type descriptors.
+// exceptions: a second reader would split frames with the first.
 func (c *Client) ReadLoop(handler Handler) {
 	c.mu.Lock()
 	conn := c.conn
@@ -212,23 +207,29 @@ func (c *Client) ReadLoop(handler Handler) {
 	readLoop(conn, nil, handler)
 }
 
-// Dial connects to a Server.
+// Dial connects to a Server and exchanges preambles with it: a peer that is
+// not a GATES server, or speaks another wire version, fails here with an
+// error saying so rather than mid-stream.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, enc: newStreamEncoder()}, nil
+	if err := handshake(conn); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
+	return &Client{conn: conn}, nil
 }
 
 // Send encodes and frames one message and writes it in one conn.Write.
 func (c *Client) Send(m Message) error { return c.SendBatch([]Message{m}) }
 
-// SendBatch appends every message to the connection's gob stream, one frame
-// each, and flushes them in a single write; peers decode the result exactly
-// as a sequence of Send calls. A message that cannot be encoded (an
-// unregistered Value type, a frame beyond MaxFrameSize) sends nothing and
-// breaks the client: every later send fails rather than corrupt the peer.
+// SendBatch encodes every message into its own frame and writes them all in
+// a single write; peers decode the result exactly as a sequence of Send
+// calls. If a message cannot be encoded (an unregistered Value type, a frame
+// beyond MaxFrameSize) nothing of the batch is sent and the client stays
+// usable.
 func (c *Client) SendBatch(msgs []Message) error {
 	if len(msgs) == 0 {
 		return nil
@@ -238,19 +239,19 @@ func (c *Client) SendBatch(msgs []Message) error {
 	if c.conn == nil {
 		return errors.New("transport: client closed")
 	}
-	var total uint64
+	buf := c.buf[:0]
 	for _, m := range msgs {
-		n, err := c.enc.appendFrame(m)
-		if err != nil {
+		var err error
+		if buf, err = appendFrame(buf, m); err != nil {
 			return err
 		}
-		total += uint64(n)
 	}
-	if err := c.enc.flush(c.conn); err != nil {
+	c.buf = buf[:0] // keep the grown buffer, not its contents
+	if _, err := c.conn.Write(buf); err != nil {
 		return fmt.Errorf("transport: write frames: %w", err)
 	}
 	c.framesOut.Add(uint64(len(msgs)))
-	c.bytesOut.Add(total)
+	c.bytesOut.Add(uint64(len(buf) - 4*len(msgs))) // payload bytes: each frame's prefix excluded
 	return nil
 }
 

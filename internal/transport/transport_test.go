@@ -105,12 +105,14 @@ func TestCodecExceptionRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
+	if _, err := Decode([]byte("not a frame")); err == nil {
 		t.Fatal("garbage decoded")
 	}
-	// A valid gob of an unknown kind is also rejected.
-	b, _ := Encode(Message{})
-	if _, err := Decode(b); err == nil {
+	// A message of an unknown kind is refused on both sides.
+	if _, err := Encode(Message{}); err == nil {
+		t.Fatal("zero-kind message encoded")
+	}
+	if _, err := Decode([]byte{0}); err == nil {
 		t.Fatal("zero-kind message accepted")
 	}
 }

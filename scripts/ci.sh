@@ -33,52 +33,69 @@ echo "== bench module =="
 (cd bench && go vet ./... && go test ./...)
 
 echo "== transport stream lane =="
-# The TCP wire is one gob stream per connection (DESIGN.md §6): the race
-# lane over the package and the node binary's in-process two-node test, the
-# receive path fuzzed for 10 s, an allocation guard on the steady-state
-# codec (the per-connection encoder must not allocate per frame; the decoder
-# only what the message keeps), and two separately started gates-node
-# processes that must agree on the stream format for a struct-valued payload.
-go test -race ./internal/transport ./cmd/gates-node
+# The TCP wire is GATES wire format v1 (DESIGN.md §6), hand-encoded: the race
+# lane over the package, the payload types and the node binary's in-process
+# two-node test; both parsers of peer bytes fuzzed for 10 s each; an
+# allocation guard on the codec (encoding into the connection's buffer
+# allocates nothing; decoding only what the message keeps — for the []int
+# frame the slice and its interface box, for a count-samps summary the struct
+# and its entries); a check that gob stays out; and two separately started
+# gates-node processes that must agree on the format for a struct-valued
+# payload.
+go test -race ./internal/transport ./internal/wire ./internal/builtin ./cmd/gates-node
 go test -run '^$' -fuzz FuzzStreamDecode -fuzztime 10s ./internal/transport
+go test -run '^$' -fuzz FuzzWireValues -fuzztime 10s ./internal/transport
 # The same fuzz step for the stage input buffer: both ring kinds against the
 # slice FIFO reference model, one op at a time (internal/queue/fuzz_test.go).
 go test -run '^$' -fuzz FuzzRingModel -fuzztime 10s ./internal/queue
-stream_raw="$(go test -run '^$' -bench 'BenchmarkStream(Encode|Decode)/ints$' \
+# (Not "! grep": errexit ignores a negated command.)
+if grep -rn '"encoding/gob"' --include='*.go' --exclude-dir=.bench_build .; then
+	echo "guard: encoding/gob is imported again; the wire has one codec"; exit 1
+fi
+stream_raw="$(go test -run '^$' -bench 'BenchmarkStream(Encode|Decode)/(ints|summary)$' \
   -benchmem -benchtime 200ms ./internal/transport)"
 echo "$stream_raw"
 echo "$stream_raw" | awk '
 /^BenchmarkStream(Encode|Decode)/ {
-    limit = ($1 ~ /Encode/) ? 2 : 12
+    limit = ($1 ~ /Encode/) ? 0 : 2
     for (i = 2; i <= NF; i++) if ($i == "allocs/op") {
         n++
         if ($(i - 1) + 0 > limit) { printf "guard: %s reports %s allocs/op, limit %d\n", $1, $(i - 1), limit; bad = 1 }
     }
 }
 END {
-    if (n != 2) { print "guard: stream codec benchmarks missing"; exit 1 }
+    if (n != 4) { print "guard: wire codec benchmarks missing"; exit 1 }
     if (bad) exit 1
-    print "guard: stream codec within its allocation budget"
+    print "guard: wire codec within its allocation budget (encode 0, decode 2)"
 }'
 stream_tmp="$(mktemp -d)"
 go build -o "$stream_tmp/gates-node" ./cmd/gates-node
-"$stream_tmp/gates-node" -listen 127.0.0.1:19776 -stage compsteer/analyzer -scale 200 \
-  >"$stream_tmp/down.log" &
-stream_pid=$!
-for _i in 1 2 3 4 5 6 7 8 9 10; do
-	grep -q '^listening on' "$stream_tmp/down.log" && break
-	sleep 0.2
-done
-"$stream_tmp/gates-node" -stage compsteer/sampler -source compsteer/sim \
-  -forward 127.0.0.1:19776 -scale 200 >"$stream_tmp/up.log" \
-  || { kill "$stream_pid" 2>/dev/null; echo "stream lane: upstream node failed"; exit 1; }
-wait "$stream_pid"
-sent="$(sed -n 's/^egress\/0: in=\([0-9]*\) items.*/\1/p' "$stream_tmp/up.log")"
-got="$(sed -n 's/^ingress\/0: .* out=\([0-9]*\) pkts.*/\1/p' "$stream_tmp/down.log")"
+# two_nodes <downstream stage> <upstream stage> <source> <scale>: what the
+# upstream egress took in must be what the downstream stage took in. The
+# comp-steer pair sends nil-valued packets, the count-samps pair
+# *countsamps.Summary structs.
+two_nodes() {
+	"$stream_tmp/gates-node" -listen 127.0.0.1:19776 -stage "$1" -scale "$4" \
+	  >"$stream_tmp/down.log" &
+	stream_pid=$!
+	for _i in 1 2 3 4 5 6 7 8 9 10; do
+		grep -q '^listening on' "$stream_tmp/down.log" && break
+		sleep 0.2
+	done
+	"$stream_tmp/gates-node" -stage "$2" -source "$3" \
+	  -forward 127.0.0.1:19776 -scale "$4" >"$stream_tmp/up.log" \
+	  || { kill "$stream_pid" 2>/dev/null; echo "stream lane: upstream node failed"; exit 1; }
+	wait "$stream_pid"
+	sent="$(sed -n 's/^egress\/0: in=\([0-9]*\) items.*/\1/p' "$stream_tmp/up.log")"
+	got="$(sed -n 's/^host\/0: in=\([0-9]*\) items.*/\1/p' "$stream_tmp/down.log")"
+	pkts="$(sed -n 's/^ingress\/0: .* out=\([0-9]*\) pkts.*/\1/p' "$stream_tmp/down.log")"
+	[ -n "$sent" ] && [ "$sent" = "$got" ] && [ "${pkts:-0}" -gt 0 ] \
+	  || { echo "stream lane: $2 sent '$sent' items, $1 took in '$got' in '$pkts' packets"; exit 1; }
+	echo "two gates-node processes: $2 -> $1, $sent items in $pkts packets across wire format v1 ok"
+}
+two_nodes compsteer/analyzer compsteer/sampler compsteer/sim 200
+two_nodes countsamps/merge countsamps/summarize workload/zipf 2000
 rm -rf "$stream_tmp"
-[ -n "$sent" ] && [ "$sent" = "$got" ] \
-  || { echo "stream lane: upstream sent '$sent' packets, downstream ingested '$got'"; exit 1; }
-echo "two gates-node processes: $sent packets across one gob stream ok"
 
 echo "== migration smoke =="
 # Live re-deployment lane: the deterministic manual-clock zero-loss
