@@ -544,7 +544,7 @@ type Histogram struct {
 	// trailing linear scan almost never needs more than one step; the scan
 	// remains for correctness with arbitrary (e.g. linear) bucket layouts.
 	nsBounds []int64
-	lut [65 * 8]int16
+	lut      [65 * 8]int16
 }
 
 func newHistogram(bounds []float64) *Histogram {

@@ -329,7 +329,11 @@ func (e *Engine) Run(ctx context.Context) error {
 			st.mu.Lock()
 			st.err = err
 			st.mu.Unlock()
+			// Under pauseMu, so a concurrent Pause's check-then-Draining
+			// cannot land on top of Stopped and stick there.
+			st.pauseMu.Lock()
 			st.toState(StateStopped)
+			st.pauseMu.Unlock()
 			close(st.doneCh)
 			if err != nil {
 				st.o.Log().Warn("stage failed",

@@ -211,11 +211,11 @@ func (s *Stage) parkIfRequested(ctx context.Context) error {
 	paused, resume := s.pausedCh, s.resumeCh
 	s.toState(StatePaused)
 	s.pauseMu.Unlock()
-	// Push the goroutine-local latency batch out before anyone reading the
-	// paused channel inspects the registry: a checkpoint or migration must
-	// see every observation the stage made, not lose the tail of a batch.
+	// End the run before anyone reading the paused channel inspects Stats()
+	// or the registry: a checkpoint or migration must see every packet and
+	// every latency observation the stage made, not lose the tail of a run.
 	// Safe here — still on the stage goroutine, before close(paused).
-	s.flushLatency()
+	s.publishLocal()
 	close(paused)
 	select {
 	case <-resume:

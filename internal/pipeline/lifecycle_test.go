@@ -204,7 +204,9 @@ func TestPauseWakesBlockedBatchedPush(t *testing.T) {
 	for i := range values {
 		values[i] = i
 	}
-	src := &testSource{values: values}
+	// Gated at the half-way mark, so the 64 values cannot all be through
+	// (and the stages stopped) before the sink is paused below.
+	src := &gatedTestSource{values: values, reached: make(chan struct{}), release: make(chan struct{})}
 	sink := &collector{}
 	s1, _ := eng.AddSourceStage("src", 0, src, StageConfig{DisableAdaptation: true, BatchSize: 8})
 	s2, _ := eng.AddProcessorStage("sink", 0, sink, StageConfig{DisableAdaptation: true, QueueCapacity: 4})
@@ -216,13 +218,16 @@ func TestPauseWakesBlockedBatchedPush(t *testing.T) {
 
 	// Hold the sink paused: its 4-slot queue fills and the source's
 	// 8-packet flush necessarily blocks mid-batch with packets in hand.
+	<-src.reached
 	if err := s2.Pause(context.Background()); err != nil {
 		t.Fatalf("pause sink: %v", err)
 	}
+	parked := s2.QueueStats().BlockedPushes // the gated source is not pushing
+	close(src.release)
 	deadline := time.Now().Add(5 * time.Second)
-	for s2.inq().Len() < s2.inq().Cap() {
+	for s2.QueueStats().BlockedPushes == parked {
 		if time.Now().After(deadline) {
-			t.Fatal("sink queue never filled")
+			t.Fatal("source never blocked on the sink's full queue")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -124,13 +124,13 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 		"Long-term average queue size factor d̃.", lb,
 		func() float64 { return s.ctrl.DTilde() })
 
-	// Instrument can be called both by Engine.Run (before the stage
-	// goroutines exist) and by a monitor watching an already-running
-	// engine; serialize the owned-histogram hookup and keep the first
-	// assignment so the concurrent-run case never writes a field the
-	// drain loop is reading. (The drain loop only reads batchSec when the
-	// engine was observed at Run time, in which case it was already set
-	// under this lock before the goroutines started.)
+	// Instrument runs in Engine.Run before the stage goroutine exists, and
+	// again when a monitor starts watching an engine that already runs, so
+	// it may not write a field the drain loops read unsynchronized. First
+	// assignment wins for both hook-ups: batchSec is set under mu (the
+	// loops read it only behind procOp/batchOp, which exist only when
+	// Engine.Run already set it); the latency scratches go through the
+	// atomic s.lat and are adopted at the stage's next run.
 	h := reg.Histogram("gates_stage_batch_seconds",
 		"Virtual time to process and flush one drained input batch (sampled).",
 		nil, lb)
@@ -144,15 +144,10 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 	if s.batchSec == nil {
 		s.batchSec = h
 	}
-	if s.hopSec == nil {
-		s.hopSec = hop
-		s.hopScr = hop.Scratch()
-	}
-	if s.e2eSec == nil {
-		s.e2eSec = e2e
-		s.e2eScr = e2e.Scratch()
-	}
 	s.mu.Unlock()
+	if s.lat.Load() == nil {
+		s.lat.CompareAndSwap(nil, &latencyScratch{hop: hop.Scratch(), e2e: e2e.Scratch()})
+	}
 }
 
 // recordAdjustment turns one AdjustDetailed epoch into an audit event and a

@@ -100,7 +100,14 @@ func (c *StageConfig) fill() {
 	}
 }
 
-// StageStats counts a stage's lifetime activity.
+// StageStats counts a stage's lifetime activity. A stage counts on its own
+// goroutine and publishes per run (see publishLocal): a snapshot is exact
+// whenever the stage is blocked inside the middleware (empty input, full
+// downstream buffer, link transfer, ChargeCompute), Paused or stopped, and
+// trails a running stage by at most runLag = 15 consumed packets — for a
+// source, 15 emissions, which one that then waits on something of its own
+// holds until its next ChargeCompute, link transfer, park or blocking push
+// (the sixteenth emission at the latest).
 type StageStats struct {
 	// PacketsIn and ItemsIn count consumed data packets and their items.
 	PacketsIn, ItemsIn uint64
@@ -151,15 +158,13 @@ type Stage struct {
 	batchOp  *obs.Op
 	flushOp  *obs.Op
 	batchSec *obs.Histogram
-	// hopSec and e2eSec are the latency histograms: emission-upstream →
-	// consumption-here, and lineage-birth → consumption-here. The drain
-	// loop records through the goroutine-local scratches and flushes
-	// them once per drained batch, so the per-packet path never touches
-	// the shared histograms' atomics.
-	hopSec *obs.Histogram
-	e2eSec *obs.Histogram
-	hopScr *obs.Scratch
-	e2eScr *obs.Scratch
+	// lat carries the latency scratches from Instrument — which a monitor
+	// attached after launch calls while the stage runs — to the stage
+	// goroutine, which adopts the pair into scr at the start of each run or
+	// drained batch and alone records into and flushes it, so the
+	// per-packet path never touches the shared histograms' atomics.
+	lat atomic.Pointer[latencyScratch]
+	scr *latencyScratch
 	// rootSmp mints trace ids for source emissions on the tracer's
 	// cadence (nil for processor stages or unobserved engines).
 	rootSmp *obs.RootSampler
@@ -188,6 +193,17 @@ type Stage struct {
 	// emitSeq numbers this stage's emissions. Only the stage goroutine's
 	// emit paths touch it, so it needs no lock.
 	emitSeq uint64
+
+	// local accumulates the stage's counters between publishes; runLen
+	// counts the packets (consumed ones; emitted ones for a source) since a
+	// pop or push last took the blocking path, which is where the run ctx
+	// is consulted; arrivedNS caches the drain side's clock read for the
+	// covered packets that were already queued when it was taken. Confined
+	// to the stage goroutine; see publishLocal.
+	local     StageStats
+	runLen    int
+	arrivedNS int64
+	covered   int
 
 	// marks is the per-upstream consumed-sequence watermark table; non-nil
 	// means fault tolerance is on for this stage (see ft.go). Confined to
@@ -370,10 +386,11 @@ func (c *Context) ChargeCompute(d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	// The charge may sleep, so the run ends first (the one lock this call
+	// has always taken).
+	c.stage.local.ComputeCharged += d
+	c.stage.publishLocal()
 	c.stage.pacer.Charge(d)
-	c.stage.mu.Lock()
-	c.stage.stats.ComputeCharged += d
-	c.stage.mu.Unlock()
 }
 
 // Emitter sends packets to a stage's downstream neighbors. With a stage
@@ -389,13 +406,6 @@ type Emitter struct {
 	batch    int         // <= 1 means unbuffered
 	pending  [][]*Packet // per outbound edge, only when batch > 1
 	buffered int         // total pending entries across edges
-
-	// Emission stats accumulate goroutine-locally and flush to the shared
-	// StageStats under one lock acquisition per Flush instead of one per
-	// packet (flushStats). emitStallNS accumulates the wall time flushes
-	// spent pushing into a full downstream buffer (observed engines only).
-	pktsOut, itemsOut, bytesOut uint64
-	emitStallNS                 uint64
 
 	// poolMissed is the edge-trigger latch for pool-exhaustion flight
 	// events: set on the first refill that comes back empty, cleared by
@@ -476,22 +486,6 @@ func (e *Emitter) releaseFree() {
 	e.free = nil
 }
 
-// flushStats publishes the batch-local emission counters to the stage's
-// shared stats. No-op when nothing accumulated.
-func (e *Emitter) flushStats() {
-	if e.pktsOut == 0 && e.itemsOut == 0 && e.bytesOut == 0 && e.emitStallNS == 0 {
-		return
-	}
-	s := e.stage
-	s.mu.Lock()
-	s.stats.PacketsOut += e.pktsOut
-	s.stats.ItemsOut += e.itemsOut
-	s.stats.BytesOut += e.bytesOut
-	s.stats.EmitStall += time.Duration(e.emitStallNS)
-	s.mu.Unlock()
-	e.pktsOut, e.itemsOut, e.bytesOut, e.emitStallNS = 0, 0, 0, 0
-}
-
 func newEmitter(s *Stage, ctx context.Context) *Emitter {
 	e := &Emitter{stage: s, ctx: ctx, batch: s.cfg.BatchSize}
 	if e.batch > 1 {
@@ -557,9 +551,9 @@ func (e *Emitter) buffer(pkt *Packet, only int) error {
 		s.curForwarded = true
 	}
 	if !pkt.Final {
-		e.pktsOut++
-		e.itemsOut += uint64(pkt.ItemCount())
-		e.bytesOut += uint64(size)
+		s.local.PacketsOut++
+		s.local.ItemsOut += uint64(pkt.ItemCount())
+		s.local.BytesOut += uint64(size)
 	}
 
 	targets := 0
@@ -645,7 +639,7 @@ func (e *Emitter) Flush() error {
 		}
 		err := s.pushBatchPausable(e.ctx, out.to, deliver)
 		if full {
-			e.emitStallNS += uint64(time.Since(stallStart))
+			s.local.EmitStall += time.Since(stallStart)
 		} else if s.o != nil {
 			s.emitStalled = false
 		}
@@ -666,7 +660,7 @@ func (e *Emitter) Flush() error {
 				s.id, s.instance, out.to.id, out.to.instance, err)
 		}
 	}
-	e.flushStats()
+	s.publishLocal()
 	if sp.Sampled() {
 		sp.Annotate("packets", float64(sentPkts))
 		sp.Annotate("bytes", float64(sentBytes))
@@ -702,36 +696,64 @@ func (s *Stage) stampLineage(pkt *Packet) {
 	}
 }
 
-// observeLatency records a consumed packet into the stage's latency
-// scratches at virtual time nowNS (Unix nanoseconds): the per-hop latency
-// (upstream emission → consumption here, i.e. queue wait plus link
-// transfer) and the source-to-here latency since the lineage's Birth.
-// flushLatency publishes the scratches; the drain loops call it once per
-// batch and runInner guarantees a final flush on exit.
+// latencyScratch is a stage's pair of goroutine-local latency buffers: hop
+// (emission upstream → consumption here, i.e. queue wait plus link transfer)
+// and e2e (lineage Birth at a source → consumption here).
+type latencyScratch struct{ hop, e2e *obs.Scratch }
+
+// observeLatency records a consumed packet into the adopted scratches
+// (s.scr, non-nil) at virtual time nowNS (Unix nanoseconds); publishLocal
+// flushes them, once per run or drained batch.
 func (s *Stage) observeLatency(nowNS int64, pkt *Packet) {
-	hopOK := s.hopScr != nil && !pkt.Created.IsZero()
-	e2eOK := s.e2eScr != nil && !pkt.Birth.IsZero()
+	hopOK := !pkt.Created.IsZero()
+	e2eOK := !pkt.Birth.IsZero()
 	if hopOK && e2eOK && pkt.Birth == pkt.Created {
 		// First hop past the source: Birth is a field copy of Created,
 		// both series receive the same duration, so bucket it once.
 		// Deeper stages take the general path below.
-		obs.ObserveNSBoth(s.hopScr, s.e2eScr, nowNS-pkt.Created.UnixNano())
+		obs.ObserveNSBoth(s.scr.hop, s.scr.e2e, nowNS-pkt.Created.UnixNano())
 		return
 	}
 	if hopOK {
-		s.hopScr.ObserveNS(nowNS - pkt.Created.UnixNano())
+		s.scr.hop.ObserveNS(nowNS - pkt.Created.UnixNano())
 	}
 	if e2eOK {
-		s.e2eScr.ObserveNS(nowNS - pkt.Birth.UnixNano())
+		s.scr.e2e.ObserveNS(nowNS - pkt.Birth.UnixNano())
 	}
 }
 
-func (s *Stage) flushLatency() {
-	if s.hopScr != nil {
-		s.hopScr.Flush()
+// runLag is how many packets a running per-packet stage's published counters
+// may trail it by, and how many it handles between looks at the run ctx: past
+// that many fast-path packets the next pop or push takes the blocking path.
+const runLag = 15
+
+// publishLocal ends a run — the stretch of packets a per-packet stage
+// handles without giving time away, on goroutine-local bookkeeping: the
+// counters in s.local move to the shared stats under one lock, the latency
+// scratches flush, and the drain side's cached clock read is dropped. The
+// stage goroutine calls it before anything that can take time — a blocking
+// pop or push, a park, a link transfer, ChargeCompute, exit — so a blocked,
+// Paused or stopped stage reads exact and the cached read never spans this
+// stage moving (virtual) time. runLen is not reset here: only the blocking
+// pop and push look at the run ctx, so only they restart that count.
+func (s *Stage) publishLocal() {
+	if s.local != (StageStats{}) {
+		s.mu.Lock()
+		s.stats.PacketsIn += s.local.PacketsIn
+		s.stats.ItemsIn += s.local.ItemsIn
+		s.stats.PacketsOut += s.local.PacketsOut
+		s.stats.ItemsOut += s.local.ItemsOut
+		s.stats.BytesOut += s.local.BytesOut
+		s.stats.ComputeCharged += s.local.ComputeCharged
+		s.stats.EmitStall += s.local.EmitStall
+		s.stats.DupsDropped += s.local.DupsDropped
+		s.mu.Unlock()
+		s.local = StageStats{}
 	}
-	if s.e2eScr != nil {
-		s.e2eScr.Flush()
+	s.covered = 0
+	if s.scr != nil {
+		s.scr.hop.Flush()
+		s.scr.e2e.Flush()
 	}
 }
 
@@ -785,7 +807,6 @@ func (s *Stage) emit(ctx context.Context, pkt *Packet, only int) error {
 			pkt.retain(int32(targets - 1)) // one reference per edge
 		}
 	}
-	var stallNS uint64
 	for i, out := range s.outs {
 		if only >= 0 && i != only {
 			continue
@@ -798,19 +819,20 @@ func (s *Stage) emit(ctx context.Context, pkt *Packet, only int) error {
 			out.replay.record(pkt.Seq, pkt.Value, int(items), size)
 		}
 		l := out.link.Load()
-		if l != nil && l.Faulty() {
-			// Injected faults: the link decides drop/hold/deliver and
-			// the helper carries the consequences (held-packet release,
-			// final-marker protection).
-			if err := s.emitFaulty(ctx, out, l, pkt, size); err != nil {
-				return err
-			}
-			continue
-		}
-		// Broadcast shares one packet struct: stages must not mutate
-		// received packets. Link pacing first (transmission), then
-		// enqueue (may block on downstream backpressure).
 		if l != nil {
+			s.publishLocal() // a transfer takes (virtual) time: the run ends
+			if l.Faulty() {
+				// Injected faults: the link decides drop/hold/deliver and
+				// the helper carries the consequences (held-packet release,
+				// final-marker protection).
+				if err := s.emitFaulty(ctx, out, l, pkt, size); err != nil {
+					return err
+				}
+				continue
+			}
+			// Broadcast shares one packet struct: stages must not mutate
+			// received packets. Link pacing first (transmission), then
+			// enqueue (may block on downstream backpressure).
 			l.Transfer(size)
 		}
 		// Blocked-emit accounting as in Emitter.Flush: observed engines
@@ -823,7 +845,7 @@ func (s *Stage) emit(ctx context.Context, pkt *Packet, only int) error {
 		}
 		err := s.pushPausable(ctx, out.to, pkt)
 		if full {
-			stallNS += uint64(time.Since(stallStart))
+			s.local.EmitStall += time.Since(stallStart)
 		} else if s.o != nil {
 			s.emitStalled = false
 		}
@@ -839,15 +861,13 @@ func (s *Stage) emit(ctx context.Context, pkt *Packet, only int) error {
 				s.id, s.instance, out.to.id, out.to.instance, err)
 		}
 	}
-	if !final || stallNS > 0 {
-		s.mu.Lock()
-		if !final {
-			s.stats.PacketsOut++
-			s.stats.ItemsOut += items
-			s.stats.BytesOut += uint64(size)
+	if !final {
+		s.local.PacketsOut++
+		s.local.ItemsOut += items
+		s.local.BytesOut += uint64(size)
+		if s.src != nil {
+			s.runLen++ // a source's run is measured in emissions
 		}
-		s.stats.EmitStall += time.Duration(stallNS)
-		s.mu.Unlock()
 	}
 	return nil
 }
@@ -863,7 +883,16 @@ func (s *Stage) emit(ctx context.Context, pkt *Packet, only int) error {
 // this stage was parked, the consumer-side watermark drops the late
 // original as a duplicate. The park is flagged midEmit: state controllers
 // must not snapshot or restore across it (see PausedMidEmit).
+//
+// All of that is the slow path: while the run lasts and dst has room the push
+// is the ring's lock-free TryPush, and a pause that lands during it is seen
+// at the stage's next pop or emit boundary, as if it had arrived just after.
 func (s *Stage) pushPausable(ctx context.Context, dst *Stage, pkt *Packet) error {
+	if s.runLen < runLag && dst.in.TryPush(pkt) {
+		return nil
+	}
+	s.publishLocal()
+	s.runLen = 0
 	for {
 		err := dst.in.PushCtx(s.currentPopCtx(), pkt)
 		if err == nil || errors.Is(err, queue.ErrClosed) || ctx.Err() != nil {
@@ -952,12 +981,8 @@ func (s *Stage) runInner(ctx context.Context) error {
 	defer s.flushRecycle()
 	// Packets parked by reorder injection must not outlive the run.
 	defer s.releaseHeld()
-	// Unbatched emitters charge stats inline, buffered ones accumulate
-	// locally; publish whatever is still pending on the way out.
-	defer em.flushStats()
-	// Error paths can leave a partially drained batch's latency
-	// observations in the scratches; publish them on the way out.
-	defer s.flushLatency()
+	// A stopped stage reads exact, error paths included.
+	defer s.publishLocal()
 
 	if s.src != nil {
 		if err := s.src.Run(sctx, em); err != nil {
@@ -1036,13 +1061,23 @@ func (s *Stage) finishStream(em *Emitter) error {
 // drainOneByOne is the strict per-packet pop-process loop (BatchSize 1).
 // Each iteration is a pause boundary: a pending pause parks the goroutine
 // before the next pop, and a pop woken by a pause-canceled pop context
-// consumed nothing, so pausing never drops a packet.
+// consumed nothing, so pausing never drops a packet. While the run lasts
+// the pop is the ring's lock-free TryPop; an empty ring ends the run.
 func (s *Stage) drainOneByOne(ctx context.Context, sctx *Context, em *Emitter) error {
 	for {
 		if err := s.parkIfRequested(ctx); err != nil {
 			return fmt.Errorf("pipeline: %s/%d: %w", s.id, s.instance, err)
 		}
-		pkt, err := s.in.PopCtx(s.currentPopCtx())
+		var pkt *Packet
+		err := queue.ErrEmpty // past runLag: straight to the blocking pop
+		if s.runLen < runLag {
+			pkt, err = s.in.TryPop()
+		}
+		if err == queue.ErrEmpty {
+			s.publishLocal()
+			s.runLen = 0
+			pkt, err = s.in.PopCtx(s.currentPopCtx())
+		}
 		if errors.Is(err, queue.ErrClosed) {
 			return nil
 		}
@@ -1053,6 +1088,12 @@ func (s *Stage) drainOneByOne(ctx context.Context, sctx *Context, em *Emitter) e
 				continue
 			}
 			return fmt.Errorf("pipeline: %s/%d: %w", s.id, s.instance, err)
+		}
+		// The run's cached clock read reaches the packets that were queued
+		// when it was taken, markers and duplicates included.
+		timed := s.covered > 0
+		if timed {
+			s.covered--
 		}
 		if pkt.Final {
 			s.mu.Lock()
@@ -1069,20 +1110,27 @@ func (s *Stage) drainOneByOne(ctx context.Context, sctx *Context, em *Emitter) e
 			// Replay overlap or re-delivery: already consumed per the
 			// upstream watermark. Dropping here, before the stats and
 			// Process, is what makes redelivered intervals effectively-once.
-			s.mu.Lock()
-			s.stats.DupsDropped++
-			s.mu.Unlock()
+			s.local.DupsDropped++
 			s.recycleLocal(pkt)
 			continue
 		}
 		items := uint64(pkt.ItemCount())
-		s.mu.Lock()
-		s.stats.PacketsIn++
-		s.stats.ItemsIn += items
-		s.mu.Unlock()
-		if s.hopScr != nil || s.e2eScr != nil {
-			s.observeLatency(s.clk.Now().UnixNano(), pkt)
-			s.flushLatency()
+		s.local.PacketsIn++
+		s.local.ItemsIn += items
+		s.runLen++
+		if !timed {
+			// Adopt the scratches and read the clock for this packet and
+			// the ones queued behind it, as drainBatched does per batch:
+			// they have all arrived, and on a real clock the run's wall
+			// time from here to their pop is the wait they are not
+			// charged. A packet pushed later gets a read of its own.
+			if s.scr = s.lat.Load(); s.scr != nil {
+				s.covered = s.in.Len()
+				s.arrivedNS = s.clk.Now().UnixNano()
+			}
+		}
+		if s.scr != nil {
+			s.observeLatency(s.arrivedNS, pkt)
 		}
 		// The cur* value copies survive the packet's recycling; they stay
 		// set through Finish so flushed state inherits the last consumed
@@ -1147,7 +1195,7 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 		// inside a batch is below the latency bucket resolution.
 		var arrivedNS int64
 		latOn := false
-		if (s.hopScr != nil || s.e2eScr != nil) && n > 0 {
+		if s.scr = s.lat.Load(); s.scr != nil && n > 0 {
 			arrivedNS = s.clk.Now().UnixNano()
 			latOn = true
 		}
@@ -1167,9 +1215,7 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 				continue
 			}
 			if s.marks != nil && s.dropDup(pkt) {
-				s.mu.Lock()
-				s.stats.DupsDropped++
-				s.mu.Unlock()
+				s.local.DupsDropped++
 				s.recycleLocal(pkt)
 				continue
 			}
@@ -1197,15 +1243,9 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 		// One batched ring operation returns the whole drained batch's
 		// packets to the pool.
 		s.flushRecycle()
-		if pktsIn > 0 {
-			s.mu.Lock()
-			s.stats.PacketsIn += pktsIn
-			s.stats.ItemsIn += itemsIn
-			s.mu.Unlock()
-		}
-		if latOn {
-			s.flushLatency()
-		}
+		s.local.PacketsIn += pktsIn
+		s.local.ItemsIn += itemsIn
+		s.publishLocal()
 		if err := em.Flush(); err != nil {
 			return err
 		}

@@ -75,12 +75,13 @@ func (c fullCtx) Err() error {
 // FuzzRingModel decodes data into a single-goroutine op sequence and runs it
 // against an SPSC ring, an MPSC ring and fifoModel. data[0] picks the
 // capacity; each following byte pair is (op, arg): push one, push a batch of
-// arg, try-pop, pop a batch of at most arg, close. After every op both rings
-// must agree with the model on what the op returned, on Len, on
+// arg, try-pop, pop a batch of at most arg, close, try-push. After every op
+// both rings must agree with the model on what the op returned, on Len, on
 // Stats().Pushed/Popped/HighWater, and Snapshot() must equal the model's
 // contents. The committed corpus covers wrap-around past the power-of-two
-// physical size at the default capacity 200, close with items queued, and a
-// batch larger than the free space.
+// physical size at the default capacity 200, close with items queued, a
+// batch larger than the free space, and TryPush against a full ring, across
+// the wrap and after Close.
 func FuzzRingModel(f *testing.F) {
 	f.Add([]byte{3, 1, 5, 2, 0, 0, 0, 4, 0, 3, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -94,7 +95,7 @@ func FuzzRingModel(f *testing.F) {
 		next := 0
 		dst := make([]int, 256)
 		for pc := 1; pc+1 < len(data); pc += 2 {
-			op, arg := data[pc]%5, int(data[pc+1])
+			op, arg := data[pc]%6, int(data[pc+1])
 			switch op {
 			case 0, 1: // push one / push a batch of arg
 				n := 1
@@ -154,6 +155,16 @@ func FuzzRingModel(f *testing.F) {
 				m.closed = true
 				for _, r := range rings {
 					r.Close()
+				}
+			case 5: // try-push: true exactly where a push of one would not wait or fail
+				v := next
+				next++
+				wantN, _ := m.push([]int{v})
+				for _, r := range rings {
+					if got := r.TryPush(v); got != (wantN == 1) {
+						t.Fatalf("op %d: TryPush (spsc=%v) = %v, model accepted %d",
+							pc/2, r.SPSC(), got, wantN)
+					}
 				}
 			}
 			for _, r := range rings {

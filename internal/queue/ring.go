@@ -496,6 +496,12 @@ func (r *Ring[T]) pushCtx(ctx context.Context, v T) error {
 	}
 }
 
+// TryPush appends v without blocking, reporting false when the ring is full
+// or closed (the caller's blocking Push tells the two apart).
+func (r *Ring[T]) TryPush(v T) bool {
+	return !r.closed.Load() && r.push1(v)
+}
+
 // PushBatch appends every item in order, blocking while full. On ErrClosed
 // a prefix may already have been accepted.
 func (r *Ring[T]) PushBatch(items []T) error {

@@ -218,6 +218,61 @@ func TestRingClose(t *testing.T) {
 	})
 }
 
+// TestRingTryPush: the non-blocking push behaves like Push wherever Push
+// would not wait — FIFO order, high-water mark, waking a parked popper — and
+// reports false, having inserted nothing, where Push would block or fail.
+func TestRingTryPush(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		r := k.mk(3)
+		for i := 0; i < 3; i++ {
+			if !r.TryPush(i) {
+				t.Fatalf("TryPush(%d) on a ring with space = false", i)
+			}
+		}
+		if r.TryPush(3) {
+			t.Fatal("TryPush on a full ring = true")
+		}
+		if st := r.Stats(); st.Pushed != 3 || st.HighWater != 3 || st.BlockedPushes != 0 {
+			t.Fatalf("after a refused TryPush: %+v, want 3 pushed, high water 3, nothing blocked", st)
+		}
+		if v, err := r.TryPop(); err != nil || v != 0 {
+			t.Fatalf("TryPop = (%d, %v), want the oldest TryPush", v, err)
+		}
+		if !r.TryPush(3) {
+			t.Fatal("TryPush after a pop freed a slot = false")
+		}
+		r.Pop()
+		r.Close()
+		if r.TryPush(4) {
+			t.Fatal("TryPush on a closed ring with space = true")
+		}
+		if got := r.Snapshot(); !reflect.DeepEqual(got, []int{2, 3}) {
+			t.Fatalf("contents after two refused pushes = %v, want [2 3]", got)
+		}
+		a := k.mk(4)
+		if allocs := testing.AllocsPerRun(100, func() { a.TryPush(9); a.TryPop() }); allocs != 0 {
+			t.Fatalf("TryPush+TryPop allocate %.0f times per pair", allocs)
+		}
+
+		// A popper parked on an empty ring is woken by TryPush.
+		e := k.mk(1)
+		got := make(chan int, 1)
+		go func() { v, _ := e.Pop(); got <- v }()
+		waitFor(t, func() bool { return e.Stats().BlockedPops == 1 })
+		if !e.TryPush(42) {
+			t.Fatal("TryPush on an empty ring = false")
+		}
+		select {
+		case v := <-got:
+			if v != 42 {
+				t.Fatalf("parked Pop woke with %d, want 42", v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("TryPush did not wake the parked popper")
+		}
+	})
+}
+
 func TestRingCloseWakesBlocked(t *testing.T) {
 	eachRing(t, func(t *testing.T, k ringKind) {
 		full, empty := k.mk(1), k.mk(1)

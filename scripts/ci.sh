@@ -2,7 +2,8 @@
 # The full CI lane: vet, static analysis (when staticcheck is installed),
 # build, plain tests, the race-detector lane, a coverage run emitting
 # coverage.out, a short benchmark smoke, and the observability-overhead
-# guard. Run from anywhere; it cds to the repo root.
+# guards (batch-16 micro pair, then the default path on the bench harness).
+# Run from anywhere; it cds to the repo root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,6 +20,7 @@ fi
 
 echo "== go build =="
 go build ./...
+test -z "$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
 
 echo "== go test =="
 go test ./...
@@ -337,5 +339,25 @@ END {
     printf "guard: untraced %.1f ns/op, observed %.1f ns/op, ratio %.3f (best of %d paired runs)\n", base_at, obs_at, ratio, n
     if (ratio > 1.35) { print "guard: observability overhead above 35% bound"; exit 1 }
 }'
+
+echo "== default-path overhead guard =="
+# The guard above pairs the batch-16 micro-benchmarks; what gates-node,
+# gates-launcher and every experiment run is the per-packet path at BatchSize
+# 1, whose observability tax was 1.60 before bookkeeping went per run
+# (DESIGN.md §6) and measures ~1.30 since. So run the benchmark harness's
+# traced inproc-defaults workload for 5 s and hold its own readings: obs-on
+# over obs-off throughput at most 1.45, and the pooled path still at its
+# ~0.08 allocations per packet.
+bash bench/run.sh --workload inproc-defaults --seed 7 --seconds 5 --trace 1 >/dev/null
+awk '
+/"obs.tax_ratio"/           { want = "tax"; next }
+/"pipeline.allocs_per_pkt"/ { want = "allocs"; next }
+want != "" && /"value"/     { gsub(/[^0-9.eE+-]/, "", $2); v[want] = $2 + 0; seen[want] = 1; want = "" }
+END {
+    if (!seen["tax"] || !seen["allocs"]) { print "guard: layer readings missing"; exit 1 }
+    printf "guard: inproc-defaults obs.tax_ratio %.3f (bound 1.45), pipeline.allocs_per_pkt %.3f (bound 0.1)\n", v["tax"], v["allocs"]
+    if (v["tax"] > 1.45) { print "guard: default-path observability tax above 1.45"; exit 1 }
+    if (v["allocs"] > 0.1) { print "guard: default path allocates per packet"; exit 1 }
+}' bench/out/layers-inproc-defaults.json
 
 echo "CI lane green"
