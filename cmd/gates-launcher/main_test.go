@@ -97,8 +97,17 @@ func TestRunClusterEndpoint(t *testing.T) {
 	if !gotLatency {
 		t.Fatalf("no latency summaries ever appeared in /cluster; last view: %+v", view)
 	}
-	if view.SLO.Violated {
-		t.Fatalf("1h SLO flagged violated: %+v", view.SLO)
+	// What the 1 h target makes certain is the latency objective. The flag
+	// itself may be up: comp-steer's analysis stage is a deliberate
+	// bottleneck, and the last poll can catch the queue-growth rule on it
+	// (that rule's own scenario is obs.TestSLOMonitorQueueGrowthEpochs).
+	if view.SLO.SinkP99 > view.SLO.TargetP99 {
+		t.Fatalf("sink p99 %v above the 1h target %v: %+v", view.SLO.SinkP99, view.SLO.TargetP99, view.SLO)
+	}
+	for _, reason := range view.SLO.Reasons {
+		if strings.Contains(reason, "sink p99") {
+			t.Fatalf("1h latency objective flagged violated: %+v", view.SLO)
+		}
 	}
 	var sb strings.Builder
 	view.Render(&sb)

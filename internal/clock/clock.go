@@ -44,8 +44,27 @@ type Real struct{}
 // NewReal returns a wall-clock Clock.
 func NewReal() Real { return Real{} }
 
-// Now implements Clock.
-func (Real) Now() time.Time { return time.Now() }
+// realAnchor is the process-wide time.Now() reading that Real.Now offsets
+// from; realAnchorMaxAge is how old it may grow before it is taken again,
+// and so how long a stepped wall clock can go unfollowed.
+var realAnchor atomic.Pointer[time.Time]
+
+const realAnchorMaxAge = time.Second
+
+// Now implements Clock. It is the anchor plus the monotonic time since it:
+// one monotonic clock read where time.Now makes a wall and a monotonic one
+// (every packet stamp pays this). The value carries a monotonic reading like
+// time.Now's, and by monotonic comparison never runs backwards.
+func (Real) Now() time.Time {
+	if a := realAnchor.Load(); a != nil {
+		if d := time.Since(*a); d < realAnchorMaxAge {
+			return a.Add(d)
+		}
+	}
+	now := time.Now()
+	realAnchor.Store(&now)
+	return now
+}
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) {
@@ -55,10 +74,10 @@ func (Real) Sleep(d time.Duration) {
 }
 
 // After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time {
+func (r Real) After(d time.Duration) <-chan time.Time {
 	if d <= 0 {
 		ch := make(chan time.Time, 1)
-		ch <- time.Now()
+		ch <- r.Now()
 		return ch
 	}
 	return time.After(d)

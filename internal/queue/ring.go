@@ -23,8 +23,9 @@ type ringSlot[T any] struct {
 // The fast path is purely atomic: a Vyukov-style slot-sequence ring with the
 // producer's capacity check gated on the consumer cursor, so claimed slots
 // are always already released. Producers and the consumer park on a
-// mutex+condvar only when the ring is full/empty, with atomic waiter counts
-// so the non-blocked side pays one atomic load to know nobody needs waking.
+// mutex+condvar only when the ring is full/empty, with atomic counts of the
+// waiters still owed a wakeup, so the non-blocked side pays one atomic load
+// to know nobody needs waking — or that the wakeup has already been sent.
 //
 // Push* fails with ErrClosed after Close, Pop* drains then fails with
 // ErrClosed, ctx variants return ctx.Err() on cancellation without consuming
@@ -61,11 +62,14 @@ type Ring[T any] struct {
 	pushStallNS atomic.Uint64
 	popStallNS  atomic.Uint64
 
-	// Parking slow path. pushWaiters/popWaiters are incremented under mu
-	// before re-checking the predicate (the condvar wait holds mu until
-	// the goroutine is suspended), and the fast path's publish/release
-	// stores precede its waiter-count load, so the Dekker pair guarantees
-	// either the waiter sees the new cursor or the mover sees the waiter.
+	// Parking slow path. pushWaiters/popWaiters count the goroutines parked
+	// and not yet signalled. A waiter increments under mu before every
+	// re-check of the predicate (the condvar wait holds mu until the
+	// goroutine is suspended), and the fast path's publish/release stores
+	// precede its waiter-count load, so the Dekker pair guarantees either
+	// the waiter sees the new cursor or the mover sees the waiter. Whoever
+	// broadcasts zeroes the count under mu, so a peer that has been readied
+	// but has not run yet costs the next mover one atomic load, not the lock.
 	mu          sync.Mutex
 	notFull     *sync.Cond
 	notEmpty    *sync.Cond
@@ -172,10 +176,18 @@ func (r *Ring[T]) Snapshot() []T {
 func (r *Ring[T]) Close() {
 	r.mu.Lock()
 	if !r.closed.Swap(true) {
-		r.notFull.Broadcast()
-		r.notEmpty.Broadcast()
+		r.wakeAllLocked()
 	}
 	r.mu.Unlock()
+}
+
+// wakeAllLocked signals every parked producer and consumer. Caller holds
+// r.mu.
+func (r *Ring[T]) wakeAllLocked() {
+	r.pushWaiters.Store(0)
+	r.popWaiters.Store(0)
+	r.notFull.Broadcast()
+	r.notEmpty.Broadcast()
 }
 
 // --- lock-free core ---
@@ -277,6 +289,7 @@ func (r *Ring[T]) afterPush() {
 	}
 	if r.popWaiters.Load() > 0 {
 		r.mu.Lock()
+		r.popWaiters.Store(0)
 		r.notEmpty.Broadcast()
 		r.mu.Unlock()
 	}
@@ -345,6 +358,7 @@ func (r *Ring[T]) popN(dst []T, max int) int {
 func (r *Ring[T]) afterPop() {
 	if r.pushWaiters.Load() > 0 {
 		r.mu.Lock()
+		r.pushWaiters.Store(0)
 		r.notFull.Broadcast()
 		r.mu.Unlock()
 	}
@@ -404,8 +418,7 @@ func (r *Ring[T]) watch(ctx context.Context) {
 		// The broadcast synchronizes on r.mu: a waiter that re-checked
 		// its predicate but has not yet suspended still holds the lock,
 		// so this wakeup cannot be missed.
-		r.notFull.Broadcast()
-		r.notEmpty.Broadcast()
+		r.wakeAllLocked()
 		r.mu.Unlock()
 	}()
 }
@@ -424,6 +437,7 @@ func (r *Ring[T]) waitNotFull(ctx context.Context) error {
 			stall = time.Now()
 		}
 		r.notFull.Wait()
+		r.pushWaiters.Add(1) // the broadcaster zeroed the count: announce again, then re-check
 	}
 	if waited {
 		r.pushStallNS.Add(uint64(time.Since(stall)))
@@ -457,6 +471,7 @@ func (r *Ring[T]) waitNotEmpty(ctx context.Context) error {
 			stall = time.Now()
 		}
 		r.notEmpty.Wait()
+		r.popWaiters.Add(1) // as in waitNotFull
 	}
 	if waited {
 		r.popStallNS.Add(uint64(time.Since(stall)))

@@ -581,6 +581,231 @@ func TestRingCancelDoesNotSwallowWakeup(t *testing.T) {
 	}
 }
 
+// owedWakeups reads the two waiter counts under r.mu, where a waiter's
+// announce-then-re-check is atomic: what is left is exactly the goroutines
+// parked in Wait that nobody has signalled yet.
+func owedWakeups(r *Ring[int]) (push, pop int32) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.pushWaiters.Load(), r.popWaiters.Load()
+}
+
+func wantOwed(t *testing.T, r *Ring[int], when string, wantPush, wantPop int32) {
+	t.Helper()
+	if push, pop := owedWakeups(r); push != wantPush || pop != wantPop {
+		t.Fatalf("%s: pushWaiters=%d popWaiters=%d, want %d and %d", when, push, pop, wantPush, wantPop)
+	}
+}
+
+func waitParked(t *testing.T, r *Ring[int], wantPush, wantPop int32) {
+	t.Helper()
+	waitFor(t, func() bool {
+		push, pop := owedWakeups(r)
+		return push == wantPush && pop == wantPop
+	})
+}
+
+// TestRingWakeSentOnce: the mover that finds a parked peer signals it and
+// clears the count, so the count is 0 when that move returns whether or not
+// the peer has run — and a second move made while the peer is readied but
+// held off the lock does not touch r.mu at all.
+func TestRingWakeSentOnce(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		t.Run("parked popper", func(t *testing.T) {
+			r := k.mk(4)
+			popped := make(chan int, 1)
+			go func() { v, _ := r.Pop(); popped <- v }()
+			waitParked(t, r, 0, 1)
+			r.Push(7)
+			wantOwed(t, r, "after the push that woke the popper", 0, 0)
+
+			r.mu.Lock() // the popper, if it has not run yet, now cannot
+			second := make(chan error, 1)
+			go func() { second <- r.Push(8) }()
+			err := waitErr(t, second, "a push after the wakeup was sent took r.mu")
+			r.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := <-popped; v != 7 {
+				t.Fatalf("Pop = %d, want 7", v)
+			}
+			wantOwed(t, r, "after the popper ran", 0, 0)
+		})
+		t.Run("parked pusher", func(t *testing.T) {
+			r := k.mk(2)
+			r.Push(1)
+			r.Push(2)
+			pushed := make(chan error, 1)
+			go func() { pushed <- r.Push(3) }()
+			waitParked(t, r, 1, 0)
+			if v, err := r.Pop(); err != nil || v != 1 {
+				t.Fatalf("Pop = (%d, %v)", v, err)
+			}
+			wantOwed(t, r, "after the pop that woke the pusher", 0, 0)
+
+			r.mu.Lock()
+			second := make(chan error, 1)
+			go func() { _, err := r.TryPop(); second <- err }()
+			err := waitErr(t, second, "a pop after the wakeup was sent took r.mu")
+			r.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := waitErr(t, pushed, "parked Push"); err != nil {
+				t.Fatal(err)
+			}
+			wantOwed(t, r, "after the pusher ran", 0, 0)
+		})
+	})
+}
+
+// TestRingParkedProducersAllFinish: one pop wakes every parked producer and
+// clears the count; the ones that lose the slot announce themselves again and
+// are woken by the next pop.
+func TestRingParkedProducersAllFinish(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		producers := int32(min(k.producers, 2))
+		r := k.mk(1)
+		r.Push(-1)
+		done := make(chan error, producers)
+		for p := int32(0); p < producers; p++ {
+			go func() { done <- r.Push(int(p)) }()
+		}
+		waitParked(t, r, producers, 0)
+		seen := map[int]bool{}
+		for left := producers; ; left-- {
+			v, err := r.Pop()
+			if err != nil {
+				t.Fatalf("Pop: %v", err)
+			}
+			seen[v] = true
+			if left == 0 {
+				break
+			}
+			if err := waitErr(t, done, "a parked producer never got the slot"); err != nil {
+				t.Fatal(err)
+			}
+			waitParked(t, r, left-1, 0) // the losers are back in Wait, counted once each
+		}
+		if len(seen) != int(producers)+1 {
+			t.Fatalf("popped %v, want -1 and one value per producer", seen)
+		}
+		wantOwed(t, r, "after every producer finished", 0, 0)
+	})
+}
+
+// TestRingCloseAndCancelClearWaiterCounts: Close and a canceled context are
+// broadcasts like any other — counts at 0 when they return, and still 0 once
+// the waiters have left.
+func TestRingCloseAndCancelClearWaiterCounts(t *testing.T) {
+	eachRing(t, func(t *testing.T, k ringKind) {
+		for _, wake := range []string{"close", "cancel"} {
+			for _, side := range []string{"popper", "pusher"} {
+				t.Run(wake+"/"+side, func(t *testing.T) {
+					r := k.mk(1)
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					left := make(chan error, 1)
+					if side == "popper" {
+						go func() { _, err := r.PopCtx(ctx); left <- err }()
+						waitParked(t, r, 0, 1)
+					} else {
+						r.Push(0)
+						go func() { left <- r.PushCtx(ctx, 1) }()
+						waitParked(t, r, 1, 0)
+					}
+					want := ErrClosed
+					if wake == "close" {
+						r.Close()
+						wantOwed(t, r, "when Close returned", 0, 0)
+					} else {
+						want = context.Canceled
+						cancel()
+						waitParked(t, r, 0, 0) // the watcher goroutine broadcasts
+					}
+					if err := waitErr(t, left, "parked "+side); !errors.Is(err, want) {
+						t.Fatalf("parked %s returned %v, want %v", side, err, want)
+					}
+					wantOwed(t, r, "after the waiter left", 0, 0)
+				})
+			}
+		}
+	})
+}
+
+// TestRingRewokenAfterFalseWakeup: a waiter woken with its predicate still
+// false (here by a bare broadcast, as another context's watcher would send)
+// announces itself again before it re-checks, so the next move wakes it —
+// whether that move comes after it is back in Wait or while it is still on
+// its way there.
+func TestRingRewokenAfterFalseWakeup(t *testing.T) {
+	falseWakeup := func(r *Ring[int]) {
+		r.mu.Lock()
+		r.wakeAllLocked()
+		r.mu.Unlock()
+	}
+	eachRing(t, func(t *testing.T, k ringKind) {
+		t.Run("popper", func(t *testing.T) {
+			r := k.mk(2)
+			popped := make(chan int)
+			go func() {
+				for {
+					v, err := r.Pop()
+					if err != nil {
+						close(popped)
+						return
+					}
+					popped <- v
+				}
+			}()
+			for i := 0; i < 200; i++ {
+				waitParked(t, r, 0, 1)
+				falseWakeup(r)
+				if i%2 == 0 {
+					waitParked(t, r, 0, 1)
+				}
+				r.Push(i)
+				select {
+				case v := <-popped:
+					if v != i {
+						t.Fatalf("Pop = %d, want %d", v, i)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("round %d: wakeup lost, the popper never saw the push", i)
+				}
+			}
+			r.Close()
+			<-popped
+			wantOwed(t, r, "at the end", 0, 0)
+		})
+		t.Run("pusher", func(t *testing.T) {
+			r := k.mk(1)
+			r.Push(-1)
+			pushed := make(chan error)
+			go func() {
+				for i := 0; i < 200; i++ {
+					pushed <- r.Push(i)
+				}
+			}()
+			for i := 0; i < 200; i++ {
+				waitParked(t, r, 1, 0)
+				falseWakeup(r)
+				if i%2 == 0 {
+					waitParked(t, r, 1, 0)
+				}
+				if v, err := r.Pop(); err != nil || v != i-1 {
+					t.Fatalf("Pop = (%d, %v), want %d", v, err, i-1)
+				}
+				if err := waitErr(t, pushed, "wakeup lost: the pusher never saw the pop"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantOwed(t, r, "at the end", 0, 0)
+		})
+	})
+}
+
 // TestRingSnapshot checks Snapshot returns the queued items in FIFO order
 // without consuming them, including after the cursors wrap.
 func TestRingSnapshot(t *testing.T) {
