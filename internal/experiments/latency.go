@@ -29,7 +29,8 @@ type LatencyRow struct {
 	// uncontended two-stage hot path with this much tracing attached.
 	NsPerItem float64 `json:"nsPerItem"`
 	// SpansStarted and SpansSampled are the tracer counters after the hot
-	// run: started grows with every operation, sampled at the 1-in-N
+	// run: started counts every operation as of each site's last sampled
+	// span (so it trails by fewer than N a site), sampled the 1-in-N
 	// cadence.
 	SpansStarted uint64 `json:"spansStarted"`
 	SpansSampled uint64 `json:"spansSampled"`

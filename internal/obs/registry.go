@@ -637,17 +637,21 @@ func (h *Histogram) addSum(v float64) {
 
 // Scratch is a goroutine-local observation buffer over one histogram.
 // Per-packet hot loops cannot afford the shared histogram's atomics, so a
-// stage buckets every observation here — an integer subtract, a table
-// lookup, a bounded scan, no atomics — and Flush folds the accumulated
-// counts into the histogram with one atomic add per *touched* bucket per
-// batch. Every observation is still recorded individually; only the
-// cross-goroutine hand-off is coalesced. Not safe for concurrent use: one
-// Scratch belongs to one goroutine.
+// stage buckets every observation here — an integer subtract, two compares
+// on the previous one's bucket or else a table lookup and a bounded scan, no
+// atomics — and Flush folds the accumulated counts into the histogram with
+// one atomic add per *touched* bucket per batch. Every observation is still
+// recorded individually; only the cross-goroutine hand-off is coalesced. Not
+// safe for concurrent use: one Scratch belongs to one goroutine.
 type Scratch struct {
 	h       *Histogram
 	counts  []uint32
 	touched []int32
 	sumNS   int64
+	// The last bucket bucketIndexNS named: durations in (lo, hi] land in at,
+	// as nearly all of a run's do. The zero value matches nothing.
+	lo, hi int64
+	at     int
 }
 
 // Scratch returns a new observation buffer feeding this histogram.
@@ -657,7 +661,23 @@ func (h *Histogram) Scratch() *Scratch {
 
 // ObserveNS records a duration in nanoseconds.
 func (s *Scratch) ObserveNS(ns int64) {
-	s.observeAt(s.h.bucketIndexNS(ns), ns)
+	s.observeAt(s.index(ns), ns)
+}
+
+// index is bucketIndexNS behind the one-entry memo.
+func (s *Scratch) index(ns int64) int {
+	if ns > s.lo && ns <= s.hi {
+		return s.at
+	}
+	s.at = s.h.bucketIndexNS(ns)
+	s.lo, s.hi = math.MinInt64, math.MaxInt64
+	if s.at > 0 {
+		s.lo = s.h.nsBounds[s.at-1]
+	}
+	if s.at < len(s.h.nsBounds) {
+		s.hi = s.h.nsBounds[s.at]
+	}
+	return s.at
 }
 
 func (s *Scratch) observeAt(i int, ns int64) {
@@ -673,7 +693,7 @@ func (s *Scratch) observeAt(i int, ns int64) {
 // — as a stage's hop/e2e latency pair does — where the first hop past a
 // source observes the same value twice.
 func ObserveNSBoth(a, b *Scratch, ns int64) {
-	i := a.h.bucketIndexNS(ns)
+	i := a.index(ns)
 	a.observeAt(i, ns)
 	b.observeAt(i, ns)
 }

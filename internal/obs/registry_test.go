@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -173,5 +176,116 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if _, count, _ := h.State(); count != 8000 {
 		t.Fatalf("histogram count %v, want 8000", count)
+	}
+}
+
+// TestScratchMemoDifferential drives the one-entry bucket memo in front of
+// bucketIndexNS through a stream that keeps hitting and missing it — each
+// bound's neighbours, the ends, zero, negatives, then seeded random durations
+// — and checks that every observation lands in the bucket sort.SearchFloat64s
+// names over the nanosecond bounds: through ObserveNS and through
+// ObserveNSBoth, on a zero-value memo and right after a Flush. What Flush
+// publishes must equal a plain Histogram.Observe replay.
+func TestScratchMemoDifferential(t *testing.T) {
+	linear := make([]float64, 40)
+	for i := range linear {
+		linear[i] = float64(i+1) * 250e-6
+	}
+	for _, layout := range []struct {
+		name   string
+		bounds []float64
+	}{{"latency", LatencyBuckets}, {"linear", linear}} {
+		t.Run(layout.name, func(t *testing.T) {
+			ref := newHistogram(layout.bounds)
+			nb := ref.nsBounds
+			nsf := make([]float64, len(nb))
+			for i, b := range nb {
+				nsf[i] = float64(b)
+			}
+			first, last := nb[0], nb[len(nb)-1]
+			stream := []int64{0, -1, -1e6, first - 5, first / 2, last + 5}
+			for _, b := range nb {
+				stream = append(stream, b-1, b, b+1, b, b-1) // up across the bound and back down
+			}
+			rng := rand.New(rand.NewSource(20260101))
+			for i := 0; i < 10000; i++ {
+				// Log-uniform from well under the first bound to past the
+				// last, in runs of one to four near-equal values, so
+				// consecutive draws share a bucket about as often as not.
+				ns := int64(math.Exp(rng.Float64() * math.Log(float64(2*last))))
+				for n := rng.Intn(4); n >= 0; n-- {
+					stream = append(stream, ns+int64(n))
+				}
+			}
+
+			single := newHistogram(layout.bounds)
+			pairA, pairB := newHistogram(layout.bounds), newHistogram(layout.bounds)
+			one, a, b := single.Scratch(), pairA.Scratch(), pairB.Scratch()
+			landed := func(how string, ns int64, want int, observe func(), scrs ...*Scratch) {
+				t.Helper()
+				before := make([]uint32, len(scrs))
+				for k, scr := range scrs {
+					before[k] = scr.counts[want]
+				}
+				observe()
+				for k, scr := range scrs {
+					if scr.counts[want] != before[k]+1 {
+						t.Fatalf("%s(%d) did not land in bucket %d (bounds %v..%v)",
+							how, ns, want, nsf[max(want-1, 0)], nsf[min(want, len(nsf)-1)])
+					}
+				}
+			}
+			// The memo's open ends are the int64 extremes (kept out of the stream:
+			// they would swamp the float sum the replay is compared on).
+			ends := newHistogram(layout.bounds).Scratch()
+			for _, ns := range []int64{first, math.MinInt64, last + 1, math.MaxInt64, math.MinInt64} {
+				want := sort.SearchFloat64s(nsf, float64(ns))
+				landed("ObserveNS", ns, want, func() { ends.ObserveNS(ns) }, ends)
+			}
+			var hits int
+			for k, ns := range stream {
+				want := sort.SearchFloat64s(nsf, float64(ns))
+				if ns > one.lo && ns <= one.hi {
+					hits++
+				}
+				landed("ObserveNS", ns, want, func() { one.ObserveNS(ns) }, one)
+				landed("ObserveNSBoth", ns, want, func() { ObserveNSBoth(a, b, ns) }, a, b)
+				fresh := single.Scratch() // zero-value memo; never flushed
+				landed("fresh ObserveNS", ns, want, func() { fresh.ObserveNS(ns) }, fresh)
+				if k%97 == 0 {
+					one.Flush()
+					a.Flush()
+					b.Flush()
+				}
+				v := float64(ns) * 1e-9
+				if want < len(nb) && ns == nb[want] {
+					v = layout.bounds[want] // a duration on a bound is that bound, however the product rounds
+				}
+				ref.Observe(v)
+			}
+			if misses := len(stream) - hits; hits < len(stream)/10 || misses < len(stream)/10 {
+				t.Fatalf("stream does not exercise the memo: %d hits, %d misses", hits, misses)
+			}
+			one.Flush()
+			a.Flush()
+			b.Flush()
+
+			wantSum, wantCount, wantBuckets := ref.State()
+			for name, h := range map[string]*Histogram{"ObserveNS": single, "Both/a": pairA, "Both/b": pairB} {
+				sum, count, buckets := h.State()
+				if count != wantCount {
+					t.Fatalf("%s: count %d, Observe replay %d", name, count, wantCount)
+				}
+				for i := range buckets {
+					if buckets[i].Count != wantBuckets[i].Count {
+						t.Fatalf("%s: cumulative bucket %d (<= %g) = %d, Observe replay %d",
+							name, i, float64(buckets[i].UpperBound), buckets[i].Count, wantBuckets[i].Count)
+					}
+				}
+				if math.Abs(sum-wantSum) > math.Abs(wantSum)*1e-9 {
+					t.Fatalf("%s: sum %g, Observe replay %g", name, sum, wantSum)
+				}
+			}
+		})
 	}
 }

@@ -16,10 +16,10 @@ const DefaultSampleEvery = 64
 const DefaultTraceCapacity = 256
 
 // Tracer samples lightweight spans on the hot data path. The unsampled
-// fast path is one atomic increment and a branch — no clock read, no
-// allocation — so instrumenting a per-batch loop costs effectively nothing
-// between samples. Sampled spans read the virtual clock at start and end
-// and land in a bounded ring.
+// fast path is one atomic increment and a branch (an Op's: a plain one) —
+// no clock read, no allocation — so instrumenting a per-batch loop costs
+// effectively nothing between samples. Sampled spans read the virtual clock
+// at start and end and land in a bounded ring.
 //
 // A nil *Tracer is valid: Start returns an inert span.
 type Tracer struct {
@@ -76,20 +76,21 @@ func (t *Tracer) Start(name string) Span {
 
 // Op is a per-call-site sampling handle. Start on a shared Tracer bounces
 // one cache line between every hot goroutine in the process; an Op gives a
-// call site its own padded counter, so concurrent stages sample
-// independently at full speed. Create one per instrumented site at setup
-// time and reuse it. A nil *Op (from a nil or disabled tracer) starts inert
-// spans.
+// call site a cadence of its own, so concurrent stages sample independently
+// at full speed. An Op belongs to the one goroutine that starts its spans —
+// the cadence is kept in plain words, so sharing one between goroutines is a
+// bug (a site several goroutines reach uses Tracer.Start). Create one per
+// instrumented site at setup time and reuse it. A nil *Op (from a nil or
+// disabled tracer) starts inert spans.
 type Op struct {
 	t    *Tracer
 	name string
-	// pow2/mask turn the cadence check into a bitmask when every is a
-	// power of two (it is for the default 64 and the common overrides),
-	// sparing the unsampled fast path a runtime integer division.
-	pow2 bool
-	mask uint64
-	seq  atomic.Uint64
-	_    [48]byte // pad Op past a cache line; hot counters must not false-share
+	// n counts the spans this site has started and next is the count past
+	// which one is sampled; both are the owner's alone. seq is n as of the
+	// last sampled span — what Counts reads, trailing n by fewer than every.
+	n, next uint64
+	seq     atomic.Uint64
+	_       [16]byte // pad Op to one 64-byte cache line; hot counters must not false-share
 }
 
 // Op returns a sampling handle for one call site. Each handle samples on
@@ -99,29 +100,38 @@ func (t *Tracer) Op(name string) *Op {
 		return nil
 	}
 	op := &Op{t: t, name: name}
-	if t.every&(t.every-1) == 0 {
-		op.pow2, op.mask = true, t.every-1
-	}
 	t.mu.Lock()
 	t.ops = append(t.ops, op)
 	t.mu.Unlock()
 	return op
 }
 
-// Start begins a span on this call site's cadence; between samples it
-// returns an inert span at the cost of one uncontended atomic increment.
+// Start begins a span on this call site's cadence: Due, then Begin when it
+// is. A per-packet site asks Due itself and keeps Begin, and the 88-byte Span
+// it returns, in a function only the sampled iteration calls.
 func (o *Op) Start() Span {
+	if !o.Due() {
+		return Span{}
+	}
+	return o.Begin()
+}
+
+// Due counts one span on this site's cadence and reports whether it is the
+// sampled one, which the caller then starts with Begin. Between samples that
+// is an increment and a compare of the owner's own words — small enough to
+// inline, no atomic, no clock read, no Span. False on a nil Op.
+func (o *Op) Due() bool {
 	if o == nil {
-		return Span{}
+		return false
 	}
-	n := o.seq.Add(1)
-	if o.pow2 {
-		if (n-1)&o.mask != 0 {
-			return Span{}
-		}
-	} else if (n-1)%o.t.every != 0 {
-		return Span{}
-	}
+	o.n++
+	return o.n > o.next
+}
+
+// Begin starts the sampled span Due just called for and opens the next period.
+func (o *Op) Begin() Span {
+	o.next += o.t.every
+	o.seq.Store(o.n)
 	return Span{t: o.t, name: o.name, start: o.t.clk.Now()}
 }
 
@@ -203,11 +213,14 @@ func (r *RootSampler) Sample() (uint64, bool) {
 }
 
 // Counts returns how many spans were started (across Start and every Op)
-// and how many were recorded.
+// and how many were recorded. An Op publishes its count when it samples, so
+// started trails a running site by fewer than SampleEvery spans; sampled is
+// read first, so a concurrent reader never sees it above started.
 func (t *Tracer) Counts() (started, sampled uint64) {
 	if t == nil {
 		return 0, 0
 	}
+	sampled = t.sampled.Load()
 	started = t.seq.Load()
 	t.mu.Lock()
 	ops := t.ops
@@ -215,7 +228,7 @@ func (t *Tracer) Counts() (started, sampled uint64) {
 	for _, op := range ops {
 		started += op.seq.Load()
 	}
-	return started, t.sampled.Load()
+	return started, sampled
 }
 
 // Spans returns the retained spans, oldest first.

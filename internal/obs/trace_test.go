@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -98,29 +99,104 @@ func TestSpanDoubleEndRecordsOnce(t *testing.T) {
 	}
 }
 
+// TestTracerOpCadence pins an Op's contract for a power-of-two period, one
+// that is not (there is one code path, so it gets a row, not a branch) and
+// the record-everything period: the first span is sampled, then exactly one
+// in every; Counts' started is exact right after a sampled span, trails a
+// running site by fewer than every between them and never reads below
+// sampled; and every Op keeps a cadence of its own.
 func TestTracerOpCadence(t *testing.T) {
-	tr := NewTracer(clock.NewManual(), 4, 16)
-	a, b := tr.Op("a"), tr.Op("b")
-	var aSampled int
-	for i := 0; i < 8; i++ {
-		if sp := a.Start(); sp.Sampled() {
-			aSampled++
+	for _, every := range []int{1, 3, 64} {
+		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
+			tr := NewTracer(clock.NewManual(), every, 16)
+			op := tr.Op("a")
+			for i := 0; i < 5*every+2; i++ {
+				sp := op.Start()
+				wasSampled := sp.Sampled()
+				if want := i%every == 0; wasSampled != want {
+					t.Fatalf("span %d: sampled = %v, want %v", i, wasSampled, want)
+				}
+				sp.End()
+				started, sampled := tr.Counts()
+				if wantSampled := uint64(i/every + 1); sampled != wantSampled {
+					t.Fatalf("after span %d: sampled = %d, want %d", i, sampled, wantSampled)
+				}
+				real := uint64(i + 1)
+				if wasSampled && started != real {
+					t.Fatalf("right after sampled span %d: started = %d, want %d", i, started, real)
+				}
+				if started > real || real-started >= uint64(every) || started < sampled {
+					t.Fatalf("after span %d: started = %d with %d really started, %d sampled, every %d",
+						i, started, real, sampled, every)
+				}
+			}
+			// b's first span is sampled however many a has burned.
+			before, _ := tr.Counts()
+			sp := tr.Op("b").Start()
+			if !sp.Sampled() {
+				t.Fatal("a second op's first span not sampled")
+			}
+			sp.End()
+			if started, _ := tr.Counts(); started != before+1 {
+				t.Fatalf("started = %d after a second op's first span, want %d", started, before+1)
+			}
+		})
+	}
+}
+
+// TestTracerOpDueBegin checks the split form per-packet sites use: Due counts
+// the span whether or not it is the sampled one, and Begin starts exactly the
+// spans Due called for.
+func TestTracerOpDueBegin(t *testing.T) {
+	tr := NewTracer(clock.NewManual(), 3, 16)
+	op := tr.Op("x")
+	var due int
+	for i := 0; i < 9; i++ {
+		if op.Due() {
+			due++
+			sp := op.Begin()
+			if !sp.Sampled() {
+				t.Fatalf("span %d: Begin returned an inert span", i)
+			}
 			sp.End()
 		}
 	}
-	if aSampled != 2 {
-		t.Fatalf("op a sampled %d of 8 at 1-in-4, want 2", aSampled)
+	if started, sampled := tr.Counts(); due != 3 || sampled != 3 || started != 7 {
+		t.Fatalf("due %d, Counts() = %d started, %d sampled; want 3, 7, 3", due, started, sampled)
 	}
-	// Each op samples on its own cadence: b's first span is sampled even
-	// though a has already burned eight.
-	if sp := b.Start(); !sp.Sampled() {
-		t.Fatal("op b's first span not sampled")
-	} else {
-		sp.End()
+}
+
+// TestTracerOpCountsWhileRunning is the one sharing an Op allows: its owner
+// starts spans while another goroutine reads Counts. Run under -race.
+func TestTracerOpCountsWhileRunning(t *testing.T) {
+	const spans, every = 100000, 64
+	tr := NewTracer(clock.NewManual(), every, 16)
+	op := tr.Op("hot")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < spans; i++ {
+			if op.Due() {
+				sp := op.Begin()
+				sp.End()
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if started, sampled := tr.Counts(); started > spans || started < sampled {
+			t.Fatalf("Counts() = %d started, %d sampled of %d", started, sampled, spans)
+		}
 	}
+	wantSampled := uint64((spans + every - 1) / every)
 	started, sampled := tr.Counts()
-	if started != 9 || sampled != 3 {
-		t.Fatalf("Counts() = %d started, %d sampled, want 9, 3", started, sampled)
+	if sampled != wantSampled || started != (wantSampled-1)*every+1 {
+		t.Fatalf("final Counts() = %d started, %d sampled; want %d, %d",
+			started, sampled, (wantSampled-1)*every+1, wantSampled)
 	}
 }
 
@@ -129,6 +205,9 @@ func TestTracerOpNil(t *testing.T) {
 	op := tr.Op("x")
 	if op != nil {
 		t.Fatal("nil tracer returned a non-nil op")
+	}
+	if op.Due() {
+		t.Fatal("nil op reports a span due")
 	}
 	sp := op.Start()
 	if sp.Sampled() {

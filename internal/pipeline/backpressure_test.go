@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,6 +120,153 @@ func TestEmitStallTelemetry(t *testing.T) {
 	// stay well below that.
 	if kinds[obs.FlightStallOnset] > 100 {
 		t.Fatalf("%d stall-onset events — latch not suppressing repeats", kinds[obs.FlightStallOnset])
+	}
+}
+
+// TestEmitStallFreeFlowRecordsNothing pins the flowing side of the moved
+// blocked-emit check: 10⁴ packets through an observed per-packet stage whose
+// downstream buffer never fills — the pushes runLag forces down the blocking
+// path included — leave EmitStall at zero and record no stall onset.
+func TestEmitStallFreeFlowRecordsNothing(t *testing.T) {
+	clk := clock.NewManual()
+	ob := obs.New(clk, obs.Config{})
+	e := New(clk)
+	e.SetObservability(ob)
+	const n = 10000
+	src, err := e.AddSourceStage("src", 0, &testSource{values: make([]int, n)}, StageConfig{DisableAdaptation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := e.AddProcessorStage("sink", 0, &collector{}, StageConfig{
+		DisableAdaptation: true, QueueCapacity: 2 * n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Connect(src, sink, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := src.Stats(); st.PacketsOut != n || st.EmitStall != 0 {
+		t.Fatalf("free-flowing source: %d packets out, EmitStall %v; want %d, 0", st.PacketsOut, st.EmitStall, n)
+	}
+	for _, ev := range ob.Flight.Events() {
+		if ev.Kind == obs.FlightStallOnset {
+			t.Fatalf("free-flowing run recorded a stall onset: %+v", ev)
+		}
+	}
+}
+
+// scriptedSource emits as many packets as each number sent on emit says,
+// acknowledging each batch on done, until emit is closed.
+type scriptedSource struct {
+	emit chan int
+	done chan struct{}
+}
+
+func (s *scriptedSource) Run(ctx *Context, out *Emitter) error {
+	for n := range s.emit {
+		for i := 0; i < n; i++ {
+			if err := out.EmitValue(i, 8); err != nil {
+				return err
+			}
+		}
+		s.done <- struct{}{}
+	}
+	return nil
+}
+
+// TestEmitStallLatchRearms walks a per-packet source through stall, relief,
+// stall against a 4-deep buffer. Observed, that is EmitStall above zero and
+// exactly two stall onsets: the latch holds through the pushes of one stall
+// and re-arms on the first push that finds room — here a fast-path one.
+// Unobserved, the same full ring leaves EmitStall at zero: emit never looks.
+func TestEmitStallLatchRearms(t *testing.T) {
+	for _, observed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("observed=%v", observed), func(t *testing.T) {
+			clk := clock.NewManual()
+			e := New(clk)
+			var ob *obs.Observability
+			if observed {
+				ob = obs.New(clk, obs.Config{})
+				e.SetObservability(ob)
+			}
+			script := &scriptedSource{emit: make(chan int), done: make(chan struct{})}
+			// The sink consumes one packet per token on gate, every packet once
+			// gate is closed, and counts what it has consumed.
+			gate := make(chan struct{})
+			var consumed atomic.Int64
+			sinkProc := &testProc{process: func(*Context, *Packet, *Emitter) error {
+				<-gate
+				consumed.Add(1)
+				return nil
+			}}
+			src, err := e.AddSourceStage("src", 0, script, StageConfig{DisableAdaptation: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink, err := e.AddProcessorStage("sink", 0, sinkProc, StageConfig{
+				DisableAdaptation: true, QueueCapacity: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Connect(src, sink, nil); err != nil {
+				t.Fatal(err)
+			}
+			runErr := make(chan error, 1)
+			go func() { runErr <- e.Run(context.Background()) }()
+
+			blockedPushes := func() uint64 { return sink.QueueStats().BlockedPushes }
+
+			// First stall: one packet in the sink's hand, four in its buffer,
+			// the sixth push blocks.
+			script.emit <- 6
+			eventually(t, "the first blocked push", func() bool { return blockedPushes() >= 1 })
+			// Relief: the sink takes all six, then one more push finds room.
+			for i := 0; i < 6; i++ {
+				gate <- struct{}{}
+			}
+			<-script.done
+			eventually(t, "the sink to drain", func() bool { return consumed.Load() == 6 })
+			script.emit <- 1
+			<-script.done
+			// Second stall: the sink takes that packet into its hand, four more
+			// fill the buffer and the fifth blocks. Both stalls end on the push
+			// that blocked, so no later push can find room and then a full
+			// buffer again behind the script's back.
+			before := blockedPushes()
+			script.emit <- 5
+			eventually(t, "the second blocked push", func() bool { return blockedPushes() > before })
+			close(gate)
+			<-script.done
+			close(script.emit)
+			if err := <-runErr; err != nil {
+				t.Fatal(err)
+			}
+
+			stall := src.Stats().EmitStall
+			if !observed {
+				if stall != 0 {
+					t.Fatalf("unobserved source charged EmitStall %v", stall)
+				}
+				return
+			}
+			if stall == 0 {
+				t.Fatal("observed source recorded no emit stall")
+			}
+			var onsets int
+			for _, ev := range ob.Flight.Events() {
+				if ev.Kind == obs.FlightStallOnset && ev.Stage == "src" {
+					onsets++
+				}
+			}
+			if onsets != 2 {
+				t.Fatalf("%d stall onsets for stall, relief, stall; want 2", onsets)
+			}
+		})
 	}
 }
 

@@ -383,10 +383,14 @@ func (s *Stage) releaseDueHeld(ctx context.Context, out *edge, l *netsim.Link, r
 
 // pushFaulty enqueues one packet downstream on the faulty path, mirroring
 // the closed-queue semantics of the regular emit path (drop and continue).
-// Stall attribution is deliberately skipped here: a faulty link is an
-// injected failure, not backpressure.
+// Stall attribution is deliberately skipped here — a faulty link is an
+// injected failure, not backpressure — so this is pushPausable without its
+// accounting: the run's TryPush, then the blocking path.
 func (s *Stage) pushFaulty(ctx context.Context, out *edge, pkt *Packet) error {
-	err := s.pushPausable(ctx, out.to, pkt)
+	if s.runLen < runLag && out.to.in.TryPush(pkt) {
+		return nil
+	}
+	err := s.pushBlocking(ctx, out.to, pkt)
 	if err == nil {
 		return nil
 	}

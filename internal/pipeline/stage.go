@@ -597,7 +597,10 @@ func (e *Emitter) Flush() error {
 		return nil
 	}
 	s := e.stage
-	sp := s.flushOp.Start()
+	var sp obs.Span
+	if s.flushOp.Due() {
+		sp = s.flushOp.Begin()
+	}
 	var sentPkts, sentBytes int
 	for i, pend := range e.pending {
 		if len(pend) == 0 {
@@ -835,21 +838,7 @@ func (s *Stage) emit(ctx context.Context, pkt *Packet, only int) error {
 			// enqueue (may block on downstream backpressure).
 			l.Transfer(size)
 		}
-		// Blocked-emit accounting as in Emitter.Flush: observed engines
-		// only, clock reads only when the buffer is already full.
-		full := s.o != nil && out.to.in.Len() >= out.to.in.Cap()
-		var stallStart time.Time
-		if full {
-			s.noteEmitStall(out.to)
-			stallStart = time.Now()
-		}
-		err := s.pushPausable(ctx, out.to, pkt)
-		if full {
-			s.local.EmitStall += time.Since(stallStart)
-		} else if s.o != nil {
-			s.emitStalled = false
-		}
-		if err != nil {
+		if err := s.pushPausable(ctx, out.to, pkt); err != nil {
 			if errors.Is(err, queue.ErrClosed) {
 				// Downstream already finished; drop. This edge's
 				// reference was never handed over, so releasing it here
@@ -884,13 +873,32 @@ func (s *Stage) emit(ctx context.Context, pkt *Packet, only int) error {
 // original as a duplicate. The park is flagged midEmit: state controllers
 // must not snapshot or restore across it (see PausedMidEmit).
 //
-// All of that is the slow path: while the run lasts and dst has room the push
-// is the ring's lock-free TryPush, and a pause that lands during it is seen
-// at the stage's next pop or emit boundary, as if it had arrived just after.
+// All of that is the slow path, pushBlocking: while the run lasts and dst has
+// room the push is the ring's lock-free TryPush, and a pause that lands during
+// it is seen at the stage's next pop or emit boundary, as if it had arrived
+// just after. Blocked-emit accounting (see Emitter.Flush) is on the slow path
+// too — TryPush failing is the buffer being full when the push started, and a
+// push runLag forces there looks for itself — so only a stage about to wait
+// reads dst's cursors and the clock. A push that finds room re-arms the latch.
 func (s *Stage) pushPausable(ctx context.Context, dst *Stage, pkt *Packet) error {
 	if s.runLen < runLag && dst.in.TryPush(pkt) {
+		s.emitStalled = false
 		return nil
 	}
+	if s.o == nil || dst.in.Len() < dst.in.Cap() {
+		s.emitStalled = false
+		return s.pushBlocking(ctx, dst, pkt)
+	}
+	s.noteEmitStall(dst)
+	stallStart := time.Now()
+	err := s.pushBlocking(ctx, dst, pkt)
+	s.local.EmitStall += time.Since(stallStart)
+	return err
+}
+
+// pushBlocking is pushPausable's slow path: the run ends, and the push waits
+// under the pause-epoch context, parking and retrying across a pause.
+func (s *Stage) pushBlocking(ctx context.Context, dst *Stage, pkt *Packet) error {
 	s.publishLocal()
 	s.runLen = 0
 	for {
@@ -1138,8 +1146,12 @@ func (s *Stage) drainOneByOne(ctx context.Context, sctx *Context, em *Emitter) e
 		s.curIn = pkt
 		s.curBirth, s.curTraceID, s.curTraceHops = pkt.Birth, pkt.TraceID, pkt.TraceHops
 		s.curForwarded = false
-		sp := s.procOp.Start()
-		perr := s.processTraced(sctx, pkt, em)
+		var perr error
+		if s.procOp.Due() {
+			perr = s.processSampled(sctx, pkt, em, items)
+		} else {
+			perr = s.processTraced(sctx, pkt, em)
+		}
 		if s.curForwarded {
 			// The processor re-emitted its input; the reference now
 			// belongs to the downstream queue (or was already released
@@ -1155,13 +1167,22 @@ func (s *Stage) drainOneByOne(ctx context.Context, sctx *Context, em *Emitter) e
 		if perr != nil {
 			return fmt.Errorf("pipeline: process %s/%d: %w", s.id, s.instance, perr)
 		}
-		if sp.Sampled() {
-			sp.Annotate("items", float64(items))
-			if d := sp.End(); s.batchSec != nil {
-				s.batchSec.Observe(d.Seconds())
-			}
+	}
+}
+
+// processSampled is processTraced under the "stage.process" span, for the one
+// packet in SampleEvery that procOp says is due: the Span lives in this frame,
+// so the other packets' iterations never build one.
+func (s *Stage) processSampled(sctx *Context, pkt *Packet, em *Emitter, items uint64) error {
+	sp := s.procOp.Begin()
+	err := s.processTraced(sctx, pkt, em)
+	if err == nil {
+		sp.Annotate("items", float64(items))
+		if d := sp.End(); s.batchSec != nil {
+			s.batchSec.Observe(d.Seconds())
 		}
 	}
+	return err
 }
 
 // drainBatched pops up to BatchSize packets per queue round-trip, processes
@@ -1189,7 +1210,10 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 				return fmt.Errorf("pipeline: %s/%d: %w", s.id, s.instance, err)
 			}
 		}
-		sp := s.batchOp.Start()
+		var sp obs.Span
+		if s.batchOp.Due() {
+			sp = s.batchOp.Begin()
+		}
 		var pktsIn, itemsIn uint64
 		// One clock read covers the whole drained batch; the spread
 		// inside a batch is below the latency bucket resolution.

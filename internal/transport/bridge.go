@@ -261,13 +261,19 @@ func (i *Ingress) handle(ctx *pipeline.Context, out *pipeline.Emitter, op *obs.O
 		pkt.Release()
 		return *finals >= i.ExpectFinals, nil
 	}
+	if pkt.TraceID == 0 && !op.Due() { // between samples: no span, not even an inert one
+		if err := out.Emit(pkt); err != nil {
+			return false, fmt.Errorf("transport: ingress emit: %w", err)
+		}
+		return false, nil
+	}
 	var sp obs.Span
 	if pkt.TraceID != 0 {
 		// Traced lineage: force the span so the cross-node span tree
 		// stays complete.
 		sp = i.Tracer.StartTraced("ingress.emit", pkt.TraceID, pkt.TraceHops)
 	} else {
-		sp = op.Start()
+		sp = op.Begin()
 	}
 	// Emit transfers ownership; a local sink may recycle the packet
 	// immediately, so read everything the span needs first.
@@ -275,9 +281,7 @@ func (i *Ingress) handle(ctx *pipeline.Context, out *pipeline.Emitter, op *obs.O
 	if err := out.Emit(pkt); err != nil {
 		return false, fmt.Errorf("transport: ingress emit: %w", err)
 	}
-	if sp.Sampled() {
-		sp.Annotate("items", items)
-		sp.End()
-	}
+	sp.Annotate("items", items)
+	sp.End()
 	return false, nil
 }
