@@ -99,18 +99,19 @@ func (e *Engine) addStage(id string, instance int, p Processor, src Source, cfg 
 		}
 	}
 	st := &Stage{
-		id:        id,
-		instance:  instance,
-		proc:      p,
-		src:       src,
-		cfg:       cfg,
-		clk:       e.clk,
-		pacer:     clock.NewPacer(e.clk, cfg.ComputeQuantum),
-		in:        queue.NewMPSC[*Packet](cfg.QueueCapacity),
-		ctrl:      adapt.NewController(cfg.Adapt),
-		doneCh:    make(chan struct{}),
-		pauseWake: make(chan struct{}),
+		id:       id,
+		instance: instance,
+		proc:     p,
+		src:      src,
+		cfg:      cfg,
+		clk:      e.clk,
+		pacer:    clock.NewPacer(e.clk, cfg.ComputeQuantum),
+		in:       queue.NewMPSC[*Packet](cfg.QueueCapacity),
+		ctrl:     adapt.NewController(cfg.Adapt),
+		doneCh:   make(chan struct{}),
 	}
+	wake := make(chan struct{})
+	st.pauseWake.Store(&wake)
 	e.stages = append(e.stages, st)
 	return st, nil
 }

@@ -154,11 +154,9 @@ func (s *Stage) Pause(ctx context.Context) error {
 	s.pausedCh = make(chan struct{})
 	s.resumeCh = make(chan struct{})
 	s.pauseReq.Store(true)
-	if s.pauseWake != nil {
-		// Wake sources blocked outside the emit path; the channel stays
-		// closed — observably "pause pending" — until Resume re-arms it.
-		close(s.pauseWake)
-	}
+	// Wake sources blocked outside the emit path; the channel stays closed —
+	// observably "pause pending" — until Resume re-arms it.
+	close(*s.pauseWake.Load())
 	if s.popCancel != nil {
 		// Wake a pop blocked on an empty queue; the queue removes
 		// nothing on cancellation, so no packet is lost.
@@ -186,9 +184,10 @@ func (s *Stage) Resume() error {
 		return fmt.Errorf("pipeline: resume %s/%d: stage is not paused", s.id, s.instance)
 	}
 	s.pauseReq.Store(false)
-	s.pauseWake = make(chan struct{}) // re-arm the cooperative wake-up
+	wake := make(chan struct{}) // re-arm the cooperative wake-up
+	s.pauseWake.Store(&wake)
 	if s.runCtx != nil {
-		s.popCtx, s.popCancel = context.WithCancel(s.runCtx)
+		s.newPopCtx()
 	}
 	s.toState(StateRunning)
 	close(s.resumeCh)
@@ -230,17 +229,26 @@ func (s *Stage) parkIfRequested(ctx context.Context) error {
 func (s *Stage) bindRunContext(ctx context.Context) {
 	s.pauseMu.Lock()
 	s.runCtx = ctx
-	s.popCtx, s.popCancel = context.WithCancel(ctx)
+	s.newPopCtx()
 	s.pauseMu.Unlock()
 }
 
-// currentPopCtx returns the pop context of the current pause epoch. A
-// pause request cancels it (waking a blocked pop without consuming an
-// item); Resume replaces it.
+// newPopCtx publishes a fresh pop context derived from the run context.
+// Caller holds pauseMu.
+func (s *Stage) newPopCtx() {
+	ctx, cancel := context.WithCancel(s.runCtx)
+	s.popCtx.Store(&ctx)
+	s.popCancel = cancel
+}
+
+// currentPopCtx returns the pop context of the current pause epoch (nil
+// before bindRunContext). A pause request cancels it (waking a blocked pop
+// without consuming an item); Resume replaces it.
 func (s *Stage) currentPopCtx() context.Context {
-	s.pauseMu.Lock()
-	defer s.pauseMu.Unlock()
-	return s.popCtx
+	if p := s.popCtx.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // QueuedState reports the packets currently parked in the input queue and

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/clock"
+	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/obs"
 )
 
@@ -198,6 +201,153 @@ func TestStatsExactWhileBlocked(t *testing.T) {
 	close(src.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+
+	// Batch 16: the emission that fills a batch flushes it, and a stage
+	// blocked in that flush reads exact — a source, all 16 emissions; a relay
+	// too, mid-batch, with the 16 packets it consumed to make them.
+	sixteen := StageStats{PacketsOut: 16, ItemsOut: 16, BytesOut: 16 * 16}
+	batched := StageConfig{DisableAdaptation: true, BatchSize: 16}
+	for _, relayed := range []bool{false, true} {
+		name := "batch=16/source, full downstream"
+		if relayed {
+			name = "batch=16/relay, full downstream"
+		}
+		t.Run(name, func(t *testing.T) {
+			eng := New(clock.NewManual())
+			hold := make(chan struct{})
+			s, _ := eng.AddSourceStage("src", 0, &hammerSource{count: 16}, batched)
+			slow, _ := eng.AddProcessorStage("slow", 0, &testProc{
+				process: func(*Context, *Packet, *Emitter) error { <-hold; return nil },
+			}, StageConfig{DisableAdaptation: true, QueueCapacity: 4})
+			blocked, want := s, sixteen
+			if relayed {
+				// The source's flush lands in one ring publication, so the
+				// relay drains all 16 as one batch.
+				blocked, _ = eng.AddProcessorStage("relay", 0, forwardProc{}, batched)
+				want.PacketsIn, want.ItemsIn = 16, 16
+				if err := eng.Connect(s, blocked, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Connect(blocked, slow, nil); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- eng.Run(context.Background()) }()
+			eventually(t, "parked on slow's full input", func() bool { return slow.QueueStats().BlockedPushes > 0 })
+			if got := blocked.Stats(); got != want {
+				t.Errorf("%s blocked mid-flush: stats %+v, want %+v", blocked.ID(), got, want)
+			}
+			close(hold)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Run("batch=16/link transfer", func(t *testing.T) {
+		clk := clock.NewManual() // advanced only once the source has been read
+		eng := New(clk)
+		s, _ := eng.AddSourceStage("src", 0, &hammerSource{count: 16}, batched)
+		sink, _ := eng.AddProcessorStage("sink", 0, &countSink{}, cfg)
+		if err := eng.Connect(s, sink, netsim.NewLink(clk, netsim.LinkConfig{Latency: time.Millisecond})); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- eng.Run(context.Background()) }()
+		for i := 0; i < 2; i++ { // the batch's transfer, then the final marker's
+			eventually(t, "source asleep in its link transfer", func() bool { return clk.Waiters() == 1 })
+			if got := s.Stats(); i == 0 && got != sixteen {
+				t.Errorf("source asleep in a transfer: stats %+v, want %+v", got, sixteen)
+			}
+			clk.Advance(time.Millisecond)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestPublishCarriesEveryField: publishLocal decides whether there is
+// anything to publish field by field, so a StageStats field it does not look
+// at would never reach Stats(). Each field, set alone, must arrive.
+func TestPublishCarriesEveryField(t *testing.T) {
+	fields := reflect.TypeOf(StageStats{})
+	for i := 0; i < fields.NumField(); i++ {
+		name := fields.Field(i).Name
+		eng := New(clock.NewManual())
+		st, _ := eng.AddProcessorStage("st", 0, forwardProc{}, StageConfig{DisableAdaptation: true})
+		switch f := reflect.ValueOf(&st.local).Elem().Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Int64:
+			f.SetInt(1)
+		default:
+			t.Fatalf("StageStats.%s is a %s: publishLocal's test for anything to publish cannot see it", name, f.Kind())
+		}
+		want := st.local
+		st.publishLocal()
+		if got := st.Stats(); got != want {
+			t.Errorf("%s set alone: published %+v, want %+v", name, got, want)
+		}
+	}
+}
+
+// epochSource is Ingress.Run's shape: it waits outside the middleware on a
+// fresh PauseRequested() each loop and parks at PauseBoundary when it fires.
+type epochSource struct {
+	started, release chan struct{}
+	wakes            atomic.Int64
+}
+
+func (s *epochSource) Run(ctx *Context, _ *Emitter) error {
+	close(s.started)
+	for {
+		select {
+		case <-s.release:
+			return nil
+		case <-ctx.PauseRequested():
+			s.wakes.Add(1)
+			if err := ctx.PauseBoundary(); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// TestPauseRequestedAcrossEpochs: the pause epoch is read without a lock, so
+// 200 Pause/Resume rounds from another goroutine must each wake the source
+// exactly once — a lost wake-up hangs Pause, a stale (already closed) epoch
+// channel wakes it again.
+func TestPauseRequestedAcrossEpochs(t *testing.T) {
+	const rounds = 200
+	eng := New(clock.NewManual())
+	cfg := StageConfig{DisableAdaptation: true}
+	src := &epochSource{started: make(chan struct{}), release: make(chan struct{})}
+	s, _ := eng.AddSourceStage("src", 0, src, cfg)
+	sink, _ := eng.AddProcessorStage("sink", 0, &countSink{}, cfg)
+	if err := eng.Connect(s, sink, nil); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- eng.Run(context.Background()) }()
+	<-src.started
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < rounds; i++ {
+		if err := s.Pause(ctx); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if err := s.Resume(); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	close(src.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := src.wakes.Load(); got != rounds {
+		t.Fatalf("source woke %d times for %d pauses", got, rounds)
 	}
 }
 

@@ -224,19 +224,21 @@ type Stage struct {
 
 	// Lifecycle machinery (see lifecycle.go). state is the StageState;
 	// pauseReq is the hot-path flag drain loops and source emitters poll;
-	// pauseMu guards the per-pause-epoch channels and the pop context.
+	// pauseMu guards the per-pause-epoch channels and the pop context's
+	// cancel. pauseWake and popCtx are the current epoch: written only under
+	// pauseMu (bindRunContext, Pause, Resume), read with one atomic load.
 	state     atomic.Int32
 	pauseReq  atomic.Bool
 	pauseMu   sync.Mutex
 	pausedCh  chan struct{}
 	resumeCh  chan struct{}
-	pauseWake chan struct{} // closed while a pause is pending; re-armed by Resume
+	pauseWake atomic.Pointer[chan struct{}] // closed while a pause is pending; re-armed by Resume
 	// midEmit marks the goroutine parked inside emit with a stamped packet
 	// still in hand — a liveness boundary, not a consistent cut. Snapshot
 	// and restore controllers must treat such a pause as uncheckpointable.
 	midEmit   atomic.Bool
 	runCtx    context.Context
-	popCtx    context.Context
+	popCtx    atomic.Pointer[context.Context]
 	popCancel context.CancelFunc
 
 	mu      sync.Mutex
@@ -365,12 +367,7 @@ func (c *Context) BatchSize() int { return c.stage.cfg.BatchSize }
 // the emit path (a network ingress waiting for frames, a poller sleeping on
 // an external feed). A woken source calls PauseBoundary to park; Resume
 // re-arms the channel, so select on a fresh call each loop iteration.
-func (c *Context) PauseRequested() <-chan struct{} {
-	s := c.stage
-	s.pauseMu.Lock()
-	defer s.pauseMu.Unlock()
-	return s.pauseWake
-}
+func (c *Context) PauseRequested() <-chan struct{} { return *c.stage.pauseWake.Load() }
 
 // PauseBoundary parks the calling source goroutine when a pause is pending
 // (a no-op otherwise), returning once the stage is resumed. It returns the
@@ -597,6 +594,9 @@ func (e *Emitter) Flush() error {
 		return nil
 	}
 	s := e.stage
+	// The link transfers and pushes below can take time: publish first, so a
+	// stage blocked in them reads exact (StageStats).
+	s.publishLocal()
 	var sp obs.Span
 	if s.flushOp.Due() {
 		sp = s.flushOp.Begin()
@@ -621,8 +621,10 @@ func (e *Emitter) Flush() error {
 			}
 		}
 		sum := 0
-		for _, p := range deliver {
-			sum += p.size(s.cfg.DefaultPacketSize)
+		if l != nil || sp.Sampled() { // nothing else reads the byte count
+			for _, p := range deliver {
+				sum += p.size(s.cfg.DefaultPacketSize)
+			}
 		}
 		if l != nil {
 			l.TransferBatch(sum, len(deliver))
@@ -663,7 +665,7 @@ func (e *Emitter) Flush() error {
 				s.id, s.instance, out.to.id, out.to.instance, err)
 		}
 	}
-	s.publishLocal()
+	s.publishLocal() // EmitStall, accrued above
 	if sp.Sampled() {
 		sp.Annotate("packets", float64(sentPkts))
 		sp.Annotate("bytes", float64(sentBytes))
@@ -740,7 +742,11 @@ const runLag = 15
 // stage moving (virtual) time. runLen is not reset here: only the blocking
 // pop and push look at the run ctx, so only they restart that count.
 func (s *Stage) publishLocal() {
-	if s.local != (StageStats{}) {
+	// Anything to publish: an OR of the fields, not a compare of the struct
+	// against zero (TestPublishCarriesEveryField keeps this list complete).
+	l := &s.local
+	if l.PacketsIn|l.ItemsIn|l.PacketsOut|l.ItemsOut|l.BytesOut|l.DupsDropped|
+		uint64(l.ComputeCharged)|uint64(l.EmitStall) != 0 {
 		s.mu.Lock()
 		s.stats.PacketsIn += s.local.PacketsIn
 		s.stats.ItemsIn += s.local.ItemsIn
@@ -1214,7 +1220,7 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 		if s.batchOp.Due() {
 			sp = s.batchOp.Begin()
 		}
-		var pktsIn, itemsIn uint64
+		var pktsIn, itemsIn uint64 // this batch's, for its span
 		// One clock read covers the whole drained batch; the spread
 		// inside a batch is below the latency bucket resolution.
 		var arrivedNS int64
@@ -1243,8 +1249,13 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 				s.recycleLocal(pkt)
 				continue
 			}
+			// Counted when consumed, not at the end of the batch: the emission
+			// that fills the emit batch flushes, and so publishes, mid-batch.
+			items := uint64(pkt.ItemCount())
 			pktsIn++
-			itemsIn += uint64(pkt.ItemCount())
+			itemsIn += items
+			s.local.PacketsIn++
+			s.local.ItemsIn += items
 			if latOn {
 				s.observeLatency(arrivedNS, pkt)
 			}
@@ -1267,8 +1278,6 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 		// One batched ring operation returns the whole drained batch's
 		// packets to the pool.
 		s.flushRecycle()
-		s.local.PacketsIn += pktsIn
-		s.local.ItemsIn += itemsIn
 		s.publishLocal()
 		if err := em.Flush(); err != nil {
 			return err

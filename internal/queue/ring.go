@@ -386,8 +386,25 @@ func (r *Ring[T]) full() bool {
 
 // --- parking slow path ---
 
-func ctxLive(ctx context.Context) bool {
-	return ctx == nil || ctx.Err() == nil
+// ctxErr is how the ring reads a ctx: ctx.Err(), without its lock while the
+// ctx is live. A cancelCtx's Err locks its mutex, a receive on its Done
+// channel does not, so a live ctx costs one non-blocking receive and Err runs
+// only once Done is closed. A ctx with no Done channel (Background, or a
+// custom one whose Err alone decides) is asked Err directly.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	d := ctx.Done()
+	if d == nil {
+		return ctx.Err()
+	}
+	select {
+	case <-d:
+		return ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // watch ensures a watcher goroutine broadcasts both condvars when ctx is
@@ -430,7 +447,7 @@ func (r *Ring[T]) waitNotFull(ctx context.Context) error {
 	r.pushWaiters.Add(1)
 	waited := false
 	var stall time.Time
-	for r.full() && !r.closed.Load() && ctxLive(ctx) {
+	for r.full() && !r.closed.Load() && ctxErr(ctx) == nil {
 		if !waited {
 			waited = true
 			r.blockedPushes.Add(1)
@@ -444,10 +461,8 @@ func (r *Ring[T]) waitNotFull(ctx context.Context) error {
 	}
 	r.pushWaiters.Add(-1)
 	r.mu.Unlock()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if err := ctxErr(ctx); err != nil {
+		return err
 	}
 	if r.closed.Load() {
 		return ErrClosed
@@ -464,7 +479,7 @@ func (r *Ring[T]) waitNotEmpty(ctx context.Context) error {
 	r.popWaiters.Add(1)
 	waited := false
 	var stall time.Time
-	for r.emptyPublished() && !r.drained() && ctxLive(ctx) {
+	for r.emptyPublished() && !r.drained() && ctxErr(ctx) == nil {
 		if !waited {
 			waited = true
 			r.blockedPops.Add(1)
@@ -478,10 +493,7 @@ func (r *Ring[T]) waitNotEmpty(ctx context.Context) error {
 	}
 	r.popWaiters.Add(-1)
 	r.mu.Unlock()
-	if ctx != nil {
-		return ctx.Err()
-	}
-	return nil
+	return ctxErr(ctx)
 }
 
 // --- blocking API ---
@@ -494,10 +506,8 @@ func (r *Ring[T]) PushCtx(ctx context.Context, v T) error { return r.pushCtx(ctx
 
 func (r *Ring[T]) pushCtx(ctx context.Context, v T) error {
 	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctxErr(ctx); err != nil {
+			return err
 		}
 		if r.closed.Load() {
 			return ErrClosed
@@ -535,10 +545,8 @@ func (r *Ring[T]) PushBatchN(ctx context.Context, items []T) (int, error) {
 func (r *Ring[T]) pushBatchN(ctx context.Context, items []T) (int, error) {
 	pushed := 0
 	for len(items) > 0 {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return pushed, err
-			}
+		if err := ctxErr(ctx); err != nil {
+			return pushed, err
 		}
 		if r.closed.Load() {
 			return pushed, ErrClosed
@@ -565,10 +573,8 @@ func (r *Ring[T]) PopCtx(ctx context.Context) (T, error) { return r.popCtx(ctx) 
 func (r *Ring[T]) popCtx(ctx context.Context) (T, error) {
 	var zero T
 	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return zero, err
-			}
+		if err := ctxErr(ctx); err != nil {
+			return zero, err
 		}
 		if v, ok := r.pop1(); ok {
 			return v, nil
@@ -614,10 +620,8 @@ func (r *Ring[T]) popBatchCtx(ctx context.Context, dst []T, max int) (int, error
 		return 0, nil
 	}
 	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
+		if err := ctxErr(ctx); err != nil {
+			return 0, err
 		}
 		if n := r.popN(dst, max); n > 0 {
 			return n, nil

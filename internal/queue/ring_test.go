@@ -371,6 +371,120 @@ func TestRingCtxAlreadyCanceled(t *testing.T) {
 	})
 }
 
+// errOnlyCtx has no Done channel; its Err alone reports cancellation, as
+// FuzzRingModel's fullCtx does.
+type errOnlyCtx struct{ context.Context }
+
+func (errOnlyCtx) Done() <-chan struct{} { return nil }
+func (errOnlyCtx) Err() error            { return context.Canceled }
+
+// closedDoneCtx is a custom ctx whose Done channel is already closed.
+type closedDoneCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c closedDoneCtx) Done() <-chan struct{} { return c.done }
+func (closedDoneCtx) Err() error              { return context.DeadlineExceeded }
+
+// TestRingCtxContract: every ctx-taking operation, on both ring kinds and
+// every kind of ctx, returns ctx.Err() or nil — having left the ring
+// untouched when it is an error — and a live ctx costs no allocation. The
+// ring holds two of four items, so no operation has to wait.
+func TestRingCtxContract(t *testing.T) {
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	closed := make(chan struct{})
+	close(closed)
+	ctxs := []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"nil", nil},
+		{"background", context.Background()},
+		{"live", live},
+		{"canceled", canceled},
+		{"expired", expired},
+		{"nil-done", errOnlyCtx{context.Background()}},
+		{"closed-done", closedDoneCtx{context.Background(), closed}},
+	}
+	dst := make([]int, 2)
+	ops := []struct {
+		name string
+		do   func(*Ring[int], context.Context) error
+	}{
+		{"PushCtx", func(r *Ring[int], ctx context.Context) error { return r.PushCtx(ctx, 9) }},
+		{"PopCtx", func(r *Ring[int], ctx context.Context) error { _, err := r.PopCtx(ctx); return err }},
+		{"PushBatchN", func(r *Ring[int], ctx context.Context) error {
+			_, err := r.PushBatchN(ctx, []int{8, 9})
+			return err
+		}},
+		{"PopBatchCtx", func(r *Ring[int], ctx context.Context) error {
+			_, err := r.PopBatchCtx(ctx, dst, len(dst))
+			return err
+		}},
+	}
+	eachRing(t, func(t *testing.T, k ringKind) {
+		for _, c := range ctxs {
+			var want error
+			if c.ctx != nil {
+				want = c.ctx.Err()
+			}
+			for _, op := range ops {
+				r := k.mk(4)
+				r.Push(1)
+				r.Push(2)
+				before, contents := r.Stats(), r.Snapshot()
+				err := op.do(r, c.ctx)
+				if !errors.Is(err, want) {
+					t.Errorf("%s under a %s ctx = %v, want %v", op.name, c.name, err, want)
+				}
+				moved := r.Stats() != before || !reflect.DeepEqual(r.Snapshot(), contents)
+				if err != nil && moved {
+					t.Errorf("%s under a %s ctx failed with %v but moved the ring: %+v %v", op.name, c.name, err, r.Stats(), r.Snapshot())
+				}
+				if err == nil && !moved {
+					t.Errorf("%s under a %s ctx succeeded without moving the ring", op.name, c.name)
+				}
+			}
+		}
+		r := k.mk(4)
+		if allocs := testing.AllocsPerRun(100, func() {
+			for _, op := range ops {
+				op.do(r, live)
+			}
+		}); allocs != 0 {
+			t.Fatalf("push, pop, batch push and batch pop under a live ctx allocate %.0f times", allocs)
+		}
+	})
+}
+
+// BenchmarkRingBatchCtx is the batched hop's ring traffic — one 16-item
+// PushBatchN and one PopBatchCtx — under a nil ctx and a live cancelable one:
+// the difference is what reading the ctx costs, twice per iteration.
+func BenchmarkRingBatchCtx(b *testing.B) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"nil", nil}, {"live", live}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := NewSPSC[int](64)
+			items, dst := make([]int, 16), make([]int, 16)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.PushBatchN(c.ctx, items)
+				r.PopBatchCtx(c.ctx, dst, len(dst))
+			}
+		})
+	}
+}
+
 // TestRingPushBatchNCancel: PushBatchN reports the accepted prefix on
 // cancellation, and exactly that prefix is in the ring.
 func TestRingPushBatchNCancel(t *testing.T) {

@@ -2,7 +2,8 @@
 # The full CI lane: vet, static analysis (when staticcheck is installed),
 # build, plain tests, the race-detector lane, a coverage run emitting
 # coverage.out, a short benchmark smoke, and the observability-overhead
-# guards (batch-16 micro pair, then the default path on the bench harness).
+# guards (batch-16 micro pair, then the default path and the batched path on
+# the bench harness).
 # Run from anywhere; it cds to the repo root.
 set -eu
 
@@ -32,6 +33,10 @@ go test -race ./...
 # atomic — are the places where an interleaving, not an input, is what breaks:
 # hammer them.
 go test -race -count=20 ./internal/queue ./internal/clock ./internal/obs
+# The pause epoch (pop ctx, wake channel) is read with one atomic load and
+# written under pauseMu: hammer the tests that race a pause, a resume or a
+# cancel against a running stage, and the exact-stats ones that read it.
+go test -race -count=20 -run 'Pause|Resume|Cancel|RunLag|StatsExact' ./internal/pipeline
 
 echo "== bench module =="
 # bench/ is a Go module of its own (it replaces this one with ..), so the
@@ -388,5 +393,32 @@ default_path_guard() {
 	}' bench/out/layers-inproc-defaults.json
 }
 default_path_guard || default_path_guard || default_path_guard
+
+echo "== batch-path guard =="
+# The same for the batched hop, which inproc-chain, tcp-sat and every
+# SetDefaultBatchSize user run: traced inproc-chain (src → relay → relay →
+# sink at batch 16, no obs, no link) for 5 s, first of up to three readings
+# inside the bounds. A hop at most 38 ns — the largest of six readings on PR
+# 25's final build plus 10 %: 31.9, 32.9, 32.2, 33.5, 34.5, 34.3 — and no
+# allocation per packet. "None" is < 0.001: those six read 1.5-2.0e-6, the
+# runtime's own dozen or so allocations in a trial of ~10 M packets, not one
+# per packet (the parent reads the same). What a batched hop pays per batch is
+# one s.mu publish, one pop and one push, each reading its ctx without a lock
+# (DESIGN.md §6, §10).
+batch_path_guard() {
+	bash bench/run.sh --workload inproc-chain --seed 7 --seconds 5 --trace 1 >/dev/null || return 1
+	awk '
+	/"pipeline.hop_ns"/         { want = "hop"; next }
+	/"pipeline.allocs_per_pkt"/ { want = "allocs"; next }
+	want != "" && /"value"/     { gsub(/[^0-9.eE+-]/, "", $2); v[want] = $2 + 0; seen[want] = 1; want = "" }
+	END {
+	    if (!seen["hop"] || !seen["allocs"]) { print "guard: layer readings missing"; exit 1 }
+	    printf "guard: inproc-chain pipeline.hop_ns %.1f (bound 38), pipeline.allocs_per_pkt %.2g (bound 0.001)\n", v["hop"], v["allocs"]
+	    if (v["hop"] > 38) { print "guard: batched hop above 38 ns"; bad = 1 }
+	    if (v["allocs"] >= 0.001) { print "guard: batched path allocates per packet"; bad = 1 }
+	    exit bad
+	}' bench/out/layers-inproc-chain.json
+}
+batch_path_guard || batch_path_guard || batch_path_guard
 
 echo "CI lane green"
