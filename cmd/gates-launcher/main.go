@@ -136,7 +136,6 @@ func run(config string, o launcherOptions) error {
 	ob := o.conf.NewObservability(clk)
 	deployer.SetObservability(ob)
 	defer cliconf.NotifyFlightDump(ob, "gates-launcher")()
-	defer ob.StartTimeseries()()
 
 	// The policy engine is the declarative control plane behind every
 	// placement, rebalance, and SLO verdict of this run: -policy loads a
@@ -181,7 +180,6 @@ func run(config string, o launcherOptions) error {
 	// metric, so a scrape of /metrics sees the detector's state.
 	agg := obs.NewAggregator(clk, obs.SLOConfig{})
 	agg.SetSLOSource(pol.SLOSource())
-	ob.Sampler.SetSLOSource(pol.SLOSource())
 	agg.SetDecisionLog(ob.DecisionLog())
 	agg.SetFlightRecorder(ob.Flight)
 	agg.AddSource("launcher", obs.LocalSource(ob))
@@ -273,7 +271,6 @@ func run(config string, o launcherOptions) error {
 	if o.monitorIv > 0 {
 		mon = monitor.NewWithRegistry(clk, o.monitorIv, ob.Registry)
 		mon.WatchStages(app.Stages)
-		mon.SetTrendSource(ob.Sampler)
 		// Stream dashboards to stderr while the run progresses; stdout
 		// stays clean for the final report.
 		go mon.Run(stopMon, os.Stderr)

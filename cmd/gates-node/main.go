@@ -102,7 +102,6 @@ func run(o nodeOptions) error {
 	// recorder to disk when -flight-dump is set.
 	ob := o.conf.NewObservability(clk)
 	defer cliconf.NotifyFlightDump(ob, "gates-node")()
-	defer ob.StartTimeseries()()
 
 	// The policy engine backs /policy and the decision log even on a plain
 	// node: its stage hosts no planner, but operators can inspect and

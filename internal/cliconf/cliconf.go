@@ -46,12 +46,6 @@ type Flags struct {
 	// ReplayBuffer is the per-edge replay-ring depth (0 = policy default
 	// when faults are enabled, else off).
 	ReplayBuffer int
-	// TimeseriesWindow is the virtual history window the /timeseries plane
-	// retains per series.
-	TimeseriesWindow time.Duration
-	// ProfileEvery is the wall-clock period between per-stage CPU
-	// attribution rounds (0 = disabled).
-	ProfileEvery time.Duration
 }
 
 // Register defines the shared flag block on fs and returns the struct the
@@ -67,8 +61,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.PolicyWatch, "policy-watch", 0, "re-check the -policy file this often (wall clock) and hot-reload it on change (0 = no watching; POST /policy always works)")
 	fs.DurationVar(&f.CheckpointInterval, "checkpoint-interval", 0, "virtual time between asynchronous stage checkpoints (0 = the policy document's faults.checkpoint_interval when faults are enabled, else no checkpointing)")
 	fs.IntVar(&f.ReplayBuffer, "replay-buffer", 0, "per-edge replay-ring depth for crash recovery (0 = the policy document's faults.replay_buffer when faults are enabled, else fault tolerance off)")
-	fs.DurationVar(&f.TimeseriesWindow, "timeseries-window", obs.DefaultTimeseriesWindow, "virtual history window the /timeseries plane retains per series")
-	fs.DurationVar(&f.ProfileEvery, "profile-every", obs.DefaultProfileEvery, "wall-clock period between per-stage CPU attribution rounds (0 disables CPU profiling)")
 	return f
 }
 
@@ -96,13 +88,8 @@ func (f *Flags) SampleEvery() int { return obs.SampleEveryFor(f.TraceSample) }
 // flight-recorder capacity and dump path, and logging to stderr when -v.
 func (f *Flags) NewObservability(clk clock.Clock) *obs.Observability {
 	cfg := obs.Config{
-		SampleEvery:      f.SampleEvery(),
-		FlightCapacity:   f.FlightSize,
-		TimeseriesWindow: f.TimeseriesWindow,
-		ProfileEvery:     f.ProfileEvery,
-	}
-	if f.ProfileEvery == 0 {
-		cfg.ProfileEvery = -1 // flag 0 = off; Config zero would mean default
+		SampleEvery:    f.SampleEvery(),
+		FlightCapacity: f.FlightSize,
 	}
 	if f.Verbose {
 		cfg.LogWriter = os.Stderr

@@ -29,15 +29,13 @@ func TestRegisterParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Flags{
-		ObsListen:        "127.0.0.1:0",
-		TraceSample:      32,
-		FlightSize:       99,
-		FlightDump:       "/tmp/f.json",
-		Verbose:          true,
-		PolicyPath:       "p.json",
-		PolicyWatch:      2 * time.Second,
-		TimeseriesWindow: obs.DefaultTimeseriesWindow,
-		ProfileEvery:     obs.DefaultProfileEvery,
+		ObsListen:   "127.0.0.1:0",
+		TraceSample: 32,
+		FlightSize:  99,
+		FlightDump:  "/tmp/f.json",
+		Verbose:     true,
+		PolicyPath:  "p.json",
+		PolicyWatch: 2 * time.Second,
 	}
 	if *f != want {
 		t.Errorf("parsed %+v, want %+v", *f, want)
@@ -85,17 +83,6 @@ func TestNewObservability(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Errorf("dump file missing: %v", err)
-	}
-	// -profile-every 0 disables CPU attribution; a period enables it.
-	if ob.Profiler != nil {
-		t.Error("zero ProfileEvery built a profiler, want disabled")
-	}
-	withProf := (&Flags{ProfileEvery: time.Second}).NewObservability(clk)
-	if withProf.Profiler == nil {
-		t.Error("ProfileEvery=1s did not build a profiler")
-	}
-	if withProf.Timeseries == nil || withProf.Sampler == nil {
-		t.Error("bundle missing the time-series plane")
 	}
 }
 

@@ -106,7 +106,6 @@ type Monitor struct {
 	prevLnk map[string]LinkSample
 	history []Snapshot
 	maxHist int
-	trends  obs.TrendReader
 }
 
 // New returns a monitor sampling every interval of virtual time into a
@@ -144,16 +143,6 @@ func NewWithRegistry(clk clock.Clock, interval time.Duration, reg *obs.Registry)
 
 // Registry returns the registry the monitor publishes into and reads from.
 func (m *Monitor) Registry() *obs.Registry { return m.reg }
-
-// SetTrendSource attaches a time-series trend reader (typically the obs
-// bundle's Sampler). When set, Render appends a per-stage trend section:
-// utilization ρ̂, backlog slope with a direction arrow, per-stage CPU, and a
-// queue-depth sparkline over the trend window.
-func (m *Monitor) SetTrendSource(tr obs.TrendReader) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.trends = tr
-}
 
 // WatchStage adds one stage instance, instrumenting it into the registry.
 // Watching a new instance object with the same id/instance replaces the old
@@ -394,23 +383,4 @@ func (m *Monitor) Render(w io.Writer) {
 		}
 		tw.Flush()
 	}
-	m.mu.Lock()
-	tr := m.trends
-	m.mu.Unlock()
-	if tr == nil {
-		return
-	}
-	sum := tr.Trends()
-	if len(sum.Stages) == 0 {
-		return
-	}
-	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "trend\tρ̂\tstall\tbacklog\tcpu-s\tcores\tdepth")
-	for _, t := range sum.Stages {
-		fmt.Fprintf(tw, "%s\t%.2f\t%.0f%%\t%.1f%s\t%.2f\t%.2f\t%s\n",
-			t.Stage, t.Utilization, t.StallFrac*100,
-			t.BacklogSlope, obs.TrendArrow(t.BacklogSlope, 0.01),
-			t.CPUSeconds, t.CPURate, obs.Sparkline(t.DepthSpark))
-	}
-	tw.Flush()
 }

@@ -31,10 +31,6 @@ type NodeSnapshot struct {
 	Migrations  []MigrationEvent  `json:"migrations,omitempty"`
 	Lifecycle   []LifecycleEvent  `json:"lifecycle,omitempty"`
 	Decisions   []DecisionEvent   `json:"decisions,omitempty"`
-	// Timeseries is a bounded tail of the node's windowed series plus
-	// its trend summary, so the cluster aggregator can merge trend
-	// signals node-labeled without a second scrape.
-	Timeseries *TSDump `json:"timeseries,omitempty"`
 }
 
 // NodeSnapshot assembles the bundle's current snapshot document.
@@ -47,10 +43,6 @@ func (o *Observability) NodeSnapshot() NodeSnapshot {
 	s.Migrations = o.Migrations.Events()
 	s.Lifecycle = o.Lifecycle.Events()
 	s.Decisions = o.Decisions.Events()
-	if o.Sampler != nil && o.Sampler.Epochs() > 0 {
-		dump := o.Sampler.Dump(time.Duration(snapshotEpochs)*o.Timeseries.Epoch(), "")
-		s.Timeseries = &dump
-	}
 	return s
 }
 
@@ -227,12 +219,6 @@ type ClusterView struct {
 	Adaptations []AdaptationEvent `json:"adaptations,omitempty"`
 	Migrations  []MigrationEvent  `json:"migrations,omitempty"`
 	Decisions   []DecisionEvent   `json:"decisions,omitempty"`
-	// Trends and Timeseries are the node-labeled merge of each source's
-	// time-series plane: per-stage trend rows (utilization, backlog
-	// slope, CPU attribution) and the raw windowed series tails, each
-	// stamped with the node that produced them.
-	Trends     []StageTrend `json:"trends,omitempty"`
-	Timeseries []SeriesDump `json:"timeseries,omitempty"`
 	// MergeErr reports a histogram bucket misalignment, if any.
 	MergeErr string `json:"merge_err,omitempty"`
 }
@@ -359,25 +345,7 @@ func (a *Aggregator) Collect() *ClusterView {
 		view.Adaptations = append(view.Adaptations, snap.Adaptations...)
 		view.Migrations = append(view.Migrations, snap.Migrations...)
 		view.Decisions = append(view.Decisions, snap.Decisions...)
-		if ts := snap.Timeseries; ts != nil {
-			if ts.Trends != nil {
-				for _, t := range ts.Trends.Stages {
-					t.Node = snap.Node
-					view.Trends = append(view.Trends, t)
-				}
-			}
-			for _, sd := range ts.Series {
-				sd.Node = snap.Node
-				view.Timeseries = append(view.Timeseries, sd)
-			}
-		}
 	}
-	sort.SliceStable(view.Trends, func(i, j int) bool {
-		if view.Trends[i].Stage != view.Trends[j].Stage {
-			return view.Trends[i].Stage < view.Trends[j].Stage
-		}
-		return view.Trends[i].Node < view.Trends[j].Node
-	})
 	sort.Slice(view.Adaptations, func(i, j int) bool { return view.Adaptations[i].At.Before(view.Adaptations[j].At) })
 	sort.Slice(view.Migrations, func(i, j int) bool { return view.Migrations[i].At.Before(view.Migrations[j].At) })
 	sort.SliceStable(view.Decisions, func(i, j int) bool { return view.Decisions[i].At.Before(view.Decisions[j].At) })
@@ -533,16 +501,6 @@ func (v *ClusterView) Render(w io.Writer) {
 			}
 			fmt.Fprintf(w, "%-14s %10d %9.3gs %9.3gs %9.3gs\n",
 				name, l.Count, float64(l.P50), float64(l.P95), float64(l.P99))
-		}
-	}
-	if len(v.Trends) > 0 {
-		fmt.Fprintf(w, "%-14s %-12s %6s %6s %8s %7s %6s  %s\n",
-			"TREND", "NODE", "ρ̂", "stall", "backlog", "cpu-s", "cores", "depth")
-		for _, t := range v.Trends {
-			fmt.Fprintf(w, "%-14s %-12s %6.2f %5.0f%% %7.1f%s %7.2f %6.2f  %s\n",
-				t.Stage, t.Node, t.Utilization, t.StallFrac*100,
-				t.BacklogSlope, TrendArrow(t.BacklogSlope, 0.01),
-				t.CPUSeconds, t.CPURate, Sparkline(t.DepthSpark))
 		}
 	}
 	switch {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
 // HandlerOptions extends the observability surface with deployment-aware
@@ -36,8 +35,6 @@ type HandlerOptions struct {
 //	/snapshot     JSON node snapshot: metrics + adaptation, migration,
 //	              and lifecycle trails (everything a cluster aggregator
 //	              needs in one scrape)
-//	/timeseries   JSON windowed per-stage series + trend summary
-//	              (?window= and ?stage= filters; 404 without a sampler)
 //	/adaptations  JSON audit trail of adaptation decisions
 //	/migrations   JSON migration events and stage lifecycle transitions
 //	/traces       JSON of the retained sampled spans
@@ -130,22 +127,6 @@ func HandlerWith(o *Observability, opt HandlerOptions) http.Handler {
 		// start), so two curls bracket exactly the window between them.
 		writeJSON(w, o.Attr().ObserveRegistry(o.Reg()))
 	})
-	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		if o.Sampler == nil {
-			http.NotFound(w, r)
-			return
-		}
-		var window time.Duration
-		if q := r.URL.Query().Get("window"); q != "" {
-			d, err := time.ParseDuration(q)
-			if err != nil || d < 0 {
-				http.Error(w, "bad window: want a positive Go duration (e.g. 30s)", http.StatusBadRequest)
-				return
-			}
-			window = d
-		}
-		writeJSON(w, o.Sampler.Dump(window, r.URL.Query().Get("stage")))
-	})
 	mux.HandleFunc("/decisions", func(w http.ResponseWriter, r *http.Request) {
 		events := o.Decisions.Events()
 		if events == nil {
@@ -186,7 +167,6 @@ func HandlerWith(o *Observability, opt HandlerOptions) http.Handler {
 		fmt.Fprintln(w, "  /flightrecorder  bounded ring of lifecycle/SLO/stall events")
 		fmt.Fprintln(w, "  /bottlenecks  backpressure attribution verdict")
 		fmt.Fprintln(w, "  /decisions    control-plane decision log (placements, rebalances, SLO verdicts)")
-		fmt.Fprintln(w, "  /timeseries   windowed per-stage series + trends (?window=30s&stage=name)")
 		if opt.Policy != nil {
 			fmt.Fprintln(w, "  /policy       active policy document (GET) / hot reload (POST)")
 		}

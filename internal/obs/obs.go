@@ -18,14 +18,10 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"log/slog"
 	"os"
-	"runtime/pprof"
 	"strconv"
-	"sync"
-	"time"
 
 	"github.com/gates-middleware/gates/internal/clock"
 )
@@ -86,17 +82,6 @@ type Config struct {
 	// DecisionCapacity bounds the retained decision-log ring. Zero
 	// selects DefaultDecisionCapacity.
 	DecisionCapacity int
-	// TimeseriesEpoch is the virtual interval between time-series
-	// samples. Zero selects DefaultTimeseriesEpoch.
-	TimeseriesEpoch time.Duration
-	// TimeseriesWindow is the virtual time of per-series history the
-	// /timeseries plane retains (the -timeseries-window flag). Zero
-	// selects DefaultTimeseriesWindow.
-	TimeseriesWindow time.Duration
-	// ProfileEvery is the wall-clock period between per-stage CPU
-	// profile rounds (the -profile-every flag). Zero selects
-	// DefaultProfileEvery; negative disables CPU attribution.
-	ProfileEvery time.Duration
 	// LogWriter receives structured log lines. Nil discards them.
 	LogWriter io.Writer
 	// LogLevel is the minimum level emitted. Nil means slog.LevelInfo.
@@ -128,14 +113,6 @@ type Observability struct {
 	// Attribution is the backpressure-attribution engine behind
 	// /bottlenecks, evaluated lazily over this bundle's registry.
 	Attribution *Attribution
-	// Timeseries is the bounded windowed store behind /timeseries.
-	Timeseries *TSDB
-	// Sampler fills Timeseries each control epoch and is the bundle's
-	// TrendReader (the autoscaler contract, DESIGN.md §14).
-	Sampler *Sampler
-	// Profiler attributes CPU to stages via goroutine pprof labels;
-	// nil when Config.ProfileEvery is negative.
-	Profiler *Profiler
 	// Logger is the structured log stream (never nil after New).
 	Logger *slog.Logger
 }
@@ -162,62 +139,18 @@ func New(clk clock.Clock, cfg Config) *Observability {
 	if cfg.LogWriter != nil {
 		logger = NewLogger(cfg.LogWriter, clk, cfg.LogLevel)
 	}
-	audit := NewAuditTrail(cfg.AuditCapacity)
-	db := NewTSDB(cfg.TimeseriesEpoch, cfg.TimeseriesWindow)
-	var prof *Profiler
-	if cfg.ProfileEvery >= 0 {
-		prof = NewProfiler(cfg.ProfileEvery)
-		prof.SetRegistry(reg)
-	}
 	return &Observability{
 		Clock:       clk,
 		Registry:    reg,
 		Tracer:      tr,
-		Audit:       audit,
+		Audit:       NewAuditTrail(cfg.AuditCapacity),
 		Migrations:  NewMigrationTrail(cfg.MigrationCapacity),
 		Lifecycle:   NewLifecycleTrail(cfg.LifecycleCapacity),
 		Flight:      NewFlightRecorder(clk, cfg.FlightCapacity),
 		Decisions:   NewDecisionTrail(clk, cfg.DecisionCapacity),
 		Attribution: NewAttribution(clk),
-		Timeseries:  db,
-		Sampler:     NewSampler(clk, reg, db, prof, audit),
-		Profiler:    prof,
 		Logger:      logger,
 	}
-}
-
-// StartTimeseries launches the bundle's time-series plane: the sampler on
-// its virtual epoch and the CPU profiler on its wall period. The returned
-// stop function ends both; calling it on a bundle without the plane (or
-// twice) is harmless.
-func (o *Observability) StartTimeseries() (stop func()) {
-	if o == nil || o.Sampler == nil {
-		return func() {}
-	}
-	stopCh := make(chan struct{})
-	go func() {
-		// The sampler's own CPU folds into the control-plane bucket.
-		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-			pprof.Labels("stage", "control-plane")))
-		o.Sampler.Run(stopCh)
-	}()
-	o.Profiler.Start()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(stopCh)
-			o.Profiler.Stop()
-		})
-	}
-}
-
-// Trends returns the bundle's trend summary, nil-safe: an unobserved or
-// plane-less bundle answers the zero summary.
-func (o *Observability) Trends() TrendSummary {
-	if o == nil || o.Sampler == nil {
-		return TrendSummary{}
-	}
-	return o.Sampler.Trends()
 }
 
 // Log returns the bundle's logger, or a no-op logger when the bundle (or

@@ -321,8 +321,9 @@ func (e *Engine) Run(ctx context.Context) error {
 				"stage", st.id, "instance", st.instance, "node", st.Node(),
 				"batch", st.cfg.BatchSize)
 			st.markStarted()
-			// The pprof label is what folds CPU profile samples back onto
-			// this stage in the obs.Profiler attribution (DESIGN.md §14).
+			// The pprof label attributes this stage's CPU in /debug/pprof
+			// profiles (go tool pprof -tagfocus stage=<id>). It is set once
+			// per goroutine, so the per-packet path never pays for it.
 			var err error
 			pprof.Do(ctx, pprof.Labels("stage", st.id), func(ctx context.Context) {
 				err = st.run(ctx)

@@ -16,7 +16,7 @@ import (
 )
 
 // labelControlPlane tags the calling goroutine with stage=control-plane so
-// the obs.Profiler attributes checkpoint/recovery/rebalance/fault-schedule
+// /debug/pprof profiles attribute checkpoint/recovery/rebalance/fault-schedule
 // CPU to the control plane rather than leaving it unlabeled.
 func labelControlPlane() {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),

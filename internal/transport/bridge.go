@@ -93,7 +93,6 @@ type Ingress struct {
 	Tracer *obs.Tracer
 
 	ch   chan *pipeline.Packet
-	done chan struct{} // closed when Run returns; Deliver stops blocking
 	kick chan struct{} // cap 1: tells Run the parking lot has frames
 
 	mu      sync.Mutex
@@ -120,7 +119,6 @@ func NewIngress(expectFinals, buf int) *Ingress {
 	i := &Ingress{
 		ExpectFinals: expectFinals,
 		ch:           make(chan *pipeline.Packet, buf),
-		done:         make(chan struct{}),
 		kick:         make(chan struct{}, 1),
 		maxPend:      pendingFactor * buf,
 	}
@@ -142,6 +140,11 @@ func (i *Ingress) Deliver(m Message) {
 			pkt.TraceHops++
 		}
 		i.mu.Lock()
+		if i.closed {
+			i.mu.Unlock()
+			pkt.Release() // nobody reads the channel any more
+			return
+		}
 		i.drainPendingLocked()
 		if len(i.pending) == 0 {
 			// Fast path: the channel has room and nothing is parked
@@ -209,9 +212,13 @@ func (i *Ingress) Run(ctx *pipeline.Context, out *pipeline.Emitter) error {
 			pkt.Release()
 		}
 		i.pending = nil
+		// Deliver sends only under mu and only while open, so once closed
+		// is set nothing can land in the channel behind this drain.
+		for len(i.ch) > 0 {
+			(<-i.ch).Release()
+		}
 		i.cond.Broadcast()
 		i.mu.Unlock()
-		close(i.done)
 	}()
 	op := i.Tracer.Op("ingress.emit")
 	finals := 0

@@ -106,6 +106,44 @@ func TestIngressBuffersDuringRewiring(t *testing.T) {
 	}
 }
 
+// TestIngressReleasesFramesAfterRun pins what happens to packets nobody will
+// read: frames queued behind the last Final when Run returns, and frames that
+// arrive after it. Both must be released back to the pool, not left stranded
+// in the engine-side channel.
+func TestIngressReleasesFramesAfterRun(t *testing.T) {
+	ing := NewIngress(1, 8)
+	eng := pipeline.New(clock.NewScaled(1000))
+	inSt, err := eng.AddSourceStage("ingress", 0, ing, pipeline.StageConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collSt, err := eng.AddProcessorStage("collect", 0, &collectProc{fn: func(any) {}}, pipeline.StageConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Connect(inSt, collSt, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Queued before Run starts, so Run meets the Final first and returns
+	// with two frames still behind it.
+	ing.Deliver(Message{Kind: KindPacket, Final: true})
+	for v := 1; v <= 2; v++ {
+		ing.Deliver(Message{Kind: KindPacket, Value: v, Items: 1, WireSize: 8})
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ing.ch); n != 0 {
+		t.Fatalf("%d frames queued behind the Final left in the channel after Run", n)
+	}
+	for v := 3; v <= 5; v++ {
+		ing.Deliver(Message{Kind: KindPacket, Value: v, Items: 1, WireSize: 8})
+	}
+	if n := len(ing.ch); n != 0 {
+		t.Fatalf("%d frames delivered after Run stranded in the channel", n)
+	}
+}
+
 // TestIngressParkedFramesKeepArrivalOrder pins the one-way-out rule for the
 // parking lot (pending → channel → Run). With a 4-deep channel and a
 // consumer that stalls every few packets, Deliver parks constantly and Run

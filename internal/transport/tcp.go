@@ -11,9 +11,9 @@ import (
 	"sync/atomic"
 )
 
-// labelTransport tags the calling goroutine with stage=transport so the
-// obs.Profiler attributes framing/decoding CPU to the network plane rather
-// than leaving it unlabeled.
+// labelTransport tags the calling goroutine with stage=transport so
+// /debug/pprof profiles attribute framing/decoding CPU to the network plane
+// rather than leaving it unlabeled.
 func labelTransport() {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("stage", "transport")))

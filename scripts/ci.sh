@@ -150,18 +150,34 @@ if command -v curl >/dev/null 2>&1; then
 	  <connection from="sim" to="sampler"/>
 	  <connection from="sampler" to="analysis"/>
 	</application>'
-	# ~350 virtual seconds at 100x gives a few wall seconds to poll /cluster
-	# while the run is live.
-	"$smoke_tmp/gates-launcher" -config "$smoke_xml" -scale 100 \
+	# ~350 virtual seconds at 40x gives several wall seconds to poll /cluster
+	# and take three 1 s CPU profiles while the run is live.
+	"$smoke_tmp/gates-launcher" -config "$smoke_xml" -scale 40 \
 	  -obs-listen "$launch_obs" -slo-p99 1h >/dev/null &
 	launch_pid=$!
 	curl -sf --retry 20 --retry-connrefused --retry-delay 1 \
 	  "http://$launch_obs/healthz" >/dev/null
-	curl -sf "http://$launch_obs/cluster" | grep -q '"slo"'
+	cluster_doc="$(curl -sf "http://$launch_obs/cluster")"
+	echo "$cluster_doc" | grep -q '"slo"'
+	if echo "$cluster_doc" | grep -Eq '"(trends|timeseries)"'; then
+		echo "endpoint smoke: /cluster carries trends or timeseries"; exit 1
+	fi
+	ts_code="$(curl -s -o /dev/null -w '%{http_code}' "http://$launch_obs/timeseries")"
+	[ "$ts_code" = "404" ] || { echo "endpoint smoke: /timeseries got HTTP $ts_code, want 404"; exit 1; }
 	curl -sf "http://$launch_obs/flightrecorder" | grep -q '"events"'
 	curl -sf "http://$launch_obs/bottlenecks" | grep -q '"summary"'
+	# Every stage and control loop runs under a pprof "stage" label, which is
+	# what attributes CPU per stage in a profile (go tool pprof -tagfocus).
+	curl -sf "http://$launch_obs/debug/pprof/goroutine?debug=1" | grep -q '"stage":' \
+	  || { echo "endpoint smoke: no pprof stage labels on goroutines"; exit 1; }
+	# Nothing inside the process holds the CPU profiler, so back-to-back
+	# operator profiles all succeed.
+	for _i in 1 2 3; do
+		curl -sf -o /dev/null "http://$launch_obs/debug/pprof/profile?seconds=1" \
+		  || { echo "endpoint smoke: CPU profile $_i refused"; exit 1; }
+	done
 	wait "$launch_pid"
-	echo "gates-launcher /cluster ok"
+	echo "gates-launcher /cluster + pprof stage labels + 3 CPU profiles ok"
 else
 	echo "curl not installed; skipping endpoint smoke"
 fi
@@ -219,48 +235,6 @@ else
 fi
 go run ./cmd/gates-experiments -exp policy -quick -scale 4000 | tee /dev/stderr \
   | grep -q 'policy-hotreload: placement changed src-1 -> helper under v2'
-
-echo "== timeseries lane =="
-# The autoscaler's eyes over real HTTP: a live launcher must serve a
-# windowed /timeseries document with at least two sampling epochs, fold
-# real CPU profile rounds into non-zero per-stage attribution, carry pprof
-# "stage" labels on its goroutines, and merge stage trends into /cluster.
-if command -v curl >/dev/null 2>&1; then
-	ts_obs=127.0.0.1:19775
-	"$smoke_tmp/gates-launcher" -config "$smoke_xml" -scale 50 \
-	  -obs-listen "$ts_obs" -profile-every 200ms -slo-p99 1h >/dev/null &
-	ts_pid=$!
-	curl -sf --retry 20 --retry-connrefused --retry-delay 1 \
-	  "http://$ts_obs/healthz" >/dev/null
-	# Sampling epochs are 500ms of virtual time (wall milliseconds at 50x),
-	# but CPU attribution needs a completed wall-clock profile round — poll.
-	ts_doc=""
-	for _i in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15; do
-		ts_doc="$(curl -sf "http://$ts_obs/timeseries")" || ts_doc=""
-		echo "$ts_doc" | grep -Eq '"epochs": ([2-9]|[0-9]{2,})' \
-		  && echo "$ts_doc" | grep -Eq '"cpu_seconds": (0\.0*[1-9]|[1-9])' \
-		  && break
-		sleep 0.3
-	done
-	echo "$ts_doc" | grep -Eq '"epochs": ([2-9]|[0-9]{2,})' \
-	  || { echo "timeseries lane: fewer than 2 sampling epochs"; exit 1; }
-	echo "$ts_doc" | grep -q '"trends"' \
-	  || { echo "timeseries lane: /timeseries missing trends"; exit 1; }
-	echo "$ts_doc" | grep -Eq '"cpu_seconds": (0\.0*[1-9]|[1-9])' \
-	  || { echo "timeseries lane: no non-zero per-stage CPU attribution"; exit 1; }
-	# The window filter parses and still serves the document shape.
-	curl -sf "http://$ts_obs/timeseries?window=2s" | grep -q '"epoch_seconds"'
-	# Every stage and control loop runs under a pprof stage label.
-	curl -sf "http://$ts_obs/debug/pprof/goroutine?debug=1" | grep -q '"stage":' \
-	  || { echo "timeseries lane: no pprof stage labels on goroutines"; exit 1; }
-	# The merged cluster view carries node-stamped trends.
-	curl -sf "http://$ts_obs/cluster" | grep -q '"trends"' \
-	  || { echo "timeseries lane: /cluster missing merged trends"; exit 1; }
-	wait "$ts_pid"
-	echo "gates-launcher /timeseries + CPU attribution + pprof labels ok"
-else
-	echo "curl not installed; skipping timeseries lane"
-fi
 
 echo "== bottleneck attribution smoke =="
 # A pipeline with one deliberately slow stage; the backpressure attribution
