@@ -1,8 +1,8 @@
-# Tier-1 verification plus the race lane and benchmark artifacts.
+# Tier-1 verification plus the race lane; bench/ holds the benchmark.
 
 GO ?= go
 
-.PHONY: all vet build test race ci bench bench-json experiments clean
+.PHONY: all vet build test race ci experiments clean
 
 all: ci
 
@@ -22,14 +22,6 @@ race:
 # + coverage.out + short benches + the observability-overhead guard.
 ci:
 	sh scripts/ci.sh
-
-# Interactive benchmark run of the hot paths.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineThroughput|BenchmarkBatchSizeSweep' -benchmem .
-
-# Regenerates the committed BENCH_pipeline.json artifact.
-bench-json:
-	sh scripts/bench.sh
 
 # Regenerates every paper figure (quick mode).
 experiments:

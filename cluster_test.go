@@ -270,7 +270,9 @@ func TestSLOFlagTripsUnderOverloadAndClears(t *testing.T) {
 	// at 2.5-3 wall ms — far above OS timer granularity, so the
 	// arrival/processing ratio survives race-detector slowdowns.
 	clk := clock.NewScaled(20)
-	ob := obs.New(clk, obs.Config{})
+	// Every collection below is one slo event; a journal far larger than
+	// the collections a slow run makes keeps the trip from being evicted.
+	ob := obs.New(clk, obs.Config{JournalCapacity: 1 << 16})
 	eng := pipeline.New(clk)
 	eng.SetObservability(ob)
 
@@ -292,6 +294,7 @@ func TestSLOFlagTripsUnderOverloadAndClears(t *testing.T) {
 
 	// No latency target: the growth detector alone judges this run.
 	agg := obs.NewAggregator(clk, obs.SLOConfig{})
+	agg.SetJournal(ob.Journal)
 	agg.AddSource("local", obs.LocalSource(ob))
 
 	done := make(chan error, 1)
@@ -327,19 +330,24 @@ func TestSLOFlagTripsUnderOverloadAndClears(t *testing.T) {
 		t.Fatal("SLO flag never cleared after the adaptation controller converged")
 	}
 
-	// The trail recorded the story: some violation transition followed by a
-	// recovery.
-	evs := agg.View().SLOEvents
+	// The journal recorded the story: some violation transition followed
+	// by a recovery.
+	var flips []bool
+	for _, ev := range ob.Journal.Events(obs.EventFilter{Kind: obs.EventSLO}) {
+		if p := ev.Payload.(obs.SLO); p.Transition {
+			flips = append(flips, p.Violated)
+		}
+	}
 	sawTrip := false
 	sawRecovery := false
-	for _, ev := range evs {
-		if ev.Violated {
+	for _, violated := range flips {
+		if violated {
 			sawTrip = true
 		} else if sawTrip {
 			sawRecovery = true
 		}
 	}
 	if !sawTrip || !sawRecovery {
-		t.Fatalf("SLO trail %+v missing trip-then-recovery", evs)
+		t.Fatalf("SLO transitions %v missing trip-then-recovery", flips)
 	}
 }

@@ -6,12 +6,12 @@
 //	gates-experiments [-exp all|fig5|fig6|fig7|fig8|fig9|ablations|ext|migration|latency|constriction|policy|chaos] [-quick] [-scale N] [-seed N] [-parallel N]
 //
 // -exp latency sweeps the trace sampling rate, measuring the hot-path
-// observability tax and the end-to-end latency quantiles, and writes the
-// BENCH_latency.json artifact alongside the rendered table. -exp
+// observability tax and the end-to-end latency quantiles, and prints them
+// as a table. -exp
 // constriction runs a pipeline with one deliberately slow stage and checks
 // that the backpressure attribution engine names it. -exp policy runs the
 // bandwidth-collapse scenario under a lax policy v1, hot-reloads a
-// tightened v2 mid-run, and shows the decision log proving which policy
+// tightened v2 mid-run, and shows the journal proving which policy
 // version moved the placement. -exp chaos kills the node hosting a
 // summarizer mid-stream under an armed checkpoint/recovery plane and
 // compares coverage and accuracy against a fault-free run.
@@ -159,18 +159,6 @@ func run(exp string, cfg experiments.Config) error {
 			return err
 		}
 		res.Render(out)
-		// Carry the existing artifact's numbers as prev* fields, the same
-		// before/after record scripts/bench.sh keeps for BENCH_pipeline.json.
-		res.MergePrev(experiments.LoadLatencyResult("BENCH_latency.json"))
-		f, err := os.Create("BENCH_latency.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "wrote BENCH_latency.json")
 	}
 	if exp == "constriction" {
 		res, err := experiments.ExpConstriction(cfg)

@@ -11,8 +11,8 @@
 // application repository (see internal/builtin); examples/ contains ready
 // descriptors. With -monitor, a live dashboard streams to stderr while the
 // application runs (the final dashboard still goes to stdout); with
-// -obs-listen, the whole deployment's metrics, adaptation audit trail, and
-// sampled traces are served over HTTP for the run's duration:
+// -obs-listen, the whole deployment's metrics, event journal, and sampled
+// traces are served over HTTP for the run's duration:
 //
 //	gates-launcher -config examples/compsteer.xml -obs-listen :9090 &
 //	curl -s localhost:9090/metrics | grep gates_stage_items
@@ -29,9 +29,11 @@
 // The run is policy-driven: -policy loads a declarative control-plane
 // document (placement rules, rebalance thresholds, SLO objectives),
 // -policy-watch and POST /policy hot-reload it mid-run with
-// validation-and-rollback, and /decisions serves the decision log — every
-// placement, rebalance verdict, and SLO evaluation with the policy version
-// that produced it. -slo-p99 overrides the document's latency target.
+// validation-and-rollback, and /events (?kind=placement, rebalance, slo,
+// policy) serves every placement, rebalance verdict, and SLO evaluation with
+// the policy version that produced it. -slo-p99 overrides the document's
+// latency target. -flight-dump makes SIGQUIT, and every SLO violation,
+// snapshot the journal to disk.
 package main
 
 import (
@@ -130,17 +132,17 @@ func run(config string, o launcherOptions) error {
 
 	// One observability bundle backs everything downstream of here: the
 	// deployed stages publish into its registry, adaptation epochs land in
-	// its audit trail, and the monitor derives its rates from the same
-	// registry instead of keeping private counters. SIGQUIT snapshots the
-	// flight recorder to disk when -flight-dump is set.
+	// its journal, and the monitor derives its rates from the same registry
+	// instead of keeping private counters. SIGQUIT snapshots the journal to
+	// disk when -flight-dump is set.
 	ob := o.conf.NewObservability(clk)
 	deployer.SetObservability(ob)
-	defer cliconf.NotifyFlightDump(ob, "gates-launcher")()
+	defer o.conf.NotifyFlightDump(ob, "gates-launcher")()
 
 	// The policy engine is the declarative control plane behind every
 	// placement, rebalance, and SLO verdict of this run: -policy loads a
 	// document, -policy-watch and POST /policy hot-reload it, and each
-	// decision lands in /decisions citing the version that produced it.
+	// decision lands in /events citing the version that produced it.
 	// -slo-p99 survives as a flag override compiled into the document.
 	pol, stopWatch, err := o.conf.StartPolicy(clk, ob)
 	if err != nil {
@@ -176,12 +178,12 @@ func run(config string, o launcherOptions) error {
 	// The cluster aggregator merges this process's snapshot (the launcher
 	// runs every in-process stage) with any scraped remote nodes, and its
 	// SLO monitor re-evaluates on every collection against the objectives
-	// the policy engine currently holds. The violation flag is itself a
-	// metric, so a scrape of /metrics sees the detector's state.
+	// the policy engine currently holds, recording each verdict in the
+	// journal. The violation flag is itself a metric, so a scrape of
+	// /metrics sees the detector's state.
 	agg := obs.NewAggregator(clk, obs.SLOConfig{})
 	agg.SetSLOSource(pol.SLOSource())
-	agg.SetDecisionLog(ob.DecisionLog())
-	agg.SetFlightRecorder(ob.Flight)
+	agg.SetJournal(ob.Journal)
 	agg.AddSource("launcher", obs.LocalSource(ob))
 	for _, addr := range o.scrape {
 		agg.AddSource(addr, obs.HTTPSource(nil, addr))
@@ -308,16 +310,18 @@ func run(config string, o launcherOptions) error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	var epochs uint64
 	for _, id := range ids {
 		for _, st := range app.Stages[id] {
 			s := st.Stats()
 			fmt.Fprintf(tw, "%s/%d@%s\t%d\t%d\t%d\t%d\t%s\n",
 				st.ID(), st.Instance(), st.Node(),
 				s.PacketsIn, s.ItemsIn, s.PacketsOut, s.BytesOut, s.ComputeCharged)
+			epochs += st.Controller().Adjustments()
 		}
 	}
-	if n := ob.Audit.Total(); n > 0 {
-		fmt.Fprintf(tw, "adaptation epochs recorded: %d\n", n)
+	if epochs > 0 {
+		fmt.Fprintf(tw, "adaptation epochs recorded: %d\n", epochs)
 	}
 	return tw.Flush()
 }

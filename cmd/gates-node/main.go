@@ -15,7 +15,8 @@
 // adapts exactly as it does in the emulated experiments. With -obs-listen,
 // the node additionally serves its observability surface over HTTP:
 // /metrics (Prometheus text), /snapshot (JSON, scraped by a launcher's
-// cluster aggregator), /adaptations (the self-adaptation audit trail),
+// cluster aggregator), /events (the event journal: every self-adaptation
+// epoch, lifecycle transition and policy load, filterable by ?kind=),
 // /traces (sampled hot-path spans), /healthz and /readyz (probes), and
 // /debug/pprof. Trace sampling is tuned with -trace-sample (or the
 // GATES_TRACE_SAMPLE environment variable): tracing one in every N
@@ -24,9 +25,10 @@
 //
 // The node is also policy-driven: -policy loads a declarative control-plane
 // document (and -policy-watch hot-reloads it on change), GET/POST /policy
-// inspects and hot-reloads it over HTTP, and /decisions serves the decision
-// log — every control-plane verdict with the policy version that produced
-// it.
+// inspects and hot-reloads it over HTTP, and /events?kind=policy shows each
+// load with the policy version it installed. -flight-dump makes SIGQUIT
+// snapshot the journal to disk and keep serving; without it SIGQUIT is the
+// Go runtime's stack dump and exit.
 package main
 
 import (
@@ -97,16 +99,16 @@ func run(o nodeOptions) error {
 	}
 
 	// The observability bundle is always built (a nil bundle would also
-	// work, but one bundle keeps the audit trail available for the final
-	// report); the HTTP endpoint is opt-in. SIGQUIT snapshots the flight
-	// recorder to disk when -flight-dump is set.
+	// work, but one bundle keeps the journal available to the endpoint);
+	// the HTTP endpoint is opt-in. SIGQUIT snapshots the journal to disk
+	// when -flight-dump is set.
 	ob := o.conf.NewObservability(clk)
-	defer cliconf.NotifyFlightDump(ob, "gates-node")()
+	defer o.conf.NotifyFlightDump(ob, "gates-node")()
 
-	// The policy engine backs /policy and the decision log even on a plain
-	// node: its stage hosts no planner, but operators can inspect and
+	// The policy engine backs /policy and its journal events even on a
+	// plain node: its stage hosts no planner, but operators can inspect and
 	// hot-reload the document that a co-resident launcher or a future
-	// control plane would consult, and policy loads land in /decisions.
+	// control plane would consult, and policy loads land in /events.
 	pol, stopWatch, err := o.conf.StartPolicy(clk, ob)
 	if err != nil {
 		return err
@@ -249,13 +251,15 @@ func run(o nodeOptions) error {
 	if err := eng.Run(context.Background()); err != nil {
 		return err
 	}
+	var epochs uint64
 	for _, st := range eng.Stages() {
 		s := st.Stats()
 		fmt.Printf("%s/%d: in=%d items out=%d pkts %d bytes\n",
 			st.ID(), st.Instance(), s.ItemsIn, s.PacketsOut, s.BytesOut)
+		epochs += st.Controller().Adjustments()
 	}
-	if n := ob.Audit.Total(); n > 0 {
-		fmt.Printf("adaptation epochs: %d\n", n)
+	if epochs > 0 {
+		fmt.Printf("adaptation epochs: %d\n", epochs)
 	}
 	return nil
 }

@@ -82,9 +82,9 @@ func TestRunValidation(t *testing.T) {
 
 // TestNodeObservabilityEndpoints drives a live gates-node's HTTP surface end
 // to end: the test plays the upstream node over real TCP, then scrapes
-// /metrics until the stage counters reflect the traffic and /adaptations
-// until the audit trail has recorded self-adaptation epochs, and finally
-// ends the stream and checks the node shuts down cleanly.
+// /metrics until the stage counters reflect the traffic and /events until
+// the journal has recorded self-adaptation epochs, and finally ends the
+// stream and checks the node shuts down cleanly.
 func TestNodeObservabilityEndpoints(t *testing.T) {
 	addrs := make(chan [2]string, 1)
 	nodeDone := make(chan error, 1)
@@ -159,32 +159,45 @@ func TestNodeObservabilityEndpoints(t *testing.T) {
 		}
 	}
 
-	// /adaptations must fill in as the host's adjust epochs fire (200ms
-	// virtual at 500x is sub-millisecond real time).
-	var audit struct {
-		Total  int `json:"total"`
+	// /events must fill in as the host's adjust epochs fire (200ms virtual
+	// at 500x is sub-millisecond real time). Both the host and the ingress
+	// stage adapt; the filter keeps the host's own epochs.
+	var journal struct {
 		Events []struct {
-			Stage  string  `json:"stage"`
-			Lambda float64 `json:"lambda"`
+			Kind    string `json:"kind"`
+			Stage   string `json:"stage"`
+			Payload struct {
+				DTilde *float64 `json:"d_tilde"`
+			} `json:"payload"`
 		} `json:"events"`
 	}
-	// Both the host and the ingress stage adapt, so events from either can
-	// lead the ring; wait until the host itself has recorded one.
-	waitFor(t, "adaptation audit trail to record host epochs", func() (bool, string) {
-		raw := get("/adaptations")
-		if err := json.Unmarshal([]byte(raw), &audit); err != nil {
-			t.Fatalf("/adaptations: %v in %s", err, raw)
+	waitFor(t, "journal to record host adaptation epochs", func() (bool, string) {
+		raw := get("/events?kind=adaptation&stage=host")
+		if err := json.Unmarshal([]byte(raw), &journal); err != nil {
+			t.Fatalf("/events: %v in %s", err, raw)
 		}
-		if audit.Total < 1 {
-			return false, raw
-		}
-		for _, ev := range audit.Events {
-			if ev.Stage == "host" {
-				return true, raw
-			}
-		}
-		return false, raw
+		return len(journal.Events) > 0, raw
 	})
+	for _, ev := range journal.Events {
+		if ev.Kind != "adaptation" || ev.Stage != "host" || ev.Payload.DTilde == nil {
+			t.Fatalf("filtered /events served %+v", ev)
+		}
+	}
+	// Policy loads are journaled too: the node loaded the default document.
+	if body := get("/events?kind=policy"); !strings.Contains(body, `"policy_version": "default"`) {
+		t.Errorf("/events?kind=policy missing the default load: %s", body)
+	}
+	// The endpoints /events replaced are gone.
+	for _, retired := range []string{"/adaptations", "/migrations", "/decisions", "/flightrecorder"} {
+		resp, err := http.Get("http://" + obsAddr + retired)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d, want 404", retired, resp.StatusCode)
+		}
+	}
 
 	// /snapshot serves the same registry as JSON.
 	if snap := get("/snapshot"); !strings.Contains(snap, "gates_stage_items_in_total") {

@@ -161,10 +161,6 @@ type (
 	Snapshotter = pipeline.Snapshotter
 	// StageState is a stage's lifecycle state.
 	StageState = pipeline.StageState
-	// MigrationEvent is one recorded stage migration (see /migrations).
-	MigrationEvent = obs.MigrationEvent
-	// LifecycleEvent is one recorded stage state transition.
-	LifecycleEvent = obs.LifecycleEvent
 )
 
 // Stage lifecycle states (Init → Running → Draining → Paused → Stopped).
@@ -183,9 +179,8 @@ func NewRebalancer(dep *Deployment, cfg RebalancerConfig) *Rebalancer {
 }
 
 // Declarative control plane: one versioned policy document behind every
-// Planner placement, Rebalancer verdict, and SLO evaluation, with an
-// OPA-style decision log recording each verdict and the version that
-// produced it.
+// Planner placement, Rebalancer verdict, and SLO evaluation, each verdict
+// recorded in the event journal citing the version that produced it.
 type (
 	// PolicyDocument is one complete declarative policy (placement rules,
 	// rebalance thresholds, SLO objectives). The zero value normalizes to
@@ -197,8 +192,6 @@ type (
 	PolicyEngine = policy.Engine
 	// PlacementRule constrains or biases where one stage's instances run.
 	PlacementRule = policy.PlacementRule
-	// DecisionEvent is one decision-log entry (see /decisions).
-	DecisionEvent = obs.DecisionEvent
 )
 
 // ParsePolicy decodes a JSON or XML policy document and normalizes it.
@@ -380,18 +373,39 @@ func (g *Grid) NewEngine() *Engine {
 
 // Observability is the unified observation bundle: a metrics registry with
 // Prometheus/JSON exposition, structured logging on the virtual clock,
-// sampled hot-path trace spans, and the adaptation audit trail.
+// sampled hot-path trace spans, and the event journal.
 type Observability = obs.Observability
 
 // ObsConfig tunes an Observability bundle (see obs.Config).
 type ObsConfig = obs.Config
 
-// AdaptationEvent is one recorded adaptation decision (see /adaptations).
-type AdaptationEvent = obs.AdaptationEvent
+// The event journal (Observability.Journal, served at /events): one
+// timeline of every control-plane event, each an envelope plus one typed
+// payload per kind.
+type (
+	// Event is one journal entry.
+	Event = obs.Event
+	// EventFilter narrows Journal.Events; the zero filter matches all.
+	EventFilter = obs.EventFilter
+	// Adaptation is an adaptation event's payload: one §4 epoch.
+	Adaptation = obs.Adaptation
+	// Migration is a migration event's payload: one live stage move.
+	Migration = obs.Migration
+	// Lifecycle is a lifecycle event's payload: one stage state edge.
+	Lifecycle = obs.Lifecycle
+	// Decision is the payload of placement, rebalance, and policy events:
+	// the rule, the outcome, and the input the rule saw.
+	Decision = obs.Decision
+	// SLO is an slo event's payload: one SLO-detector evaluation.
+	SLO = obs.SLO
+	// Recovery is a recovery event's payload: one instance recovered off
+	// a dead node.
+	Recovery = obs.Recovery
+)
 
 // NewObservability builds an observability bundle on the grid's clock and
 // attaches it: every application launched (and every engine built) from now
-// on publishes metrics, spans, audit events, and logs into it. Serve its
+// on publishes metrics, spans, journal events, and logs into it. Serve its
 // HTTP surface with gates.ServeObservability.
 func (g *Grid) NewObservability(cfg ObsConfig) *Observability {
 	o := obs.New(g.clk, cfg)
@@ -407,7 +421,7 @@ func (g *Grid) SetObservability(o *Observability) { g.o = o }
 func (g *Grid) Observability() *Observability { return g.o }
 
 // ServeObservability exposes o over HTTP at addr (":0" picks a free port):
-// /metrics (Prometheus text), /snapshot (JSON), /adaptations (audit trail),
+// /metrics (Prometheus text), /snapshot (JSON), /events (the journal),
 // /traces (sampled spans). Close the returned server when done.
 func ServeObservability(addr string, o *Observability) (*obs.Server, error) {
 	return obs.Serve(addr, o)

@@ -283,8 +283,8 @@ func TestGridMonitor(t *testing.T) {
 
 // TestGridPolicyEngine drives the declarative control plane through the
 // public API: a policy document with a named placement rule governs a
-// launch, and the decision log records each placement citing the rule and
-// the document version.
+// launch, and the journal records each placement citing the rule and the
+// document version.
 func TestGridPolicyEngine(t *testing.T) {
 	g, sink := testGrid(t)
 	ob := g.NewObservability(gates.ObsConfig{})
@@ -318,28 +318,21 @@ func TestGridPolicyEngine(t *testing.T) {
 		t.Fatalf("idle rebalancer migrated %d instances", reb.Migrations())
 	}
 
-	var sinkDecision *gates.DecisionEvent
-	placements := 0
-	for _, ev := range ob.DecisionLog().Events() {
-		if ev.Kind != "placement" {
-			continue
-		}
-		placements++
-		if ev.Stage == "sink" {
-			sinkDecision = &ev
-		}
+	placements := ob.Journal.Events(gates.EventFilter{Kind: "placement"})
+	if len(placements) != 3 {
+		t.Fatalf("%d placement decisions logged, want 3 (2 feeds + 1 sink)", len(placements))
 	}
-	if placements != 3 {
-		t.Fatalf("%d placement decisions logged, want 3 (2 feeds + 1 sink)", placements)
+	sink0 := ob.Journal.Events(gates.EventFilter{Kind: "placement", Stage: "sink"})
+	if len(sink0) != 1 {
+		t.Fatalf("sink placement decisions %+v, want one", sink0)
 	}
-	if sinkDecision == nil {
-		t.Fatal("no placement decision for the sink")
-	}
-	if sinkDecision.Rule != "pin-sink" || sinkDecision.PolicyVersion != "facade-1" {
+	sinkDecision := sink0[0]
+	d := sinkDecision.Payload.(gates.Decision)
+	if d.Rule != "pin-sink" || sinkDecision.PolicyVersion != "facade-1" {
 		t.Fatalf("sink decision cites %s/%s, want facade-1/pin-sink",
-			sinkDecision.PolicyVersion, sinkDecision.Rule)
+			sinkDecision.PolicyVersion, d.Rule)
 	}
-	if sinkDecision.Node != "hub" || sinkDecision.Outcome != "placed" {
+	if sinkDecision.Node != "hub" || d.Outcome != "placed" {
 		t.Fatalf("sink decision %+v", sinkDecision)
 	}
 

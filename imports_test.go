@@ -94,6 +94,13 @@ func TestImportDirection(t *testing.T) {
 			banned: func(d string) bool { return d == "internal/service" },
 		},
 		{
+			// The apps encode their payloads through internal/wire, which
+			// exists so that stage code never reaches for the TCP layer.
+			name:   "apps do not import transport",
+			from:   func(p string) bool { return strings.HasPrefix(p, "internal/apps/") },
+			banned: func(d string) bool { return d == "internal/transport" },
+		},
+		{
 			name:   "nothing under internal imports experiments",
 			from:   func(p string) bool { return p != "internal/experiments" },
 			banned: func(d string) bool { return d == "internal/experiments" },

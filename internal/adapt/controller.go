@@ -143,8 +143,8 @@ func (c *Controller) DownstreamEpochCounts() (t1, t2 float64) {
 // AdjustResult captures one adjustment epoch in full: the inputs the ΔP law
 // consumed (d̃ and its normalized form, the downstream exception counts
 // T1/T2 that this epoch reset, the combined φ1 pressure) and the outputs
-// (the canonical ΔP and every parameter move). It is the raw material of the
-// adaptation audit trail.
+// (the canonical ΔP and every parameter move). It is the raw material of
+// the journal's adaptation events.
 type AdjustResult struct {
 	// DTilde is the long-term average queue size factor at adjustment time.
 	DTilde float64

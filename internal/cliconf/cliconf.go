@@ -1,6 +1,6 @@
 // Package cliconf holds the command-line surface every GATES binary
-// shares: the observability flags (obs endpoint, trace sampling, flight
-// recorder), the policy flags (document path, hot-reload watch), and the
+// shares: the observability flags (obs endpoint, trace sampling, event
+// journal size and dump path), the policy flags (document path, hot-reload watch), and the
 // plumbing that turns them into a wired observability bundle and policy
 // engine. gates-node and gates-launcher previously each carried a copy of
 // this block; one definition here keeps the flags, their help text, and
@@ -28,9 +28,9 @@ type Flags struct {
 	// TraceSample is the raw -trace-sample value; SampleEvery resolves it
 	// into obs.Config semantics.
 	TraceSample int
-	// FlightSize is the flight-recorder ring capacity.
+	// FlightSize is the event journal's ring capacity.
 	FlightSize int
-	// FlightDump is the flight-recorder disk-snapshot path ("" = off).
+	// FlightDump is the event journal's disk-snapshot path ("" = off).
 	FlightDump string
 	// Verbose enables structured middleware logging to stderr.
 	Verbose bool
@@ -52,10 +52,10 @@ type Flags struct {
 // parsed values land in.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.ObsListen, "obs-listen", "", "HTTP address serving the observability surface — /metrics, /snapshot, /adaptations, /migrations, /traces, /flightrecorder, /bottlenecks, /decisions, /policy, /healthz, /readyz, /debug/pprof (\":0\" picks a port; omit to disable)")
+	fs.StringVar(&f.ObsListen, "obs-listen", "", "HTTP address serving the observability surface — /metrics, /snapshot, /events, /traces, /bottlenecks, /policy, /healthz, /readyz, /debug/pprof (\":0\" picks a port; omit to disable)")
 	fs.IntVar(&f.TraceSample, "trace-sample", obs.DefaultTraceSample(), "record one trace span in every N hot-path operations; 0 disables tracing entirely (default from GATES_TRACE_SAMPLE)")
-	fs.IntVar(&f.FlightSize, "flight-recorder-size", obs.DefaultFlightCapacity, "events retained by the in-memory flight recorder")
-	fs.StringVar(&f.FlightDump, "flight-dump", "", "file path the flight recorder snapshots to on SLO violation or SIGQUIT (omit to disable disk dumps)")
+	fs.IntVar(&f.FlightSize, "flight-recorder-size", obs.DefaultJournalCapacity, "events retained by the in-memory event journal (/events)")
+	fs.StringVar(&f.FlightDump, "flight-dump", "", "file path the event journal snapshots to on SLO violation or SIGQUIT (omit to disable disk dumps and leave SIGQUIT to the Go runtime)")
 	fs.BoolVar(&f.Verbose, "v", false, "log structured middleware events to stderr")
 	fs.StringVar(&f.PolicyPath, "policy", "", "policy document (JSON or XML) declaring placement rules, rebalance thresholds, and SLO targets (omit for built-in defaults)")
 	fs.DurationVar(&f.PolicyWatch, "policy-watch", 0, "re-check the -policy file this often (wall clock) and hot-reload it on change (0 = no watching; POST /policy always works)")
@@ -85,19 +85,17 @@ func (f *Flags) FaultTolerance(doc policy.Document) (checkpoint time.Duration, r
 func (f *Flags) SampleEvery() int { return obs.SampleEveryFor(f.TraceSample) }
 
 // NewObservability builds the bundle the flags describe: trace sampling,
-// flight-recorder capacity and dump path, and logging to stderr when -v.
+// journal capacity and dump path, and logging to stderr when -v.
 func (f *Flags) NewObservability(clk clock.Clock) *obs.Observability {
 	cfg := obs.Config{
-		SampleEvery:    f.SampleEvery(),
-		FlightCapacity: f.FlightSize,
+		SampleEvery:     f.SampleEvery(),
+		JournalCapacity: f.FlightSize,
 	}
 	if f.Verbose {
 		cfg.LogWriter = os.Stderr
 	}
 	ob := obs.New(clk, cfg)
-	if f.FlightDump != "" {
-		ob.Flight.SetDumpPath(f.FlightDump)
-	}
+	ob.Journal.SetDumpPath(f.FlightDump)
 	return ob
 }
 
@@ -121,22 +119,34 @@ func (f *Flags) StartPolicy(clk clock.Clock, ob *obs.Observability) (*policy.Eng
 	return eng, stop, nil
 }
 
-// NotifyFlightDump installs the SIGQUIT handler that snapshots the flight
-// recorder to disk (when a dump path is configured) without ending the
-// process — the classic "what just happened" escape hatch on a live node.
-// binary names the process in the stderr report. The returned stop
-// function uninstalls the handler.
-func NotifyFlightDump(ob *obs.Observability, binary string) (stop func()) {
+// NotifyFlightDump installs, when -flight-dump is set, the SIGQUIT handler
+// that snapshots ob's journal to disk without ending the process — the
+// classic "what just happened" escape hatch on a live node. Without a dump
+// path it installs nothing, so SIGQUIT keeps the Go runtime's behavior:
+// dump every goroutine's stack and exit. binary names the process in the
+// stderr report. The returned stop function uninstalls the handler and
+// returns once its goroutine has exited.
+func (f *Flags) NotifyFlightDump(ob *obs.Observability, binary string) (stop func()) {
+	if f.FlightDump == "" {
+		return func() {}
+	}
 	sigq := make(chan os.Signal, 1)
 	signal.Notify(sigq, syscall.SIGQUIT)
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		for range sigq {
-			if path, err := ob.Flight.DumpToDisk("sigquit"); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: flight dump: %v\n", binary, err)
-			} else if path != "" {
-				fmt.Fprintf(os.Stderr, "%s: flight recorder dumped to %s\n", binary, path)
+			if path, err := ob.Journal.DumpToDisk("sigquit"); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: journal dump: %v\n", binary, err)
+			} else {
+				fmt.Fprintf(os.Stderr, "%s: journal dumped to %s\n", binary, path)
 			}
 		}
 	}()
-	return func() { signal.Stop(sigq) }
+	return func() {
+		// After Stop returns no further signal is sent on sigq.
+		signal.Stop(sigq)
+		close(sigq)
+		<-done
+	}
 }

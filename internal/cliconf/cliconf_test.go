@@ -1,9 +1,15 @@
 package cliconf
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -46,7 +52,7 @@ func TestRegisterParse(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if f.TraceSample != obs.DefaultTraceSample() || f.FlightSize != obs.DefaultFlightCapacity {
+	if f.TraceSample != obs.DefaultTraceSample() || f.FlightSize != obs.DefaultJournalCapacity {
 		t.Errorf("defaults %+v", *f)
 	}
 	if f.ObsListen != "" || f.PolicyPath != "" || f.PolicyWatch != 0 {
@@ -65,19 +71,20 @@ func TestSampleEvery(t *testing.T) {
 	}
 }
 
-// TestNewObservability: the bundle honors the flight-recorder flags.
+// TestNewObservability: the bundle's journal honors the flight-recorder
+// flags.
 func TestNewObservability(t *testing.T) {
 	clk := clock.NewManual()
 	dump := filepath.Join(t.TempDir(), "flight.json")
 	f := &Flags{FlightSize: 4, FlightDump: dump}
 	ob := f.NewObservability(clk)
 	for i := 0; i < 10; i++ {
-		ob.Flight.Record(obs.FlightEvent{Kind: obs.FlightPolicy, Detail: "x"})
+		ob.Journal.Record(obs.Event{Kind: obs.EventPolicy, Detail: "x"})
 	}
-	if got := len(ob.Flight.Events()); got != 4 {
-		t.Errorf("flight recorder retained %d events, want the configured 4", got)
+	if got := len(ob.Journal.Events(obs.EventFilter{})); got != 4 {
+		t.Errorf("journal retained %d events, want the configured 4", got)
 	}
-	path, err := ob.Flight.DumpToDisk("test")
+	path, err := ob.Journal.DumpToDisk("test")
 	if err != nil || path == "" {
 		t.Fatalf("DumpToDisk = %q, %v", path, err)
 	}
@@ -115,4 +122,73 @@ func TestStartPolicy(t *testing.T) {
 	if _, _, err := (&Flags{PolicyPath: filepath.Join(t.TempDir(), "nope.json")}).StartPolicy(clk, nil); err == nil {
 		t.Error("missing policy file did not fail the launch")
 	}
+}
+
+// TestNotifyFlightDumpSIGQUIT re-executes the test binary as a child that
+// installs the handler and sends itself SIGQUIT. Without a dump path the
+// handler must stay out of the way, so the Go runtime's default kills the
+// child with its "SIGQUIT: quit" stack dump; with one, the child survives
+// and the dump file holds the journal and its dump marker.
+func TestNotifyFlightDumpSIGQUIT(t *testing.T) {
+	if args := flag.Args(); len(args) == 2 && args[0] == "sigquit-child" {
+		sigquitChild(t, args[1])
+		return
+	}
+	child := func(dump string) ([]byte, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		return exec.CommandContext(ctx, os.Args[0],
+			"-test.run=^TestNotifyFlightDumpSIGQUIT$", "--", "sigquit-child", dump).CombinedOutput()
+	}
+
+	out, err := child("")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(out), "SIGQUIT: quit") {
+		t.Fatalf("with no dump path SIGQUIT must reach the runtime and kill the child; err=%v, output:\n%s", err, out)
+	}
+
+	dump := filepath.Join(t.TempDir(), "journal.json")
+	if out, err := child(dump); err != nil {
+		t.Fatalf("with a dump path the child must survive SIGQUIT: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d struct {
+		Events []obs.Event `json:"events"`
+	}
+	if err := json.Unmarshal(data, &d); err != nil {
+		t.Fatalf("dump is not JSON: %v\n%s", err, data)
+	}
+	if n := len(d.Events); n == 0 || d.Events[n-1].Kind != obs.EventDump || d.Events[n-1].Detail != "sigquit" {
+		t.Fatalf("dump events %+v, want the sigquit dump marker last", d.Events)
+	}
+}
+
+// sigquitChild is the re-executed half of TestNotifyFlightDumpSIGQUIT.
+func sigquitChild(t *testing.T, dump string) {
+	f := &Flags{FlightDump: dump}
+	ob := f.NewObservability(clock.NewManual())
+	stop := f.NotifyFlightDump(ob, "cliconf-test")
+	defer stop()
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := self.Signal(syscall.SIGQUIT); err != nil {
+		t.Fatal(err)
+	}
+	if dump == "" {
+		// The runtime ends the process; sleeping on to a clean exit means
+		// a handler swallowed the signal.
+		time.Sleep(5 * time.Second)
+		return
+	}
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(dump); err == nil {
+			return
+		}
+	}
+	t.Fatal("SIGQUIT never dumped the journal")
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/gates-middleware/gates/internal/metrics"
 	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/pipeline"
+	"github.com/gates-middleware/gates/internal/policy"
 	"github.com/gates-middleware/gates/internal/service"
 )
 
@@ -262,7 +263,15 @@ func runHierarchy(cfg Config, hierarchical, autoPlace bool) (HierarchyRow, error
 		return HierarchyRow{}, err
 	}
 	if autoPlace {
-		dep.SetTopologyAware(true)
+		// Topology awareness is a placement policy: the planner weighs
+		// link bandwidth between communicating instances.
+		doc := policy.DefaultDocument()
+		doc.Placement.TopologyAware = true
+		pol := policy.New(clk, nil)
+		if err := pol.Load(doc, "experiment"); err != nil {
+			return HierarchyRow{}, err
+		}
+		dep.SetPolicy(pol)
 	}
 	launcher, err := service.NewLauncher(dep)
 	if err != nil {

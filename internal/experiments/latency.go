@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"text/tabwriter"
 	"time"
 
@@ -40,12 +38,6 @@ type LatencyRow struct {
 	P50 float64 `json:"p50S"`
 	P95 float64 `json:"p95S"`
 	P99 float64 `json:"p99S"`
-	// PrevNsPerItem and PrevP99 carry the previous artifact's numbers when
-	// BENCH_latency.json is regenerated over an existing file — the same
-	// before/after trajectory BENCH_pipeline.json keeps via its prev_*
-	// pairs. Nil on a first run (scripts/bench.sh drives the merge).
-	PrevNsPerItem *float64 `json:"prevNsPerItem,omitempty"`
-	PrevP99       *float64 `json:"prevP99S,omitempty"`
 }
 
 // LatencyResult is the latency-vs-sampling-rate study: what trace sampling
@@ -204,49 +196,4 @@ func (r *LatencyResult) Render(w io.Writer) {
 			row.P50, row.P95, row.P99)
 	}
 	tw.Flush()
-}
-
-// WriteJSON renders the result as indented JSON (the BENCH_latency.json
-// artifact).
-func (r *LatencyResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// LoadLatencyResult reads a previously written BENCH_latency.json; a
-// missing or unparsable file returns nil (first run, nothing to merge).
-func LoadLatencyResult(path string) *LatencyResult {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var r LatencyResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil
-	}
-	return &r
-}
-
-// MergePrev copies the previous artifact's headline numbers (wall ns/item
-// and e2e p99) into this result's Prev* fields, keyed by sampling rate, so
-// a regenerated BENCH_latency.json shows its before/after trajectory
-// instead of silently overwriting it.
-func (r *LatencyResult) MergePrev(prev *LatencyResult) {
-	if prev == nil {
-		return
-	}
-	byRate := make(map[int]LatencyRow, len(prev.Rows))
-	for _, row := range prev.Rows {
-		byRate[row.SampleEvery] = row
-	}
-	for i := range r.Rows {
-		old, ok := byRate[r.Rows[i].SampleEvery]
-		if !ok {
-			continue
-		}
-		ns, p99 := old.NsPerItem, old.P99
-		r.Rows[i].PrevNsPerItem = &ns
-		r.Rows[i].PrevP99 = &p99
-	}
 }

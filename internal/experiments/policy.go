@@ -28,7 +28,7 @@ import (
 // In the hot-reload mode, a new document v2 with a 2x threshold is loaded
 // mid-run — the same reload an operator performs with POST /policy — and
 // the very next sweep crosses the bar and migrates the affected summarizer
-// to the well-connected helper node. The decision log is the proof: the
+// to the well-connected helper node. The journal is the proof: the
 // move decision cites policy v2 and the rule that fired, while everything
 // before the reload cites v1.
 
@@ -49,8 +49,9 @@ type PolicyRow struct {
 	MoveRule string
 	// Skips counts rebalance skip decisions (cooldown or below-threshold).
 	Skips int
-	// Decisions is the total control-plane decisions recorded.
-	Decisions uint64
+	// Decisions counts the control-plane decisions recorded (placement,
+	// rebalance, and policy events).
+	Decisions int
 	// Versions lists the policy versions loaded, in order.
 	Versions []string
 }
@@ -113,7 +114,7 @@ func policyV2() policy.Document {
 }
 
 // runPolicyMode executes one mode and reads its story back out of the
-// decision log.
+// journal.
 func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload bool) (*PolicyRow, error) {
 	const (
 		baseBW      = 10 * 1024   // healthy inter-node bandwidth
@@ -183,7 +184,7 @@ func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload boo
 		return nil, err
 	}
 	// The observed policy engine is the run's control plane: placements,
-	// rebalance verdicts, and policy loads all land in its decision log.
+	// rebalance verdicts, and policy loads all land in its journal.
 	ob := obs.New(clk, obs.Config{})
 	dep.SetObservability(ob)
 	eng := policy.New(clk, ob)
@@ -245,7 +246,6 @@ func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload boo
 		Mode:       "static-v1",
 		Seconds:    secondsOf(sw.Elapsed()),
 		Migrations: reb.Migrations(),
-		Decisions:  ob.DecisionLog().Total(),
 	}
 	if hotReload {
 		row.Mode = "hot-reload"
@@ -253,15 +253,20 @@ func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload boo
 	if node, ok := app.Deployment.NodeFor("summarize", 0); ok {
 		row.FinalNode = node
 	}
-	for _, ev := range ob.DecisionLog().Events() {
+	for _, ev := range ob.Journal.Events(obs.EventFilter{}) {
+		d, ok := ev.Payload.(obs.Decision)
+		if !ok {
+			continue
+		}
+		row.Decisions++
 		switch {
-		case ev.Kind == obs.DecisionPolicy && ev.Outcome == "loaded":
+		case ev.Kind == obs.EventPolicy && d.Outcome == "loaded":
 			row.Versions = append(row.Versions, ev.PolicyVersion)
-		case ev.Kind == obs.DecisionRebalance && ev.Outcome == "skip":
+		case ev.Kind == obs.EventRebalance && d.Outcome == "skip":
 			row.Skips++
-		case ev.Kind == obs.DecisionRebalance && ev.Outcome == "move" && row.MoveVersion == "":
+		case ev.Kind == obs.EventRebalance && d.Outcome == "move" && row.MoveVersion == "":
 			row.MoveVersion = ev.PolicyVersion
-			row.MoveRule = ev.Rule
+			row.MoveRule = d.Rule
 		}
 	}
 	return row, nil

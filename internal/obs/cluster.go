@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,8 +16,8 @@ import (
 )
 
 // NodeSnapshot is the JSON document one node's /snapshot endpoint serves:
-// every metric series plus the adaptation, migration, and lifecycle trails,
-// so the cluster aggregator sees the node's full story in a single scrape.
+// every metric series plus the event journal, so the cluster aggregator
+// sees the node's full story in a single scrape.
 type NodeSnapshot struct {
 	// Node is the aggregator-assigned source name; empty in a node's
 	// own /snapshot output.
@@ -25,12 +26,8 @@ type NodeSnapshot struct {
 	At time.Time `json:"at"`
 	// Metrics is every series, histograms carried as buckets.
 	Metrics []MetricPoint `json:"metrics"`
-	// Adaptations, Migrations, Lifecycle, Decisions are the node's
-	// retained event trails.
-	Adaptations []AdaptationEvent `json:"adaptations,omitempty"`
-	Migrations  []MigrationEvent  `json:"migrations,omitempty"`
-	Lifecycle   []LifecycleEvent  `json:"lifecycle,omitempty"`
-	Decisions   []DecisionEvent   `json:"decisions,omitempty"`
+	// Events are the node's retained journal events, oldest first.
+	Events []Event `json:"events,omitempty"`
 }
 
 // NodeSnapshot assembles the bundle's current snapshot document.
@@ -39,10 +36,7 @@ func (o *Observability) NodeSnapshot() NodeSnapshot {
 	if o.Registry != nil {
 		s.Metrics = o.Registry.Snapshot()
 	}
-	s.Adaptations = o.Audit.Events()
-	s.Migrations = o.Migrations.Events()
-	s.Lifecycle = o.Lifecycle.Events()
-	s.Decisions = o.Decisions.Events()
+	s.Events = o.Journal.Events(EventFilter{})
 	return s
 }
 
@@ -209,21 +203,18 @@ type ClusterView struct {
 	Latency []LatencySummary `json:"latency,omitempty"`
 	// SLO is the violation detector's verdict for this collection.
 	SLO SLOStatus `json:"slo"`
-	// SLOEvents are the retained flag transitions.
-	SLOEvents []SLOEvent `json:"slo_events,omitempty"`
 	// Bottlenecks is the cluster-wide backpressure attribution verdict
 	// for this collection epoch, ranked over the merged series.
 	Bottlenecks *AttributionReport `json:"bottlenecks,omitempty"`
-	// Adaptations, Migrations, and Decisions are the most recent events
-	// across all nodes, newest last.
-	Adaptations []AdaptationEvent `json:"adaptations,omitempty"`
-	Migrations  []MigrationEvent  `json:"migrations,omitempty"`
-	Decisions   []DecisionEvent   `json:"decisions,omitempty"`
+	// Events are the newest recentTail events of each kind across all
+	// nodes, ordered by (At, Node, Seq), newest last. An event that names
+	// no node carries the name of the source it was scraped from.
+	Events []Event `json:"events,omitempty"`
 	// MergeErr reports a histogram bucket misalignment, if any.
 	MergeErr string `json:"merge_err,omitempty"`
 }
 
-// recentTail bounds the event lists carried in a cluster view.
+// recentTail bounds the events of each kind carried in a cluster view.
 const recentTail = 20
 
 // Aggregator periodically folds every node's snapshot into a ClusterView
@@ -239,13 +230,11 @@ type Aggregator struct {
 	// LocalSource scrape happens while Collect holds mu.
 	violated atomic.Bool
 
-	mu        sync.Mutex
-	sources   []aggSource
-	slo       *SLOMonitor
-	attr      *Attribution
-	flight    *FlightRecorder
-	sloPrimed bool
-	last      *ClusterView
+	mu      sync.Mutex
+	sources []aggSource
+	slo     *SLOMonitor
+	attr    *Attribution
+	last    *ClusterView
 }
 
 type aggSource struct {
@@ -259,7 +248,7 @@ func NewAggregator(clk clock.Clock, slo SLOConfig) *Aggregator {
 	if clk == nil {
 		panic("obs: NewAggregator requires a clock")
 	}
-	return &Aggregator{clk: clk, slo: NewSLOMonitor(slo, 0), attr: NewAttribution(clk)}
+	return &Aggregator{clk: clk, slo: NewSLOMonitor(slo), attr: NewAttribution(clk)}
 }
 
 // SetSLOSource makes the aggregator's SLO detector resolve its objectives
@@ -269,20 +258,13 @@ func (a *Aggregator) SetSLOSource(src SLOSource) {
 	a.slo.SetSource(src)
 }
 
-// SetDecisionLog makes every SLO evaluation the aggregator runs record its
-// verdict into the given decision log.
-func (a *Aggregator) SetDecisionLog(t *DecisionTrail) {
-	a.slo.SetDecisionLog(t)
-}
-
-// SetFlightRecorder attaches the flight recorder SLO transitions are
-// recorded into; a transition into violation also triggers DumpToDisk
-// ("slo-violation"), so the recorder's dump path decides whether a snapshot
-// lands on disk. Nil detaches.
-func (a *Aggregator) SetFlightRecorder(f *FlightRecorder) {
-	a.mu.Lock()
-	a.flight = f
-	a.mu.Unlock()
+// SetJournal makes every SLO evaluation the aggregator runs record one slo
+// event into j, and a transition into violation snapshot j to disk, so j's
+// dump path decides whether a snapshot lands there. When j is also a
+// source's journal (the launcher's own bundle), an evaluation's event
+// reaches the cluster view at the next collection. Nil detaches.
+func (a *Aggregator) SetJournal(j *Journal) {
+	a.slo.SetJournal(j)
 }
 
 // AddSource registers one node snapshot source under name.
@@ -321,43 +303,10 @@ func (a *Aggregator) Collect() *ClusterView {
 	view.Metrics = merged
 	view.Placements = placements(snaps)
 	view.Latency = latencySummaries(merged)
-	prevViolated := a.violated.Load()
 	view.SLO = a.slo.Evaluate(now, merged)
 	a.violated.Store(view.SLO.Violated)
-	view.SLOEvents = a.slo.Events()
 	view.Bottlenecks = a.attr.Observe(merged)
-	if view.SLO.Violated != prevViolated || (!a.sloPrimed && view.SLO.Violated) {
-		detail := "recovered"
-		if view.SLO.Violated {
-			detail = strings.Join(view.SLO.Reasons, "; ")
-		}
-		a.flight.Record(FlightEvent{
-			Kind: FlightSLO, Detail: detail, Value: float64(view.SLO.SinkP99),
-		})
-		if view.SLO.Violated {
-			// Best-effort post-mortem snapshot; the recorder remembers
-			// the error in its JSON envelope if the write fails.
-			_, _ = a.flight.DumpToDisk("slo-violation")
-		}
-	}
-	a.sloPrimed = true
-	for _, snap := range snaps {
-		view.Adaptations = append(view.Adaptations, snap.Adaptations...)
-		view.Migrations = append(view.Migrations, snap.Migrations...)
-		view.Decisions = append(view.Decisions, snap.Decisions...)
-	}
-	sort.Slice(view.Adaptations, func(i, j int) bool { return view.Adaptations[i].At.Before(view.Adaptations[j].At) })
-	sort.Slice(view.Migrations, func(i, j int) bool { return view.Migrations[i].At.Before(view.Migrations[j].At) })
-	sort.SliceStable(view.Decisions, func(i, j int) bool { return view.Decisions[i].At.Before(view.Decisions[j].At) })
-	if n := len(view.Adaptations); n > recentTail {
-		view.Adaptations = view.Adaptations[n-recentTail:]
-	}
-	if n := len(view.Migrations); n > recentTail {
-		view.Migrations = view.Migrations[n-recentTail:]
-	}
-	if n := len(view.Decisions); n > recentTail {
-		view.Decisions = view.Decisions[n-recentTail:]
-	}
+	view.Events = recentEvents(snaps)
 
 	a.last = view
 	return view
@@ -386,6 +335,39 @@ func (a *Aggregator) SLOStatus() SLOStatus {
 // form safe to publish as a registry gauge (SLOStatus would deadlock there:
 // the gauge fires while Collect scrapes the local registry under mu).
 func (a *Aggregator) Violated() bool { return a.violated.Load() }
+
+// recentEvents merges every snapshot's journal into one timeline ordered by
+// (At, Node, Seq) and keeps the newest recentTail events of each kind.
+func recentEvents(snaps []NodeSnapshot) []Event {
+	var all []Event
+	for _, snap := range snaps {
+		for _, ev := range snap.Events {
+			if ev.Node == "" {
+				ev.Node = snap.Node
+			}
+			all = append(all, ev)
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := &all[i], &all[j]
+		if !a.At.Equal(b.At) {
+			return a.At.Before(b.At)
+		}
+		if a.Node != b.Node {
+			return a.Node < b.Node
+		}
+		return a.Seq < b.Seq
+	})
+	perKind := make(map[EventKind]int)
+	var out []Event
+	for i := len(all) - 1; i >= 0; i-- {
+		if perKind[all[i].Kind]++; perKind[all[i].Kind] <= recentTail {
+			out = append(out, all[i])
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
 
 // placements reads stage → node assignments off the per-node snapshots'
 // queue-depth gauges (the one series every running instance publishes).
@@ -462,8 +444,7 @@ func latencySummaries(merged []MetricPoint) []LatencySummary {
 }
 
 // Render writes the gates-top style text dashboard: placements, per-stage
-// latency percentiles, SLO verdict, and the most recent adaptations and
-// migrations.
+// latency percentiles, SLO verdict, and the most recent journal events.
 func (v *ClusterView) Render(w io.Writer) {
 	fmt.Fprintf(w, "== gates cluster @ %s ==\n", v.At.Format("15:04:05.000"))
 	for _, n := range v.Nodes {
@@ -516,21 +497,19 @@ func (v *ClusterView) Render(w io.Writer) {
 	if v.Bottlenecks != nil {
 		fmt.Fprintf(w, "bottleneck: %s\n", v.Bottlenecks.Summary)
 	}
-	for _, ev := range v.Adaptations {
-		fmt.Fprintf(w, "adapt %s %s/%d d̃=%.3g ΔP=%.3g\n",
-			ev.At.Format("15:04:05.000"), ev.Stage, ev.Instance, ev.DTilde, ev.DeltaP)
-	}
-	for _, ev := range v.Migrations {
-		fmt.Fprintf(w, "moved %s %s/%d %s→%s drain=%s\n",
-			ev.At.Format("15:04:05.000"), ev.Stage, ev.Instance, ev.From, ev.To, ev.Drain)
-	}
-	for _, ev := range v.Decisions {
+	for _, ev := range v.Events {
 		target := ev.Stage
 		if target != "" {
-			target = fmt.Sprintf(" %s/%d", ev.Stage, ev.Instance)
+			target = fmt.Sprintf("%s/%d", ev.Stage, ev.Instance)
 		}
-		fmt.Fprintf(w, "decide %s %s%s %s [rule %s, policy %s]\n",
-			ev.At.Format("15:04:05.000"), ev.Kind, target, ev.Outcome, ev.Rule, ev.PolicyVersion)
+		if ev.Node != "" {
+			target += "@" + ev.Node
+		}
+		fmt.Fprintf(w, "%s %-10s %s %s", ev.At.Format("15:04:05.000"), ev.Kind, target, ev.Detail)
+		if ev.PolicyVersion != "" {
+			fmt.Fprintf(w, " [policy %s]", ev.PolicyVersion)
+		}
+		fmt.Fprintln(w)
 	}
 	if v.MergeErr != "" {
 		fmt.Fprintf(w, "merge error: %s\n", v.MergeErr)

@@ -94,6 +94,8 @@ func TestMergeMetricsMisalignedBuckets(t *testing.T) {
 func TestAggregatorSLOTripAndClear(t *testing.T) {
 	clk := clock.NewManual()
 	agg := NewAggregator(clk, SLOConfig{GrowthEpochs: 3})
+	j := NewJournal(clk, 16)
+	agg.SetJournal(j)
 	dTilde := 4.0
 	agg.AddSource("n1", func() (NodeSnapshot, error) {
 		return NodeSnapshot{At: clk.Now(), Metrics: []MetricPoint{dTildePoint("filter", "n1", dTilde)}}, nil
@@ -117,10 +119,73 @@ func TestAggregatorSLOTripAndClear(t *testing.T) {
 	if view.SLO.Violated || agg.Violated() {
 		t.Fatalf("flag did not clear after convergence: %+v", view.SLO)
 	}
-	// Trail: the initial healthy baseline, the trip, and the clear.
-	evs := view.SLOEvents
-	if len(evs) != 3 || evs[0].Violated || !evs[1].Violated || evs[2].Violated {
-		t.Fatalf("SLO events = %+v, want healthy, trip, clear", evs)
+	// The journal's transitions: the initial healthy baseline, the trip,
+	// and the clear.
+	var flips []bool
+	for _, ev := range j.Events(EventFilter{Kind: EventSLO}) {
+		if p := ev.Payload.(SLO); p.Transition {
+			flips = append(flips, p.Violated)
+		}
+	}
+	if len(flips) != 3 || flips[0] || !flips[1] || flips[2] {
+		t.Fatalf("SLO transitions = %v, want healthy, trip, clear", flips)
+	}
+}
+
+// TestClusterEventsKeepNodeSeqOrder gives two nodes events stamped at the
+// same instant: the merged timeline must order them by (at, node, seq) —
+// each node's events in its own sequence order — on every collection.
+func TestClusterEventsKeepNodeSeqOrder(t *testing.T) {
+	clk := clock.NewManual()
+	at := clk.Now()
+	journals := map[string]*Journal{"n1": NewJournal(clk, 64), "n2": NewJournal(clk, 64)}
+	agg := NewAggregator(clk, SLOConfig{})
+	for _, name := range []string{"n2", "n1"} {
+		j := journals[name]
+		for i := 0; i < 10; i++ {
+			j.Record(Event{At: at, Kind: EventLifecycle, Stage: "s", Instance: i})
+		}
+		agg.AddSource(name, func() (NodeSnapshot, error) {
+			return NodeSnapshot{At: clk.Now(), Events: j.Events(EventFilter{})}, nil
+		})
+	}
+	for round := 0; round < 50; round++ {
+		evs := agg.Collect().Events
+		if len(evs) != 20 {
+			t.Fatalf("round %d: %d events, want 20", round, len(evs))
+		}
+		for i, ev := range evs {
+			node, seq := "n1", uint64(i)
+			if i >= 10 {
+				node, seq = "n2", uint64(i-10)
+			}
+			if ev.Node != node || ev.Seq != seq {
+				t.Fatalf("round %d: event %d is %s/%d, want %s/%d", round, i, ev.Node, ev.Seq, node, seq)
+			}
+		}
+	}
+}
+
+// TestClusterEventsNewestPerKind: the view keeps the newest recentTail
+// events of each kind, so a chatty kind does not push a rare one out.
+func TestClusterEventsNewestPerKind(t *testing.T) {
+	clk := clock.NewManual()
+	j := NewJournal(clk, 256)
+	j.Record(Event{Kind: EventMigration, Stage: "m"})
+	for i := 0; i < 3*recentTail; i++ {
+		clk.Advance(time.Second)
+		j.Record(Event{Kind: EventAdaptation, Instance: i})
+	}
+	agg := NewAggregator(clk, SLOConfig{})
+	agg.AddSource("n1", func() (NodeSnapshot, error) {
+		return NodeSnapshot{At: clk.Now(), Events: j.Events(EventFilter{})}, nil
+	})
+	evs := agg.Collect().Events
+	if len(evs) != recentTail+1 || evs[0].Kind != EventMigration {
+		t.Fatalf("view kept %d events starting %+v, want the migration plus %d adaptations", len(evs), evs[0], recentTail)
+	}
+	if last := evs[len(evs)-1]; last.Instance != 3*recentTail-1 || last.Node != "n1" {
+		t.Fatalf("newest event %+v, want the last adaptation tagged with its source", last)
 	}
 }
 
@@ -190,7 +255,8 @@ func TestClusterViewRender(t *testing.T) {
 				Value:  3},
 			fanoutPoint("sink", "0", 0),
 			e2ePoint("sink", "n1", 90, 10, 0),
-		}}, nil
+		}, Events: []Event{{At: clk.Now(), Kind: EventPlacement, Stage: "sink", Node: "n1",
+			PolicyVersion: "v7", Detail: "placed (rule pin-sink)"}}}, nil
 	})
 	view := agg.Collect()
 	if len(view.Placements) != 1 || view.Placements[0].Node != "n1" || view.Placements[0].Depth != 3 {
@@ -203,7 +269,8 @@ func TestClusterViewRender(t *testing.T) {
 	var buf strings.Builder
 	view.Render(&buf)
 	out := buf.String()
-	for _, want := range []string{"gates cluster", "node n1", "STAGE", "sink (sink)", "slo: ok"} {
+	for _, want := range []string{"gates cluster", "node n1", "STAGE", "sink (sink)", "slo: ok",
+		"placement  sink/0@n1 placed (rule pin-sink) [policy v7]"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
+	"strconv"
 )
 
 // HandlerOptions extends the observability surface with deployment-aware
@@ -32,12 +34,13 @@ type HandlerOptions struct {
 // Handler returns the observability HTTP surface of a node:
 //
 //	/metrics      Prometheus text exposition of the registry
-//	/snapshot     JSON node snapshot: metrics + adaptation, migration,
-//	              and lifecycle trails (everything a cluster aggregator
-//	              needs in one scrape)
-//	/adaptations  JSON audit trail of adaptation decisions
-//	/migrations   JSON migration events and stage lifecycle transitions
+//	/snapshot     JSON node snapshot: metrics + the event journal
+//	              (everything a cluster aggregator needs in one scrape)
+//	/events       JSON event journal, narrowed by ?kind=, ?stage=,
+//	              ?instance= and ?since= (a sequence number)
 //	/traces       JSON of the retained sampled spans
+//	/bottlenecks  JSON backpressure attribution verdict
+//	/policy       active policy document (see HandlerOptions)
 //	/healthz      liveness (200 once the process serves HTTP)
 //	/readyz       readiness (503 until every local stage is Running)
 //	/cluster      merged cluster view (launcher only; see HandlerOptions)
@@ -90,34 +93,14 @@ func HandlerWith(o *Observability, opt HandlerOptions) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/adaptations", func(w http.ResponseWriter, r *http.Request) {
-		events := o.Audit.Events()
-		if events == nil {
-			events = []AdaptationEvent{}
+	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
+		f, err := parseEventFilter(r.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		writeJSON(w, struct {
-			Total  uint64            `json:"total"`
-			Events []AdaptationEvent `json:"events"`
-		}{Total: o.Audit.Total(), Events: events})
-	})
-	mux.HandleFunc("/migrations", func(w http.ResponseWriter, r *http.Request) {
-		events := o.Migrations.Events()
-		if events == nil {
-			events = []MigrationEvent{}
-		}
-		lifecycle := o.Lifecycle.Events()
-		if lifecycle == nil {
-			lifecycle = []LifecycleEvent{}
-		}
-		writeJSON(w, struct {
-			Total     uint64           `json:"total"`
-			Events    []MigrationEvent `json:"events"`
-			Lifecycle []LifecycleEvent `json:"lifecycle"`
-		}{Total: o.Migrations.Total(), Events: events, Lifecycle: lifecycle})
-	})
-	mux.HandleFunc("/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := o.FlightRec().WriteJSON(w); err != nil {
+		if err := o.Journal.WriteJSON(w, f); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -126,16 +109,6 @@ func HandlerWith(o *Observability, opt HandlerOptions) http.Handler {
 		// stall-counter deltas since the previous request (or process
 		// start), so two curls bracket exactly the window between them.
 		writeJSON(w, o.Attr().ObserveRegistry(o.Reg()))
-	})
-	mux.HandleFunc("/decisions", func(w http.ResponseWriter, r *http.Request) {
-		events := o.Decisions.Events()
-		if events == nil {
-			events = []DecisionEvent{}
-		}
-		writeJSON(w, struct {
-			Total  uint64          `json:"total"`
-			Events []DecisionEvent `json:"events"`
-		}{Total: o.Decisions.Total(), Events: events})
 	})
 	if opt.Policy != nil {
 		mux.Handle("/policy", opt.Policy)
@@ -160,13 +133,10 @@ func HandlerWith(o *Observability, opt HandlerOptions) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "GATES observability endpoints:")
 		fmt.Fprintln(w, "  /metrics      Prometheus text format")
-		fmt.Fprintln(w, "  /snapshot     JSON node snapshot (metrics + event trails)")
-		fmt.Fprintln(w, "  /adaptations  adaptation audit trail")
-		fmt.Fprintln(w, "  /migrations   stage migrations and lifecycle transitions")
+		fmt.Fprintln(w, "  /snapshot     JSON node snapshot (metrics + event journal)")
+		fmt.Fprintln(w, "  /events       event journal (?kind= ?stage= ?instance= ?since=)")
 		fmt.Fprintln(w, "  /traces       sampled hot-path spans")
-		fmt.Fprintln(w, "  /flightrecorder  bounded ring of lifecycle/SLO/stall events")
 		fmt.Fprintln(w, "  /bottlenecks  backpressure attribution verdict")
-		fmt.Fprintln(w, "  /decisions    control-plane decision log (placements, rebalances, SLO verdicts)")
 		if opt.Policy != nil {
 			fmt.Fprintln(w, "  /policy       active policy document (GET) / hot reload (POST)")
 		}
@@ -178,6 +148,27 @@ func HandlerWith(o *Observability, opt HandlerOptions) http.Handler {
 		fmt.Fprintln(w, "  /debug/pprof  runtime profiles")
 	})
 	return mux
+}
+
+// parseEventFilter reads /events' query parameters; an absent one leaves
+// its field unfiltered.
+func parseEventFilter(q url.Values) (EventFilter, error) {
+	f := EventFilter{Kind: EventKind(q.Get("kind")), Stage: q.Get("stage")}
+	if s := q.Get("instance"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return f, fmt.Errorf("obs: bad instance %q", s)
+		}
+		f.Instance = &n
+	}
+	if s := q.Get("since"); s != "" {
+		n, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			return f, fmt.Errorf("obs: bad since %q", s)
+		}
+		f.Since = n
+	}
+	return f, nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -15,12 +15,14 @@ import (
 func newTestBundle(t *testing.T) (*Observability, *clock.Manual) {
 	t.Helper()
 	clk := clock.NewManual()
-	o := New(clk, Config{SampleEvery: 1, TraceCapacity: 8, AuditCapacity: 8})
+	o := New(clk, Config{SampleEvery: 1, TraceCapacity: 8, JournalCapacity: 8})
 	o.Registry.Counter("gates_items_total", "items", map[string]string{"stage": "sink"}).Add(9)
 	sp := o.Tracer.Start("stage.batch")
 	clk.Advance(5 * time.Millisecond)
 	sp.End()
-	o.Audit.Record(AdaptationEvent{At: clk.Now(), Stage: "sink", DeltaP: -0.25})
+	o.Journal.Record(Event{Kind: EventAdaptation, Stage: "sink", Payload: Adaptation{DeltaP: -0.25}})
+	o.Journal.Record(Event{Kind: EventLifecycle, Stage: "sink", Instance: 1, Detail: "init → running"})
+	o.Journal.Record(Event{Kind: EventPolicy, Detail: "policy v1 loaded (test)"})
 	return o, clk
 }
 
@@ -60,11 +62,12 @@ func TestHandlerSnapshot(t *testing.T) {
 	var got struct {
 		At      time.Time     `json:"at"`
 		Metrics []MetricPoint `json:"metrics"`
+		Events  []Event       `json:"events"`
 	}
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.At.IsZero() || len(got.Metrics) == 0 {
+	if got.At.IsZero() || len(got.Metrics) == 0 || len(got.Events) != 3 {
 		t.Fatalf("snapshot = %+v", got)
 	}
 	found := false
@@ -78,18 +81,58 @@ func TestHandlerSnapshot(t *testing.T) {
 	}
 }
 
+// TestHandlerAdaptations reads adaptation epochs through /events: each
+// query parameter narrows the journal, a bad one answers 400, and the
+// endpoints /events replaced are gone.
 func TestHandlerAdaptations(t *testing.T) {
 	o, _ := newTestBundle(t)
-	_, _, body := get(t, Handler(o), "/adaptations")
-	var got struct {
-		Total  uint64            `json:"total"`
-		Events []AdaptationEvent `json:"events"`
+	h := Handler(o)
+	events := func(query string) (total uint64, evs []Event) {
+		t.Helper()
+		code, ct, body := get(t, h, "/events"+query)
+		if code != http.StatusOK || !strings.HasPrefix(ct, "application/json") {
+			t.Fatalf("/events%s: status %d content-type %q", query, code, ct)
+		}
+		var got struct {
+			Total    uint64  `json:"total"`
+			Capacity int     `json:"capacity"`
+			Events   []Event `json:"events"`
+		}
+		if err := json.Unmarshal([]byte(body), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Capacity != 8 {
+			t.Fatalf("capacity %d, want the configured 8", got.Capacity)
+		}
+		return got.Total, got.Events
 	}
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatal(err)
+	total, evs := events("?kind=adaptation")
+	if total != 3 || len(evs) != 1 || evs[0].Payload.(map[string]any)["delta_p"] != -0.25 {
+		t.Fatalf("adaptations = %d %+v", total, evs)
 	}
-	if got.Total != 1 || len(got.Events) != 1 || got.Events[0].DeltaP != -0.25 {
-		t.Fatalf("adaptations = %+v", got)
+	for query, want := range map[string]int{
+		"":                        3,
+		"?stage=sink":             2,
+		"?stage=sink&instance=0":  1,
+		"?instance=1":             1,
+		"?since=1":                2,
+		"?kind=policy&since=2":    1,
+		"?kind=migration":         0,
+		"?stage=sink&kind=policy": 0,
+	} {
+		if _, evs := events(query); len(evs) != want {
+			t.Errorf("/events%s kept %d events, want %d", query, len(evs), want)
+		}
+	}
+	for _, bad := range []string{"?instance=x", "?since=-1"} {
+		if code, _, _ := get(t, h, "/events"+bad); code != http.StatusBadRequest {
+			t.Errorf("/events%s status %d, want 400", bad, code)
+		}
+	}
+	for _, retired := range []string{"/adaptations", "/migrations", "/decisions", "/flightrecorder"} {
+		if code, _, _ := get(t, h, retired); code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", retired, code)
+		}
 	}
 }
 
@@ -137,10 +180,10 @@ func TestHandlerDisabledTracer(t *testing.T) {
 	if got.Started != 0 || len(got.Spans) != 0 {
 		t.Fatalf("disabled tracer served %+v", got)
 	}
-	// /adaptations must serve an empty list, not null.
-	_, _, body = get(t, Handler(o), "/adaptations")
+	// /events must serve an empty list, not null.
+	_, _, body = get(t, Handler(o), "/events")
 	if !strings.Contains(body, `"events": []`) {
-		t.Fatalf("empty trail not an empty list: %s", body)
+		t.Fatalf("empty journal not an empty list: %s", body)
 	}
 }
 

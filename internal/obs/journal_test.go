@@ -12,20 +12,21 @@ import (
 	"github.com/gates-middleware/gates/internal/clock"
 )
 
-func TestFlightRecorderWraparound(t *testing.T) {
+func TestJournalWraparound(t *testing.T) {
 	clk := clock.NewManual()
-	f := NewFlightRecorder(clk, 4)
+	j := NewJournal(clk, 4)
 	for i := 0; i < 10; i++ {
 		clk.Advance(time.Second)
-		f.Record(FlightEvent{Kind: FlightLifecycle, Stage: "s", Instance: i})
+		j.Record(Event{Kind: EventLifecycle, Stage: "s", Instance: i})
 	}
-	if got := f.Total(); got != 10 {
+	if got := j.Total(); got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
 	}
-	evs := f.Events()
+	evs := j.Events(EventFilter{})
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want capacity 4", len(evs))
 	}
+	// Oldest first, with monotone Seq stamped at record time.
 	for i, ev := range evs {
 		wantSeq := uint64(6 + i)
 		if ev.Seq != wantSeq {
@@ -43,30 +44,121 @@ func TestFlightRecorderWraparound(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderNilSafe(t *testing.T) {
-	var f *FlightRecorder
-	f.Record(FlightEvent{Kind: FlightSLO}) // must not panic
-	if f.Total() != 0 || f.Events() != nil {
-		t.Fatal("nil recorder should report nothing")
+func TestJournalSeqAndOrder(t *testing.T) {
+	j := NewJournal(clock.NewManual(), 3)
+	for i := 0; i < 5; i++ {
+		j.Record(Event{Kind: EventAdaptation, Stage: "s", Payload: Adaptation{QueueLen: i}})
 	}
-	if path, err := f.DumpToDisk("x"); path != "" || err != nil {
+	if j.Total() != 5 {
+		t.Fatalf("total = %d", j.Total())
+	}
+	evs := j.Events(EventFilter{})
+	if len(evs) != 3 {
+		t.Fatalf("retained %d", len(evs))
+	}
+	// Oldest first, with monotone Seq stamped at record time.
+	for i, ev := range evs {
+		if ev.Seq != uint64(i+2) || ev.Payload.(Adaptation).QueueLen != i+2 {
+			t.Fatalf("event %d = %+v", i, ev)
+		}
+	}
+	if newest := evs[len(evs)-1]; newest.Seq != 4 {
+		t.Fatalf("newest = %+v, want seq 4", newest)
+	}
+}
+
+func TestJournalEventsFilter(t *testing.T) {
+	j := NewJournal(clock.NewManual(), 8)
+	j.Record(Event{Kind: EventAdaptation, Stage: "analyze", Instance: 0, Payload: Adaptation{DeltaP: 1}})
+	j.Record(Event{Kind: EventAdaptation, Stage: "reduce", Instance: 0, Payload: Adaptation{DeltaP: 2}})
+	j.Record(Event{Kind: EventAdaptation, Stage: "analyze", Instance: 1, Payload: Adaptation{DeltaP: 3}})
+	j.Record(Event{Kind: EventLifecycle, Stage: "analyze", Instance: 0})
+	j.Record(Event{Kind: EventAdaptation, Stage: "analyze", Instance: 0, Payload: Adaptation{DeltaP: 4}})
+
+	zero := 0
+	got := j.Events(EventFilter{Kind: EventAdaptation, Stage: "analyze", Instance: &zero})
+	if len(got) != 2 || got[0].Payload.(Adaptation).DeltaP != 1 || got[1].Payload.(Adaptation).DeltaP != 4 {
+		t.Fatalf("kind+stage+instance filter = %+v", got)
+	}
+	if got := j.Events(EventFilter{Stage: "analyze"}); len(got) != 4 {
+		t.Fatalf("stage filter kept %d events, want 4 (instances 0 and 1, every kind)", len(got))
+	}
+	if got := j.Events(EventFilter{Instance: &zero}); len(got) != 4 {
+		t.Fatalf("instance-0 filter kept %d events, want 4", len(got))
+	}
+	got = j.Events(EventFilter{Since: 3})
+	if len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 4 {
+		t.Fatalf("since filter = %+v, want seqs 3 and 4", got)
+	}
+	if got := j.Events(EventFilter{Kind: EventMigration}); got != nil {
+		t.Fatalf("unmatched kind returned %+v", got)
+	}
+}
+
+func TestJournalNilSafe(t *testing.T) {
+	var j *Journal
+	j.Record(Event{Kind: EventSLO}) // must not panic
+	j.SetDumpPath("x")
+	if j.Total() != 0 || j.Events(EventFilter{}) != nil {
+		t.Fatal("nil journal should report nothing")
+	}
+	if path, err := j.DumpToDisk("x"); path != "" || err != nil {
 		t.Fatalf("nil DumpToDisk = (%q, %v)", path, err)
 	}
 }
 
-func TestFlightRecorderDumpToDisk(t *testing.T) {
+func TestNilJournalIsInert(t *testing.T) {
+	var j *Journal
+	j.Record(Event{Kind: EventAdaptation, Payload: Adaptation{}})
+	if j.Total() != 0 {
+		t.Fatal("nil journal counted")
+	}
+	if j.Events(EventFilter{}) != nil {
+		t.Fatal("nil journal has events")
+	}
+	zero := 0
+	if j.Events(EventFilter{Kind: EventAdaptation, Stage: "x", Instance: &zero}) != nil {
+		t.Fatal("nil journal matched a stage")
+	}
+	var sb strings.Builder
+	if err := j.WriteJSON(&sb, EventFilter{}); err != nil {
+		t.Fatalf("nil WriteJSON: %v", err)
+	}
+}
+
+// TestEmptyTrailLast checks that a journal with nothing recorded has no
+// newest event to report.
+func TestEmptyTrailLast(t *testing.T) {
+	j := NewJournal(clock.NewManual(), 4)
+	if j.Total() != 0 || len(j.Events(EventFilter{})) != 0 {
+		t.Fatal("empty journal reported a newest event")
+	}
+}
+
+// TestJournalRecordAllocs pins the record path of a payload-less event —
+// what the pipeline records on pool exhaustion and emit stalls — at zero
+// allocations.
+func TestJournalRecordAllocs(t *testing.T) {
+	j := NewJournal(clock.NewManual(), 16)
+	ev := Event{Kind: EventStallOnset, Stage: "relay", Instance: 1, Node: "n1", Detail: "emit blocked"}
+	if n := testing.AllocsPerRun(100, func() { j.Record(ev) }); n != 0 {
+		t.Fatalf("Record allocates %v times per event, want 0", n)
+	}
+}
+
+func TestJournalDumpToDisk(t *testing.T) {
 	clk := clock.NewManual()
-	f := NewFlightRecorder(clk, 8)
-	f.Record(FlightEvent{Kind: FlightStallOnset, Stage: "relay", Detail: "emit blocked"})
+	j := NewJournal(clk, 8)
+	j.Record(Event{Kind: EventStallOnset, Stage: "relay", Detail: "emit blocked"})
 
 	// No path configured: a silent no-op, not an error.
-	if path, err := f.DumpToDisk("sigquit"); path != "" || err != nil {
+	if path, err := j.DumpToDisk("sigquit"); path != "" || err != nil {
 		t.Fatalf("dump without path = (%q, %v), want no-op", path, err)
 	}
 
-	target := filepath.Join(t.TempDir(), "flight.json")
-	f.SetDumpPath(target)
-	path, err := f.DumpToDisk("sigquit")
+	target := filepath.Join(t.TempDir(), "journal.json")
+	j.SetDumpPath(target)
+	path, err := j.DumpToDisk("sigquit")
 	if err != nil || path != target {
 		t.Fatalf("DumpToDisk = (%q, %v), want %q", path, err, target)
 	}
@@ -75,9 +167,9 @@ func TestFlightRecorderDumpToDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var d struct {
-		Total  uint64        `json:"total"`
-		Dumps  uint64        `json:"dumps"`
-		Events []FlightEvent `json:"events"`
+		Total  uint64  `json:"total"`
+		Dumps  uint64  `json:"dumps"`
+		Events []Event `json:"events"`
 	}
 	if err := json.Unmarshal(data, &d); err != nil {
 		t.Fatalf("dump is not JSON: %v", err)
@@ -86,17 +178,17 @@ func TestFlightRecorderDumpToDisk(t *testing.T) {
 	if d.Total != 2 || len(d.Events) != 2 {
 		t.Fatalf("dump carries %d/%d events, want 2 (stall + dump marker)", d.Total, len(d.Events))
 	}
-	if d.Events[1].Kind != FlightDump || d.Events[1].Detail != "sigquit" {
+	if d.Events[1].Kind != EventDump || d.Events[1].Detail != "sigquit" {
 		t.Fatalf("last event = %+v, want the dump marker", d.Events[1])
 	}
 
 	// A failing dump is remembered in the envelope, not just returned.
-	f.SetDumpPath(filepath.Join(t.TempDir(), "no-such-dir", "x", "flight.json"))
-	if _, err := f.DumpToDisk("sigquit"); err == nil {
+	j.SetDumpPath(filepath.Join(t.TempDir(), "no-such-dir", "x", "journal.json"))
+	if _, err := j.DumpToDisk("sigquit"); err == nil {
 		t.Fatal("dump into a missing directory should fail")
 	}
 	var sb strings.Builder
-	if err := f.WriteJSON(&sb); err != nil {
+	if err := j.WriteJSON(&sb, EventFilter{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "dumpErr") {
@@ -105,29 +197,30 @@ func TestFlightRecorderDumpToDisk(t *testing.T) {
 }
 
 // TestFlightDumpRoundTrip writes a dump and reads it back: every retained
-// event must survive the disk trip byte-identically (same order, same
-// payloads), with the dump marker appended as the final event.
+// event must survive the disk trip (same order, same envelope fields), with
+// the dump marker appended as the final event.
 func TestFlightDumpRoundTrip(t *testing.T) {
 	clk := clock.NewManual()
-	f := NewFlightRecorder(clk, 16)
+	j := NewJournal(clk, 16)
 	for i := 0; i < 5; i++ {
 		clk.Advance(time.Second)
-		f.Record(FlightEvent{Kind: FlightLifecycle, Stage: "s", Instance: i, Detail: "running"})
+		j.Record(Event{Kind: EventLifecycle, Stage: "s", Instance: i, Detail: "running",
+			Payload: Lifecycle{From: "init", To: "running"}})
 	}
-	target := filepath.Join(t.TempDir(), "flight.json")
-	f.SetDumpPath(target)
-	if _, err := f.DumpToDisk("slo-violation"); err != nil {
+	target := filepath.Join(t.TempDir(), "journal.json")
+	j.SetDumpPath(target)
+	if _, err := j.DumpToDisk("slo-violation"); err != nil {
 		t.Fatal(err)
 	}
 
-	want := f.Events() // includes the dump marker
+	want := j.Events(EventFilter{}) // includes the dump marker
 	data, err := os.ReadFile(target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var d struct {
-		Total  uint64        `json:"total"`
-		Events []FlightEvent `json:"events"`
+		Total  uint64  `json:"total"`
+		Events []Event `json:"events"`
 	}
 	if err := json.Unmarshal(data, &d); err != nil {
 		t.Fatalf("dump is not JSON: %v", err)
@@ -142,7 +235,10 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 			t.Fatalf("event %d round-tripped as %+v, want %+v", i, g, w)
 		}
 	}
-	if last := d.Events[len(d.Events)-1]; last.Kind != FlightDump || last.Detail != "slo-violation" {
+	if p, ok := d.Events[0].Payload.(map[string]any); !ok || p["to"] != "running" {
+		t.Fatalf("lifecycle payload round-tripped as %#v", d.Events[0].Payload)
+	}
+	if last := d.Events[len(d.Events)-1]; last.Kind != EventDump || last.Detail != "slo-violation" {
 		t.Fatalf("last event = %+v, want the slo-violation dump marker", last)
 	}
 }
@@ -153,11 +249,11 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 // target a complete JSON document and leave no temp files behind.
 func TestFlightDumpConcurrentNoClobber(t *testing.T) {
 	clk := clock.NewManual()
-	f := NewFlightRecorder(clk, 64)
+	j := NewJournal(clk, 64)
 	dir := t.TempDir()
-	target := filepath.Join(dir, "flight.json")
-	f.SetDumpPath(target)
-	if _, err := f.DumpToDisk("seed"); err != nil {
+	target := filepath.Join(dir, "journal.json")
+	j.SetDumpPath(target)
+	if _, err := j.DumpToDisk("seed"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,8 +263,8 @@ func TestFlightDumpConcurrentNoClobber(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				f.Record(FlightEvent{Kind: FlightSLO, Stage: "s", Instance: w, Detail: "violated"})
-				if _, err := f.DumpToDisk("slo-violation"); err != nil {
+				j.Record(Event{Kind: EventSLO, Stage: "s", Instance: w, Detail: "violated"})
+				if _, err := j.DumpToDisk("slo-violation"); err != nil {
 					t.Errorf("dump %d/%d: %v", w, i, err)
 					return
 				}
@@ -197,7 +293,7 @@ func TestFlightDumpConcurrentNoClobber(t *testing.T) {
 	<-readerDone
 
 	// All temp files were renamed into place or cleaned up on error.
-	leftovers, err := filepath.Glob(filepath.Join(dir, ".gates-flight-*"))
+	leftovers, err := filepath.Glob(filepath.Join(dir, ".gates-journal-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +301,7 @@ func TestFlightDumpConcurrentNoClobber(t *testing.T) {
 		t.Fatalf("dump left temp files behind: %v", leftovers)
 	}
 	var sb strings.Builder
-	if err := f.WriteJSON(&sb); err != nil {
+	if err := j.WriteJSON(&sb, EventFilter{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "\"dumps\": 101") {
@@ -214,16 +310,16 @@ func TestFlightDumpConcurrentNoClobber(t *testing.T) {
 }
 
 // TestAggregatorDumpsFlightOnViolation drives the aggregator's SLO detector
-// into violation on a manual clock and asserts the transition lands in the
-// flight recorder and on disk.
+// into violation on a manual clock and asserts every evaluation lands in
+// the journal as one slo event, and the transition into violation on disk.
 func TestAggregatorDumpsFlightOnViolation(t *testing.T) {
 	clk := clock.NewManual()
-	f := NewFlightRecorder(clk, 32)
-	target := filepath.Join(t.TempDir(), "flight.json")
-	f.SetDumpPath(target)
+	j := NewJournal(clk, 32)
+	target := filepath.Join(t.TempDir(), "journal.json")
+	j.SetDumpPath(target)
 
 	agg := NewAggregator(clk, SLOConfig{})
-	agg.SetFlightRecorder(f)
+	agg.SetJournal(j)
 	agg.AddSource("n1", func() (NodeSnapshot, error) {
 		return NodeSnapshot{
 			At:      clk.Now(),
@@ -244,18 +340,16 @@ func TestAggregatorDumpsFlightOnViolation(t *testing.T) {
 		t.Fatal("detector did not trip after growth epochs")
 	}
 
-	var slo *FlightEvent
-	for _, ev := range f.Events() {
-		if ev.Kind == FlightSLO {
-			cp := ev
-			slo = &cp
-		}
+	slo := j.Events(EventFilter{Kind: EventSLO})
+	if len(slo) != DefaultSLOGrowthEpochs {
+		t.Fatalf("%d slo events for %d evaluations", len(slo), DefaultSLOGrowthEpochs)
 	}
-	if slo == nil {
-		t.Fatalf("no FlightSLO event recorded; events: %+v", f.Events())
+	trip := slo[len(slo)-1]
+	if p := trip.Payload.(SLO); !p.Violated || !p.Transition || p.Rule != "queue-growth" {
+		t.Fatalf("tripping evaluation = %+v, want a queue-growth violation transition", p)
 	}
-	if !strings.Contains(slo.Detail, "queue growth") {
-		t.Fatalf("SLO event detail = %q, want the violation reason", slo.Detail)
+	if !strings.Contains(trip.Detail, "queue growth") {
+		t.Fatalf("SLO event detail = %q, want the violation reason", trip.Detail)
 	}
 	data, err := os.ReadFile(target)
 	if err != nil {
@@ -280,8 +374,9 @@ func TestAggregatorDumpsFlightOnViolation(t *testing.T) {
 	if view := agg.Collect(); view.SLO.Violated {
 		t.Fatal("detector did not recover")
 	}
-	last := f.Events()[len(f.Events())-1]
-	if last.Kind != FlightSLO || last.Detail != "recovered" {
+	evs := j.Events(EventFilter{})
+	last := evs[len(evs)-1]
+	if p, ok := last.Payload.(SLO); !ok || p.Violated || !p.Transition {
 		t.Fatalf("last event = %+v, want the recovery transition", last)
 	}
 	after, _ := os.Stat(target)
@@ -292,9 +387,11 @@ func TestAggregatorDumpsFlightOnViolation(t *testing.T) {
 
 // TestSLOMonitorConcurrentEvaluateStatus exercises the detector under the
 // race detector: evaluations mutate the growth map while scrapes read the
-// status — the /metrics-while-collecting pattern.
+// status and the journal — the /metrics-while-collecting pattern.
 func TestSLOMonitorConcurrentEvaluateStatus(t *testing.T) {
-	m := NewSLOMonitor(SLOConfig{TargetP99: 0.5}, 0)
+	m := NewSLOMonitor(SLOConfig{TargetP99: 0.5})
+	j := NewJournal(clock.NewManual(), 64)
+	m.SetJournal(j)
 	points := []MetricPoint{
 		fanoutPoint("sink", "0", 0),
 		e2ePoint("sink", "", 0, 100, 0),
@@ -312,7 +409,7 @@ func TestSLOMonitorConcurrentEvaluateStatus(t *testing.T) {
 					return
 				default:
 					_ = m.Status()
-					_ = m.Events()
+					_ = j.Events(EventFilter{Kind: EventSLO})
 				}
 			}
 		}()
@@ -325,11 +422,14 @@ func TestSLOMonitorConcurrentEvaluateStatus(t *testing.T) {
 	if st := m.Status(); !st.Evaluated || !st.Violated {
 		t.Fatalf("status after concurrent evaluations = %+v", st)
 	}
+	if got := j.Total(); got != 200 {
+		t.Fatalf("journal recorded %d slo events for 200 evaluations", got)
+	}
 }
 
 // TestAggregatorConcurrentScrape collects in a loop while other goroutines
 // scrape the aggregator and the bundle's registry — the live /cluster,
-// /metrics, /bottlenecks, and /flightrecorder surfaces all at once.
+// /metrics, /bottlenecks, and /events surfaces all at once.
 func TestAggregatorConcurrentScrape(t *testing.T) {
 	clk := clock.NewManual()
 	ob := New(clk, Config{SampleEvery: -1})
@@ -338,7 +438,7 @@ func TestAggregatorConcurrentScrape(t *testing.T) {
 	}, func() float64 { return 1 })
 
 	agg := NewAggregator(clk, SLOConfig{})
-	agg.SetFlightRecorder(ob.Flight)
+	agg.SetJournal(ob.Journal)
 	agg.AddSource("local", LocalSource(ob))
 	ob.Registry.GaugeFunc("gates_slo_violation", "flag", nil, func() float64 {
 		if agg.Violated() {
@@ -369,8 +469,8 @@ func TestAggregatorConcurrentScrape(t *testing.T) {
 	scrape(func() { _ = ob.Registry.Snapshot() })
 	scrape(func() { _ = ob.Attr().Last() })
 	scrape(func() {
-		ob.Flight.Record(FlightEvent{Kind: FlightStallOnset, Stage: "hot"})
-		_ = ob.Flight.Events()
+		ob.Journal.Record(Event{Kind: EventStallOnset, Stage: "hot"})
+		_ = ob.Journal.Events(EventFilter{})
 	})
 	for i := 0; i < 100; i++ {
 		clk.Advance(time.Second)

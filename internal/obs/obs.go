@@ -1,7 +1,9 @@
 // Package obs is the unified observability layer of the middleware: a
 // metrics registry with Prometheus-text and JSON exposition, structured
 // logging on the virtual clock, sampled trace spans for the hot data path,
-// and an audit trail that explains every self-adaptation decision.
+// and one journal of every control-plane event — each self-adaptation
+// epoch, migration, placement, SLO verdict and recovery — that explains what
+// the middleware decided and why.
 //
 // The paper's §1 premise is that the middleware "monitors the arrival rate
 // at each source, the available computing resources and memory, and the
@@ -9,8 +11,8 @@
 // into first-class infrastructure: every layer (pipeline stages, queues,
 // netsim links, transport endpoints, the adaptation controller) publishes
 // into one Registry, and operators consume it over HTTP (/metrics,
-// /snapshot, /adaptations) or through internal/monitor, which reads the
-// same registry instead of scraping components directly.
+// /snapshot, /events) or through internal/monitor, which reads the same
+// registry instead of scraping components directly.
 //
 // All timestamps and durations are virtual time (clock.Clock), so metrics
 // and traces from a 500x-compressed experiment read exactly like a
@@ -58,7 +60,7 @@ func SampleEveryFor(n int) int {
 
 // Config tunes an Observability bundle. The zero value selects defaults:
 // 1-in-DefaultSampleEvery trace sampling, DefaultTraceCapacity retained
-// spans, DefaultAuditCapacity retained adaptation events, and a discarded
+// spans, DefaultJournalCapacity retained journal events, and a discarded
 // log stream.
 type Config struct {
 	// SampleEvery traces one in every this many spans. Zero selects
@@ -67,28 +69,16 @@ type Config struct {
 	// TraceCapacity bounds the retained span ring. Zero selects
 	// DefaultTraceCapacity.
 	TraceCapacity int
-	// AuditCapacity bounds the retained adaptation-event ring. Zero
-	// selects DefaultAuditCapacity.
-	AuditCapacity int
-	// MigrationCapacity bounds the retained migration-event ring. Zero
-	// selects DefaultMigrationCapacity.
-	MigrationCapacity int
-	// LifecycleCapacity bounds the retained lifecycle-transition ring.
-	// Zero selects DefaultLifecycleCapacity.
-	LifecycleCapacity int
-	// FlightCapacity bounds the retained flight-recorder ring (the
-	// -flight-recorder-size flag). Zero selects DefaultFlightCapacity.
-	FlightCapacity int
-	// DecisionCapacity bounds the retained decision-log ring. Zero
-	// selects DefaultDecisionCapacity.
-	DecisionCapacity int
+	// JournalCapacity bounds the retained event journal (the
+	// -flight-recorder-size flag). Zero selects DefaultJournalCapacity.
+	JournalCapacity int
 	// LogWriter receives structured log lines. Nil discards them.
 	LogWriter io.Writer
 	// LogLevel is the minimum level emitted. Nil means slog.LevelInfo.
 	LogLevel slog.Leveler
 }
 
-// Observability bundles the four observation facilities every layer wires
+// Observability bundles the observation facilities every layer wires
 // against. A nil *Observability is valid everywhere in the middleware and
 // means "not observed"; use the accessor methods, which are nil-safe.
 type Observability struct {
@@ -98,18 +88,10 @@ type Observability struct {
 	Registry *Registry
 	// Tracer samples spans on the hot data path.
 	Tracer *Tracer
-	// Audit records every adaptation decision.
-	Audit *AuditTrail
-	// Migrations records every live re-deployment of a stage instance.
-	Migrations *MigrationTrail
-	// Lifecycle records every stage lifecycle transition.
-	Lifecycle *LifecycleTrail
-	// Flight is the always-on flight recorder behind /flightrecorder.
-	Flight *FlightRecorder
-	// Decisions is the bounded control-plane decision log behind
-	// /decisions: every placement, rebalance verdict, SLO evaluation, and
-	// policy load, with its input context and policy version.
-	Decisions *DecisionTrail
+	// Journal records every control-plane event, served at /events:
+	// adaptation epochs, lifecycle transitions, migrations, placements,
+	// rebalance and SLO verdicts, policy loads, faults and recoveries.
+	Journal *Journal
 	// Attribution is the backpressure-attribution engine behind
 	// /bottlenecks, evaluated lazily over this bundle's registry.
 	Attribution *Attribution
@@ -143,11 +125,7 @@ func New(clk clock.Clock, cfg Config) *Observability {
 		Clock:       clk,
 		Registry:    reg,
 		Tracer:      tr,
-		Audit:       NewAuditTrail(cfg.AuditCapacity),
-		Migrations:  NewMigrationTrail(cfg.MigrationCapacity),
-		Lifecycle:   NewLifecycleTrail(cfg.LifecycleCapacity),
-		Flight:      NewFlightRecorder(clk, cfg.FlightCapacity),
-		Decisions:   NewDecisionTrail(clk, cfg.DecisionCapacity),
+		Journal:     NewJournal(clk, cfg.JournalCapacity),
 		Attribution: NewAttribution(clk),
 		Logger:      logger,
 	}
@@ -179,42 +157,6 @@ func (o *Observability) Trace() *Tracer {
 	return o.Tracer
 }
 
-// Trail returns the bundle's audit trail, or nil when unobserved. A nil
-// *AuditTrail is itself safe to Record into.
-func (o *Observability) Trail() *AuditTrail {
-	if o == nil {
-		return nil
-	}
-	return o.Audit
-}
-
-// MigrationTrail returns the bundle's migration trail, or nil when
-// unobserved. A nil *MigrationTrail is itself safe to Record into.
-func (o *Observability) MigrationTrail() *MigrationTrail {
-	if o == nil {
-		return nil
-	}
-	return o.Migrations
-}
-
-// LifecycleTrail returns the bundle's lifecycle trail, or nil when
-// unobserved. A nil *LifecycleTrail is itself safe to Record into.
-func (o *Observability) LifecycleTrail() *LifecycleTrail {
-	if o == nil {
-		return nil
-	}
-	return o.Lifecycle
-}
-
-// FlightRec returns the bundle's flight recorder, or nil when unobserved. A
-// nil *FlightRecorder is itself safe to Record into.
-func (o *Observability) FlightRec() *FlightRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.Flight
-}
-
 // Attr returns the bundle's attribution engine, or nil when unobserved. A
 // nil *Attribution is itself safe to Observe with.
 func (o *Observability) Attr() *Attribution {
@@ -222,13 +164,4 @@ func (o *Observability) Attr() *Attribution {
 		return nil
 	}
 	return o.Attribution
-}
-
-// DecisionLog returns the bundle's decision log, or nil when unobserved. A
-// nil *DecisionTrail is itself safe to Record into.
-func (o *Observability) DecisionLog() *DecisionTrail {
-	if o == nil {
-		return nil
-	}
-	return o.Decisions
 }

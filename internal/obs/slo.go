@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 )
@@ -32,15 +33,10 @@ const (
 // d-tilde must stay positive before the detector flags queue growth.
 const DefaultSLOGrowthEpochs = 3
 
-// DefaultSLOCapacity is the default retained SLO-transition ring size.
-const DefaultSLOCapacity = 128
-
-// SLOConfig tunes the violation detector.
-//
-// Deprecated shim: SLOConfig survives as the static way to hand the
-// detector its objectives; policy-driven deployments compile their policy
-// document into one of these per evaluation via SetSource, so the numbers
-// live in the (hot-reloadable) policy layer rather than here.
+// SLOConfig tunes the violation detector: the static way to hand it its
+// objectives. Policy-driven deployments compile their policy document into
+// one of these per evaluation through an SLOSource, so the numbers live in
+// the (hot-reloadable) policy layer rather than here.
 type SLOConfig struct {
 	// TargetP99 is the sink-side end-to-end p99 latency objective in
 	// virtual seconds; <= 0 disables the latency check.
@@ -79,21 +75,6 @@ type SLOStatus struct {
 	Since time.Time `json:"since"`
 }
 
-// SLOEvent records one flag transition (healthy ↔ violated).
-type SLOEvent struct {
-	// Seq numbers events in record order across the whole trail.
-	Seq uint64 `json:"seq"`
-	// At is the virtual time of the transition.
-	At time.Time `json:"at"`
-	// Violated is the new flag state.
-	Violated bool `json:"violated"`
-	// Reasons are the causes at transition time (empty on recovery).
-	Reasons []string `json:"reasons,omitempty"`
-	// SinkP99 and MaxDTilde snapshot the evidence.
-	SinkP99   JSONFloat `json:"sink_p99"`
-	MaxDTilde JSONFloat `json:"max_d_tilde"`
-}
-
 // SLOMonitor turns the paper's §4 real-time constraint — "the processing
 // can keep up with the arrival rate" — into a measurable objective. Each
 // Evaluate inspects one metric snapshot (node-local or cluster-merged) and
@@ -104,33 +85,27 @@ type SLOEvent struct {
 //   - some stage's d-tilde stays positive for GrowthEpochs consecutive
 //     evaluations (queues growing without bound).
 //
-// Transitions are recorded in a bounded trail so operators can see when
-// the pipeline fell behind and when the adaptation controller recovered
-// it. Safe for concurrent use: Evaluate serializes against itself and
-// against Status, so a scrape (Status from an HTTP handler or gauge
+// With a journal attached, every evaluation is one slo event, so operators
+// can see when the pipeline fell behind and when the adaptation controller
+// recovered it. Safe for concurrent use: Evaluate serializes against itself
+// and against Status, so a scrape (Status from an HTTP handler or gauge
 // callback) can race an aggregator collect without tearing the status.
 type SLOMonitor struct {
-	cfg   SLOConfig
-	trail *ring[SLOEvent]
+	cfg SLOConfig
 
-	mu     sync.Mutex
-	src    SLOSource      // nil = static cfg
-	dec    *DecisionTrail // nil = verdicts not decision-logged
-	growth map[string]int // series key → consecutive positive epochs
-	cur    SLOStatus
+	mu      sync.Mutex
+	src     SLOSource      // nil = static cfg
+	journal *Journal       // nil = verdicts not recorded
+	growth  map[string]int // series key → consecutive positive epochs
+	cur     SLOStatus
 }
 
-// NewSLOMonitor returns a detector with the given objectives, retaining up
-// to capacity flag transitions (<=0 selects DefaultSLOCapacity).
-func NewSLOMonitor(cfg SLOConfig, capacity int) *SLOMonitor {
+// NewSLOMonitor returns a detector with the given objectives.
+func NewSLOMonitor(cfg SLOConfig) *SLOMonitor {
 	if cfg.GrowthEpochs <= 0 {
 		cfg.GrowthEpochs = DefaultSLOGrowthEpochs
 	}
-	return &SLOMonitor{
-		cfg:    cfg,
-		trail:  newRing(capacity, DefaultSLOCapacity, func(ev *SLOEvent, n uint64) { ev.Seq = n }),
-		growth: make(map[string]int),
-	}
+	return &SLOMonitor{cfg: cfg, growth: make(map[string]int)}
 }
 
 // SetSource installs the dynamic objective source the detector consults at
@@ -142,12 +117,13 @@ func (m *SLOMonitor) SetSource(src SLOSource) {
 	m.mu.Unlock()
 }
 
-// SetDecisionLog makes every evaluation record its verdict — with the full
-// input context and the policy version that produced the objectives — into
-// the given decision log. Nil stops the recording.
-func (m *SLOMonitor) SetDecisionLog(t *DecisionTrail) {
+// SetJournal makes every evaluation record one slo event — the verdict,
+// its evidence, and the policy version that produced the objectives — into
+// j. A transition into violation also snapshots j to disk (see
+// Journal.DumpToDisk). Nil stops the recording.
+func (m *SLOMonitor) SetJournal(j *Journal) {
 	m.mu.Lock()
-	m.dec = t
+	m.journal = j
 	m.mu.Unlock()
 }
 
@@ -192,35 +168,37 @@ func (m *SLOMonitor) Evaluate(now time.Time, points []MetricPoint) SLOStatus {
 		MaxDTilde: JSONFloat(maxDTilde),
 		Since:     prev.Since,
 	}
-	if !prev.Evaluated || prev.Violated != violated {
+	transition := !prev.Evaluated || prev.Violated != violated
+	if transition {
 		m.cur.Since = now
-		m.trail.record(SLOEvent{
-			At:        now,
-			Violated:  violated,
-			Reasons:   reasons,
-			SinkP99:   JSONFloat(sinkP99),
-			MaxDTilde: JSONFloat(maxDTilde),
-		})
 	}
-	if m.dec != nil {
-		outcome := "ok"
+	if m.journal != nil {
+		detail := "ok"
 		if violated {
-			outcome = "violated"
+			detail = "violated: " + strings.Join(reasons, "; ")
 		}
-		m.dec.Record(DecisionEvent{
+		m.journal.Record(Event{
 			At:            now,
-			Kind:          DecisionSLO,
+			Kind:          EventSLO,
 			PolicyVersion: version,
-			Rule:          rule,
-			Outcome:       outcome,
-			Input: map[string]any{
-				"sink_p99":      sinkP99,
-				"target_p99":    cfg.TargetP99,
-				"max_d_tilde":   maxDTilde,
-				"growth_epochs": cfg.GrowthEpochs,
-				"growing":       growing,
+			Detail:        detail,
+			Payload: SLO{
+				Rule:         rule,
+				Violated:     violated,
+				Transition:   transition,
+				Reasons:      reasons,
+				SinkP99:      JSONFloat(sinkP99),
+				MaxDTilde:    JSONFloat(maxDTilde),
+				TargetP99:    JSONFloat(cfg.TargetP99),
+				GrowthEpochs: cfg.GrowthEpochs,
+				Growing:      growing,
 			},
 		})
+		if transition && violated {
+			// Best-effort post-mortem snapshot; the journal remembers a
+			// failed write in its JSON envelope.
+			_, _ = m.journal.DumpToDisk("slo-violation")
+		}
 	}
 	return m.cur
 }
@@ -267,14 +245,6 @@ func (m *SLOMonitor) Status() SLOStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cur
-}
-
-// Events returns the retained flag transitions, oldest first.
-func (m *SLOMonitor) Events() []SLOEvent {
-	if m == nil {
-		return nil
-	}
-	return m.trail.events()
 }
 
 // SinkStages returns the set of stage names whose fanout gauge reads 0 —

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/gates-middleware/gates/internal/clock"
 )
 
 var sloBase = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -43,7 +45,9 @@ func dTildePoint(stage, node string, v float64) MetricPoint {
 }
 
 func TestSLOMonitorLatencyTripAndClear(t *testing.T) {
-	m := NewSLOMonitor(SLOConfig{TargetP99: 0.5}, 0)
+	m := NewSLOMonitor(SLOConfig{TargetP99: 0.5})
+	j := NewJournal(clock.NewManual(), 8)
+	m.SetJournal(j)
 
 	slow := []MetricPoint{fanoutPoint("sink", "0", 0), e2ePoint("sink", "", 0, 100, 0)}
 	st := m.Evaluate(sloBase, slow)
@@ -69,17 +73,21 @@ func TestSLOMonitorLatencyTripAndClear(t *testing.T) {
 		t.Fatalf("since not reset on recovery: %v", st.Since)
 	}
 
-	evs := m.Events()
-	if len(evs) != 2 || !evs[0].Violated || evs[1].Violated {
-		t.Fatalf("trail = %+v, want trip then clear", evs)
+	evs := j.Events(EventFilter{Kind: EventSLO})
+	if len(evs) != 2 {
+		t.Fatalf("journal = %+v, want one slo event per evaluation", evs)
 	}
-	if evs[0].Seq >= evs[1].Seq {
-		t.Fatalf("event seqs not increasing: %d, %d", evs[0].Seq, evs[1].Seq)
+	trip, clear := evs[0].Payload.(SLO), evs[1].Payload.(SLO)
+	if !trip.Violated || !trip.Transition || clear.Violated || !clear.Transition {
+		t.Fatalf("slo events %+v, %+v, want trip then clear", trip, clear)
+	}
+	if trip.Rule != "sink-p99" || float64(trip.TargetP99) != 0.5 || !evs[0].At.Equal(sloBase) {
+		t.Fatalf("trip event %+v, want the sink-p99 rule against 0.5s at the trip time", evs[0])
 	}
 }
 
 func TestSLOMonitorQueueGrowthEpochs(t *testing.T) {
-	m := NewSLOMonitor(SLOConfig{GrowthEpochs: 3}, 0)
+	m := NewSLOMonitor(SLOConfig{GrowthEpochs: 3})
 	growing := []MetricPoint{dTildePoint("filter", "n1", 2.5)}
 	for epoch := 1; epoch <= 2; epoch++ {
 		if st := m.Evaluate(sloBase, growing); st.Violated {
@@ -108,7 +116,7 @@ func TestSLOMonitorQueueGrowthEpochs(t *testing.T) {
 }
 
 func TestSLOMonitorGrowthForgetsVanishedSeries(t *testing.T) {
-	m := NewSLOMonitor(SLOConfig{GrowthEpochs: 2}, 0)
+	m := NewSLOMonitor(SLOConfig{GrowthEpochs: 2})
 	m.Evaluate(sloBase, []MetricPoint{dTildePoint("filter", "n1", 1)})
 	// The stage migrates: its old series vanishes for an epoch, then a new
 	// one appears on another node. The old streak must not carry over.

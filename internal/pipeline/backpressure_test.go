@@ -104,22 +104,23 @@ func TestEmitStallTelemetry(t *testing.T) {
 		t.Fatalf("bottleneck = %q, want slow/0 (verdicts %+v)", rep.Bottleneck, rep.Verdicts)
 	}
 
-	// The flight recorder saw the stall onset and the lifecycle edges.
-	kinds := make(map[obs.FlightKind]int)
-	for _, ev := range ob.Flight.Events() {
+	// The journal saw the stall onset and the lifecycle edges, each edge
+	// once: init → running → stopped for each of the three stages.
+	kinds := make(map[obs.EventKind]int)
+	for _, ev := range ob.Journal.Events(obs.EventFilter{}) {
 		kinds[ev.Kind]++
 	}
-	if kinds[obs.FlightStallOnset] == 0 {
-		t.Fatalf("no stall-onset flight event; kinds: %v", kinds)
+	if kinds[obs.EventStallOnset] == 0 {
+		t.Fatalf("no stall-onset event; kinds: %v", kinds)
 	}
-	if kinds[obs.FlightLifecycle] == 0 {
-		t.Fatalf("no lifecycle flight events; kinds: %v", kinds)
+	if kinds[obs.EventLifecycle] != 6 {
+		t.Fatalf("%d lifecycle events for three stages' two transitions each; kinds: %v", kinds[obs.EventLifecycle], kinds)
 	}
 	// Edge-triggered: onsets, not one event per blocked flush. 600 packets
 	// through an 8-deep buffer block hundreds of times; onset events must
 	// stay well below that.
-	if kinds[obs.FlightStallOnset] > 100 {
-		t.Fatalf("%d stall-onset events — latch not suppressing repeats", kinds[obs.FlightStallOnset])
+	if kinds[obs.EventStallOnset] > 100 {
+		t.Fatalf("%d stall-onset events — latch not suppressing repeats", kinds[obs.EventStallOnset])
 	}
 }
 
@@ -152,10 +153,8 @@ func TestEmitStallFreeFlowRecordsNothing(t *testing.T) {
 	if st := src.Stats(); st.PacketsOut != n || st.EmitStall != 0 {
 		t.Fatalf("free-flowing source: %d packets out, EmitStall %v; want %d, 0", st.PacketsOut, st.EmitStall, n)
 	}
-	for _, ev := range ob.Flight.Events() {
-		if ev.Kind == obs.FlightStallOnset {
-			t.Fatalf("free-flowing run recorded a stall onset: %+v", ev)
-		}
+	if evs := ob.Journal.Events(obs.EventFilter{Kind: obs.EventStallOnset}); len(evs) != 0 {
+		t.Fatalf("free-flowing run recorded a stall onset: %+v", evs)
 	}
 }
 
@@ -257,12 +256,7 @@ func TestEmitStallLatchRearms(t *testing.T) {
 			if stall == 0 {
 				t.Fatal("observed source recorded no emit stall")
 			}
-			var onsets int
-			for _, ev := range ob.Flight.Events() {
-				if ev.Kind == obs.FlightStallOnset && ev.Stage == "src" {
-					onsets++
-				}
-			}
+			onsets := len(ob.Journal.Events(obs.EventFilter{Kind: obs.EventStallOnset, Stage: "src"}))
 			if onsets != 2 {
 				t.Fatalf("%d stall onsets for stall, relief, stall; want 2", onsets)
 			}

@@ -86,30 +86,13 @@ func (s *Stage) IsSource() bool { return s.src != nil }
 func (s *Stage) State() StageState { return StageState(s.state.Load()) }
 
 // toState transitions the lifecycle state and records the edge in the obs
-// lifecycle trail (when the stage is observed).
+// journal (when the stage is observed).
 func (s *Stage) toState(to StageState) {
 	from := StageState(s.state.Swap(int32(to)))
 	if from == to || s.o == nil {
 		return
 	}
-	s.o.LifecycleTrail().Record(obs.LifecycleEvent{
-		At:       s.clk.Now(),
-		Stage:    s.id,
-		Instance: s.instance,
-		Node:     s.Node(),
-		From:     from.String(),
-		To:       to.String(),
-	})
-	s.o.FlightRec().Record(obs.FlightEvent{
-		Kind:     obs.FlightLifecycle,
-		Stage:    s.id,
-		Instance: s.instance,
-		Node:     s.Node(),
-		Detail:   from.String() + " → " + to.String(),
-	})
-	s.o.Log().Debug("stage lifecycle",
-		"stage", s.id, "instance", s.instance, "node", s.Node(),
-		"from", from.String(), "to", to.String())
+	s.recordTransition(from, to)
 }
 
 // markStarted moves Init → Running when the engine launches the stage
@@ -117,22 +100,23 @@ func (s *Stage) toState(to StageState) {
 // Draining) is left in place; the stage parks at its first drain boundary.
 func (s *Stage) markStarted() {
 	if s.state.CompareAndSwap(int32(StateInit), int32(StateRunning)) && s.o != nil {
-		s.o.LifecycleTrail().Record(obs.LifecycleEvent{
-			At:       s.clk.Now(),
-			Stage:    s.id,
-			Instance: s.instance,
-			Node:     s.Node(),
-			From:     StateInit.String(),
-			To:       StateRunning.String(),
-		})
-		s.o.FlightRec().Record(obs.FlightEvent{
-			Kind:     obs.FlightLifecycle,
-			Stage:    s.id,
-			Instance: s.instance,
-			Node:     s.Node(),
-			Detail:   StateInit.String() + " → " + StateRunning.String(),
-		})
+		s.recordTransition(StateInit, StateRunning)
 	}
+}
+
+// recordTransition journals one lifecycle edge of an observed stage.
+func (s *Stage) recordTransition(from, to StageState) {
+	s.o.Journal.Record(obs.Event{
+		Kind:     obs.EventLifecycle,
+		Stage:    s.id,
+		Instance: s.instance,
+		Node:     s.Node(),
+		Detail:   from.String() + " → " + to.String(),
+		Payload:  obs.Lifecycle{From: from.String(), To: to.String()},
+	})
+	s.o.Log().Debug("stage lifecycle",
+		"stage", s.id, "instance", s.instance, "node", s.Node(),
+		"from", from.String(), "to", to.String())
 }
 
 // Pause asks the stage to drain its current work item and park, and blocks

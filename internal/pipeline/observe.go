@@ -11,8 +11,8 @@ import (
 
 // SetObservability attaches an observability bundle to the engine. At Run
 // every stage is instrumented into the bundle's registry, hot-path spans go
-// to its tracer, adaptation epochs land in its audit trail, and lifecycle
-// events in its log. Nil (the default) means unobserved: the only residual
+// to its tracer, and adaptation epochs and lifecycle transitions land in its
+// journal. Nil (the default) means unobserved: the only residual
 // cost on the data path is a pair of nil checks. Calling it after Run has
 // started has no effect.
 func (e *Engine) SetObservability(o *obs.Observability) {
@@ -150,18 +150,14 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 	}
 }
 
-// recordAdjustment turns one AdjustDetailed epoch into an audit event and a
-// debug log line. λ and μ are items per virtual second measured since the
-// previous adjustment epoch (zero on the first).
+// recordAdjustment turns one AdjustDetailed epoch into an adaptation event
+// and a debug log line. λ and μ are items per virtual second measured since
+// the previous adjustment epoch (zero on the first).
 func (s *Stage) recordAdjustment(now time.Time, res adapt.AdjustResult, lambda, mu float64) {
 	if s.o == nil {
 		return
 	}
-	ev := obs.AdaptationEvent{
-		At:       now,
-		Stage:    s.id,
-		Instance: s.instance,
-		Node:     s.Node(),
+	a := obs.Adaptation{
 		QueueLen: s.QueueLen(),
 		DTilde:   res.DTilde,
 		Lambda:   lambda,
@@ -171,19 +167,17 @@ func (s *Stage) recordAdjustment(now time.Time, res adapt.AdjustResult, lambda, 
 		DeltaP:   res.DeltaP,
 	}
 	for _, adj := range res.Adjustments {
-		ev.Params = append(ev.Params, obs.ParamDelta{Param: adj.Param, Old: adj.Old, New: adj.New})
+		a.Params = append(a.Params, obs.ParamDelta{Param: adj.Param, Old: adj.Old, New: adj.New})
 	}
-	s.o.Trail().Record(ev)
-	if len(res.Adjustments) > 0 {
-		s.o.FlightRec().Record(obs.FlightEvent{
-			Kind:     obs.FlightAdaptation,
-			Stage:    s.id,
-			Instance: s.instance,
-			Node:     s.Node(),
-			Detail:   fmt.Sprintf("ΔP=%.3g adjusted %d param(s)", res.DeltaP, len(res.Adjustments)),
-			Value:    res.DeltaP,
-		})
-	}
+	s.o.Journal.Record(obs.Event{
+		At:       now,
+		Kind:     obs.EventAdaptation,
+		Stage:    s.id,
+		Instance: s.instance,
+		Node:     s.Node(),
+		Detail:   fmt.Sprintf("d̃=%.3g ΔP=%.3g adjusted %d param(s)", res.DTilde, res.DeltaP, len(res.Adjustments)),
+		Payload:  a,
+	})
 	s.o.Log().Debug("adaptation adjusted",
 		"stage", s.id, "instance", s.instance, "node", s.Node(),
 		"d_tilde", res.DTilde, "t1", res.T1, "t2", res.T2,

@@ -58,7 +58,7 @@ type packetStack struct {
 // poolMisses counts allocator fallbacks: a caller wanted a pooled packet,
 // the pool was empty, and new(Packet) ran instead. A steadily growing miss
 // count means the working set exceeds the pool bound — the pool-exhaustion
-// signal the flight recorder and attribution engine surface.
+// signal the journal and attribution engine surface.
 var poolMisses atomic.Uint64
 
 // PoolStats is a snapshot of the shared packet pool's lifetime counters.

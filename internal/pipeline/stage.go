@@ -213,7 +213,7 @@ type Stage struct {
 	marks    []UpstreamMark
 	replayOn bool
 
-	// emitStalled is the edge-trigger latch for stall-onset flight
+	// emitStalled is the edge-trigger latch for stall-onset journal
 	// events: set on the first emission that finds a downstream buffer
 	// full, cleared by the next one that finds space. Confined to the
 	// stage goroutine like the emit paths themselves.
@@ -404,7 +404,7 @@ type Emitter struct {
 	pending  [][]*Packet // per outbound edge, only when batch > 1
 	buffered int         // total pending entries across edges
 
-	// poolMissed is the edge-trigger latch for pool-exhaustion flight
+	// poolMissed is the edge-trigger latch for pool-exhaustion journal
 	// events: set on the first refill that comes back empty, cleared by
 	// the next one that finds pooled packets. Stage-goroutine confined.
 	poolMissed bool
@@ -443,8 +443,8 @@ func (e *Emitter) GetPacket() *Packet {
 		poolMisses.Add(1)
 		if s := e.stage; s != nil && s.o != nil && !e.poolMissed {
 			e.poolMissed = true
-			s.o.FlightRec().Record(obs.FlightEvent{
-				Kind: obs.FlightPoolExhausted, Stage: s.id,
+			s.o.Journal.Record(obs.Event{
+				Kind: obs.EventPoolExhausted, Stage: s.id,
 				Instance: s.instance, Node: s.Node(),
 				Detail: "packet pool empty: falling back to allocator",
 			})
@@ -956,17 +956,17 @@ func (s *Stage) pushBatchPausable(ctx context.Context, dst *Stage, items []*Pack
 // restoring state under the live stack. Paused-only, like EmitSeq.
 func (s *Stage) PausedMidEmit() bool { return s.midEmit.Load() }
 
-// noteEmitStall records the stall-onset flight event: the first emission
+// noteEmitStall records the stall-onset journal event: the first emission
 // after a period of free flow that finds downstream buffer dst full. The
 // emitStalled latch (stage-goroutine confined, like the emit paths) keeps a
-// sustained stall from flooding the recorder with one event per push.
+// sustained stall from flooding the journal with one event per push.
 func (s *Stage) noteEmitStall(dst *Stage) {
 	if s.emitStalled {
 		return
 	}
 	s.emitStalled = true
-	s.o.FlightRec().Record(obs.FlightEvent{
-		Kind: obs.FlightStallOnset, Stage: s.id,
+	s.o.Journal.Record(obs.Event{
+		Kind: obs.EventStallOnset, Stage: s.id,
 		Instance: s.instance, Node: s.Node(),
 		Detail: "emit blocked: input buffer of " + dst.id + " full",
 	})

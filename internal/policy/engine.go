@@ -33,13 +33,14 @@ type Snapshot struct {
 	Origin string `json:"origin"`
 }
 
-// Engine owns the active policy snapshot and the decision log around it.
+// Engine owns the active policy snapshot and records the decisions made
+// under it.
 // Reads (Active, Rebalance, Placement, SLO) are lock-free — one atomic
 // pointer load — so consulting policy at a control-plane epoch costs
 // nothing measurable. Loads serialize under a mutex and follow
 // validate-then-swap: a document that fails to parse or validate is
-// recorded (decision log + flight recorder) and discarded, and the
-// previously active snapshot keeps serving — rollback is the no-op.
+// recorded in the journal and discarded, and the previously active
+// snapshot keeps serving — rollback is the no-op.
 //
 // A nil *Engine is valid everywhere and behaves as the default policy with
 // no logging, so policy-unaware call sites need no checks.
@@ -53,8 +54,7 @@ type Engine struct {
 }
 
 // New returns an engine with the default document active, timestamping on
-// clk and logging into o's decision trail and flight recorder (o may be
-// nil for a silent engine).
+// clk and recording into o's journal (o may be nil for a silent engine).
 func New(clk clock.Clock, o *obs.Observability) *Engine {
 	e := &Engine{clk: clk, o: o}
 	if err := e.Load(DefaultDocument(), "default"); err != nil {
@@ -77,8 +77,8 @@ func (e *Engine) Active() *Snapshot {
 
 // Load validates doc and atomically makes it the active policy. On
 // validation failure the active policy is untouched and the rejection is
-// itself logged, so /decisions shows rejected reloads next to the
-// decisions they failed to influence.
+// itself recorded, so /events shows rejected reloads next to the decisions
+// they failed to influence.
 func (e *Engine) Load(doc Document, origin string) error {
 	if e == nil {
 		return fmt.Errorf("policy: load on nil engine")
@@ -120,16 +120,11 @@ func (e *Engine) Load(doc Document, origin string) error {
 		detail = fmt.Sprintf("policy %s loaded (%s), replacing %s", version, origin, prev.Version)
 	}
 	if e.o != nil {
-		e.o.DecisionLog().Record(obs.DecisionEvent{
-			Kind:          obs.DecisionPolicy,
+		e.o.Journal.Record(obs.Event{
+			Kind:          obs.EventPolicy,
 			PolicyVersion: version,
-			Rule:          "load",
-			Outcome:       "loaded",
-			Input:         input,
-		})
-		e.o.FlightRec().Record(obs.FlightEvent{
-			Kind:   obs.FlightPolicy,
-			Detail: detail,
+			Detail:        detail,
+			Payload:       obs.Decision{Rule: "load", Outcome: "loaded", Input: input},
 		})
 		e.o.Log().Info("policy loaded", "version", version, "origin", origin, "seq", e.seq)
 	}
@@ -139,30 +134,8 @@ func (e *Engine) Load(doc Document, origin string) error {
 // validateLocked validates doc and logs a rejection when it fails.
 func (e *Engine) validateLocked(doc Document, origin string) error {
 	err := doc.Validate()
-	if err == nil {
-		return nil
-	}
-	active := "none"
-	if cur := e.cur.Load(); cur != nil {
-		active = cur.Version
-	}
-	if e.o != nil {
-		e.o.DecisionLog().Record(obs.DecisionEvent{
-			Kind:          obs.DecisionPolicy,
-			PolicyVersion: active,
-			Rule:          "load",
-			Outcome:       "rejected",
-			Input: map[string]any{
-				"origin":    origin,
-				"candidate": doc.Version,
-				"error":     err.Error(),
-			},
-		})
-		e.o.FlightRec().Record(obs.FlightEvent{
-			Kind:   obs.FlightPolicy,
-			Detail: fmt.Sprintf("policy reload rejected (%s): %v; %s stays active", origin, err, active),
-		})
-		e.o.Log().Error("policy reload rejected", "origin", origin, "err", err, "active", active)
+	if err != nil {
+		e.logRejectLocked(origin, err, map[string]any{"candidate": doc.Version})
 	}
 	return err
 }
@@ -173,9 +146,8 @@ func (e *Engine) LoadBytes(b []byte, origin string) error {
 	if err != nil {
 		if e != nil {
 			e.mu.Lock()
-			// Re-use the rejection logging path; a Document that fails
-			// Parse never reaches Validate.
-			e.logParseRejectLocked(err, origin)
+			// A Document that fails Parse never reaches Validate.
+			e.logRejectLocked(origin, err, map[string]any{})
 			e.mu.Unlock()
 		}
 		return err
@@ -183,7 +155,9 @@ func (e *Engine) LoadBytes(b []byte, origin string) error {
 	return e.Load(doc, origin)
 }
 
-func (e *Engine) logParseRejectLocked(err error, origin string) {
+// logRejectLocked records a rejected load — input plus origin and error —
+// citing the version that stays active.
+func (e *Engine) logRejectLocked(origin string, err error, input map[string]any) {
 	if e.o == nil {
 		return
 	}
@@ -191,16 +165,13 @@ func (e *Engine) logParseRejectLocked(err error, origin string) {
 	if cur := e.cur.Load(); cur != nil {
 		active = cur.Version
 	}
-	e.o.DecisionLog().Record(obs.DecisionEvent{
-		Kind:          obs.DecisionPolicy,
+	input["origin"] = origin
+	input["error"] = err.Error()
+	e.o.Journal.Record(obs.Event{
+		Kind:          obs.EventPolicy,
 		PolicyVersion: active,
-		Rule:          "load",
-		Outcome:       "rejected",
-		Input:         map[string]any{"origin": origin, "error": err.Error()},
-	})
-	e.o.FlightRec().Record(obs.FlightEvent{
-		Kind:   obs.FlightPolicy,
-		Detail: fmt.Sprintf("policy reload rejected (%s): %v; %s stays active", origin, err, active),
+		Detail:        fmt.Sprintf("policy reload rejected (%s): %v; %s stays active", origin, err, active),
+		Payload:       obs.Decision{Rule: "load", Outcome: "rejected", Input: input},
 	})
 	e.o.Log().Error("policy reload rejected", "origin", origin, "err", err, "active", active)
 }
@@ -285,33 +256,20 @@ func (e *Engine) SLOSource() obs.SLOSource {
 }
 
 // RecordDecision stamps ev with the active policy version (unless the
-// caller already set one) and the current virtual time, records it in the
-// decision log, and mirrors state-changing outcomes (placements and
-// rebalance moves — not skips or verdict-only events) into the flight
-// recorder. A no-op on a nil engine or an engine without observability.
-func (e *Engine) RecordDecision(ev obs.DecisionEvent) {
+// caller already set one) and records it in the journal, naming a Decision
+// payload's outcome and rule in Detail when the caller left it empty. A
+// no-op on a nil engine or an engine without observability.
+func (e *Engine) RecordDecision(ev obs.Event) {
 	if e == nil || e.o == nil {
 		return
 	}
 	if ev.PolicyVersion == "" {
 		ev.PolicyVersion = e.Active().Version
 	}
-	if ev.At.IsZero() {
-		ev.At = e.now()
+	if d, ok := ev.Payload.(obs.Decision); ok && ev.Detail == "" {
+		ev.Detail = d.Outcome + " (rule " + d.Rule + ")"
 	}
-	e.o.DecisionLog().Record(ev)
-	stateChanging := ev.Kind == obs.DecisionPlacement ||
-		(ev.Kind == obs.DecisionRebalance && ev.Outcome == "move")
-	if stateChanging {
-		e.o.FlightRec().Record(obs.FlightEvent{
-			At:       ev.At,
-			Kind:     obs.FlightDecision,
-			Stage:    ev.Stage,
-			Instance: ev.Instance,
-			Node:     ev.Node,
-			Detail:   fmt.Sprintf("%s %s (rule %s, policy %s)", ev.Kind, ev.Outcome, ev.Rule, ev.PolicyVersion),
-		})
-	}
+	e.o.Journal.Record(ev)
 }
 
 // Handler returns the /policy HTTP surface: GET serves the active snapshot

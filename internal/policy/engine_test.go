@@ -21,6 +21,18 @@ func newTestEngine(t *testing.T) (*Engine, *obs.Observability) {
 	return New(clk, ob), ob
 }
 
+// lastEvent returns the journal's newest event and its Decision payload.
+func lastEvent(t *testing.T, ob *obs.Observability) (obs.Event, obs.Decision) {
+	t.Helper()
+	evs := ob.Journal.Events(obs.EventFilter{})
+	if len(evs) == 0 {
+		t.Fatal("journal is empty")
+	}
+	ev := evs[len(evs)-1]
+	d, _ := ev.Payload.(obs.Decision)
+	return ev, d
+}
+
 // TestEngineDefaultSnapshot: a fresh engine serves the default document as
 // load #1.
 func TestEngineDefaultSnapshot(t *testing.T) {
@@ -33,14 +45,13 @@ func TestEngineDefaultSnapshot(t *testing.T) {
 		t.Errorf("default threshold %g", s.Doc.Rebalance.Threshold)
 	}
 	// The initial load itself is a decision.
-	ev, ok := ob.DecisionLog().Last()
-	if !ok || ev.Kind != obs.DecisionPolicy || ev.Outcome != "loaded" {
-		t.Errorf("initial load decision %+v, %v", ev, ok)
+	if ev, d := lastEvent(t, ob); ev.Kind != obs.EventPolicy || d.Outcome != "loaded" {
+		t.Errorf("initial load decision %+v", ev)
 	}
 }
 
 // TestEngineLoadAndVersionStamp: loads bump seq, empty versions are stamped
-// v<seq>, and the decision log records each load with its predecessor.
+// v<seq>, and the journal records each load, once, with its predecessor.
 func TestEngineLoadAndVersionStamp(t *testing.T) {
 	eng, ob := newTestEngine(t)
 	doc := Document{Version: "v-ops"}
@@ -57,9 +68,15 @@ func TestEngineLoadAndVersionStamp(t *testing.T) {
 	if s := eng.Active(); s.Version != "v3" {
 		t.Errorf("stamped version %q, want v3", s.Version)
 	}
-	ev, _ := ob.DecisionLog().Last()
-	if ev.Input["replaced"] != "v-ops" {
-		t.Errorf("load decision input %+v, want replaced=v-ops", ev.Input)
+	if _, d := lastEvent(t, ob); d.Input["replaced"] != "v-ops" {
+		t.Errorf("load decision input %+v, want replaced=v-ops", d.Input)
+	}
+	// Each load — the default one included — is exactly one journal event.
+	if evs := ob.Journal.Events(obs.EventFilter{}); len(evs) != 3 {
+		t.Errorf("three loads recorded %d events: %+v", len(evs), evs)
+	}
+	if got := len(ob.Journal.Events(obs.EventFilter{Kind: obs.EventPolicy})); got != 3 {
+		t.Errorf("%d policy events for three loads", got)
 	}
 }
 
@@ -78,12 +95,12 @@ func TestEngineRollback(t *testing.T) {
 	if s := eng.Active(); s.Version != "good" {
 		t.Errorf("active after rejected load = %q, want good", s.Version)
 	}
-	ev, _ := ob.DecisionLog().Last()
-	if ev.Kind != obs.DecisionPolicy || ev.Outcome != "rejected" || ev.PolicyVersion != "good" {
+	ev, d := lastEvent(t, ob)
+	if ev.Kind != obs.EventPolicy || d.Outcome != "rejected" || ev.PolicyVersion != "good" {
 		t.Errorf("rejection decision %+v", ev)
 	}
-	if ev.Input["candidate"] != "bad" {
-		t.Errorf("rejection input %+v", ev.Input)
+	if d.Input["candidate"] != "bad" {
+		t.Errorf("rejection input %+v", d.Input)
 	}
 	// Unparseable bytes roll back the same way.
 	if err := eng.LoadBytes([]byte(`{"nope":`), "http"); err == nil {
@@ -92,8 +109,7 @@ func TestEngineRollback(t *testing.T) {
 	if s := eng.Active(); s.Version != "good" {
 		t.Errorf("active after parse failure = %q", s.Version)
 	}
-	ev, _ = ob.DecisionLog().Last()
-	if ev.Outcome != "rejected" {
+	if ev, d := lastEvent(t, ob); d.Outcome != "rejected" || d.Input["origin"] != "http" {
 		t.Errorf("parse-failure decision %+v", ev)
 	}
 }
@@ -115,14 +131,14 @@ func TestNilEngine(t *testing.T) {
 	if cfg.GrowthEpochs != obs.DefaultSLOGrowthEpochs || v != "default" {
 		t.Errorf("nil SLOSource = %+v, %q", cfg, v)
 	}
-	eng.RecordDecision(obs.DecisionEvent{Kind: obs.DecisionPlacement}) // must not panic
+	eng.RecordDecision(obs.Event{Kind: obs.EventPlacement}) // must not panic
 	if err := eng.Load(Document{}, "x"); err == nil {
 		t.Error("nil Load succeeded")
 	}
 }
 
 // TestRecordDecisionStamping: the engine stamps version and virtual time,
-// and mirrors state-changing decisions into the flight recorder.
+// names the outcome and rule in Detail, and records each decision once.
 func TestRecordDecisionStamping(t *testing.T) {
 	clk := clock.NewManual()
 	ob := obs.New(clk, obs.Config{})
@@ -130,42 +146,36 @@ func TestRecordDecisionStamping(t *testing.T) {
 	if err := eng.Load(Document{Version: "stamp"}, "test"); err != nil {
 		t.Fatal(err)
 	}
-	flightBefore := len(ob.Flight.Events())
+	before := ob.Journal.Total()
 
-	eng.RecordDecision(obs.DecisionEvent{
-		Kind: obs.DecisionPlacement, Stage: "merge", Node: "central", Outcome: "placed",
+	eng.RecordDecision(obs.Event{
+		Kind: obs.EventPlacement, Stage: "merge", Node: "central",
+		Payload: obs.Decision{Rule: "pin-merge", Outcome: "placed"},
 	})
-	ev, _ := ob.DecisionLog().Last()
+	ev, _ := lastEvent(t, ob)
 	if ev.PolicyVersion != "stamp" {
 		t.Errorf("placement decision version %q", ev.PolicyVersion)
 	}
 	if ev.At.IsZero() {
 		t.Error("decision not timestamped")
 	}
-	if got := len(ob.Flight.Events()); got != flightBefore+1 {
-		t.Errorf("placement not mirrored to flight recorder (%d -> %d events)", flightBefore, got)
+	if ev.Detail != "placed (rule pin-merge)" {
+		t.Errorf("placement detail %q", ev.Detail)
+	}
+	if got := ob.Journal.Total(); got != before+1 {
+		t.Errorf("one decision recorded %d events", got-before)
 	}
 
-	// A rebalance skip is informational: logged but not mirrored.
-	eng.RecordDecision(obs.DecisionEvent{
-		Kind: obs.DecisionRebalance, Rule: "cooldown", Outcome: "skip",
+	// A caller's detail and an explicit version are preserved.
+	eng.RecordDecision(obs.Event{
+		Kind: obs.EventRebalance, PolicyVersion: "older", Detail: "kept",
+		Payload: obs.Decision{Rule: "cooldown", Outcome: "skip"},
 	})
-	if got := len(ob.Flight.Events()); got != flightBefore+1 {
-		t.Error("skip decision leaked into the flight recorder")
+	if ev, _ := lastEvent(t, ob); ev.PolicyVersion != "older" || ev.Detail != "kept" {
+		t.Errorf("explicit fields overwritten: %+v", ev)
 	}
-	// A rebalance move is state-changing: mirrored.
-	eng.RecordDecision(obs.DecisionEvent{
-		Kind: obs.DecisionRebalance, Rule: "cost-threshold", Outcome: "move",
-	})
-	if got := len(ob.Flight.Events()); got != flightBefore+2 {
-		t.Error("move decision not mirrored to flight recorder")
-	}
-	// An explicit version is preserved.
-	eng.RecordDecision(obs.DecisionEvent{
-		Kind: obs.DecisionSLO, PolicyVersion: "older", Outcome: "ok",
-	})
-	if ev, _ := ob.DecisionLog().Last(); ev.PolicyVersion != "older" {
-		t.Errorf("explicit version overwritten: %q", ev.PolicyVersion)
+	if got := ob.Journal.Total(); got != before+2 {
+		t.Errorf("two decisions recorded %d events", got-before)
 	}
 }
 

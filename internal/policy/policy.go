@@ -10,9 +10,9 @@
 // JSON or XML document that can be inspected, diffed, versioned, and
 // hot-reloaded mid-run (file watch or POST /policy), and every control-plane
 // verdict — a Plan placement, a Rebalancer move or skip, an SLO evaluation —
-// lands in the bounded decision log (obs.DecisionTrail, served at
-// /decisions) with its full input context and the policy version that
-// produced it, OPA decision-log style.
+// lands in the bounded event journal (obs.Journal, served at /events) with
+// its full input context and the policy version that produced it, OPA
+// decision-log style.
 //
 // Evaluation is pure and cheap: consumers read an immutable snapshot via an
 // atomic pointer, so the data-plane hot path is never touched — policy is

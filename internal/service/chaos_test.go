@@ -373,24 +373,19 @@ func TestChaosKillRecoverZeroLoss(t *testing.T) {
 				t.Errorf("placement index %s, want %s", node, ev.To)
 			}
 
-			// The decision log, migration trail, and flight recorder all
-			// carry the recovery verdict.
-			dec, ok := f.o.DecisionLog().Last()
-			if !ok || dec.Kind != obs.DecisionRecovery || dec.Stage != tc.stage {
-				t.Errorf("decision log last = %+v, ok=%t", dec, ok)
+			// The journal carries the recovery once, with the numbers the
+			// controller returned, and as no migration.
+			recs := f.o.Journal.Events(obs.EventFilter{Kind: obs.EventRecovery})
+			if len(recs) != 1 || recs[0].Stage != tc.stage {
+				t.Fatalf("recovery events %+v, want exactly 1 for %s", recs, tc.stage)
 			}
-			mig, ok := f.o.Migrations.Last()
-			if !ok || mig.Reason != "recovery" || mig.From != victim || mig.To != ev.To {
-				t.Errorf("migration trail last = %+v, ok=%t", mig, ok)
+			rec := recs[0].Payload.(obs.Recovery)
+			if rec.From != victim || rec.To != ev.To || rec.Replayed != ev.Replayed ||
+				rec.Restored != ev.Restored || rec.Duration != ev.Duration {
+				t.Errorf("recovery payload %+v, controller event %+v", rec, ev)
 			}
-			var flight bool
-			for _, fe := range f.o.FlightRec().Events() {
-				if fe.Kind == obs.FlightRecovery && fe.Stage == tc.stage {
-					flight = true
-				}
-			}
-			if !flight {
-				t.Error("no recovery event in the flight recorder")
+			if migs := f.o.Journal.Events(obs.EventFilter{Kind: obs.EventMigration}); len(migs) != 0 {
+				t.Errorf("recovery also journaled as migrations: %+v", migs)
 			}
 		})
 	}

@@ -175,10 +175,9 @@ func (c *Checkpointer) CheckpointAll(ctx context.Context) int {
 		c.rounds.Inc()
 	}
 	if o := dep.o; o != nil {
-		o.FlightRec().Record(obs.FlightEvent{
-			Kind:   obs.FlightCheckpoint,
-			Detail: "checkpoint round",
-			Value:  float64(captured),
+		o.Journal.Record(obs.Event{
+			Kind:   obs.EventCheckpoint,
+			Detail: fmt.Sprintf("checkpoint round: %d instance(s) captured", captured),
 		})
 	}
 	return captured

@@ -110,11 +110,10 @@ type Deployer struct {
 	repo *Repository
 	net  *netsim.Network
 
-	topologyAware bool
-	defBatch      int
-	defReplay     int
-	o             *obs.Observability
-	pol           *policy.Engine
+	defBatch  int
+	defReplay int
+	o         *obs.Observability
+	pol       *policy.Engine
 }
 
 // SetReplayBuffer sets the per-edge replay-ring depth the deployer installs
@@ -125,8 +124,8 @@ func (d *Deployer) SetReplayBuffer(n int) { d.defReplay = n }
 
 // SetObservability attaches an observability bundle installed on every
 // engine the deployer builds: deployments log placements, stages publish
-// metrics, and adaptation decisions land in the audit trail. Nil (the
-// default) means unobserved.
+// metrics, and adaptation decisions land in the journal. Nil (the default)
+// means unobserved.
 func (d *Deployer) SetObservability(o *obs.Observability) { d.o = o }
 
 // SetDefaultBatchSize sets the drain/coalesce batch size the deployer
@@ -134,19 +133,13 @@ func (d *Deployer) SetObservability(o *obs.Observability) { d.o = o }
 // Per-stage StageConfig.BatchSize from tuning still wins.
 func (d *Deployer) SetDefaultBatchSize(n int) { d.defBatch = n }
 
-// SetTopologyAware makes placement consider link bandwidth between
-// communicating instances (grid.PlanTopology) in addition to requirements
-// and near-source hints: stages that exchange data gravitate to the same
-// site when the wide-area links are slow.
-//
-// Deprecated shim: prefer declaring placement.topology_aware in the policy
-// document handed to SetPolicy; either source enables it.
-func (d *Deployer) SetTopologyAware(on bool) { d.topologyAware = on }
-
 // SetPolicy installs the policy engine that drives every placement this
 // deployer plans (see Planner.SetPolicy) and that policy-driven
 // rebalancers share. Nil (the default) means default-policy behavior with
-// no decision logging.
+// no decision logging. Its placement.topology_aware makes placement
+// consider link bandwidth between communicating instances
+// (grid.PlanTopology), so stages that exchange data gravitate to the same
+// site when the wide-area links are slow.
 func (d *Deployer) SetPolicy(eng *policy.Engine) { d.pol = eng }
 
 // Policy returns the installed policy engine (nil when none).
@@ -162,10 +155,9 @@ func NewDeployer(clk clock.Clock, dir *grid.Directory, repo *Repository, net *ne
 }
 
 // Planner returns a planner over the deployer's fabric, inheriting its
-// topology-awareness and policy engine.
+// policy engine.
 func (d *Deployer) Planner() *Planner {
 	p, _ := NewPlanner(d.dir, d.net) // deps were validated at NewDeployer
-	p.SetTopologyAware(d.topologyAware)
 	p.SetPolicy(d.pol)
 	return p
 }

@@ -16,7 +16,7 @@ import (
 // FaultScheduler replays a policy document's scripted fault schedule
 // against the network: node kills and heals, partitions, and per-link
 // loss/reorder injections, each at its declared virtual-time offset from
-// Start. Every applied injection lands in the flight recorder, so a chaos
+// Start. Every applied injection lands in the journal, so a chaos
 // run's failure script and the middleware's reaction share one timeline.
 type FaultScheduler struct {
 	clk clock.Clock
@@ -114,8 +114,8 @@ func (f *FaultScheduler) Apply(inj policy.FaultInjection) {
 		detail = fmt.Sprintf("inject %s → %s (loss %g, reorder %g)", inj.From, inj.To, inj.Loss, inj.Reorder)
 	}
 	if f.o != nil {
-		f.o.FlightRec().Record(obs.FlightEvent{
-			Kind:   obs.FlightFault,
+		f.o.Journal.Record(obs.Event{
+			Kind:   obs.EventFault,
 			Node:   inj.Kill + inj.Heal,
 			Detail: inj.Name + ": " + detail,
 		})

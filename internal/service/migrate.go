@@ -121,26 +121,25 @@ func (d *Deployment) migrate(ctx context.Context, stageID string, instance int, 
 	dep.dir.Release(from, req)
 	d.setPlacement(stageID, instance, toNode)
 
-	dep.o.MigrationTrail().Record(obs.MigrationEvent{
-		At:            dep.clk.Now(),
-		Stage:         stageID,
-		Instance:      instance,
-		From:          from,
-		To:            toNode,
-		Drain:         drain,
-		StateBytes:    len(state),
-		QueuedPackets: qPkts,
-		QueuedBytes:   qBytes,
-		Reason:        reason,
-	})
-	dep.o.FlightRec().Record(obs.FlightEvent{
-		Kind:     obs.FlightMigration,
-		Stage:    stageID,
-		Instance: instance,
-		Node:     toNode,
-		Detail:   from + " → " + toNode + " (" + reason + ")",
-		Value:    float64(qPkts),
-	})
+	if dep.o != nil {
+		dep.o.Journal.Record(obs.Event{
+			At:       dep.clk.Now(),
+			Kind:     obs.EventMigration,
+			Stage:    stageID,
+			Instance: instance,
+			Node:     toNode,
+			Detail:   from + " → " + toNode + " (" + reason + ")",
+			Payload: obs.Migration{
+				From:          from,
+				To:            toNode,
+				Drain:         drain,
+				StateBytes:    len(state),
+				QueuedPackets: qPkts,
+				QueuedBytes:   qBytes,
+				Reason:        reason,
+			},
+		})
+	}
 	dep.o.Log().Info("stage migrated",
 		"stage", stageID, "instance", instance, "from", from, "to", toNode,
 		"drain", drain, "state_bytes", len(state),

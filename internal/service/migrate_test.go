@@ -211,20 +211,24 @@ func TestMigrationZeroLoss(t *testing.T) {
 		t.Errorf("parameter value %v changed across migration from %v", p.Value(), paramBefore)
 	}
 
-	// The audit trails recorded the move and the drain→resume signature.
-	ev, ok := f.o.Migrations.Last()
-	if !ok {
-		t.Fatal("no migration event recorded")
+	// The journal recorded the move once and the drain→resume signature,
+	// one event per transition.
+	migs := f.o.Journal.Events(obs.EventFilter{Kind: obs.EventMigration})
+	if len(migs) != 1 {
+		t.Fatalf("%d migration events for one migration: %+v", len(migs), migs)
 	}
-	if ev.Stage != "summarize" || ev.From != "src-1" || ev.To != "helper" || ev.Reason != "manual" {
-		t.Errorf("migration event %+v", ev)
+	mig := migs[0].Payload.(obs.Migration)
+	if migs[0].Stage != "summarize" || mig.From != "src-1" || mig.To != "helper" || mig.Reason != "manual" {
+		t.Errorf("migration event %+v", migs[0])
 	}
-	if ev.StateBytes == 0 {
+	if mig.StateBytes == 0 {
 		t.Error("migration event records no moved state")
 	}
+	zero := 0
 	var transitions []string
-	for _, le := range f.o.Lifecycle.ForStage("summarize", 0) {
-		transitions = append(transitions, le.From+">"+le.To)
+	for _, le := range f.o.Journal.Events(obs.EventFilter{Kind: obs.EventLifecycle, Stage: "summarize", Instance: &zero}) {
+		lc := le.Payload.(obs.Lifecycle)
+		transitions = append(transitions, lc.From+">"+lc.To)
 	}
 	want := []string{"init>running", "running>draining", "draining>paused", "paused>running", "running>stopped"}
 	if !reflect.DeepEqual(transitions, want) {

@@ -107,14 +107,13 @@ func (p *Plan) Diff(next *Plan) []Move {
 //
 // Placement behavior is policy-driven: topology awareness and per-stage
 // constraint rules come from the policy engine's active document, and
-// every assignment the planner makes is recorded in the decision log with
-// the rule that selected it and the policy version in force. A planner
+// every assignment the planner makes is recorded in the journal with the
+// rule that selected it and the policy version in force. A planner
 // without an engine behaves as the default policy, silently.
 type Planner struct {
-	dir           *grid.Directory
-	net           *netsim.Network
-	topologyAware bool
-	pol           *policy.Engine
+	dir *grid.Directory
+	net *netsim.Network
+	pol *policy.Engine
 }
 
 // NewPlanner returns a planner over the given directory and network.
@@ -125,16 +124,8 @@ func NewPlanner(dir *grid.Directory, net *netsim.Network) (*Planner, error) {
 	return &Planner{dir: dir, net: net}, nil
 }
 
-// SetTopologyAware makes planning consider link bandwidth between
-// communicating instances (grid.PlanTopology) in addition to requirements
-// and near-source hints.
-//
-// Deprecated shim: prefer declaring placement.topology_aware in the policy
-// document; either source enables it.
-func (p *Planner) SetTopologyAware(on bool) { p.topologyAware = on }
-
 // SetPolicy installs the engine whose active document drives placement
-// (topology awareness, constraint rules) and receives the decision log.
+// (topology awareness, constraint rules) and records its decisions.
 // Nil reverts to default-policy behavior.
 func (p *Planner) SetPolicy(eng *policy.Engine) { p.pol = eng }
 
@@ -151,7 +142,7 @@ func (p *Planner) Plan(cfg *AppConfig) (*Plan, error) {
 		return nil, err
 	}
 	plc, version := p.pol.Placement()
-	aware := p.topologyAware || plc.TopologyAware
+	aware := plc.TopologyAware
 	reqs, ruleNames := instanceRequests(cfg, plc)
 	var placements []grid.Placement
 	var err error
@@ -178,21 +169,23 @@ func (p *Planner) Plan(cfg *AppConfig) (*Plan, error) {
 			Node:     pl.Node,
 			Req:      reqs[i].Req,
 		}
-		p.pol.RecordDecision(obs.DecisionEvent{
-			Kind:          obs.DecisionPlacement,
+		p.pol.RecordDecision(obs.Event{
+			Kind:          obs.EventPlacement,
 			PolicyVersion: version,
-			Rule:          placementRule(ruleNames[i], reqs[i].Req, aware),
 			Stage:         pl.StageID,
 			Instance:      pl.Instance,
 			Node:          pl.Node,
-			Outcome:       "placed",
-			Input: map[string]any{
-				"app":            cfg.Name,
-				"site":           reqs[i].Req.Site,
-				"min_cpu":        reqs[i].Req.MinCPUPower,
-				"min_memory_mb":  reqs[i].Req.MinMemoryMB,
-				"near_source":    reqs[i].Req.NearSource,
-				"topology_aware": aware,
+			Payload: obs.Decision{
+				Rule:    placementRule(ruleNames[i], reqs[i].Req, aware),
+				Outcome: "placed",
+				Input: map[string]any{
+					"app":            cfg.Name,
+					"site":           reqs[i].Req.Site,
+					"min_cpu":        reqs[i].Req.MinCPUPower,
+					"min_memory_mb":  reqs[i].Req.MinMemoryMB,
+					"near_source":    reqs[i].Req.NearSource,
+					"topology_aware": aware,
+				},
 			},
 		})
 	}
@@ -232,7 +225,7 @@ func (p *Planner) Release(plan *Plan) {
 // own requirement — Site and NearSource apply where the stage left them
 // empty, resource floors only ever rise — and the second return value
 // names the rule applied per request ("" where none matched) for the
-// decision log.
+// placement events.
 func instanceRequests(cfg *AppConfig, plc policy.PlacementPolicy) ([]grid.InstanceRequest, []string) {
 	var reqs []grid.InstanceRequest
 	var ruleNames []string

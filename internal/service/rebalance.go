@@ -76,7 +76,7 @@ func (c RebalancerConfig) PolicyDocument() policy.Document {
 // Every control constant — interval, threshold, cooldown, budget, stage
 // scope, link-cost weight — is read from the policy engine at the start of
 // each sweep, so a hot reload changes the very next decision; and every
-// evaluation (move, skip, or budget halt) lands in the decision log with
+// evaluation (move, skip, or budget halt) lands in the journal with
 // the inputs it was judged on and the policy version that judged it.
 type Rebalancer struct {
 	dep  *Deployment
@@ -170,14 +170,16 @@ func (r *Rebalancer) budgetExhausted() bool {
 		return false
 	}
 	if r.haltLogged.CompareAndSwap(false, true) {
-		r.pol.RecordDecision(obs.DecisionEvent{
-			Kind:          obs.DecisionRebalance,
+		r.pol.RecordDecision(obs.Event{
+			Kind:          obs.EventRebalance,
 			PolicyVersion: version,
-			Rule:          "migration-budget",
-			Outcome:       "halt",
-			Input: map[string]any{
-				"budget":     pol.MigrationBudget,
-				"migrations": r.migrations.Load(),
+			Payload: obs.Decision{
+				Rule:    "migration-budget",
+				Outcome: "halt",
+				Input: map[string]any{
+					"budget":     pol.MigrationBudget,
+					"migrations": r.migrations.Load(),
+				},
 			},
 		})
 	}
@@ -187,7 +189,7 @@ func (r *Rebalancer) budgetExhausted() bool {
 // sweep examines every eligible instance once and migrates the worst
 // offender it finds (one move per sweep keeps the cost model honest: each
 // move changes the link usage the next evaluation sees). Every evaluated
-// instance produces one decision-log entry: a move, or a skip naming the
+// instance produces one rebalance event: a move, or a skip naming the
 // rule that suppressed it.
 func (r *Rebalancer) sweep(ctx context.Context) {
 	dep := r.dep
@@ -203,18 +205,20 @@ func (r *Rebalancer) sweep(ctx context.Context) {
 			}
 			ref := instRef{stage: stageID, instance: i}
 			if last, ok := r.lastMove[ref]; ok && now.Sub(last) < pol.Cooldown.Std() {
-				r.pol.RecordDecision(obs.DecisionEvent{
+				r.pol.RecordDecision(obs.Event{
 					At:            now,
-					Kind:          obs.DecisionRebalance,
+					Kind:          obs.EventRebalance,
 					PolicyVersion: version,
-					Rule:          "cooldown",
 					Stage:         stageID,
 					Instance:      i,
 					Node:          st.Node(),
-					Outcome:       "skip",
-					Input: map[string]any{
-						"cooldown":        pol.Cooldown.Std().String(),
-						"since_last_move": now.Sub(last).String(),
+					Payload: obs.Decision{
+						Rule:    "cooldown",
+						Outcome: "skip",
+						Input: map[string]any{
+							"cooldown":        pol.Cooldown.Std().String(),
+							"since_last_move": now.Sub(last).String(),
+						},
 					},
 				})
 				continue
@@ -237,20 +241,22 @@ func (r *Rebalancer) sweep(ctx context.Context) {
 				if bestNode != cur {
 					rule = "below-threshold"
 				}
-				r.pol.RecordDecision(obs.DecisionEvent{
+				r.pol.RecordDecision(obs.Event{
 					At:            now,
-					Kind:          obs.DecisionRebalance,
+					Kind:          obs.EventRebalance,
 					PolicyVersion: version,
-					Rule:          rule,
 					Stage:         stageID,
 					Instance:      i,
 					Node:          cur,
-					Outcome:       "skip",
-					Input: map[string]any{
-						"cur_cost":  curCost,
-						"best_cost": bestCost,
-						"best_node": bestNode,
-						"threshold": pol.Threshold,
+					Payload: obs.Decision{
+						Rule:    rule,
+						Outcome: "skip",
+						Input: map[string]any{
+							"cur_cost":  curCost,
+							"best_cost": bestCost,
+							"best_node": bestNode,
+							"threshold": pol.Threshold,
+						},
 					},
 				})
 				continue
@@ -258,36 +264,40 @@ func (r *Rebalancer) sweep(ctx context.Context) {
 			if err := dep.migrate(ctx, stageID, i, bestNode, "rebalance"); err != nil {
 				d.o.Log().Warn("rebalance migration failed",
 					"stage", stageID, "instance", i, "to", bestNode, "err", err)
-				r.pol.RecordDecision(obs.DecisionEvent{
+				r.pol.RecordDecision(obs.Event{
 					At:            now,
-					Kind:          obs.DecisionRebalance,
+					Kind:          obs.EventRebalance,
 					PolicyVersion: version,
-					Rule:          "cost-threshold",
 					Stage:         stageID,
 					Instance:      i,
 					Node:          cur,
-					Outcome:       "move-failed",
-					Input:         map[string]any{"to": bestNode, "error": err.Error()},
+					Payload: obs.Decision{
+						Rule:    "cost-threshold",
+						Outcome: "move-failed",
+						Input:   map[string]any{"to": bestNode, "error": err.Error()},
+					},
 				})
 				continue
 			}
 			r.lastMove[ref] = now
 			r.migrations.Add(1)
-			r.pol.RecordDecision(obs.DecisionEvent{
+			r.pol.RecordDecision(obs.Event{
 				At:            now,
-				Kind:          obs.DecisionRebalance,
+				Kind:          obs.EventRebalance,
 				PolicyVersion: version,
-				Rule:          "cost-threshold",
 				Stage:         stageID,
 				Instance:      i,
 				Node:          bestNode,
-				Outcome:       "move",
-				Input: map[string]any{
-					"from":      cur,
-					"to":        bestNode,
-					"cur_cost":  curCost,
-					"best_cost": bestCost,
-					"threshold": pol.Threshold,
+				Payload: obs.Decision{
+					Rule:    "cost-threshold",
+					Outcome: "move",
+					Input: map[string]any{
+						"from":      cur,
+						"to":        bestNode,
+						"cur_cost":  curCost,
+						"best_cost": bestCost,
+						"threshold": pol.Threshold,
+					},
 				},
 			})
 			if r.budgetExhausted() {

@@ -102,18 +102,19 @@ func TestRebalancerCooldownSkipDecision(t *testing.T) {
 		reb.sweep(context.Background())
 	})
 
-	var skip *obs.DecisionEvent
-	for _, ev := range f.o.DecisionLog().Events() {
-		if ev.Kind == obs.DecisionRebalance && ev.Rule == "cooldown" {
+	var skip *obs.Event
+	var d obs.Decision
+	for _, ev := range f.o.Journal.Events(obs.EventFilter{Kind: obs.EventRebalance}) {
+		if d = ev.Payload.(obs.Decision); d.Rule == "cooldown" {
 			skip = &ev
 			break
 		}
 	}
 	if skip == nil {
-		t.Fatalf("no cooldown decision recorded; log: %+v", f.o.DecisionLog().Events())
+		t.Fatalf("no cooldown decision recorded; journal: %+v", f.o.Journal.Events(obs.EventFilter{}))
 	}
-	if skip.Outcome != "skip" {
-		t.Errorf("cooldown outcome %q, want skip", skip.Outcome)
+	if d.Outcome != "skip" {
+		t.Errorf("cooldown outcome %q, want skip", d.Outcome)
 	}
 	if skip.Stage != "summarize" || skip.Instance != 0 || skip.Node != "src-1" {
 		t.Errorf("cooldown decision names %s/%d@%s", skip.Stage, skip.Instance, skip.Node)
@@ -121,11 +122,11 @@ func TestRebalancerCooldownSkipDecision(t *testing.T) {
 	if skip.PolicyVersion != "config" {
 		t.Errorf("cooldown decision cites policy %q, want config", skip.PolicyVersion)
 	}
-	if skip.Input["cooldown"] != time.Hour.String() {
-		t.Errorf("cooldown input %+v", skip.Input)
+	if d.Input["cooldown"] != time.Hour.String() {
+		t.Errorf("cooldown input %+v", d.Input)
 	}
-	if _, ok := skip.Input["since_last_move"]; !ok {
-		t.Errorf("cooldown input misses since_last_move: %+v", skip.Input)
+	if _, ok := d.Input["since_last_move"]; !ok {
+		t.Errorf("cooldown input misses since_last_move: %+v", d.Input)
 	}
 	if reb.Migrations() != 0 {
 		t.Errorf("cooldown sweep migrated %d instances", reb.Migrations())
@@ -140,15 +141,16 @@ func TestRebalancerAlreadyOptimalSkip(t *testing.T) {
 	f.run(t, func() {
 		reb.sweep(context.Background())
 	})
-	ev, ok := f.o.DecisionLog().Last()
-	if !ok || ev.Kind != obs.DecisionRebalance {
-		t.Fatalf("last decision %+v, %v", ev, ok)
+	evs := f.o.Journal.Events(obs.EventFilter{Kind: obs.EventRebalance})
+	if len(evs) != 1 {
+		t.Fatalf("one sweep over one instance recorded %d rebalance events: %+v", len(evs), evs)
 	}
-	if ev.Rule != "already-optimal" || ev.Outcome != "skip" {
-		t.Errorf("decision %q/%q, want already-optimal/skip", ev.Rule, ev.Outcome)
+	d := evs[0].Payload.(obs.Decision)
+	if d.Rule != "already-optimal" || d.Outcome != "skip" {
+		t.Errorf("decision %q/%q, want already-optimal/skip", d.Rule, d.Outcome)
 	}
-	if ev.Input["threshold"] != policy.DefaultRebalanceThreshold {
-		t.Errorf("decision input %+v", ev.Input)
+	if d.Input["threshold"] != policy.DefaultRebalanceThreshold {
+		t.Errorf("decision input %+v", d.Input)
 	}
 	if reb.Migrations() != 0 {
 		t.Errorf("healthy sweep migrated %d instances", reb.Migrations())
@@ -168,11 +170,11 @@ func TestRebalancerBudgetHalt(t *testing.T) {
 		t.Fatal("spent budget not detected")
 	}
 	halts := 0
-	for _, ev := range f.o.DecisionLog().Events() {
-		if ev.Kind == obs.DecisionRebalance && ev.Rule == "migration-budget" {
+	for _, ev := range f.o.Journal.Events(obs.EventFilter{Kind: obs.EventRebalance}) {
+		if d := ev.Payload.(obs.Decision); d.Rule == "migration-budget" {
 			halts++
-			if ev.Outcome != "halt" {
-				t.Errorf("halt outcome %q", ev.Outcome)
+			if d.Outcome != "halt" {
+				t.Errorf("halt outcome %q", d.Outcome)
 			}
 		}
 	}

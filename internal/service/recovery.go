@@ -526,6 +526,7 @@ func (r *Recovery) recoverInstance(ctx context.Context, st *pipeline.Stage, dead
 	if ev.Gap && r.gaps != nil {
 		r.gaps.Inc()
 	}
+	ev.Duration = dep.clk.Now().Sub(start)
 	r.observe(ev, deadNode, toNode)
 	return nil
 }
@@ -555,53 +556,36 @@ func (r *Recovery) allocateLive(req grid.Requirement, deadNode string) (string, 
 	return "", fmt.Errorf("no live node satisfies the requirement (dead: %s)", deadNode)
 }
 
-// observe publishes the recovery to the decision log, the flight recorder,
-// the migration trail, and the structured log.
+// observe records the recovery as one journal event — through the policy
+// engine when one is attached, so it cites the version in force — and logs
+// it.
 func (r *Recovery) observe(ev RecoveryEvent, from, to string) {
 	dep := r.dep.deployer
 	o := dep.o
 	if o == nil {
 		return
 	}
-	d := obs.DecisionEvent{
-		Kind:     obs.DecisionRecovery,
-		Rule:     "node-failure",
-		Stage:    ev.Stage,
-		Instance: ev.Instance,
-		Node:     to,
-		Outcome: fmt.Sprintf("recovered: %s → %s (replayed %d, discarded %d, restored %t)",
-			from, to, ev.Replayed, ev.Discarded, ev.Restored),
-		Input: map[string]any{
-			"dead_node": from,
-			"discarded": ev.Discarded,
-			"replayed":  ev.Replayed,
-			"restored":  ev.Restored,
-			"gap":       ev.Gap,
-		},
-	}
-	if pol := dep.pol; pol != nil {
-		pol.RecordDecision(d)
-	} else {
-		o.DecisionLog().Record(d)
-	}
-	o.MigrationTrail().Record(obs.MigrationEvent{
-		At:            ev.At.Add(ev.Duration),
-		Stage:         ev.Stage,
-		Instance:      ev.Instance,
-		From:          from,
-		To:            to,
-		Drain:         ev.Duration,
-		QueuedPackets: ev.Discarded,
-		Reason:        "recovery",
-	})
-	o.FlightRec().Record(obs.FlightEvent{
-		Kind:     obs.FlightRecovery,
+	rec := obs.Event{
+		Kind:     obs.EventRecovery,
 		Stage:    ev.Stage,
 		Instance: ev.Instance,
 		Node:     to,
 		Detail:   fmt.Sprintf("%s → %s (replayed %d, discarded %d, restored %t)", from, to, ev.Replayed, ev.Discarded, ev.Restored),
-		Value:    float64(ev.Replayed),
-	})
+		Payload: obs.Recovery{
+			From:      from,
+			To:        to,
+			Restored:  ev.Restored,
+			Replayed:  ev.Replayed,
+			Discarded: ev.Discarded,
+			Gap:       ev.Gap,
+			Duration:  ev.Duration,
+		},
+	}
+	if pol := dep.pol; pol != nil {
+		pol.RecordDecision(rec)
+	} else {
+		o.Journal.Record(rec)
+	}
 	o.Log().Info("instance recovered",
 		"stage", ev.Stage, "instance", ev.Instance, "from", from, "to", to,
 		"replayed", ev.Replayed, "discarded", ev.Discarded,

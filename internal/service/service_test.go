@@ -16,6 +16,7 @@ import (
 	"github.com/gates-middleware/gates/internal/grid"
 	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/pipeline"
+	"github.com/gates-middleware/gates/internal/policy"
 )
 
 const testConfigXML = `
@@ -490,7 +491,15 @@ func TestTopologyAwareDeployment(t *testing.T) {
 	dir2.Register(grid.Node{Name: "remote-hub", Site: "remote", CPUPower: 2, MemoryMB: 2048, Slots: 2})
 	dir2.Register(grid.Node{Name: "home-hub", Site: "home", CPUPower: 8, MemoryMB: 8192, Slots: 8})
 	dep2, _ := NewDeployer(clk, dir2, repo, net)
-	dep2.SetTopologyAware(true)
+	topo, err := policy.Parse([]byte(`{"placement": {"topology_aware": true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := policy.New(clk, nil)
+	if err := pol.Load(topo, "test"); err != nil {
+		t.Fatal(err)
+	}
+	dep2.SetPolicy(pol)
 	d2, err := dep2.Deploy(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -137,11 +137,41 @@ if command -v curl >/dev/null 2>&1; then
 	  "http://$node_obs/healthz" >/dev/null
 	curl -sf --retry 5 --retry-delay 1 "http://$node_obs/readyz" >/dev/null
 	curl -sf "http://$node_obs/metrics" | grep -q '^gates_'
-	curl -sf "http://$node_obs/flightrecorder" | grep -q '"events"'
+	curl -sf "http://$node_obs/events" | grep -q '"events"'
 	curl -sf "http://$node_obs/bottlenecks" | grep -q '"summary"'
+	# /events replaced four per-store endpoints; they must stay gone.
+	for retired in adaptations migrations decisions flightrecorder; do
+		code="$(curl -s -o /dev/null -w '%{http_code}' "http://$node_obs/$retired")"
+		[ "$code" = "404" ] || { echo "endpoint smoke: /$retired got HTTP $code, want 404"; exit 1; }
+	done
 	kill "$node_pid" 2>/dev/null || true
 	wait "$node_pid" 2>/dev/null || true
 	echo "gates-node endpoints ok"
+
+	# SIGQUIT with -flight-dump snapshots the journal and leaves the node
+	# serving; without it SIGQUIT is the Go runtime's (stack dump and exit,
+	# TestNotifyFlightDumpSIGQUIT in internal/cliconf).
+	"$smoke_tmp/gates-node" -listen 127.0.0.1:19775 -stage compsteer/analyzer \
+	  -obs-listen "$node_obs" -flight-dump "$smoke_tmp/j.json" 2>/dev/null &
+	node_pid=$!
+	curl -sf --retry 20 --retry-connrefused --retry-delay 1 \
+	  "http://$node_obs/healthz" >/dev/null
+	kill -QUIT "$node_pid"
+	for _i in 1 2 3 4 5 6 7 8 9 10; do
+		[ -s "$smoke_tmp/j.json" ] && break
+		sleep 0.2
+	done
+	if command -v python3 >/dev/null 2>&1; then
+		python3 -m json.tool "$smoke_tmp/j.json" >/dev/null \
+		  || { echo "endpoint smoke: SIGQUIT dump is not JSON"; exit 1; }
+	fi
+	grep -q '"kind": "dump"' "$smoke_tmp/j.json" \
+	  || { echo "endpoint smoke: SIGQUIT dump has no dump event"; exit 1; }
+	curl -sf "http://$node_obs/healthz" >/dev/null \
+	  || { echo "endpoint smoke: gates-node stopped serving after SIGQUIT"; exit 1; }
+	kill "$node_pid" 2>/dev/null || true
+	wait "$node_pid" 2>/dev/null || true
+	echo "gates-node SIGQUIT journal dump ok"
 
 	smoke_xml='<application name="smoke">
 	  <stage id="sim" code="compsteer/sim" source="true"/>
@@ -164,7 +194,7 @@ if command -v curl >/dev/null 2>&1; then
 	fi
 	ts_code="$(curl -s -o /dev/null -w '%{http_code}' "http://$launch_obs/timeseries")"
 	[ "$ts_code" = "404" ] || { echo "endpoint smoke: /timeseries got HTTP $ts_code, want 404"; exit 1; }
-	curl -sf "http://$launch_obs/flightrecorder" | grep -q '"events"'
+	curl -sf "http://$launch_obs/events" | grep -q '"events"'
 	curl -sf "http://$launch_obs/bottlenecks" | grep -q '"summary"'
 	# Every stage and control loop runs under a pprof "stage" label, which is
 	# what attributes CPU per stage in a profile (go tool pprof -tagfocus).
@@ -185,10 +215,10 @@ fi
 echo "== policy lane =="
 # Policy control-plane lane. Over real HTTP: GET the active document,
 # hot-reload a tightened one via POST, reject an invalid one (400, active
-# version rolls back to the survivor), and read the decision log; then a
-# launcher run driven by a policy file must log placement and SLO decisions
-# citing it. Finally the hot-reload experiment proves a mid-run reload
-# visibly changes placement, with the decision log naming the version that
+# version rolls back to the survivor), and read the journal's policy events;
+# then a launcher run driven by a policy file must journal placement and SLO
+# decisions citing it. Finally the hot-reload experiment proves a mid-run
+# reload visibly changes placement, with the journal naming the version that
 # fired.
 if command -v curl >/dev/null 2>&1; then
 	pol_obs=127.0.0.1:19773
@@ -204,10 +234,10 @@ if command -v curl >/dev/null 2>&1; then
 	  -d '{"rebalance":{"threshold":-1}}' "http://$pol_obs/policy")"
 	[ "$bad_code" = "400" ] || { echo "policy guard: invalid reload got HTTP $bad_code, want 400"; exit 1; }
 	curl -sf "http://$pol_obs/policy" | grep -q '"version": "ci-v2"'
-	curl -sf "http://$pol_obs/decisions" | grep -q '"kind": "policy"'
+	curl -sf "http://$pol_obs/events?kind=policy" | grep -q '"policy_version": "ci-v2"'
 	kill "$pol_pid" 2>/dev/null || true
 	wait "$pol_pid" 2>/dev/null || true
-	echo "gates-node /policy hot-reload + rollback + /decisions ok"
+	echo "gates-node /policy hot-reload + rollback + /events?kind=policy ok"
 
 	cat > "$smoke_tmp/policy.json" <<-'EOF'
 	{"version": "ci-file", "placement": {"topology_aware": true}, "slo": {"target_p99": "1h"}}
@@ -221,15 +251,15 @@ if command -v curl >/dev/null 2>&1; then
 	# The endpoint binds before Launch plans, so give placement decisions a
 	# moment to land.
 	for _i in 1 2 3 4 5 6 7 8 9 10; do
-		curl -sf "http://$pol_obs/decisions" | grep -q '"kind": "placement"' && break
+		curl -sf "http://$pol_obs/events?kind=placement" | grep -q '"policy_version": "ci-file"' && break
 		sleep 0.2
 	done
-	curl -sf "http://$pol_obs/decisions" | grep -q '"kind": "placement"'
+	curl -sf "http://$pol_obs/events?kind=placement" | grep -q '"policy_version": "ci-file"'
 	curl -sf "http://$pol_obs/cluster" >/dev/null  # a collect evaluates the SLO under ci-file
-	curl -sf "http://$pol_obs/decisions" | grep -q '"kind": "slo"'
-	curl -sf "http://$pol_obs/decisions" | grep -q '"policy_version": "ci-file"'
+	curl -sf "http://$pol_obs/events?kind=slo" | grep -q '"policy_version": "ci-file"'
+	curl -sf "http://$pol_obs/events?kind=policy" | grep -q '"policy_version": "ci-file"'
 	wait "$pol_launch_pid"
-	echo "gates-launcher policy-driven decisions ok"
+	echo "gates-launcher policy-driven journal events ok"
 else
 	echo "curl not installed; skipping policy endpoint smoke"
 fi
