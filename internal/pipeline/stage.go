@@ -375,6 +375,12 @@ func (c *Context) PauseRequested() <-chan struct{} { return *c.stage.pauseWake.L
 // should return that error from Run.
 func (c *Context) PauseBoundary() error { return c.stage.parkIfRequested(c.ctx) }
 
+// PauseCtx returns the current pause epoch's context, the one the stage's own
+// blocking pops and pushes wait under: a pause request or the end of the run
+// cancels it, and Resume replaces it. A source blocked on a queue.Ring waits
+// under it, calls PauseBoundary once woken, and asks again.
+func (c *Context) PauseCtx() context.Context { return c.stage.currentPopCtx() }
+
 // ChargeCompute charges d of virtual processing time for the current work
 // item, blocking per the stage's ComputeQuantum batching. The paper's
 // applications paid this cost in real JVM time; charging it against the

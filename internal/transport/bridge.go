@@ -3,11 +3,12 @@ package transport
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"github.com/gates-middleware/gates/internal/adapt"
 	"github.com/gates-middleware/gates/internal/obs"
 	"github.com/gates-middleware/gates/internal/pipeline"
+	"github.com/gates-middleware/gates/internal/queue"
 )
 
 // Egress is a pipeline Processor that forwards everything it receives to a
@@ -72,13 +73,13 @@ func (e *Egress) flush() error {
 // Deliver, and add it as a source stage. Run ends after ExpectFinals final
 // markers (one per remote upstream instance) have arrived.
 //
-// The wire does not stop when the engine side does: while the ingress stage
-// is paused — a checkpoint capture, or a recovery holding it across a Relink
-// — frames keep arriving. Deliver parks the overflow in a bounded pending
-// buffer (pendingFactor times the channel depth) instead of wedging the
-// connection's read loop, which would also stall exception traffic sharing
-// the socket; the parked frames drain in arrival order once the stage
-// resumes. Only with both the channel and the parking lot full does Deliver
+// Received packets wait in one bounded queue.Ring, filled by the connection
+// read loops and drained by Run in arrival order. The wire does not stop when
+// the engine side does: while the ingress stage is paused — a checkpoint
+// capture, or a recovery holding it across a Relink — frames keep arriving,
+// and the ring is sized (1+pendingFactor) times buf so that a pause rides
+// out at line rate instead of wedging the read loop, which would also stall
+// exception traffic sharing the socket. Only with the ring full does Deliver
 // block — backpressure is the last resort, not the first.
 type Ingress struct {
 	// ExpectFinals is how many Final markers end the stream. Zero means
@@ -92,23 +93,17 @@ type Ingress struct {
 	// hot-path trace chain (stage → emitter → link → ingress).
 	Tracer *obs.Tracer
 
-	ch   chan *pipeline.Packet
-	kick chan struct{} // cap 1: tells Run the parking lot has frames
-
-	mu      sync.Mutex
-	cond    *sync.Cond // signaled when the parking lot gains room or closes
-	pending []*pipeline.Packet
-	maxPend int
-	closed  bool // Run returned; park nothing further
+	ring   *queue.Ring[*pipeline.Packet]
+	closed atomic.Bool // Run returned: Deliver builds no packet
 }
 
-// pendingFactor sizes the pause-overflow parking lot relative to the
-// engine-side channel: deep enough to ride out a checkpoint or recovery
-// re-wiring at line rate, small enough to stay a bounded buffer.
+// pendingFactor sizes the ring beyond the engine-side depth buf: deep enough
+// to ride out a checkpoint or recovery re-wiring at line rate, small enough
+// to stay a bounded buffer.
 const pendingFactor = 16
 
 // NewIngress returns an ingress expecting the given number of final markers,
-// buffering up to buf packets between the network and the engine.
+// buffering up to (1+16)×buf packets between the network and the engine.
 func NewIngress(expectFinals, buf int) *Ingress {
 	if expectFinals < 1 {
 		expectFinals = 1
@@ -116,14 +111,10 @@ func NewIngress(expectFinals, buf int) *Ingress {
 	if buf < 1 {
 		buf = 64
 	}
-	i := &Ingress{
+	return &Ingress{
 		ExpectFinals: expectFinals,
-		ch:           make(chan *pipeline.Packet, buf),
-		kick:         make(chan struct{}, 1),
-		maxPend:      pendingFactor * buf,
+		ring:         queue.NewMPSC[*pipeline.Packet]((1 + pendingFactor) * buf),
 	}
-	i.cond = sync.NewCond(&i.mu)
-	return i
 }
 
 // Deliver is the Server handler: it routes packets into the engine and
@@ -133,44 +124,17 @@ func NewIngress(expectFinals, buf int) *Ingress {
 func (i *Ingress) Deliver(m Message) {
 	switch m.Kind {
 	case KindPacket:
+		if i.closed.Load() {
+			return
+		}
 		pkt := pipeline.GetPacket()
 		m.PacketInto(pkt)
 		if pkt.TraceID != 0 {
 			// One more node crossing on this packet's trace context.
 			pkt.TraceHops++
 		}
-		i.mu.Lock()
-		if i.closed {
-			i.mu.Unlock()
-			pkt.Release() // nobody reads the channel any more
-			return
-		}
-		i.drainPendingLocked()
-		if len(i.pending) == 0 {
-			// Fast path: the channel has room and nothing is parked
-			// ahead of this frame.
-			select {
-			case i.ch <- pkt:
-				i.mu.Unlock()
-				return
-			default:
-			}
-		}
-		// Park behind whatever is already waiting; blocking only when the
-		// bounded lot is full keeps arrival order intact either way.
-		for len(i.pending) >= i.maxPend && !i.closed {
-			i.cond.Wait()
-		}
-		if i.closed {
-			i.mu.Unlock()
-			pkt.Release() // stream already ended: recycle the drop
-			return
-		}
-		i.pending = append(i.pending, pkt)
-		i.mu.Unlock()
-		select {
-		case i.kick <- struct{}{}:
-		default: // a wake-up is already queued
+		if i.ring.Push(pkt) != nil {
+			pkt.Release() // Run returned while this frame waited for room
 		}
 	case KindException:
 		if i.OnException != nil {
@@ -179,83 +143,45 @@ func (i *Ingress) Deliver(m Message) {
 	}
 }
 
-// drainPendingLocked moves parked frames into the channel while both have
-// capacity, oldest first. Callers hold i.mu.
-func (i *Ingress) drainPendingLocked() {
-	n := 0
-fill:
-	for ; n < len(i.pending); n++ {
-		select {
-		case i.ch <- i.pending[n]:
-			i.pending[n] = nil
-		default:
-			break fill
-		}
-	}
-	if n > 0 {
-		i.cond.Broadcast()
-	}
-	if i.pending = i.pending[n:]; len(i.pending) == 0 {
-		i.pending = nil
-	}
-}
-
 // Run implements pipeline.Source: it emits received packets until the
 // expected number of final markers has arrived. It honors stage pauses even
-// while idle — Context.PauseRequested wakes it between frames, so a
+// while idle — it waits for frames under the stage's pause epoch, so a
 // checkpoint or recovery never waits on the next network delivery.
 func (i *Ingress) Run(ctx *pipeline.Context, out *pipeline.Emitter) error {
+	// On exit, wake any Deliver blocked on a full ring and recycle what
+	// nobody will read. A Deliver racing this drain may still land a frame
+	// behind it; that packet is left to the garbage collector.
 	defer func() {
-		i.mu.Lock()
-		i.closed = true
-		for _, pkt := range i.pending {
+		i.closed.Store(true)
+		i.ring.Close()
+		for {
+			pkt, err := i.ring.Pop()
+			if err != nil {
+				return
+			}
 			pkt.Release()
 		}
-		i.pending = nil
-		// Deliver sends only under mu and only while open, so once closed
-		// is set nothing can land in the channel behind this drain.
-		for len(i.ch) > 0 {
-			(<-i.ch).Release()
-		}
-		i.cond.Broadcast()
-		i.mu.Unlock()
 	}()
 	op := i.Tracer.Op("ingress.emit")
+	var batch [16]*pipeline.Packet // taken per pop
 	finals := 0
 	for {
-		select {
-		case <-ctx.Done():
+		// An idle wait ends on a pause request: park here rather than inside
+		// a future emit, so a quiet wire never stalls a checkpoint.
+		if err := ctx.PauseBoundary(); err != nil {
+			return err
+		}
+		n, err := i.ring.PopBatchCtx(ctx.PauseCtx(), batch[:], len(batch))
+		for k, pkt := range batch[:n] {
+			if done, err := i.handle(ctx, out, op, pkt, &finals); done || err != nil {
+				for _, rest := range batch[k+1 : n] {
+					rest.Release()
+				}
+				return err
+			}
+		}
+		if err != nil && ctx.Ctx().Err() != nil {
 			return context.Cause(ctx.Ctx())
-		case <-ctx.PauseRequested():
-			// Idle pause boundary: park here rather than inside a future
-			// emit, so a quiet wire never stalls a checkpoint or recovery.
-			if err := ctx.PauseBoundary(); err != nil {
-				return err
-			}
-		case pkt := <-i.ch:
-			done, err := i.handle(ctx, out, op, pkt, &finals)
-			if done || err != nil {
-				return err
-			}
-		case <-i.kick:
-			// Parked frames have one way out — pending → ch → here — so
-			// they can never overtake older frames still in the channel.
-			// Run is the channel's only consumer: if it is empty after a
-			// refill, the lot is empty too.
-			for {
-				i.mu.Lock()
-				i.drainPendingLocked()
-				i.mu.Unlock()
-				if len(i.ch) == 0 {
-					break
-				}
-				for len(i.ch) > 0 {
-					done, err := i.handle(ctx, out, op, <-i.ch, &finals)
-					if done || err != nil {
-						return err
-					}
-				}
-			}
 		}
 	}
 }

@@ -325,8 +325,8 @@ func TestIngressDefaults(t *testing.T) {
 	if in.ExpectFinals != 1 {
 		t.Fatalf("ExpectFinals default = %d, want 1", in.ExpectFinals)
 	}
-	if cap(in.ch) != 64 {
-		t.Fatalf("buffer default = %d, want 64", cap(in.ch))
+	if n := in.ring.Cap(); n != 17*64 {
+		t.Fatalf("buffer default = %d, want 17×64", n)
 	}
 }
 

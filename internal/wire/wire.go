@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrMalformed matches (errors.Is) every failure a Reader reports: bytes that
@@ -41,18 +42,23 @@ func AppendBool(b []byte, v bool) []byte {
 
 // AppendInts appends a slice: its length, then each element as AppendInt
 // would. The loop is written out — this is the TCP path's hot spot, and a
-// call per element that does not inline costs more than the rest of a frame.
+// call per element that does not inline costs more than the rest of a frame —
+// and b grows once, to the longest the elements can encode to, so each byte
+// is a store by index rather than an append's capacity check.
 func AppendInts(b []byte, v []int) []byte {
-	b = AppendUint(b, uint64(len(v)))
+	b = slices.Grow(AppendUint(b, uint64(len(v))), len(v)*binary.MaxVarintLen64)
+	n, out := len(b), b[:cap(b)]
 	for _, x := range v {
 		u := uint64(x)<<1 ^ uint64(x>>63) // zig-zag
 		for u >= 0x80 {
-			b = append(b, byte(u)|0x80)
+			out[n] = byte(u) | 0x80
+			n++
 			u >>= 7
 		}
-		b = append(b, byte(u))
+		out[n] = byte(u)
+		n++
 	}
-	return b
+	return out[:n]
 }
 
 // AppendFloat64s appends a slice: its length, then each element as

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -84,6 +87,33 @@ func TestReaderRejects(t *testing.T) {
 		}
 		if r.Rest() != nil || r.Int() != 0 || r.Ints() != nil || r.Next(0) != nil {
 			t.Errorf("%s: a failed Reader still yields values", name)
+		}
+	}
+}
+
+// TestAppendIntsMatchesVarint: AppendInts writes by index into capacity it
+// grew once, and its bytes are the length as a uvarint followed by each
+// element exactly as binary.AppendVarint encodes it — at every varint length
+// boundary, at both ends of int64, and whether or not b already had room.
+func TestAppendIntsMatchesVarint(t *testing.T) {
+	edges := []int{0, 63, -63, 64, -64, 8191, -8191, 8192, -8192, math.MinInt64, math.MaxInt64}
+	rng := rand.New(rand.NewSource(1))
+	random := make([]int, 500)
+	for i := range random {
+		random[i] = int(rng.Uint64()) >> rng.Intn(64) // every encoded length
+	}
+	for _, v := range [][]int{nil, edges, random} {
+		want := binary.AppendUvarint([]byte("prefix"), uint64(len(v)))
+		for _, x := range v {
+			want = binary.AppendVarint(want, int64(x))
+		}
+		for name, b := range map[string][]byte{
+			"no spare capacity": []byte("prefix")[:6:6],
+			"spare capacity":    append(make([]byte, 0, 4096), "prefix"...),
+		} {
+			if got := AppendInts(b, v); !bytes.Equal(got, want) {
+				t.Errorf("%d ints, %s: AppendInts = %x, want %x", len(v), name, got, want)
+			}
 		}
 	}
 }

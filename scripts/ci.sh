@@ -1,9 +1,9 @@
 #!/bin/sh
 # The full CI lane: vet, static analysis (when staticcheck is installed),
 # build, plain tests, the race-detector lane, a coverage run emitting
-# coverage.out, a short benchmark smoke, and the observability-overhead
-# guards (batch-16 micro pair, then the default path and the batched path on
-# the bench harness).
+# coverage.out, a short benchmark smoke, and the overhead guards (batch-16
+# micro pair, then the default path, the batched path and the TCP path on the
+# bench harness).
 # Run from anywhere; it cds to the repo root.
 set -eu
 
@@ -55,6 +55,10 @@ echo "== transport stream lane =="
 # gates-node processes that must agree on the format for a struct-valued
 # payload.
 go test -race ./internal/transport ./internal/wire ./internal/builtin ./cmd/gates-node
+# Ingress's ring is filled by every connection's read loop and drained by the
+# stage under its pause epoch: hammer the tests that race a pause, a second
+# sender or Run's exit against a Deliver.
+go test -race -count=20 -run Ingress ./internal/transport
 go test -run '^$' -fuzz FuzzStreamDecode -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz FuzzWireValues -fuzztime 10s ./internal/transport
 # The same fuzz step for the stage input buffer: both ring kinds against the
@@ -424,5 +428,32 @@ batch_path_guard() {
 	}' bench/out/layers-inproc-chain.json
 }
 batch_path_guard || batch_path_guard || batch_path_guard
+
+echo "== TCP-path guard =="
+# The same for the remote edge: traced tcp-sat (an engine's batched egress,
+# loopback TCP, Ingress's ring, a second engine's sink) for 5 s, first of up to
+# three readings inside the bounds. proc.cpu_us_per_pkt is the process's CPU
+# per delivered packet — both engines, the codec, the socket and the hand-off
+# into the ring — and transport.sendbatch16_ns_per_msg the codec and the socket
+# alone, 16 frames a write. Each bound is the largest of six readings on the
+# build that added this guard, plus 10 %: 2.32, 3.39, 2.29, 2.82, 2.39, 2.11 µs
+# and 1536, 979, 1048, 992, 924, 925 ns on a 2-vCPU Xeon box. A neighbour's
+# load moves a 5 s trial that much, so the bounds catch a regression of tens
+# of percent, not of a few.
+tcp_path_guard() {
+	bash bench/run.sh --workload tcp-sat --seed 7 --seconds 5 --trace 1 >/dev/null || return 1
+	awk '
+	/"proc.cpu_us_per_pkt"/              { want = "cpu"; next }
+	/"transport.sendbatch16_ns_per_msg"/ { want = "send"; next }
+	want != "" && /"value"/              { gsub(/[^0-9.eE+-]/, "", $2); v[want] = $2 + 0; seen[want] = 1; want = "" }
+	END {
+	    if (!seen["cpu"] || !seen["send"]) { print "guard: layer readings missing"; exit 1 }
+	    printf "guard: tcp-sat proc.cpu_us_per_pkt %.2f (bound 3.73), transport.sendbatch16_ns_per_msg %.0f (bound 1690)\n", v["cpu"], v["send"]
+	    if (v["cpu"] > 3.73) { print "guard: TCP path CPU per packet above 3.73 us"; bad = 1 }
+	    if (v["send"] > 1690) { print "guard: batched send above 1690 ns per message"; bad = 1 }
+	    exit bad
+	}' bench/out/layers-tcp-sat.json
+}
+tcp_path_guard || tcp_path_guard || tcp_path_guard
 
 echo "CI lane green"
