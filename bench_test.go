@@ -17,7 +17,6 @@ import (
 	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/experiments"
 	"github.com/gates-middleware/gates/internal/netsim"
-	"github.com/gates-middleware/gates/internal/obs"
 	"github.com/gates-middleware/gates/internal/pipeline"
 	"github.com/gates-middleware/gates/internal/workload"
 )
@@ -265,31 +264,6 @@ func BenchmarkBatchSizeSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
-	}
-}
-
-// BenchmarkPipelineThroughputObserved is the observability tax check: the
-// same two-stage batch=16 pipeline as BenchmarkBatchSizeSweep/batch=16, but
-// with a full observability bundle attached — scrape-time metric callbacks
-// registered and the tracer sampling at its default 1-in-64 cadence. The
-// unsampled fast path costs one atomic increment and a branch per batch, so
-// this must land within noise of the untraced number (scripts/ci.sh guards
-// the ratio).
-func BenchmarkPipelineThroughputObserved(b *testing.B) {
-	clk := clock.NewManual()
-	e := pipeline.New(clk)
-	e.SetDefaultBatchSize(16)
-	e.SetObservability(obs.New(clk, obs.Config{}))
-	src, _ := e.AddSourceStage("src", 0, &benchSource{n: b.N}, pipeline.StageConfig{DisableAdaptation: true})
-	sink, _ := e.AddProcessorStage("sink", 0, &benchSink{}, pipeline.StageConfig{
-		DisableAdaptation: true, QueueCapacity: 1024,
-	})
-	if err := e.Connect(src, sink, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if err := e.Run(context.Background()); err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -168,11 +168,14 @@ func TestStatsExactWhileBlocked(t *testing.T) {
 
 	// Full downstream: slow holds packet 0 in hand and 1–4 in its buffer;
 	// relay took packet 5 and its push parks, so nothing moves any more.
+	// relay publishes its stats before its push parks, so wait for the park
+	// too: only then is it blocked.
 	<-src.emitted
 	eventually(t, "relay exact once blocked on slow's full input", func() bool {
-		return relay.Stats() == StageStats{PacketsIn: 6, ItemsIn: 6, PacketsOut: 5, ItemsOut: 5, BytesOut: 40}
+		return relay.Stats() == StageStats{PacketsIn: 6, ItemsIn: 6, PacketsOut: 5, ItemsOut: 5, BytesOut: 40} &&
+			slow.QueueStats().BlockedPushes > 0
 	})
-	if qs := slow.QueueStats(); qs.Pushed != 5 || qs.Popped != 1 || qs.BlockedPushes == 0 {
+	if qs := slow.QueueStats(); qs.Pushed != 5 || qs.Popped != 1 {
 		t.Fatalf("slow's input %+v, want 5 pushed, 1 popped and a parked push", qs)
 	}
 

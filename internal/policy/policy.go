@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/obs"
@@ -281,7 +282,7 @@ func (d *Document) Normalize() {
 // called on every load; a failing document never becomes active
 // (validation-with-rollback).
 func (d *Document) Validate() error {
-	if d.Placement.LinkCostWeight < 0 {
+	if !finiteNonNegative(d.Placement.LinkCostWeight) {
 		return fmt.Errorf("policy: placement.link_cost_weight %g must be positive", d.Placement.LinkCostWeight)
 	}
 	for i, r := range d.Placement.Rules {
@@ -291,14 +292,14 @@ func (d *Document) Validate() error {
 		if r.empty() {
 			return fmt.Errorf("policy: placement rule %q constrains nothing", r.Name)
 		}
-		if r.MinCPU < 0 || r.MinMemoryMB < 0 {
-			return fmt.Errorf("policy: placement rule %q: negative resource floor", r.Name)
+		if !finiteNonNegative(r.MinCPU) || r.MinMemoryMB < 0 {
+			return fmt.Errorf("policy: placement rule %q: negative or non-finite resource floor", r.Name)
 		}
 	}
 	if d.Rebalance.Interval < 0 {
 		return fmt.Errorf("policy: rebalance.interval %s must be positive", d.Rebalance.Interval.Std())
 	}
-	if d.Rebalance.Threshold < 0 {
+	if !finiteNonNegative(d.Rebalance.Threshold) {
 		return fmt.Errorf("policy: rebalance.threshold %g must be positive", d.Rebalance.Threshold)
 	}
 	if d.Rebalance.Cooldown < 0 {
@@ -335,7 +336,7 @@ func (d *Document) Validate() error {
 		if (inj.Partition || inj.HealPartition || (inj.From != "")) && (inj.From == "" || inj.To == "") {
 			return fmt.Errorf("policy: fault injection %q needs both from and to", inj.Name)
 		}
-		if inj.Loss < 0 || inj.Loss > 1 || inj.Reorder < 0 || inj.Reorder > 1 || inj.Loss+inj.Reorder > 1 {
+		if !(inj.Loss >= 0 && inj.Reorder >= 0 && inj.Loss+inj.Reorder <= 1) {
 			return fmt.Errorf("policy: fault injection %q: loss %g / reorder %g must be probabilities summing to at most 1", inj.Name, inj.Loss, inj.Reorder)
 		}
 		if (inj.Loss > 0 || inj.Reorder > 0 || inj.Depth != 0 || inj.Seed != 0) && inj.From == "" {
@@ -344,6 +345,12 @@ func (d *Document) Validate() error {
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether v is a finite number ≥ 0. XML decodes
+// "NaN" and "Inf" as numbers, and neither compares below zero; JSON, the
+// document's canonical form, cannot carry either, so such a document could
+// be loaded but not served back.
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // RuleFor returns the first placement rule matching the named stage.
 func (p PlacementPolicy) RuleFor(stage string) (PlacementRule, bool) {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -133,7 +134,16 @@ func TestValidate(t *testing.T) {
 		}, "constrains nothing"},
 		{"negative rule floor", func(d *Document) {
 			d.Placement.Rules = []PlacementRule{{Name: "neg", MinCPU: -1}}
-		}, "negative resource floor"},
+		}, "negative or non-finite resource floor"},
+		// XML decodes "NaN" and "Inf" as numbers; JSON cannot marshal them.
+		{"NaN threshold", func(d *Document) { d.Rebalance.Threshold = math.NaN() }, "threshold"},
+		{"infinite weight", func(d *Document) { d.Placement.LinkCostWeight = math.Inf(1) }, "link_cost_weight"},
+		{"NaN rule floor", func(d *Document) {
+			d.Placement.Rules = []PlacementRule{{Name: "nan", MinCPU: math.NaN()}}
+		}, "non-finite resource floor"},
+		{"NaN loss", func(d *Document) {
+			d.Faults.Injections = []FaultInjection{{Name: "lossy", From: "a", To: "b", Loss: math.NaN()}}
+		}, "probabilities"},
 	}
 	for _, tc := range cases {
 		doc := DefaultDocument()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,14 @@ type Handler func(Message)
 // handler after onFrame (nil-able) has seen its payload size. It returns at
 // end of stream, on a broken peer, or on the first frame that does not
 // decode: a peer that sends garbage is broken or hostile, not worth a resync.
+//
+// Once every frame the last read returned has been handed on, the loop
+// yields before it reads the socket again. A handler that wakes a parked
+// consumer (Ingress.Deliver's Push waking Run) makes it this goroutine's
+// runnext, which would otherwise run only after the next read had found the
+// socket empty and parked in the netpoller: one wasted read(2) per packet on
+// a paced stream. After the yield the consumer runs first and the next read
+// usually finds the next frame (DESIGN.md §6).
 func readLoop(conn net.Conn, onFrame func(payload int), handler Handler) {
 	labelTransport()
 	br := bufio.NewReaderSize(conn, readBufSize)
@@ -48,6 +57,9 @@ func readLoop(conn net.Conn, onFrame func(payload int), handler Handler) {
 			return
 		}
 		handler(msg)
+		if br.Buffered() == 0 {
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -63,6 +66,99 @@ func TestFrameShortPayload(t *testing.T) {
 	if _, err := readFrameReuse(bufio.NewReader(bytes.NewReader(trunc)), &scratch); err == nil {
 		t.Fatal("truncated frame read succeeded")
 	}
+}
+
+// scriptedConn is the read side of a connection whose peer sends one frame
+// and then goes quiet: the first Read returns the frame, every later one
+// blocks until quiet is closed. Each Read is logged before it does anything.
+type scriptedConn struct {
+	net.Conn // nil: readLoop only reads
+	frame    []byte
+	log      func(event string)
+	reads    int
+	waiting  chan struct{} // closed when the second Read starts
+	quiet    chan struct{}
+}
+
+func (c *scriptedConn) Read(p []byte) (int, error) {
+	c.log("read")
+	if c.reads++; c.reads == 1 {
+		return copy(p, c.frame), nil
+	}
+	if c.reads == 2 {
+		close(c.waiting)
+	}
+	<-c.quiet
+	return 0, io.EOF
+}
+
+// TestReadLoopYieldsToWokenConsumer pins the read loop's hand-off order on
+// one P: the handler wakes a consumer that is already parked, as Deliver's
+// Push wakes Ingress.Run, and the consumer must run before the loop reads the
+// socket again. Reading first costs a paced stream a read(2) that finds the
+// socket empty, and a netpoll park, on every packet.
+//
+// The yield puts the reader on the global run queue, and the scheduler takes
+// that queue first on one scheduling tick in 61 (runtime.findRunnable's
+// fairness check), so one attempt in ~61 legitimately reads first. The test
+// makes up to three attempts; without the yield every attempt reads first.
+func TestReadLoopYieldsToWokenConsumer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	frame, err := appendFrame(nil, ExceptionMessage(adapt.ExceptionOverload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"read", "consumer", "read"}
+	var got []string
+	for attempt := 0; attempt < 3; attempt++ {
+		if got = readLoopHandOff(t, frame); slices.Equal(got, want) {
+			return
+		}
+	}
+	t.Fatalf("event log %v on the last of three attempts, want %v: the read loop read the socket again before the consumer it woke ran", got, want)
+}
+
+// readLoopHandOff runs readLoop over a scriptedConn serving frame, with a
+// handler that wakes a parked consumer, and returns the log of Reads and the
+// consumer's run once both Reads have started and the consumer has run.
+func readLoopHandOff(t *testing.T, frame []byte) []string {
+	var mu sync.Mutex
+	var events []string
+	logEvent := func(ev string) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}
+	conn := &scriptedConn{frame: frame, log: logEvent,
+		waiting: make(chan struct{}), quiet: make(chan struct{})}
+
+	wake, parked, consumed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(consumed)
+		close(parked) // on one P this goroutine runs on into the receive and parks there
+		<-wake
+		logEvent("consumer")
+	}()
+	<-parked
+
+	readDone := make(chan struct{})
+	go func() {
+		defer close(readDone)
+		readLoop(conn, nil, func(m Message) {
+			if m.Kind != KindException {
+				t.Errorf("handler got %+v, want the exception frame", m)
+			}
+			wake <- struct{}{}
+		})
+	}()
+	<-conn.waiting
+	<-consumed
+	close(conn.quiet)
+	<-readDone
+
+	mu.Lock()
+	defer mu.Unlock()
+	return events
 }
 
 func TestCodecPacketRoundTrip(t *testing.T) {
