@@ -9,10 +9,11 @@
 //
 // Stage codes named in the descriptor resolve against the built-in
 // application repository (see internal/builtin); examples/ contains ready
-// descriptors. With -monitor, a live dashboard streams to stderr while the
-// application runs (the final dashboard still goes to stdout); with
-// -obs-listen, the whole deployment's metrics, event journal, and sampled
-// traces are served over HTTP for the run's duration:
+// descriptors. With -top, the cluster dashboard (per-instance queue, d̃,
+// λ/μ and parameter values, link traffic, latency, SLO verdict, recent
+// events) streams to stderr while the application runs and a final one goes
+// to stdout; with -obs-listen, the whole deployment's metrics, event
+// journal, and sampled traces are served over HTTP for the run's duration:
 //
 //	gates-launcher -config examples/compsteer.xml -obs-listen :9090 &
 //	curl -s localhost:9090/metrics | grep gates_stage_items
@@ -20,10 +21,9 @@
 // The launcher is also the cluster-wide observability plane: /cluster on the
 // same endpoint returns the merged view of its own registry plus every
 // remote gates-node named with -scrape (their /snapshot endpoints), with
-// end-to-end latency quantiles and SLO status; -top streams the gates-top
-// style cluster dashboard to stderr on a virtual-time interval. Probes
-// (/healthz, /readyz) and /debug/pprof are mounted on the same mux, and
-// -trace-sample / GATES_TRACE_SAMPLE tune hot-path trace sampling (0
+// end-to-end latency quantiles and SLO status; -top renders that same view.
+// Probes (/healthz, /readyz) and /debug/pprof are mounted on the same mux,
+// and -trace-sample / GATES_TRACE_SAMPLE tune hot-path trace sampling (0
 // disables it).
 //
 // The run is policy-driven: -policy loads a declarative control-plane
@@ -50,7 +50,6 @@ import (
 	"github.com/gates-middleware/gates/internal/builtin"
 	"github.com/gates-middleware/gates/internal/cliconf"
 	"github.com/gates-middleware/gates/internal/clock"
-	"github.com/gates-middleware/gates/internal/monitor"
 	"github.com/gates-middleware/gates/internal/obs"
 	"github.com/gates-middleware/gates/internal/policy"
 	"github.com/gates-middleware/gates/internal/service"
@@ -61,7 +60,6 @@ func main() {
 		config    = flag.String("config", "", "application descriptor: http(s) URL, file path, or literal XML (required)")
 		scale     = flag.Float64("scale", 500, "virtual seconds per wall second")
 		bandwidth = flag.Int64("bandwidth", 100_000, "cross-node link bandwidth, bytes per virtual second")
-		monitorIv = flag.Duration("monitor", 0, "sample the running stages every this much virtual time, streaming dashboards to stderr while running and printing a final one to stdout (0 = off)")
 		scrape    = flag.String("scrape", "", "comma-separated observability addresses of remote gates-node processes whose /snapshot feeds the /cluster view")
 		sloP99    = flag.Duration("slo-p99", 0, "end-to-end latency SLO: flag a violation when the merged sink-side p99 exceeds this much virtual time (0 = no latency target; queue-growth detection stays on; overrides the policy document's slo.target_p99)")
 		topIv     = flag.Duration("top", 0, "render the cluster-wide dashboard to stderr every this much virtual time, plus a final one to stdout (0 = off)")
@@ -75,7 +73,6 @@ func main() {
 	opts := launcherOptions{
 		scale:     *scale,
 		bandwidth: *bandwidth,
-		monitorIv: *monitorIv,
 		scrape:    splitScrape(*scrape),
 		sloP99:    *sloP99,
 		topIv:     *topIv,
@@ -104,7 +101,6 @@ func splitScrape(s string) []string {
 type launcherOptions struct {
 	scale     float64           // virtual seconds per wall second (<=0 = 1)
 	bandwidth int64             // cross-node bandwidth, bytes per virtual second
-	monitorIv time.Duration     // per-stage monitor interval (0 = off)
 	scrape    []string          // remote node obs addresses feeding /cluster
 	sloP99    time.Duration     // end-to-end p99 target (0 = policy document's)
 	topIv     time.Duration     // cluster dashboard interval (0 = off)
@@ -132,9 +128,9 @@ func run(config string, o launcherOptions) error {
 
 	// One observability bundle backs everything downstream of here: the
 	// deployed stages publish into its registry, adaptation epochs land in
-	// its journal, and the monitor derives its rates from the same registry
-	// instead of keeping private counters. SIGQUIT snapshots the journal to
-	// disk when -flight-dump is set.
+	// its journal, and the cluster view derives its rates from the same
+	// registry instead of keeping private counters. SIGQUIT snapshots the
+	// journal to disk when -flight-dump is set.
 	ob := o.conf.NewObservability(clk)
 	deployer.SetObservability(ob)
 	defer o.conf.NotifyFlightDump(ob, "gates-launcher")()
@@ -268,34 +264,29 @@ func run(config string, o launcherOptions) error {
 	for _, p := range app.Placements {
 		fmt.Printf("  %s/%d -> %s\n", p.StageID, p.Instance, p.Node)
 	}
-	var mon *monitor.Monitor
-	stopMon := make(chan struct{})
-	if o.monitorIv > 0 {
-		mon = monitor.NewWithRegistry(clk, o.monitorIv, ob.Registry)
-		mon.WatchStages(app.Stages)
-		// Stream dashboards to stderr while the run progresses; stdout
-		// stays clean for the final report.
-		go mon.Run(stopMon, os.Stderr)
-	}
+	// Stream dashboards to stderr while the run progresses; stdout stays
+	// clean for the final report.
+	stopTop, topDone := make(chan struct{}), make(chan struct{})
 	if o.topIv > 0 {
 		go func() {
+			defer close(topDone)
 			for {
 				select {
-				case <-stopMon:
+				case <-stopTop:
 					return
 				case <-clk.After(o.topIv):
 					agg.Collect().Render(os.Stderr)
 				}
 			}
 		}()
+	} else {
+		close(topDone)
 	}
-	if err := app.Wait(); err != nil {
+	err = app.Wait()
+	close(stopTop)
+	<-topDone // no streamed dashboard lands after the final one
+	if err != nil {
 		return err
-	}
-	close(stopMon)
-	if mon != nil {
-		mon.Sample()
-		mon.Render(os.Stdout)
 	}
 	if o.topIv > 0 || len(o.scrape) > 0 {
 		agg.Collect().Render(os.Stdout)

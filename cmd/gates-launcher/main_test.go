@@ -24,7 +24,7 @@ const steeringXML = `
 
 func TestRunLiteralConfig(t *testing.T) {
 	// 300 virtual seconds of comp-steer at 20000x: well under a second.
-	opts := launcherOptions{scale: 20_000, bandwidth: 100_000, monitorIv: 2 * time.Second}
+	opts := launcherOptions{scale: 20_000, bandwidth: 100_000, topIv: 2 * time.Second}
 	if err := run(steeringXML, opts); err != nil {
 		t.Fatal(err)
 	}

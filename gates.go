@@ -32,12 +32,10 @@ package gates
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/gates-middleware/gates/internal/adapt"
 	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/grid"
-	"github.com/gates-middleware/gates/internal/monitor"
 	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/obs"
 	"github.com/gates-middleware/gates/internal/pipeline"
@@ -427,23 +425,25 @@ func ServeObservability(addr string, o *Observability) (*obs.Server, error) {
 	return obs.Serve(addr, o)
 }
 
-// Monitor is the runtime observation service: it samples watched stages
-// (queue occupancy, d̃, λ/μ rates, parameter values) and links on a fixed
-// virtual interval — the paper's "the system monitors the arrival rate at
-// each source, the available computing resources ... and the available
-// network bandwidth".
-type Monitor = monitor.Monitor
+// Aggregator is the runtime observation service — the paper's "the system
+// monitors the arrival rate at each source, the available computing
+// resources ... and the available network bandwidth". Each Collect returns a
+// ClusterView: every stage instance's queue occupancy, d̃, λ/μ rates and
+// parameter values, link traffic, latency and SLO verdict. Rates are counter
+// deltas since the previous Collect; Render prints the view as the
+// dashboard gates-launcher -top streams.
+type Aggregator = obs.Aggregator
 
-// NewMonitor returns a monitor on the grid's clock sampling every interval
-// of virtual time. Watch an application with mon.WatchStages(app.Stages),
-// then run mon.Start (or mon.Run for streaming dashboards) in a goroutine.
-// When the grid has an Observability attached, the monitor publishes into
-// and reads from the same registry its HTTP endpoint exposes.
-func (g *Grid) NewMonitor(interval time.Duration) *Monitor {
-	if g.o != nil {
-		return monitor.NewWithRegistry(g.clk, interval, g.o.Registry)
+// NewAggregator returns an aggregator over the grid's observability bundle,
+// attaching a default bundle first when none is attached. Only applications
+// launched afterwards publish into the bundle, so call it before Launch.
+func (g *Grid) NewAggregator() *Aggregator {
+	if g.o == nil {
+		g.NewObservability(ObsConfig{})
 	}
-	return monitor.New(g.clk, interval)
+	a := obs.NewAggregator(g.clk, obs.SLOConfig{})
+	a.AddSource("grid", obs.LocalSource(g.o))
+	return a
 }
 
 // ParseConfig parses an XML application descriptor.

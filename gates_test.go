@@ -248,36 +248,45 @@ func (s *slowAPISource) Run(ctx *gates.Context, out *gates.Emitter) error {
 	}
 }
 
+// TestGridMonitor watches a launched application through the grid's
+// aggregator: the view lists every stage instance on its node, with the
+// sink's lifetime item count, and renders as the -top dashboard.
 func TestGridMonitor(t *testing.T) {
 	g, sink := testGrid(t)
-	mon := g.NewMonitor(100 * time.Millisecond)
+	agg := g.NewAggregator()
+	if g.Observability() == nil {
+		t.Fatal("NewAggregator attached no observability bundle")
+	}
 	app, err := g.Launch(context.Background(), apiXML, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.WatchStages(app.Stages)
-	stop := make(chan struct{})
-	go mon.Start(stop)
 	if err := app.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	mon.Sample()
 	if sink.count() != 100 {
 		t.Fatalf("sink saw %d", sink.count())
 	}
-	snap := mon.Latest()
-	if len(snap.Stages) != 3 {
-		t.Fatalf("monitor watched %d stage instances, want 3", len(snap.Stages))
+	view := agg.Collect()
+	if len(view.Placements) != 3 {
+		t.Fatalf("view lists %d stage instances, want 3: %+v", len(view.Placements), view.Placements)
 	}
-	var sinkSample bool
-	for _, s := range snap.Stages {
-		if s.Stage == "sink" && s.ItemsIn == 100 {
-			sinkSample = true
+	var sinkRow bool
+	for _, p := range view.Placements {
+		if p.Node == "" {
+			t.Fatalf("instance %s/%s has no node", p.Stage, p.Instance)
+		}
+		if p.Stage == "sink" && p.ItemsIn == 100 {
+			sinkRow = true
 		}
 	}
-	if !sinkSample {
-		t.Fatal("final sample missing the sink's item count")
+	if !sinkRow {
+		t.Fatalf("view missing the sink's item count: %+v", view.Placements)
+	}
+	var sb strings.Builder
+	view.Render(&sb)
+	if !strings.Contains(sb.String(), "sink") || !strings.Contains(sb.String(), "λ/s") {
+		t.Fatalf("dashboard:\n%s", sb.String())
 	}
 }
 

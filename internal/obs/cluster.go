@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -164,14 +165,37 @@ type NodeStatus struct {
 	At   time.Time `json:"at"`
 }
 
-// StagePlacement is one stage instance's location, read off the metric
-// labels.
+// StagePlacement is one stage instance's location and adaptation state, read
+// off the labels and values of the series its node publishes.
 type StagePlacement struct {
 	Stage    string `json:"stage"`
 	Instance string `json:"instance"`
 	Node     string `json:"node,omitempty"`
 	// Depth is the instance's current input-queue depth.
 	Depth float64 `json:"depth"`
+	// DTilde is the controller's long-term queue size factor d̃.
+	DTilde JSONFloat `json:"d_tilde"`
+	// ItemsIn and ItemsOut are the instance's lifetime item counters.
+	ItemsIn  float64 `json:"items_in"`
+	ItemsOut float64 `json:"items_out"`
+	// Lambda and Mu are the arrival and service rates λ and μ: items per
+	// virtual second since the previous collection, zero on the first. A
+	// counter that moved backwards (a restarted instance) counts its
+	// post-reset value, not a negative delta.
+	Lambda float64 `json:"lambda"`
+	Mu     float64 `json:"mu"`
+	// Params holds each adjustment parameter's current value.
+	Params map[string]float64 `json:"params,omitempty"`
+}
+
+func (p *StagePlacement) key() string { return p.Stage + "/" + p.Instance + "@" + p.Node }
+
+// LinkRate is one emulated link's traffic.
+type LinkRate struct {
+	Link  string  `json:"link"`
+	Bytes float64 `json:"bytes"`
+	// Rate is bytes per virtual second since the previous collection.
+	Rate float64 `json:"rate"`
 }
 
 // LatencySummary is the merged latency distribution of one stage.
@@ -197,8 +221,10 @@ type ClusterView struct {
 	// summed, histograms bucket-merged).
 	Metrics []MetricPoint `json:"metrics"`
 	// Placements maps stage instances to grid nodes with their queue
-	// depths.
+	// depths, d̃, λ/μ and parameter values.
 	Placements []StagePlacement `json:"placements,omitempty"`
+	// Links is the traffic on each emulated link.
+	Links []LinkRate `json:"links,omitempty"`
 	// Latency summarizes each stage's source-to-here distribution.
 	Latency []LatencySummary `json:"latency,omitempty"`
 	// SLO is the violation detector's verdict for this collection.
@@ -275,8 +301,10 @@ func (a *Aggregator) AddSource(name string, fn SnapshotFunc) {
 }
 
 // Collect scrapes every source, merges, runs one SLO evaluation, and
-// returns the new view. Failed sources appear in Nodes with their error;
-// their series simply drop out of the merge for this round.
+// returns the new view. Rates (λ, μ, link bytes/s) are counter deltas since
+// the previous collection, whoever asked for it. Failed sources appear in
+// Nodes with their error; their series simply drop out of the merge for
+// this round.
 func (a *Aggregator) Collect() *ClusterView {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -302,6 +330,8 @@ func (a *Aggregator) Collect() *ClusterView {
 	}
 	view.Metrics = merged
 	view.Placements = placements(snaps)
+	view.Links = linkRates(merged)
+	deriveRates(view, a.last)
 	view.Latency = latencySummaries(merged)
 	view.SLO = a.slo.Evaluate(now, merged)
 	a.violated.Store(view.SLO.Violated)
@@ -369,34 +399,117 @@ func recentEvents(snaps []NodeSnapshot) []Event {
 	return out
 }
 
-// placements reads stage → node assignments off the per-node snapshots'
-// queue-depth gauges (the one series every running instance publishes).
+// placements reads stage → node assignments and per-instance state off the
+// per-node snapshots: one row per (stage, instance, node) that publishes a
+// queue depth, the one series every running instance has.
 func placements(snaps []NodeSnapshot) []StagePlacement {
-	var out []StagePlacement
+	ident := func(snap NodeSnapshot, p MetricPoint) StagePlacement {
+		node := p.Labels["node"]
+		if node == "" {
+			node = snap.Node
+		}
+		return StagePlacement{Stage: p.Labels["stage"], Instance: p.Labels["instance"], Node: node}
+	}
+	rows := make(map[string]*StagePlacement)
 	for _, snap := range snaps {
 		for _, p := range snap.Metrics {
-			if p.Name != "gates_queue_depth" {
+			if p.Name == "gates_queue_depth" {
+				r := ident(snap, p)
+				r.Depth = float64(p.Value)
+				rows[r.key()] = &r
+			}
+		}
+	}
+	for _, snap := range snaps {
+		for _, p := range snap.Metrics {
+			id := ident(snap, p)
+			r := rows[id.key()]
+			if r == nil {
 				continue
 			}
-			node := p.Labels["node"]
-			if node == "" {
-				node = snap.Node
+			switch p.Name {
+			case MetricDTilde:
+				r.DTilde = p.Value
+			case "gates_stage_items_in_total":
+				r.ItemsIn = float64(p.Value)
+			case "gates_stage_items_out_total":
+				r.ItemsOut = float64(p.Value)
+			case MetricParamValue:
+				if r.Params == nil {
+					r.Params = make(map[string]float64)
+				}
+				r.Params[p.Labels["param"]] = float64(p.Value)
 			}
-			out = append(out, StagePlacement{
-				Stage:    p.Labels["stage"],
-				Instance: p.Labels["instance"],
-				Node:     node,
-				Depth:    float64(p.Value),
-			})
 		}
+	}
+	out := make([]StagePlacement, 0, len(rows))
+	for _, r := range rows {
+		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Stage != out[j].Stage {
 			return out[i].Stage < out[j].Stage
 		}
-		return out[i].Instance < out[j].Instance
+		if out[i].Instance != out[j].Instance {
+			return out[i].Instance < out[j].Instance
+		}
+		return out[i].Node < out[j].Node
 	})
 	return out
+}
+
+// linkRates lists the merged per-link byte counters.
+func linkRates(merged []MetricPoint) []LinkRate {
+	var out []LinkRate
+	for _, p := range merged {
+		if p.Name == "gates_link_bytes_total" {
+			out = append(out, LinkRate{Link: p.Labels["link"], Bytes: float64(p.Value)})
+		}
+	}
+	return out
+}
+
+// deriveRates fills v's λ, μ and link rates from the counter deltas since
+// prev, over virtual time. Nothing is derived without a previous view or
+// when no virtual time has passed.
+func deriveRates(v, prev *ClusterView) {
+	if prev == nil {
+		return
+	}
+	dt := v.At.Sub(prev.At).Seconds()
+	if dt <= 0 {
+		return
+	}
+	stages := make(map[string]*StagePlacement, len(prev.Placements))
+	for i := range prev.Placements {
+		stages[prev.Placements[i].key()] = &prev.Placements[i]
+	}
+	for i := range v.Placements {
+		p := &v.Placements[i]
+		if b := stages[p.key()]; b != nil {
+			p.Lambda = counterDelta(p.ItemsIn, b.ItemsIn) / dt
+			p.Mu = counterDelta(p.ItemsOut, b.ItemsOut) / dt
+		}
+	}
+	links := make(map[string]float64, len(prev.Links))
+	for _, l := range prev.Links {
+		links[l.Link] = l.Bytes
+	}
+	for i := range v.Links {
+		if b, ok := links[v.Links[i].Link]; ok {
+			v.Links[i].Rate = counterDelta(v.Links[i].Bytes, b) / dt
+		}
+	}
+}
+
+// counterDelta returns how much a monotone counter advanced between two
+// collections. A value below the previous one means the counter restarted
+// (a stage instance was replaced), so everything since the reset counts.
+func counterDelta(cur, prev float64) float64 {
+	if cur < prev {
+		return cur
+	}
+	return cur - prev
 }
 
 // latencySummaries folds the merged e2e histograms down to one summary per
@@ -443,8 +556,10 @@ func latencySummaries(merged []MetricPoint) []LatencySummary {
 	return out
 }
 
-// Render writes the gates-top style text dashboard: placements, per-stage
-// latency percentiles, SLO verdict, and the most recent journal events.
+// Render writes the dashboard gates-launcher -top streams: per-instance
+// placement, queue, backpressure, d̃, λ/μ and parameter values; link
+// traffic; per-stage latency percentiles; the SLO verdict; and the most
+// recent journal events.
 func (v *ClusterView) Render(w io.Writer) {
 	fmt.Fprintf(w, "== gates cluster @ %s ==\n", v.At.Format("15:04:05.000"))
 	for _, n := range v.Nodes {
@@ -461,7 +576,8 @@ func (v *ClusterView) Render(w io.Writer) {
 				verdicts[sv.Stage+"/"+sv.Instance] = sv
 			}
 		}
-		fmt.Fprintf(w, "%-14s %-4s %-12s %8s %8s\n", "STAGE", "INST", "NODE", "QUEUE", "BACKPR")
+		fmt.Fprintf(w, "%-14s %-4s %-12s %8s %8s %8s %10s %10s  %s\n",
+			"STAGE", "INST", "NODE", "QUEUE", "BACKPR", "D~", "λ/s", "μ/s", "PARAMS")
 		for _, p := range v.Placements {
 			backpr := "-"
 			if sv, ok := verdicts[p.Stage+"/"+p.Instance]; ok {
@@ -470,7 +586,18 @@ func (v *ClusterView) Render(w io.Writer) {
 					backpr += " *"
 				}
 			}
-			fmt.Fprintf(w, "%-14s %-4s %-12s %8.0f %8s\n", p.Stage, p.Instance, p.Node, p.Depth, backpr)
+			dTilde := "-"
+			if d := float64(p.DTilde); !math.IsNaN(d) {
+				dTilde = fmt.Sprintf("%.3g", d)
+			}
+			fmt.Fprintf(w, "%-14s %-4s %-12s %8.0f %8s %8s %10.1f %10.1f  %s\n",
+				p.Stage, p.Instance, p.Node, p.Depth, backpr, dTilde, p.Lambda, p.Mu, formatParams(p.Params))
+		}
+	}
+	if len(v.Links) > 0 {
+		fmt.Fprintf(w, "%-28s %12s %12s\n", "LINK", "BYTES", "B/s")
+		for _, l := range v.Links {
+			fmt.Fprintf(w, "%-28s %12.0f %12.0f\n", l.Link, l.Bytes, l.Rate)
 		}
 	}
 	if len(v.Latency) > 0 {
@@ -514,4 +641,18 @@ func (v *ClusterView) Render(w io.Writer) {
 	if v.MergeErr != "" {
 		fmt.Fprintf(w, "merge error: %s\n", v.MergeErr)
 	}
+}
+
+// formatParams renders parameter values as "name=value" pairs sorted by
+// name.
+func formatParams(params map[string]float64) string {
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		names[i] = fmt.Sprintf("%s=%.3g", name, params[name])
+	}
+	return strings.Join(names, " ")
 }

@@ -276,3 +276,207 @@ func TestClusterViewRender(t *testing.T) {
 		}
 	}
 }
+
+// fakeStage publishes one stage instance's dashboard series the way
+// pipeline.Stage.Instrument does, read at scrape time from its fields.
+type fakeStage struct {
+	depth, in, out, dTilde, rate float64
+	withParam                    bool
+}
+
+func (s *fakeStage) publish(reg *Registry, stage, node string) {
+	lb := map[string]string{"stage": stage, "instance": "0", "node": node}
+	reg.GaugeFunc("gates_queue_depth", "", lb, func() float64 { return s.depth })
+	reg.CounterFunc("gates_stage_items_in_total", "", lb, func() float64 { return s.in })
+	reg.CounterFunc("gates_stage_items_out_total", "", lb, func() float64 { return s.out })
+	reg.GaugeFunc(MetricDTilde, "", lb, func() float64 { return s.dTilde })
+	if s.withParam {
+		reg.GaugeFunc(MetricParamValue, "",
+			map[string]string{"stage": stage, "instance": "0", "node": node, "param": "rate"},
+			func() float64 { return s.rate })
+	}
+}
+
+// localAggregator collects one in-process bundle, as the launcher does.
+func localAggregator(clk clock.Clock) (*Aggregator, *Registry) {
+	ob := New(clk, Config{})
+	agg := NewAggregator(clk, SLOConfig{})
+	agg.AddSource("local", LocalSource(ob))
+	return agg, ob.Registry
+}
+
+// TestClusterPlacementCarriesStageState: each instance's row gathers its
+// node, queue depth, d̃, lifetime item counters and parameter values from
+// the series labelled with its identity; a series of an instance that
+// publishes no queue depth adds no row.
+func TestClusterPlacementCarriesStageState(t *testing.T) {
+	clk := clock.NewManual()
+	agg, reg := localAggregator(clk)
+	(&fakeStage{depth: 7, in: 40, out: 38, dTilde: 0.25, rate: 0.6, withParam: true}).publish(reg, "filter", "edge")
+	(&fakeStage{depth: 1, in: 38}).publish(reg, "sink", "hub")
+	reg.GaugeFunc(MetricParamValue, "",
+		map[string]string{"stage": "ghost", "instance": "0", "node": "edge", "param": "rate"},
+		func() float64 { return 1 })
+
+	view := agg.Collect()
+	if len(view.Placements) != 2 {
+		t.Fatalf("placements = %+v, want filter and sink", view.Placements)
+	}
+	f, s := view.Placements[0], view.Placements[1]
+	if f.Stage != "filter" || f.Node != "edge" || f.Depth != 7 || float64(f.DTilde) != 0.25 ||
+		f.ItemsIn != 40 || f.ItemsOut != 38 || f.Params["rate"] != 0.6 || len(f.Params) != 1 {
+		t.Fatalf("filter row = %+v", f)
+	}
+	if s.Stage != "sink" || s.Node != "hub" || s.ItemsIn != 38 || s.Params != nil {
+		t.Fatalf("sink row = %+v", s)
+	}
+	if f.Lambda != 0 || f.Mu != 0 {
+		t.Fatalf("first collection derived rates λ=%v μ=%v without a baseline", f.Lambda, f.Mu)
+	}
+}
+
+// TestClusterRatesZeroWithoutElapsedTime: the first collection has no
+// baseline and a collection at the same virtual instant has no interval, so
+// both report zero λ and μ rather than dividing by zero, while the lifetime
+// counters already read their values.
+func TestClusterRatesZeroWithoutElapsedTime(t *testing.T) {
+	clk := clock.NewManual()
+	agg, reg := localAggregator(clk)
+	st := &fakeStage{in: 10, out: 10}
+	st.publish(reg, "p", "n1")
+
+	if p := agg.Collect().Placements[0]; p.Lambda != 0 || p.Mu != 0 || p.ItemsIn != 10 {
+		t.Fatalf("first collection: λ=%v μ=%v in=%v, want 0, 0, 10", p.Lambda, p.Mu, p.ItemsIn)
+	}
+	st.in, st.out = 100, 100
+	if p := agg.Collect().Placements[0]; p.Lambda != 0 || p.Mu != 0 || p.ItemsIn != 100 {
+		t.Fatalf("zero-dt collection: λ=%v μ=%v in=%v, want 0, 0, 100", p.Lambda, p.Mu, p.ItemsIn)
+	}
+}
+
+// TestClusterRatesFromCounterDeltas: λ and μ are counter deltas over the
+// virtual time between collections, and read zero again once the counters
+// stop, while the lifetime counters hold.
+func TestClusterRatesFromCounterDeltas(t *testing.T) {
+	clk := clock.NewManual()
+	agg, reg := localAggregator(clk)
+	st := &fakeStage{}
+	st.publish(reg, "mid", "n1")
+
+	agg.Collect() // baseline: everything zero
+	st.in, st.out = 100, 100
+	clk.Advance(4 * time.Second)
+	if p := agg.Collect().Placements[0]; p.Lambda != 25 || p.Mu != 25 {
+		t.Fatalf("λ, μ = %v, %v, want 25, 25", p.Lambda, p.Mu)
+	}
+
+	st.in, st.out = 200, 180
+	clk.Advance(4 * time.Second)
+	if p := agg.Collect().Placements[0]; p.Lambda != 25 || p.Mu != 20 || p.ItemsOut != 180 {
+		t.Fatalf("λ, μ, out = %v, %v, %v, want 25, 20, 180", p.Lambda, p.Mu, p.ItemsOut)
+	}
+
+	clk.Advance(2 * time.Second)
+	if p := agg.Collect().Placements[0]; p.Lambda != 0 || p.Mu != 0 || p.ItemsIn != 200 {
+		t.Fatalf("idle window: λ=%v μ=%v in=%v, want 0, 0, 200", p.Lambda, p.Mu, p.ItemsIn)
+	}
+}
+
+// TestClusterLinkRates: each link row carries its lifetime byte counter and
+// the bytes per virtual second since the previous collection — zero on the
+// first collection, on a zero-dt collection and once the link goes quiet.
+func TestClusterLinkRates(t *testing.T) {
+	clk := clock.NewManual()
+	agg, reg := localAggregator(clk)
+	var linkBytes float64
+	reg.CounterFunc("gates_link_bytes_total", "", map[string]string{"link": "n1->n2"},
+		func() float64 { return linkBytes })
+
+	if l := agg.Collect().Links; len(l) != 1 || l[0].Rate != 0 {
+		t.Fatalf("first collection links = %+v, want one at 0 B/s", l)
+	}
+	linkBytes = 2000
+	if l := agg.Collect().Links[0]; l.Bytes != 2000 || l.Rate != 0 {
+		t.Fatalf("zero-dt link = %+v, want 2000 B at 0 B/s", l)
+	}
+
+	linkBytes = 4000
+	clk.Advance(4 * time.Second)
+	view := agg.Collect()
+	if len(view.Links) != 1 || view.Links[0].Link != "n1->n2" || view.Links[0].Bytes != 4000 || view.Links[0].Rate != 500 {
+		t.Fatalf("links = %+v, want n1->n2 at 4000 B and 500 B/s", view.Links)
+	}
+
+	clk.Advance(2 * time.Second)
+	if l := agg.Collect().Links[0]; l.Bytes != 4000 || l.Rate != 0 {
+		t.Fatalf("idle link = %+v, want 4000 B at 0 B/s", l)
+	}
+}
+
+// TestClusterDashboardColumns: the rendered dashboard shows each instance's
+// d̃, λ/μ and parameter values and each link's bytes and bytes/s, and
+// says when it has nothing to show yet.
+func TestClusterDashboardColumns(t *testing.T) {
+	clk := clock.NewManual()
+	agg, reg := localAggregator(clk)
+	var empty strings.Builder
+	agg.Collect().Render(&empty)
+	if strings.Contains(empty.String(), "STAGE") || strings.Contains(empty.String(), "LINK") {
+		t.Fatalf("empty view rendered stage or link tables:\n%s", empty.String())
+	}
+
+	st := &fakeStage{depth: 3, dTilde: 0.5, rate: 0.6, withParam: true}
+	st.publish(reg, "sink", "n1")
+	var linkBytes float64
+	reg.CounterFunc("gates_link_bytes_total", "", map[string]string{"link": "n0->n1"},
+		func() float64 { return linkBytes })
+	agg.Collect()
+	st.in, st.out, linkBytes = 40, 20, 4096
+	clk.Advance(2 * time.Second)
+
+	var buf strings.Builder
+	agg.Collect().Render(&buf)
+	out := buf.String()
+	for _, want := range []string{"STAGE", "D~", "λ/s", "μ/s", "0.5", "20.0", "10.0", "rate=0.6",
+		"LINK", "n0->n1", "4096", "2048"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestClusterRatesAcrossCounterReset: a restarted instance re-registers its
+// series with fresh counters. A counter below its previous reading counts
+// its post-reset value — 30 items into the new incarnation, not a negative
+// delta from 100 — and the instance keeps one row.
+func TestClusterRatesAcrossCounterReset(t *testing.T) {
+	clk := clock.NewManual()
+	agg, reg := localAggregator(clk)
+	(&fakeStage{}).publish(reg, "p", "n1")
+	agg.Collect()
+
+	(&fakeStage{in: 100}).publish(reg, "p", "n1")
+	clk.Advance(time.Second)
+	if p := agg.Collect().Placements[0]; p.Lambda != 100 {
+		t.Fatalf("pre-restart λ = %v, want 100", p.Lambda)
+	}
+
+	(&fakeStage{in: 30}).publish(reg, "p", "n1")
+	clk.Advance(time.Second)
+	view := agg.Collect()
+	if len(view.Placements) != 1 {
+		t.Fatalf("restart duplicated the instance: %+v", view.Placements)
+	}
+	if p := view.Placements[0]; p.ItemsIn != 30 || p.Lambda != 30 {
+		t.Fatalf("post-restart in=%v λ=%v, want 30, 30", p.ItemsIn, p.Lambda)
+	}
+}
+
+func TestNewAggregatorRequiresClock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewAggregator(nil, ...) did not panic")
+		}
+	}()
+	NewAggregator(nil, SLOConfig{})
+}

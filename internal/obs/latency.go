@@ -82,8 +82,7 @@ func QuantileFromBuckets(buckets []BucketCount, count uint64, q float64) float64
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // HistogramQuantile evaluates the q-quantile of one histogram series, or
-// false when the series does not exist or is not a histogram — the lookup
-// internal/monitor uses to put percentile columns on dashboards.
+// false when the series does not exist or is not a histogram.
 func (r *Registry) HistogramQuantile(name string, labels map[string]string, q float64) (float64, bool) {
 	r.mu.RLock()
 	f, ok := r.families[name]

@@ -11,8 +11,9 @@
 // into first-class infrastructure: every layer (pipeline stages, queues,
 // netsim links, transport endpoints, the adaptation controller) publishes
 // into one Registry, and operators consume it over HTTP (/metrics,
-// /snapshot, /events) or through internal/monitor, which reads the same
-// registry instead of scraping components directly.
+// /snapshot, /events) or through the cluster view (/cluster, the -top
+// dashboard), which reads the same registry instead of scraping components
+// directly.
 //
 // All timestamps and durations are virtual time (clock.Clock), so metrics
 // and traces from a 500x-compressed experiment read exactly like a

@@ -27,6 +27,9 @@ const (
 	// rate; positive across consecutive epochs means the stage is
 	// falling behind its arrival rate.
 	MetricDTilde = "gates_d_tilde"
+	// MetricParamValue is the current value of one adjustment parameter,
+	// labelled with the stage identity plus "param".
+	MetricParamValue = "gates_param_value"
 )
 
 // DefaultSLOGrowthEpochs is how many consecutive evaluations a stage's

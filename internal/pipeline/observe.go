@@ -25,7 +25,7 @@ func (e *Engine) SetObservability(o *obs.Observability) {
 }
 
 // ObsLabels is the identity label set every metric of this stage carries in
-// a registry; consumers (internal/monitor) use it to look the series up.
+// a registry; the cluster view groups a stage instance's series by it.
 func (s *Stage) ObsLabels() map[string]string {
 	return map[string]string{
 		"stage":    s.id,
@@ -65,7 +65,7 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 		func() float64 { return s.Stats().ComputeCharged.Seconds() })
 
 	// Queue series read through inq(): Engine.Run may still be swapping in
-	// the SPSC ring when an external monitor instruments a stage, and
+	// the SPSC ring when an external caller instruments a stage, and
 	// scrapes must follow the live buffer either way.
 	reg.GaugeFunc("gates_queue_depth",
 		"Current input-queue occupancy d.", lb,
@@ -120,12 +120,17 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("gates_adaptations_total",
 		"Completed adjustment epochs (ΔP law applications).", lb,
 		func() float64 { return float64(s.ctrl.Adjustments()) })
-	reg.GaugeFunc("gates_d_tilde",
+	reg.GaugeFunc(obs.MetricDTilde,
 		"Long-term average queue size factor d̃.", lb,
 		func() float64 { return s.ctrl.DTilde() })
+	// Parameters registered so far; SpecifyParam publishes later ones.
+	for _, p := range s.ctrl.Params() {
+		instrumentParam(reg, lb, p)
+	}
 
 	// Instrument runs in Engine.Run before the stage goroutine exists, and
-	// again when a monitor starts watching an engine that already runs, so
+	// again on an engine that already runs (a migration re-labels a live
+	// instance, or a caller instruments an unobserved engine late), so
 	// it may not write a field the drain loops read unsynchronized. First
 	// assignment wins for both hook-ups: batchSec is set under mu (the
 	// loops read it only behind procOp/batchOp, which exist only when
@@ -148,6 +153,22 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 	if s.lat.Load() == nil {
 		s.lat.CompareAndSwap(nil, &latencyScratch{hop: hop.Scratch(), e2e: e2e.Scratch()})
 	}
+}
+
+// instrumentParam publishes one adjustment parameter's current value under
+// the stage's labels plus "param".
+func instrumentParam(reg *obs.Registry, stageLabels map[string]string, p *adapt.Param) {
+	if reg == nil {
+		return
+	}
+	lb := make(map[string]string, len(stageLabels)+1)
+	for k, v := range stageLabels {
+		lb[k] = v
+	}
+	lb["param"] = p.Spec().Name
+	reg.GaugeFunc(obs.MetricParamValue,
+		"Current value of one adjustment parameter (the middleware's suggestion).", lb,
+		p.Value)
 }
 
 // recordAdjustment turns one AdjustDetailed epoch into an adaptation event
@@ -185,8 +206,8 @@ func (s *Stage) recordAdjustment(now time.Time, res adapt.AdjustResult, lambda, 
 }
 
 // epochRates derives λ/μ (items per virtual second) from the stage counters
-// accumulated since the previous adjustment epoch, mirroring how
-// internal/monitor derives rates between samples.
+// accumulated since the previous adjustment epoch, as the cluster view
+// derives them between collections.
 type epochRates struct {
 	at       time.Time
 	itemsIn  uint64

@@ -582,9 +582,9 @@ func TestLatePushGetsItsOwnClockRead(t *testing.T) {
 }
 
 // TestInstrumentWhileDraining is the regression test for the late hook-up
-// race: a monitor instruments stages of an engine that is already running
-// (the documented WatchStages-after-Launch order) while their drain loops
-// read the latency scratches. Run under -race. The hand-over is also exact:
+// race: a caller instruments stages of an engine that is already running
+// while their drain loops read the latency scratches. Run under -race. The
+// hand-over is also exact:
 // a stage adopts the scratches at the start of its next run, so the 500
 // packets that flow after the first Instrument returns are all observed and
 // none of the 500 before it are.

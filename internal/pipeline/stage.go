@@ -158,8 +158,8 @@ type Stage struct {
 	batchOp  *obs.Op
 	flushOp  *obs.Op
 	batchSec *obs.Histogram
-	// lat carries the latency scratches from Instrument — which a monitor
-	// attached after launch calls while the stage runs — to the stage
+	// lat carries the latency scratches from Instrument — which may run
+	// after launch, while the stage runs — to the stage
 	// goroutine, which adopts the pair into scr at the start of each run or
 	// drained batch and alone records into and flushes it, so the
 	// per-packet path never touches the shared histograms' atomics.
@@ -294,7 +294,7 @@ func (s *Stage) Controller() *adapt.Controller { return s.ctrl }
 // inq returns the stage's input buffer for external observers. The buffer
 // reference may be swapped once by Engine.Run before the stage goroutines
 // start; reading it under mu keeps observers that instrument a stage
-// concurrently with engine startup (monitor, migration) race-free.
+// concurrently with engine startup (late Instrument, migration) race-free.
 func (s *Stage) inq() *queue.Ring[*Packet] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,7 +351,11 @@ func (c *Context) Ctx() context.Context { return c.ctx }
 // paper's specifyPara(init, min, max, increment, direction). The returned
 // Param's Value method is getSuggestedValue().
 func (c *Context) SpecifyParam(spec adapt.ParamSpec) (*adapt.Param, error) {
-	return c.stage.ctrl.Register(spec)
+	p, err := c.stage.ctrl.Register(spec)
+	if err == nil && c.stage.o != nil {
+		instrumentParam(c.stage.o.Registry, c.stage.ObsLabels(), p)
+	}
+	return p, err
 }
 
 // Param returns a previously specified parameter by name.

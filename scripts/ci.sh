@@ -217,6 +217,27 @@ if command -v curl >/dev/null 2>&1; then
 	done
 	wait "$launch_pid"
 	echo "gates-launcher /cluster + pprof stage labels + 3 CPU profiles ok"
+
+	# -top is the one dashboard: its final render on stdout carries the
+	# per-instance rates and parameter values and the link block. -monitor,
+	# the dashboard it replaced, must be an unknown flag. The source-side
+	# stages sit on src-1, so one link crosses nodes.
+	top_xml='<application name="top">
+	  <stage id="sim" code="compsteer/sim" source="true"><nearSource>mesh</nearSource></stage>
+	  <stage id="sampler" code="compsteer/sampler"><nearSource>mesh</nearSource></stage>
+	  <stage id="analysis" code="compsteer/analyzer"/>
+	  <connection from="sim" to="sampler"/>
+	  <connection from="sampler" to="analysis"/>
+	</application>'
+	top_out="$("$smoke_tmp/gates-launcher" -config "$top_xml" -scale 2000 -top 20s 2>/dev/null)"
+	for want in 'λ/s' 'μ/s' 'sampling-rate=' 'LINK' 'slo: ok'; do
+		echo "$top_out" | grep -qF "$want" \
+		  || { echo "endpoint smoke: -top dashboard lacks $want"; exit 1; }
+	done
+	if "$smoke_tmp/gates-launcher" -config "$smoke_xml" -monitor 1s >/dev/null 2>&1; then
+		echo "endpoint smoke: -monitor still accepted"; exit 1
+	fi
+	echo "gates-launcher -top dashboard ok"
 else
 	echo "curl not installed; skipping endpoint smoke"
 fi
