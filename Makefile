@@ -19,7 +19,7 @@ race:
 	$(GO) test -race ./...
 
 # The full CI lane: vet + staticcheck (if installed) + build + test + race
-# + coverage.out + short benches + the overhead guards on the bench harness.
+# + coverage.out + the overhead guards on the bench harness.
 ci:
 	sh scripts/ci.sh
 

@@ -3,12 +3,9 @@
 //
 // Usage:
 //
-//	gates-experiments [-exp all|fig5|fig6|fig7|fig8|fig9|ablations|ext|migration|latency|constriction|policy|chaos] [-quick] [-scale N] [-seed N] [-parallel N]
+//	gates-experiments [-exp all|fig5|fig6|fig7|fig8|fig9|ablations|ext|migration|constriction|policy|chaos] [-quick] [-scale N] [-seed N] [-parallel N]
 //
-// -exp latency sweeps the trace sampling rate, measuring the hot-path
-// observability tax and the end-to-end latency quantiles, and prints them
-// as a table. -exp
-// constriction runs a pipeline with one deliberately slow stage and checks
+// -exp constriction runs a pipeline with one deliberately slow stage and checks
 // that the backpressure attribution engine names it. -exp policy runs the
 // bandwidth-collapse scenario under a lax policy v1, hot-reloads a
 // tightened v2 mid-run, and shows the journal proving which policy
@@ -24,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/gates-middleware/gates/internal/experiments"
@@ -31,7 +29,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "which artifact to regenerate: all, fig5, fig6, fig7, fig8, fig9, ablations, ext, migration, latency, constriction, policy, chaos")
+		exp     = flag.String("exp", "all", "which artifact to regenerate: all, fig5, fig6, fig7, fig8, fig9, ablations, ext, migration, constriction, policy, chaos")
 		quick   = flag.Bool("quick", false, "shrink workloads ~4x (shapes survive, absolute numbers shift)")
 		scale   = flag.Float64("scale", 0, "virtual seconds per wall second (0 = per-experiment default)")
 		seed    = flag.Int64("seed", 0, "workload seed (0 = default)")
@@ -71,120 +69,83 @@ func writeJSON(path string, cfg experiments.Config) error {
 	return nil
 }
 
-func run(exp string, cfg experiments.Config) error {
-	out := os.Stdout
-	wantAll := exp == "all"
+// show prints one experiment's table and a blank line, or returns the error
+// that stopped the experiment.
+func show[R interface{ Render(io.Writer) }](res R, err error) error {
+	if err != nil {
+		return err
+	}
+	res.Render(os.Stdout)
+	fmt.Println()
+	return nil
+}
 
-	if wantAll || exp == "fig5" {
-		res, err := experiments.Figure5(cfg)
-		if err != nil {
+func run(exp string, cfg experiments.Config) error {
+	switch exp {
+	case "all", "fig5", "fig6", "fig7", "fig8", "fig9", "ablations", "ext", "migration":
+	case "constriction":
+		return show(experiments.ExpConstriction(cfg))
+	case "policy":
+		return show(experiments.ExpPolicy(cfg))
+	case "chaos":
+		return show(experiments.ExpChaos(cfg))
+	default:
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
+	all := exp == "all"
+	if all || exp == "fig5" {
+		if err := show(experiments.Figure5(cfg)); err != nil {
 			return err
 		}
-		res.Render(out)
-		fmt.Fprintln(out)
 	}
-	if wantAll || exp == "fig6" || exp == "fig7" {
+	if all || exp == "fig6" || exp == "fig7" {
 		res, err := experiments.Figure67(cfg)
 		if err != nil {
 			return err
 		}
-		if wantAll || exp == "fig6" {
-			res.RenderTime(out)
-			fmt.Fprintln(out)
+		if all || exp == "fig6" {
+			res.RenderTime(os.Stdout)
+			fmt.Println()
 		}
-		if wantAll || exp == "fig7" {
-			res.RenderAccuracy(out)
-			fmt.Fprintln(out)
+		if all || exp == "fig7" {
+			res.RenderAccuracy(os.Stdout)
+			fmt.Println()
 		}
 	}
-	if wantAll || exp == "fig8" {
-		res, err := experiments.Figure8(cfg)
-		if err != nil {
+	if all || exp == "fig8" {
+		if err := show(experiments.Figure8(cfg)); err != nil {
 			return err
 		}
-		res.Render(out)
-		fmt.Fprintln(out)
 	}
-	if wantAll || exp == "fig9" {
-		res, err := experiments.Figure9(cfg)
-		if err != nil {
+	if all || exp == "fig9" {
+		if err := show(experiments.Figure9(cfg)); err != nil {
 			return err
 		}
-		res.Render(out)
-		fmt.Fprintln(out)
 	}
-	if wantAll || exp == "ablations" {
-		studies := []func(experiments.Config) (*experiments.AblationResult, error){
+	if all || exp == "ablations" {
+		for _, study := range []func(experiments.Config) (*experiments.AblationResult, error){
 			experiments.AblationDownstreamSign,
 			experiments.AblationPhi2,
 			experiments.AblationWeights,
 			experiments.AblationWindow,
 			experiments.AblationInterval,
 			experiments.AblationCongestionPriority,
-		}
-		for _, study := range studies {
-			res, err := study(cfg)
-			if err != nil {
+		} {
+			if err := show(study(cfg)); err != nil {
 				return err
 			}
-			res.Render(out)
-			fmt.Fprintln(out)
 		}
 	}
-	if wantAll || exp == "ext" {
-		scaling, err := experiments.ExtScalingSources(cfg)
-		if err != nil {
+	if all || exp == "ext" {
+		if err := show(experiments.ExtScalingSources(cfg)); err != nil {
 			return err
 		}
-		scaling.Render(out)
-		fmt.Fprintln(out)
-		hier, err := experiments.ExtHierarchy(cfg)
-		if err != nil {
+		if err := show(experiments.ExtHierarchy(cfg)); err != nil {
 			return err
 		}
-		hier.Render(out)
-		fmt.Fprintln(out)
 	}
-	if wantAll || exp == "migration" {
-		res, err := experiments.ExpMigration(cfg)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		fmt.Fprintln(out)
+	if all || exp == "migration" {
+		return show(experiments.ExpMigration(cfg))
 	}
-	if exp == "latency" {
-		res, err := experiments.ExpLatency(cfg)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if exp == "constriction" {
-		res, err := experiments.ExpConstriction(cfg)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if exp == "policy" {
-		res, err := experiments.ExpPolicy(cfg)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if exp == "chaos" {
-		res, err := experiments.ExpChaos(cfg)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	switch exp {
-	case "all", "fig5", "fig6", "fig7", "fig8", "fig9", "ablations", "ext", "migration", "latency", "constriction", "policy", "chaos":
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
+	return nil
 }

@@ -214,3 +214,25 @@ func TestMergerSumProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkSketchObserve measures the counting-samples ingest path.
+func BenchmarkSketchObserve(b *testing.B) {
+	vals := workload.Take(workload.NewZipf(1, 1.5, 50_000), 1<<16)
+	s := NewSketch(100, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Observe(vals[i&(1<<16-1)])
+	}
+}
+
+// BenchmarkSketchTopK measures the query path.
+func BenchmarkSketchTopK(b *testing.B) {
+	s := NewSketch(240, 1)
+	for _, v := range workload.Take(workload.NewZipf(1, 1.5, 50_000), 100_000) {
+		s.Observe(v)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.TopK(10)
+	}
+}

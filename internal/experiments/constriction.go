@@ -29,9 +29,25 @@ type ConstrictionResult struct {
 	Report *obs.AttributionReport `json:"report"`
 }
 
-// constrictProc burns real wall time per packet — the deterministic slow
-// stage. Wall, not virtual: the attribution engine's stall counters are
-// wall-clock, so the injected service time must be too.
+// constrictSource emits n packets of wire bytes each.
+type constrictSource struct {
+	n    int
+	wire int
+}
+
+func (s *constrictSource) Run(_ *pipeline.Context, out *pipeline.Emitter) error {
+	for i := 0; i < s.n; i++ {
+		if err := out.Emit(pipeline.NewPacket(nil, 0, s.wire)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// constrictProc burns real wall time per packet, then forwards it — the
+// deterministic slow stage, and with a zero sleep the plain relay. Wall, not
+// virtual: the attribution engine's stall counters are wall-clock, so the
+// injected service time must be too.
 type constrictProc struct{ sleep time.Duration }
 
 func (constrictProc) Init(*pipeline.Context) error { return nil }
@@ -40,6 +56,13 @@ func (p constrictProc) Process(_ *pipeline.Context, pkt *pipeline.Packet, out *p
 	return out.Emit(pkt)
 }
 func (constrictProc) Finish(*pipeline.Context, *pipeline.Emitter) error { return nil }
+
+// discardSink consumes packets.
+type discardSink struct{}
+
+func (discardSink) Init(*pipeline.Context) error                                         { return nil }
+func (discardSink) Process(*pipeline.Context, *pipeline.Packet, *pipeline.Emitter) error { return nil }
+func (discardSink) Finish(*pipeline.Context, *pipeline.Emitter) error                    { return nil }
 
 // ExpConstriction runs src → relay → constrict → sink with small input
 // buffers and a slow constrict stage, then asks the attribution engine who
@@ -64,11 +87,11 @@ func ExpConstriction(cfg Config) (*ConstrictionResult, error) {
 	stageCfg := func(capacity int) pipeline.StageConfig {
 		return pipeline.StageConfig{DisableAdaptation: true, QueueCapacity: capacity}
 	}
-	src, err := e.AddSourceStage("src", 0, &latencySource{n: items, wire: 64}, pipeline.StageConfig{DisableAdaptation: true})
+	src, err := e.AddSourceStage("src", 0, &constrictSource{n: items, wire: 64}, pipeline.StageConfig{DisableAdaptation: true})
 	if err != nil {
 		return nil, err
 	}
-	relay, err := e.AddProcessorStage("relay", 0, latencyRelay{}, stageCfg(64))
+	relay, err := e.AddProcessorStage("relay", 0, constrictProc{}, stageCfg(64))
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +99,7 @@ func ExpConstriction(cfg Config) (*ConstrictionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink, err := e.AddProcessorStage("sink", 0, latencySink{}, stageCfg(1024))
+	sink, err := e.AddProcessorStage("sink", 0, discardSink{}, stageCfg(1024))
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"github.com/gates-middleware/gates/internal/apps/countsamps"
@@ -70,46 +69,6 @@ func BenchmarkStreamDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkLoopbackSendBatch16 is the whole TCP rung, per message: 16-frame
-// batches through Client.SendBatch into a Server that decodes and discards,
-// closed loop under TCP flow control, timed until the last one is handled.
-func BenchmarkLoopbackSendBatch16(b *testing.B) {
-	for _, bm := range benchMessages() {
-		m := bm.m
-		b.Run(bm.name, func(b *testing.B) {
-			var handled atomic.Int64
-			done := make(chan struct{})
-			want := int64((b.N + 15) / 16 * 16)
-			srv, err := Listen("127.0.0.1:0", func(Message) {
-				if handled.Add(1) == want {
-					close(done)
-				}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			cli, err := Dial(srv.Addr())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cli.Close()
-			batch := make([]Message, 16)
-			for i := range batch {
-				batch[i] = m
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += 16 {
-				if err := cli.SendBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			<-done
 		})
 	}
 }
