@@ -151,9 +151,6 @@ type (
 	// current network and migrates stages when a better node would cut
 	// the cost past a threshold.
 	Rebalancer = service.Rebalancer
-	// RebalancerConfig tunes the rebalancer's interval, threshold,
-	// cooldown, and stage filter.
-	RebalancerConfig = service.RebalancerConfig
 	// Snapshotter is implemented by stage user code whose state must
 	// survive migration (Snapshot/Restore).
 	Snapshotter = pipeline.Snapshotter
@@ -169,12 +166,6 @@ const (
 	StatePaused   = pipeline.StatePaused
 	StateStopped  = pipeline.StateStopped
 )
-
-// NewRebalancer returns a rebalancer for dep; run it with Run(ctx) in a
-// goroutine.
-func NewRebalancer(dep *Deployment, cfg RebalancerConfig) *Rebalancer {
-	return service.NewRebalancer(dep, cfg)
-}
 
 // Declarative control plane: one versioned policy document behind every
 // Planner placement, Rebalancer verdict, and SLO evaluation, each verdict

@@ -8,11 +8,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"github.com/gates-middleware/gates/internal/apps/countsamps"
-	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/grid"
 	"github.com/gates-middleware/gates/internal/metrics"
-	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/pipeline"
 	"github.com/gates-middleware/gates/internal/service"
 )
@@ -108,86 +105,22 @@ func ExpChaos(cfg Config) (*ChaosResult, error) {
 // runChaos executes one mode: chaos=false is the fault-free baseline.
 func runChaos(cfg Config, scale float64, killAt time.Duration, chaos bool) (*ChaosRow, error) {
 	const sources = 4
-	clk := clock.NewScaled(scale)
-	cost := countsamps.DefaultCostModel()
-	items := 25_000
-	if cfg.Quick {
-		items = 6_000
-	}
-	streams, truth := zipfStreams(cfg.seed(), sources, items)
+	streams, truth := zipfStreams(cfg.seed(), sources, cfg.items())
 
-	// Fabric: one node per sub-stream, one edge node per summarizer plus
-	// an idle standby (the only free edge slot, so recovery's destination
-	// is forced), and the central node. Links are unlimited: the failure,
-	// not bandwidth, is the experiment's variable.
-	dir := grid.NewDirectory()
-	for i := 0; i < sources; i++ {
-		if err := dir.Register(grid.Node{
-			Name: fmt.Sprintf("src-%d", i+1), CPUPower: 1, MemoryMB: 512, Slots: 1,
-			Sources: []string{fmt.Sprintf("stream-%d", i+1)},
-		}); err != nil {
-			return nil, err
-		}
+	// Grid: one node per sub-stream, one edge node per summarizer plus an
+	// idle standby (the only free edge slot, so recovery's destination is
+	// forced), and the central node. Links are unlimited: the failure, not
+	// bandwidth, is the experiment's variable.
+	nodes := streamNodes(sources, 1)
+	for i := 1; i <= sources; i++ {
+		nodes = append(nodes, grid.Node{Name: fmt.Sprintf("edge-%d", i), CPUPower: 1, MemoryMB: 512, Slots: 1, Site: "edge"})
 	}
-	for i := 0; i < sources; i++ {
-		if err := dir.Register(grid.Node{
-			Name: fmt.Sprintf("edge-%d", i+1), CPUPower: 1, MemoryMB: 512, Slots: 1, Site: "edge",
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := dir.Register(grid.Node{
-		Name: "edge-standby", CPUPower: 1, MemoryMB: 512, Slots: 1, Site: "edge",
-	}); err != nil {
-		return nil, err
-	}
-	if err := dir.Register(grid.Node{Name: "central", CPUPower: 4, MemoryMB: 4096, Slots: 4}); err != nil {
-		return nil, err
-	}
-	net := netsim.NewNetwork(clk)
-
-	repo := service.NewRepository()
-	merger := &countsamps.SummaryMerger{Cost: cost}
-	if err := repo.RegisterSource("countsamps/stream", func(inst int) pipeline.Source {
-		return &countsamps.StreamSource{Values: streams[inst], Batch: 25, ItemWireSize: cost.ItemWireSize}
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/summarize", func(inst int) pipeline.Processor {
-		return countsamps.NewSummarizer(countsamps.SummarizerConfig{
-			Cost:        cost,
-			FlushEvery:  1000,
-			SummarySize: 100,
-			Seed:        cfg.seed() + int64(inst),
-		})
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/merge", func(int) pipeline.Processor {
-		return merger
-	}); err != nil {
-		return nil, err
-	}
-
-	dep, err := service.NewDeployer(clk, dir, repo, net)
+	nodes = append(nodes, grid.Node{Name: "edge-standby", CPUPower: 1, MemoryMB: 512, Slots: 1, Site: "edge"}, centralNode)
+	f, err := newFabric(scale, nodes...)
 	if err != nil {
 		return nil, err
 	}
-	dep.SetReplayBuffer(4096)
-	launcher, err := service.NewLauncher(dep)
-	if err != nil {
-		return nil, err
-	}
-	tuning := func(stageID string, _ int) pipeline.StageConfig {
-		switch stageID {
-		case "stream":
-			return pipeline.StageConfig{DisableAdaptation: true, ComputeQuantum: time.Second}
-		default:
-			return pipeline.StageConfig{
-				QueueCapacity: 50, DisableAdaptation: true, ComputeQuantum: time.Second,
-			}
-		}
-	}
+	merger := f.registerCountSamps(streams, summarizerConfig(cfg.seed()))
 
 	appCfg := countSampsConfig(csDistributed, sources)
 	// Pin summarizers to the edge pool instead of near their sources: the
@@ -198,9 +131,9 @@ func runChaos(cfg Config, scale float64, killAt time.Duration, chaos bool) (*Cha
 			appCfg.Stages[i].Requirement.Site = "edge"
 		}
 	}
-
-	sw := clock.NewStopwatch(clk)
-	app, err := launcher.LaunchConfig(context.Background(), appCfg, tuning)
+	app, err := f.launch(appCfg, fixedTuning, func(dep *service.Deployer) {
+		dep.SetReplayBuffer(4096)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -230,11 +163,11 @@ func runChaos(cfg Config, scale float64, killAt time.Duration, chaos bool) (*Cha
 		}
 		go func() {
 			select {
-			case <-clk.After(killAt):
+			case <-f.clk.After(killAt):
 				killMu.Lock()
-				killT = clk.Now()
+				killT = f.clk.Now()
 				killMu.Unlock()
-				net.Kill(victim)
+				f.net.Kill(victim)
 			case <-ctx.Done():
 			}
 		}()
@@ -247,7 +180,7 @@ func runChaos(cfg Config, scale float64, killAt time.Duration, chaos bool) (*Cha
 
 	row := &ChaosRow{
 		Mode:     "no-failure",
-		Seconds:  secondsOf(sw.Elapsed()),
+		Seconds:  secondsOf(f.elapsed()),
 		Accuracy: metrics.TopKAccuracy(truth, merger.TopK(10), 10).Membership,
 		Coverage: 1,
 	}

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/adapt"
 	"github.com/gates-middleware/gates/internal/apps/compsteer"
-	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/grid"
 	"github.com/gates-middleware/gates/internal/metrics"
 	"github.com/gates-middleware/gates/internal/netsim"
@@ -56,44 +54,30 @@ func runCompSteer(p steerParams) (*steerResult, error) {
 	if p.adaptInterval == 0 {
 		p.adaptInterval = 500 * time.Millisecond
 	}
-	clk := clock.NewScaled(scale)
-
-	dir := grid.NewDirectory()
-	if err := dir.Register(grid.Node{
-		Name: "sim-node", CPUPower: 2, MemoryMB: 2048, Slots: 2,
-		Sources: []string{"mesh"},
-	}); err != nil {
+	f, err := newFabric(scale,
+		grid.Node{Name: "sim-node", CPUPower: 2, MemoryMB: 2048, Slots: 2, Sources: []string{"mesh"}},
+		grid.Node{Name: "analysis-node", CPUPower: 2, MemoryMB: 2048},
+	)
+	if err != nil {
 		return nil, err
 	}
-	if err := dir.Register(grid.Node{Name: "analysis-node", CPUPower: 2, MemoryMB: 2048}); err != nil {
-		return nil, err
-	}
-	net := netsim.NewNetwork(clk)
-	net.Connect("sim-node", "analysis-node", netsim.LinkConfig{
+	f.net.Connect("sim-node", "analysis-node", netsim.LinkConfig{
 		Bandwidth: p.linkBW, Quantum: 100 * time.Millisecond,
 	})
 
 	spec := compsteer.DefaultSamplerSpec()
 	spec.Initial = p.initialRate
-
-	repo := service.NewRepository()
-	if err := repo.RegisterSource("compsteer/sim", func(int) pipeline.Source {
+	f.source("compsteer/sim", func(int) pipeline.Source {
 		return &compsteer.SimulationSource{
 			GenRate: p.genRate, Duration: p.duration, PacketBytes: p.packetBytes,
 		}
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("compsteer/sampler", func(int) pipeline.Processor {
+	})
+	f.processor("compsteer/sampler", func(int) pipeline.Processor {
 		return &compsteer.Sampler{Spec: spec}
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("compsteer/analyzer", func(int) pipeline.Processor {
+	})
+	f.processor("compsteer/analyzer", func(int) pipeline.Processor {
 		return &compsteer.Analyzer{CostPerByte: p.costPerByte}
-	}); err != nil {
-		return nil, err
-	}
+	})
 
 	appCfg := &service.AppConfig{
 		Name: "comp-steer",
@@ -108,7 +92,7 @@ func runCompSteer(p steerParams) (*steerResult, error) {
 		},
 	}
 
-	trace := metrics.NewTimeSeriesAt(clk.Now())
+	trace := metrics.NewTimeSeriesAt(f.clk.Now())
 	adaptOpts := func(capacity int) adapt.Options {
 		o := adapt.Options{Capacity: capacity}
 		if p.adaptOverride != nil {
@@ -147,15 +131,7 @@ func runCompSteer(p steerParams) (*steerResult, error) {
 		}
 	}
 
-	dep, err := service.NewDeployer(clk, dir, repo, net)
-	if err != nil {
-		return nil, err
-	}
-	launcher, err := service.NewLauncher(dep)
-	if err != nil {
-		return nil, err
-	}
-	app, err := launcher.LaunchConfig(context.Background(), appCfg, tuning)
+	app, err := f.launch(appCfg, tuning, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/apps/countsamps"
-	"github.com/gates-middleware/gates/internal/clock"
-	"github.com/gates-middleware/gates/internal/grid"
 	"github.com/gates-middleware/gates/internal/metrics"
 	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/pipeline"
@@ -53,14 +50,6 @@ type csResult struct {
 	NetworkBytes int64
 }
 
-// csItems returns items per sub-stream (the paper's 25,000).
-func (p csParams) csItems() int {
-	if p.cfg.Quick {
-		return 6_000
-	}
-	return 25_000
-}
-
 // runCountSamps measures one count-samps configuration, averaging over
 // sketch-seed trials: the counting-samples sketch is randomized, a borderline
 // member of the true top-10 can fall either way in a single run, and the
@@ -104,98 +93,42 @@ func runCountSamps(p csParams) (*csResult, error) {
 // runCountSampsOnce deploys and executes one count-samps configuration
 // through the full middleware stack and measures it.
 func runCountSampsOnce(p csParams, trial int64) (*csResult, error) {
-	scale := p.cfg.scale(2000)
-	clk := clock.NewScaled(scale)
-	cost := countsamps.DefaultCostModel()
 	m := p.srcCount()
-	streams, truth := zipfStreams(p.cfg.seed(), m, p.csItems())
+	streams, truth := zipfStreams(p.cfg.seed(), m, p.cfg.items())
 
-	// Grid fabric: one stream-hosting node per sub-stream and a central
-	// node, with the experiment's bandwidth on every cross-node link
-	// (the paper's "each of these machines was connected to a central
+	// Grid: one stream-hosting node per sub-stream and a central node,
+	// with the experiment's bandwidth on every cross-node link (the
+	// paper's "each of these machines was connected to a central
 	// machine").
-	dir := grid.NewDirectory()
-	for i := 0; i < m; i++ {
-		if err := dir.Register(grid.Node{
-			Name: fmt.Sprintf("src-%d", i+1), CPUPower: 1, MemoryMB: 512, Slots: 2,
-			Sources: []string{fmt.Sprintf("stream-%d", i+1)},
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := dir.Register(grid.Node{Name: "central", CPUPower: 4, MemoryMB: 4096, Slots: 4}); err != nil {
-		return nil, err
-	}
-	net := netsim.NewNetwork(clk)
-	net.SetDefaultLink(netsim.LinkConfig{Bandwidth: p.bandwidth, Quantum: time.Second})
-
-	// Application repository: the three stage codes.
-	repo := service.NewRepository()
-	rawCounter := &countsamps.RawCounter{Cost: cost, Seed: p.cfg.seed() + trial*104729}
-	merger := &countsamps.SummaryMerger{Cost: cost}
-	if err := repo.RegisterSource("countsamps/stream", func(inst int) pipeline.Source {
-		return &countsamps.StreamSource{Values: streams[inst], Batch: 25, ItemWireSize: cost.ItemWireSize}
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/summarize", func(inst int) pipeline.Processor {
-		return countsamps.NewSummarizer(countsamps.SummarizerConfig{
-			Cost:        cost,
-			FlushEvery:  1000,
-			SummarySize: p.summarySize,
-			Adaptive:    p.mode == csAdaptive,
-			Seed:        p.cfg.seed() + trial*104729 + int64(inst),
-		})
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/merge", func(int) pipeline.Processor {
-		return merger
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/raw", func(int) pipeline.Processor {
-		return rawCounter
-	}); err != nil {
-		return nil, err
-	}
-
-	cfg := countSampsConfig(p.mode, m)
-	dep, err := service.NewDeployer(clk, dir, repo, net)
+	f, err := newFabric(p.cfg.scale(2000), append(streamNodes(m, 2), centralNode)...)
 	if err != nil {
 		return nil, err
 	}
-	launcher, err := service.NewLauncher(dep)
-	if err != nil {
-		return nil, err
-	}
+	f.net.SetDefaultLink(netsim.LinkConfig{Bandwidth: p.bandwidth, Quantum: time.Second})
 
-	tuning := func(stageID string, instance int) pipeline.StageConfig {
-		switch stageID {
-		case "stream":
-			return pipeline.StageConfig{
-				DisableAdaptation: true,
-				ComputeQuantum:    time.Second,
-			}
-		case "summarize":
-			return pipeline.StageConfig{
-				QueueCapacity:  50,
-				AdaptInterval:  2 * time.Second,
-				AdjustEvery:    2,
-				ComputeQuantum: time.Second,
-			}
-		default: // central stage
-			return pipeline.StageConfig{
-				QueueCapacity:  200,
-				AdaptInterval:  2 * time.Second,
-				AdjustEvery:    2,
-				ComputeQuantum: time.Second,
-			}
+	seed := p.cfg.seed() + trial*104729
+	rawCounter := &countsamps.RawCounter{Cost: countsamps.DefaultCostModel(), Seed: seed}
+	merger := f.registerCountSamps(streams, func(inst int) countsamps.SummarizerConfig {
+		c := summarizerConfig(seed)(inst)
+		c.SummarySize = p.summarySize
+		c.Adaptive = p.mode == csAdaptive
+		return c
+	})
+	f.processor("countsamps/raw", func(int) pipeline.Processor { return rawCounter })
+
+	tuning := func(stageID string, _ int) pipeline.StageConfig {
+		if stageID == "stream" {
+			return pipeline.StageConfig{DisableAdaptation: true, ComputeQuantum: time.Second}
+		}
+		capacity := 50
+		if stageID == "central" {
+			capacity = 200
+		}
+		return pipeline.StageConfig{
+			QueueCapacity: capacity, AdaptInterval: 2 * time.Second, AdjustEvery: 2, ComputeQuantum: time.Second,
 		}
 	}
-
-	sw := clock.NewStopwatch(clk)
-	app, err := launcher.LaunchConfig(context.Background(), cfg, tuning)
+	app, err := f.launch(countSampsConfig(p.mode, m), tuning, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +136,7 @@ func runCountSampsOnce(p csParams, trial int64) (*csResult, error) {
 		return nil, err
 	}
 
-	res := &csResult{Elapsed: sw.Elapsed(), NetworkBytes: net.TotalBytes()}
+	res := &csResult{Elapsed: f.elapsed(), NetworkBytes: f.net.TotalBytes()}
 	switch p.mode {
 	case csCentralized:
 		res.Acc = metrics.TopKAccuracy(truth, rawCounter.TopK(10), 10)

@@ -61,6 +61,15 @@ func (c Config) seed() int64 {
 	return c.Seed
 }
 
+// items returns the count-samps items per sub-stream: the paper's 25 000,
+// or 6 000 in quick mode.
+func (c Config) items() int {
+	if c.Quick {
+		return 6_000
+	}
+	return 25_000
+}
+
 // fourZipfStreams builds the evaluation workload: four sub-streams of
 // itemsPerStream Zipf-distributed integers, plus the merged ground truth.
 // The paper does not specify its distribution; the skew is calibrated so a

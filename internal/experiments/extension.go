@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/apps/countsamps"
-	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/grid"
 	"github.com/gates-middleware/gates/internal/metrics"
 	"github.com/gates-middleware/gates/internal/netsim"
@@ -131,151 +129,88 @@ func (r *HierarchyResult) Render(w io.Writer) {
 // global stages' near-source hints and lets the topology-aware planner
 // derive the placement from the link bandwidths instead.
 func runHierarchy(cfg Config, hierarchical, autoPlace bool) (HierarchyRow, error) {
-	scale := cfg.scale(2000)
-	clk := clock.NewScaled(scale)
-	cost := countsamps.DefaultCostModel()
-	items := 25_000
-	if cfg.Quick {
-		items = 6_000
-	}
-	streams, truth := zipfStreams(cfg.seed(), 8, items)
+	streams, truth := zipfStreams(cfg.seed(), 8, cfg.items())
 
-	// Two sites: site-a hosts the global merger; site-b's traffic must
-	// cross the WAN.
-	dir := grid.NewDirectory()
-	net := netsim.NewNetwork(clk)
+	// Two sites, each a hub and four stream nodes: site a hosts the global
+	// merger, so site b's traffic must cross the WAN.
+	var nodes []grid.Node
+	for s, site := range []string{"a", "b"} {
+		nodes = append(nodes, grid.Node{
+			Name: "hub-" + site, Site: site, CPUPower: 4, MemoryMB: 4096, Slots: 4,
+			Sources: []string{"region-" + site},
+		})
+		for i := 1; i <= 4; i++ {
+			nodes = append(nodes, grid.Node{
+				Name: fmt.Sprintf("%s-src-%d", site, i), Site: site, CPUPower: 1, MemoryMB: 512, Slots: 2,
+				Sources: []string{fmt.Sprintf("stream-%d", s*4+i)},
+			})
+		}
+	}
+	f, err := newFabric(cfg.scale(2000), nodes...)
+	if err != nil {
+		return HierarchyRow{}, err
+	}
+	// One shared WAN uplink per direction, keyed by the sending site: all
+	// cross-site pairs compete for the same 2 KB/s, as they would on a real
+	// site uplink.
 	fast := netsim.LinkConfig{Bandwidth: netsim.BW1M, Quantum: time.Second}
 	slow := netsim.LinkConfig{Bandwidth: 2_000, Quantum: time.Second}
-	// One shared WAN uplink per direction: all cross-site pairs compete
-	// for the same 2 KB/s, as they would on a real site uplink.
-	wanAB := netsim.NewLink(clk, slow)
-	wanBA := netsim.NewLink(clk, slow)
-	wanLinks := []*netsim.Link{wanAB, wanBA}
-	names := make([]string, 0, 10)
-	for site := 0; site < 2; site++ {
-		siteName := []string{"a", "b"}[site]
-		hub := fmt.Sprintf("hub-%s", siteName)
-		if err := dir.Register(grid.Node{
-			Name: hub, Site: siteName, CPUPower: 4, MemoryMB: 4096, Slots: 4,
-			Sources: []string{fmt.Sprintf("region-%s", siteName)},
-		}); err != nil {
-			return HierarchyRow{}, err
-		}
-		names = append(names, hub)
-		for i := 0; i < 4; i++ {
-			name := fmt.Sprintf("%s-src-%d", siteName, i+1)
-			if err := dir.Register(grid.Node{
-				Name: name, Site: siteName, CPUPower: 1, MemoryMB: 512, Slots: 2,
-				Sources: []string{fmt.Sprintf("stream-%d", site*4+i+1)},
-			}); err != nil {
-				return HierarchyRow{}, err
-			}
-			names = append(names, name)
-		}
-	}
-	siteOf := func(name string) byte {
-		if name == "hub-a" || name[0] == 'a' {
-			return 'a'
-		}
-		return 'b'
-	}
-	for _, from := range names {
-		for _, to := range names {
-			if from == to {
-				continue
-			}
-			if siteOf(from) == siteOf(to) {
-				net.Connect(from, to, fast)
-			} else if siteOf(from) == 'a' {
-				net.InstallLink(from, to, wanAB)
-			} else {
-				net.InstallLink(from, to, wanBA)
+	wan := map[string]*netsim.Link{"a": netsim.NewLink(f.clk, slow), "b": netsim.NewLink(f.clk, slow)}
+	for _, from := range nodes {
+		for _, to := range nodes {
+			switch {
+			case from.Name == to.Name:
+			case from.Site == to.Site:
+				f.net.Connect(from.Name, to.Name, fast)
+			default:
+				f.net.InstallLink(from.Name, to.Name, wan[from.Site])
 			}
 		}
 	}
 
-	repo := service.NewRepository()
-	merger := &countsamps.SummaryMerger{Cost: cost}
-	if err := repo.RegisterSource("h/stream", func(inst int) pipeline.Source {
-		return &countsamps.StreamSource{Values: streams[inst], Batch: 25, ItemWireSize: cost.ItemWireSize}
-	}); err != nil {
-		return HierarchyRow{}, err
-	}
-	if err := repo.RegisterProcessor("h/summarize", func(inst int) pipeline.Processor {
-		return countsamps.NewSummarizer(countsamps.SummarizerConfig{
-			Cost: cost, SummarySize: 100, Seed: cfg.seed() + int64(inst),
-		})
-	}); err != nil {
-		return HierarchyRow{}, err
-	}
-	if err := repo.RegisterProcessor("h/regional", func(int) pipeline.Processor {
-		return &countsamps.SummaryMerger{Cost: cost, RelayTopN: 100, RelayEvery: 4}
-	}); err != nil {
-		return HierarchyRow{}, err
-	}
-	if err := repo.RegisterProcessor("h/global", func(int) pipeline.Processor {
-		return merger
-	}); err != nil {
-		return HierarchyRow{}, err
-	}
+	merger := f.registerCountSamps(streams, summarizerConfig(cfg.seed()))
+	f.processor("countsamps/regional", func(int) pipeline.Processor {
+		return &countsamps.SummaryMerger{Cost: countsamps.DefaultCostModel(), RelayTopN: 100, RelayEvery: 4}
+	})
 
-	near := make([]string, 8)
-	for i := range near {
-		near[i] = fmt.Sprintf("stream-%d", i+1)
-	}
-	appCfg := &service.AppConfig{
-		Name: "count-samps-hierarchy",
-		Stages: []service.StageDef{
-			{ID: "stream", Code: "h/stream", Source: true, Instances: 8, NearSources: near},
-			{ID: "summarize", Code: "h/summarize", Instances: 8, NearSources: near},
-		},
-	}
+	// The flat topology is count-samps' distributed version with its
+	// central merger pinned to site a; the hierarchical one inserts a
+	// regional merger per site between the summarizers and that merger.
+	appCfg := countSampsConfig(csDistributed, 8)
+	appCfg.Name = "count-samps-hierarchy"
+	global := service.StageDef{ID: "global", Code: "countsamps/merge", NearSources: []string{"region-a"}}
+	appCfg.Stages = appCfg.Stages[:2] // stream, summarize
 	if hierarchical {
-		regional := service.StageDef{ID: "regional", Code: "h/regional", Instances: 2,
+		regional := service.StageDef{ID: "regional", Code: "countsamps/regional", Instances: 2,
 			NearSources: []string{"region-a", "region-b"}}
-		global := service.StageDef{ID: "global", Code: "h/global",
-			NearSources: []string{"region-a"}}
 		if autoPlace {
 			regional.NearSources = nil
 			global.NearSources = nil
 		}
-		appCfg.Stages = append(appCfg.Stages, regional, global)
-		appCfg.Connections = []service.ConnDef{
-			{From: "stream", To: "summarize", Fanout: service.FanoutPairwise},
+		appCfg.Stages = append(appCfg.Stages, regional)
+		appCfg.Connections = append(appCfg.Connections[:1],
 			// Grouped fanout partitions the eight summarizers over
 			// the two regional mergers: 0-3 feed site a's, 4-7 feed
 			// site b's.
-			{From: "summarize", To: "regional", Fanout: service.FanoutGrouped},
-			{From: "regional", To: "global"},
-		}
-	} else {
-		appCfg.Stages = append(appCfg.Stages,
-			service.StageDef{ID: "global", Code: "h/global", NearSources: []string{"region-a"}},
+			service.ConnDef{From: "summarize", To: "regional", Fanout: service.FanoutGrouped},
+			service.ConnDef{From: "regional", To: "global"},
 		)
-		appCfg.Connections = []service.ConnDef{
-			{From: "stream", To: "summarize", Fanout: service.FanoutPairwise},
-			{From: "summarize", To: "global"},
-		}
+	} else {
+		appCfg.Connections[1].To = "global"
 	}
+	appCfg.Stages = append(appCfg.Stages, global)
 
-	dep, err := service.NewDeployer(clk, dir, repo, net)
-	if err != nil {
-		return HierarchyRow{}, err
-	}
+	var setup func(*service.Deployer)
 	if autoPlace {
 		// Topology awareness is a placement policy: the planner weighs
 		// link bandwidth between communicating instances.
 		doc := policy.DefaultDocument()
 		doc.Placement.TopologyAware = true
-		pol := policy.New(clk, nil)
+		pol := policy.New(f.clk, nil)
 		if err := pol.Load(doc, "experiment"); err != nil {
 			return HierarchyRow{}, err
 		}
-		dep.SetPolicy(pol)
-	}
-	launcher, err := service.NewLauncher(dep)
-	if err != nil {
-		return HierarchyRow{}, err
+		setup = func(dep *service.Deployer) { dep.SetPolicy(pol) }
 	}
 	tuning := func(stageID string, _ int) pipeline.StageConfig {
 		if stageID == "stream" {
@@ -283,8 +218,7 @@ func runHierarchy(cfg Config, hierarchical, autoPlace bool) (HierarchyRow, error
 		}
 		return pipeline.StageConfig{ComputeQuantum: time.Second}
 	}
-	sw := clock.NewStopwatch(clk)
-	app, err := launcher.LaunchConfig(context.Background(), appCfg, tuning)
+	app, err := f.launch(appCfg, tuning, setup)
 	if err != nil {
 		return HierarchyRow{}, err
 	}
@@ -292,10 +226,6 @@ func runHierarchy(cfg Config, hierarchical, autoPlace bool) (HierarchyRow, error
 		return HierarchyRow{}, err
 	}
 
-	var wan int64
-	for _, l := range wanLinks {
-		wan += l.Stats().Bytes
-	}
 	label := "flat (2 stages)"
 	if hierarchical {
 		label = "hierarchical (3 stages)"
@@ -305,8 +235,8 @@ func runHierarchy(cfg Config, hierarchical, autoPlace bool) (HierarchyRow, error
 	}
 	return HierarchyRow{
 		Topology: label,
-		Seconds:  secondsOf(sw.Elapsed()),
+		Seconds:  secondsOf(f.elapsed()),
 		Accuracy: metrics.TopKAccuracy(truth, merger.TopK(10), 10).Score(),
-		WANBytes: wan,
+		WANBytes: wan["a"].Stats().Bytes + wan["b"].Stats().Bytes,
 	}, nil
 }

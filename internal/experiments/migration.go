@@ -7,12 +7,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"github.com/gates-middleware/gates/internal/apps/countsamps"
-	"github.com/gates-middleware/gates/internal/clock"
-	"github.com/gates-middleware/gates/internal/grid"
 	"github.com/gates-middleware/gates/internal/metrics"
-	"github.com/gates-middleware/gates/internal/netsim"
-	"github.com/gates-middleware/gates/internal/pipeline"
+	"github.com/gates-middleware/gates/internal/policy"
 	"github.com/gates-middleware/gates/internal/service"
 )
 
@@ -81,91 +77,14 @@ func ExpMigration(cfg Config) (*MigrationResult, error) {
 
 // runMigration executes one deployment mode.
 func runMigration(cfg Config, collapseAt time.Duration, migrating bool) (*MigrationRow, error) {
-	const (
-		baseBW      = 10 * 1024   // healthy inter-node bandwidth
-		fastBW      = 1 << 20     // source <-> helper LAN
-		collapsedBW = baseBW / 10 // the degraded uplink
-		sources     = 4
-	)
-	clk := clock.NewScaled(cfg.scale(2000))
-	cost := countsamps.DefaultCostModel()
-	items := 25_000
-	if cfg.Quick {
-		items = 6_000
-	}
-	streams, truth := zipfStreams(cfg.seed(), sources, items)
-
-	// Fabric: one node per sub-stream, a well-connected helper with no
-	// special role, and the central node. Everything talks at baseBW
-	// except the source-to-helper LAN.
-	dir := grid.NewDirectory()
-	for i := 0; i < sources; i++ {
-		if err := dir.Register(grid.Node{
-			Name: fmt.Sprintf("src-%d", i+1), CPUPower: 1, MemoryMB: 512, Slots: 2,
-			Sources: []string{fmt.Sprintf("stream-%d", i+1)},
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := dir.Register(grid.Node{Name: "helper", CPUPower: 1, MemoryMB: 512, Slots: 4}); err != nil {
-		return nil, err
-	}
-	if err := dir.Register(grid.Node{Name: "central", CPUPower: 4, MemoryMB: 4096, Slots: 4}); err != nil {
-		return nil, err
-	}
-	net := netsim.NewNetwork(clk)
-	net.SetDefaultLink(netsim.LinkConfig{Bandwidth: baseBW, Quantum: time.Second})
-	for i := 0; i < sources; i++ {
-		src := fmt.Sprintf("src-%d", i+1)
-		net.InstallLink(src, "helper", netsim.NewLink(clk, netsim.LinkConfig{Bandwidth: fastBW, Quantum: time.Second}))
-		net.InstallLink("helper", src, netsim.NewLink(clk, netsim.LinkConfig{Bandwidth: fastBW, Quantum: time.Second}))
-	}
-	uplink := net.Link("src-1", "central")
-
-	repo := service.NewRepository()
-	merger := &countsamps.SummaryMerger{Cost: cost}
-	if err := repo.RegisterSource("countsamps/stream", func(inst int) pipeline.Source {
-		return &countsamps.StreamSource{Values: streams[inst], Batch: 25, ItemWireSize: cost.ItemWireSize}
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/summarize", func(inst int) pipeline.Processor {
-		return countsamps.NewSummarizer(countsamps.SummarizerConfig{
-			Cost:        cost,
-			FlushEvery:  1000,
-			SummarySize: 100,
-			Seed:        cfg.seed() + int64(inst),
-		})
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/merge", func(int) pipeline.Processor {
-		return merger
-	}); err != nil {
-		return nil, err
-	}
-
-	dep, err := service.NewDeployer(clk, dir, repo, net)
+	const sources = 4
+	streams, truth := zipfStreams(cfg.seed(), sources, cfg.items())
+	f, uplink, err := newHelperGrid(cfg.scale(2000), sources)
 	if err != nil {
 		return nil, err
 	}
-	launcher, err := service.NewLauncher(dep)
-	if err != nil {
-		return nil, err
-	}
-	tuning := func(stageID string, _ int) pipeline.StageConfig {
-		switch stageID {
-		case "stream":
-			return pipeline.StageConfig{DisableAdaptation: true, ComputeQuantum: time.Second}
-		default:
-			return pipeline.StageConfig{
-				QueueCapacity: 50, DisableAdaptation: true, ComputeQuantum: time.Second,
-			}
-		}
-	}
-
-	sw := clock.NewStopwatch(clk)
-	app, err := launcher.LaunchConfig(context.Background(), countSampsConfig(csDistributed, sources), tuning)
+	merger := f.registerCountSamps(streams, summarizerConfig(cfg.seed()))
+	app, err := f.launch(countSampsConfig(csDistributed, sources), fixedTuning, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +94,7 @@ func runMigration(cfg Config, collapseAt time.Duration, migrating bool) (*Migrat
 	// The mid-run event: the first source's uplink loses 10x bandwidth.
 	go func() {
 		select {
-		case <-clk.After(collapseAt):
+		case <-f.clk.After(collapseAt):
 			uplink.SetBandwidth(collapsedBW)
 		case <-ctx.Done():
 		}
@@ -183,24 +102,24 @@ func runMigration(cfg Config, collapseAt time.Duration, migrating bool) (*Migrat
 
 	var reb *service.Rebalancer
 	if migrating {
-		reb = service.NewRebalancer(app.Deployment, service.RebalancerConfig{
-			Interval:  2 * time.Second,
-			Threshold: 2,
-			Stages:    []string{"summarize"},
-		})
+		eng := policy.New(f.clk, nil)
+		if err := eng.Load(rebalancePolicy("migration", 2), "experiment"); err != nil {
+			return nil, err
+		}
+		reb = service.NewPolicyRebalancer(app.Deployment, eng)
 		go reb.Run(ctx)
 	}
 
 	// Sample the affected summarizer's cumulative consumption.
-	trace := metrics.NewTimeSeriesAt(clk.Now())
+	trace := metrics.NewTimeSeriesAt(f.clk.Now())
 	affected, _ := app.Stage("summarize", 0)
 	go func() {
 		for {
 			select {
 			case <-ctx.Done():
 				return
-			case <-clk.After(2 * time.Second):
-				trace.Record(clk.Now(), float64(affected.Stats().ItemsIn))
+			case <-f.clk.After(2 * time.Second):
+				trace.Record(f.clk.Now(), float64(affected.Stats().ItemsIn))
 			}
 		}
 	}()
@@ -209,11 +128,11 @@ func runMigration(cfg Config, collapseAt time.Duration, migrating bool) (*Migrat
 		return nil, err
 	}
 	cancel()
-	trace.Record(clk.Now(), float64(affected.Stats().ItemsIn))
+	trace.Record(f.clk.Now(), float64(affected.Stats().ItemsIn))
 
 	row := &MigrationRow{
 		Mode:             "static",
-		Seconds:          secondsOf(sw.Elapsed()),
+		Seconds:          secondsOf(f.elapsed()),
 		Accuracy:         metrics.TopKAccuracy(truth, merger.TopK(10), 10).Membership,
 		PostCollapseRate: postCollapseRate(trace, collapseAt),
 		Trace:            trace,

@@ -7,12 +7,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"github.com/gates-middleware/gates/internal/apps/countsamps"
-	"github.com/gates-middleware/gates/internal/clock"
-	"github.com/gates-middleware/gates/internal/grid"
-	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/obs"
-	"github.com/gates-middleware/gates/internal/pipeline"
 	"github.com/gates-middleware/gates/internal/policy"
 	"github.com/gates-middleware/gates/internal/service"
 )
@@ -93,122 +88,42 @@ func ExpPolicy(cfg Config) (*PolicyResult, error) {
 	return res, nil
 }
 
-// policyV1 is the lax starting policy: rebalancing is on but its threshold
-// is far above the ~10x cost ratio the collapse produces.
-func policyV1() policy.Document {
-	doc := policy.Document{Version: "v1"}
+// rebalancePolicy is a document whose only section sweeps the summarizers
+// every 2 s and moves one when staying put costs threshold times its best
+// alternative. Policy v1 is lax (20: the collapse's ~10x cost ratio never
+// crosses it); v2, the tightened document an operator would POST to /policy
+// after watching the collapse, uses 2.
+func rebalancePolicy(version string, threshold float64) policy.Document {
+	doc := policy.Document{Version: version}
 	doc.Rebalance.Interval = policy.Duration(2 * time.Second)
-	doc.Rebalance.Threshold = 20
+	doc.Rebalance.Threshold = threshold
 	doc.Rebalance.Stages = []string{"summarize"}
 	doc.Normalize()
-	return doc
-}
-
-// policyV2 is the tightened document an operator would POST to /policy
-// after watching the collapse: same shape, threshold 2.
-func policyV2() policy.Document {
-	doc := policyV1()
-	doc.Version = "v2"
-	doc.Rebalance.Threshold = 2
 	return doc
 }
 
 // runPolicyMode executes one mode and reads its story back out of the
 // journal.
 func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload bool) (*PolicyRow, error) {
-	const (
-		baseBW      = 10 * 1024   // healthy inter-node bandwidth
-		fastBW      = 1 << 20     // source <-> helper LAN
-		collapsedBW = baseBW / 10 // the degraded uplink
-		sources     = 4
-	)
-	clk := clock.NewScaled(cfg.scale(2000))
-	cost := countsamps.DefaultCostModel()
-	items := 25_000
-	if cfg.Quick {
-		items = 6_000
-	}
-	streams, _ := zipfStreams(cfg.seed(), sources, items)
-
-	// Fabric: identical to the migration experiment — one node per
-	// sub-stream, a well-connected helper, and the central node.
-	dir := grid.NewDirectory()
-	for i := 0; i < sources; i++ {
-		if err := dir.Register(grid.Node{
-			Name: fmt.Sprintf("src-%d", i+1), CPUPower: 1, MemoryMB: 512, Slots: 2,
-			Sources: []string{fmt.Sprintf("stream-%d", i+1)},
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := dir.Register(grid.Node{Name: "helper", CPUPower: 1, MemoryMB: 512, Slots: 4}); err != nil {
-		return nil, err
-	}
-	if err := dir.Register(grid.Node{Name: "central", CPUPower: 4, MemoryMB: 4096, Slots: 4}); err != nil {
-		return nil, err
-	}
-	net := netsim.NewNetwork(clk)
-	net.SetDefaultLink(netsim.LinkConfig{Bandwidth: baseBW, Quantum: time.Second})
-	for i := 0; i < sources; i++ {
-		src := fmt.Sprintf("src-%d", i+1)
-		net.InstallLink(src, "helper", netsim.NewLink(clk, netsim.LinkConfig{Bandwidth: fastBW, Quantum: time.Second}))
-		net.InstallLink("helper", src, netsim.NewLink(clk, netsim.LinkConfig{Bandwidth: fastBW, Quantum: time.Second}))
-	}
-	uplink := net.Link("src-1", "central")
-
-	repo := service.NewRepository()
-	merger := &countsamps.SummaryMerger{Cost: cost}
-	if err := repo.RegisterSource("countsamps/stream", func(inst int) pipeline.Source {
-		return &countsamps.StreamSource{Values: streams[inst], Batch: 25, ItemWireSize: cost.ItemWireSize}
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/summarize", func(inst int) pipeline.Processor {
-		return countsamps.NewSummarizer(countsamps.SummarizerConfig{
-			Cost:        cost,
-			FlushEvery:  1000,
-			SummarySize: 100,
-			Seed:        cfg.seed() + int64(inst),
-		})
-	}); err != nil {
-		return nil, err
-	}
-	if err := repo.RegisterProcessor("countsamps/merge", func(int) pipeline.Processor {
-		return merger
-	}); err != nil {
-		return nil, err
-	}
-
-	dep, err := service.NewDeployer(clk, dir, repo, net)
+	const sources = 4
+	streams, _ := zipfStreams(cfg.seed(), sources, cfg.items())
+	f, uplink, err := newHelperGrid(cfg.scale(2000), sources)
 	if err != nil {
 		return nil, err
 	}
+	f.registerCountSamps(streams, summarizerConfig(cfg.seed()))
+
 	// The observed policy engine is the run's control plane: placements,
 	// rebalance verdicts, and policy loads all land in its journal.
-	ob := obs.New(clk, obs.Config{})
-	dep.SetObservability(ob)
-	eng := policy.New(clk, ob)
-	if err := eng.Load(policyV1(), "experiment"); err != nil {
+	ob := obs.New(f.clk, obs.Config{})
+	eng := policy.New(f.clk, ob)
+	if err := eng.Load(rebalancePolicy("v1", 20), "experiment"); err != nil {
 		return nil, err
 	}
-	dep.SetPolicy(eng)
-	launcher, err := service.NewLauncher(dep)
-	if err != nil {
-		return nil, err
-	}
-	tuning := func(stageID string, _ int) pipeline.StageConfig {
-		switch stageID {
-		case "stream":
-			return pipeline.StageConfig{DisableAdaptation: true, ComputeQuantum: time.Second}
-		default:
-			return pipeline.StageConfig{
-				QueueCapacity: 50, DisableAdaptation: true, ComputeQuantum: time.Second,
-			}
-		}
-	}
-
-	sw := clock.NewStopwatch(clk)
-	app, err := launcher.LaunchConfig(context.Background(), countSampsConfig(csDistributed, sources), tuning)
+	app, err := f.launch(countSampsConfig(csDistributed, sources), fixedTuning, func(dep *service.Deployer) {
+		dep.SetObservability(ob)
+		dep.SetPolicy(eng)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +134,7 @@ func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload boo
 	// operator answers with policy v2 a few virtual seconds later.
 	go func() {
 		select {
-		case <-clk.After(collapseAt):
+		case <-f.clk.After(collapseAt):
 			uplink.SetBandwidth(collapsedBW)
 		case <-ctx.Done():
 			return
@@ -228,8 +143,8 @@ func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload boo
 			return
 		}
 		select {
-		case <-clk.After(reloadAt - collapseAt):
-			_ = eng.Load(policyV2(), "experiment-reload")
+		case <-f.clk.After(reloadAt - collapseAt):
+			_ = eng.Load(rebalancePolicy("v2", 2), "experiment-reload")
 		case <-ctx.Done():
 		}
 	}()
@@ -244,7 +159,7 @@ func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload boo
 
 	row := &PolicyRow{
 		Mode:       "static-v1",
-		Seconds:    secondsOf(sw.Elapsed()),
+		Seconds:    secondsOf(f.elapsed()),
 		Migrations: reb.Migrations(),
 	}
 	if hotReload {

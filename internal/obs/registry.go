@@ -222,30 +222,6 @@ func (r *Registry) Time(h *Histogram) func() {
 	return func() { h.Observe(r.clk.Now().Sub(start).Seconds()) }
 }
 
-// Value returns the current value of one series (evaluating its callback if
-// it has one) and whether the series exists. Histogram series report their
-// observation count.
-func (r *Registry) Value(name string, labels map[string]string) (float64, bool) {
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	key, _ := canonical(labels)
-	f.mu.Lock()
-	s, ok := f.series[key]
-	f.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	if s.hist != nil {
-		_, count, _ := s.hist.State()
-		return float64(count), true
-	}
-	return s.value(), true
-}
-
 // JSONFloat is a float64 that survives JSON encoding when non-finite:
 // NaN and ±Inf — legal metric values (a d̃ gauge before its first
 // observation, every histogram's +Inf bucket bound) — marshal as the

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -45,29 +46,46 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("x_total", "", nil)
 }
 
+// snapshotValue reads one series out of r's snapshot, and whether it is
+// there.
+func snapshotValue(r *Registry, name string, labels map[string]string) (float64, bool) {
+	for _, p := range r.Snapshot() {
+		if p.Name == name && maps.Equal(p.Labels, labels) {
+			return float64(p.Value), true
+		}
+	}
+	return 0, false
+}
+
 func TestFuncReplacementOnReregistration(t *testing.T) {
 	r := NewRegistry(clock.NewManual())
 	labels := map[string]string{"stage": "s", "instance": "0"}
 	r.CounterFunc("items_total", "", labels, func() float64 { return 100 })
-	if v, ok := r.Value("items_total", labels); !ok || v != 100 {
-		t.Fatalf("Value = %v, %v", v, ok)
+	if v, ok := snapshotValue(r, "items_total", labels); !ok || v != 100 {
+		t.Fatalf("snapshot value = %v, %v", v, ok)
 	}
 	// A restarted component re-registers: the new callback must win so the
-	// series follows the live counters.
+	// series follows the live counters, and the family keeps one series.
 	r.CounterFunc("items_total", "", labels, func() float64 { return 5 })
-	if v, _ := r.Value("items_total", labels); v != 5 {
-		t.Fatalf("after replacement Value = %v, want 5", v)
+	if v, _ := snapshotValue(r, "items_total", labels); v != 5 {
+		t.Fatalf("after replacement snapshot value = %v, want 5", v)
+	}
+	if n := len(r.Snapshot()); n != 1 {
+		t.Fatalf("re-registration left %d series, want 1", n)
 	}
 }
 
 func TestValueMissingSeries(t *testing.T) {
 	r := NewRegistry(clock.NewManual())
-	if _, ok := r.Value("nope", nil); ok {
-		t.Fatal("missing family reported ok")
+	if _, ok := snapshotValue(r, "nope", nil); ok {
+		t.Fatal("missing family reported present")
 	}
 	r.Counter("present", "", map[string]string{"a": "1"})
-	if _, ok := r.Value("present", map[string]string{"a": "2"}); ok {
-		t.Fatal("missing series reported ok")
+	if _, ok := snapshotValue(r, "present", map[string]string{"a": "2"}); ok {
+		t.Fatal("missing series reported present")
+	}
+	if _, ok := snapshotValue(r, "present", map[string]string{"a": "1"}); !ok {
+		t.Fatal("registered series missing from the snapshot")
 	}
 }
 

@@ -2,12 +2,24 @@ package pipeline
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/obs"
 )
+
+// registryValue reads one series out of reg's snapshot (a histogram's
+// observation count), and whether it is there.
+func registryValue(reg *obs.Registry, name string, labels map[string]string) (float64, bool) {
+	for _, p := range reg.Snapshot() {
+		if p.Name == name && maps.Equal(p.Labels, labels) {
+			return float64(p.Value), true
+		}
+	}
+	return 0, false
+}
 
 // TestShortRunReportsEveryE2EObservation is the scratch-flush regression
 // guard: a 10-packet run must surface exactly 10 e2e latency observations
@@ -37,7 +49,7 @@ func TestShortRunReportsEveryE2EObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	count, ok := ob.Registry.Value(obs.MetricE2ELatency, sink.ObsLabels())
+	count, ok := registryValue(ob.Registry, obs.MetricE2ELatency, sink.ObsLabels())
 	if !ok {
 		t.Fatal("sink has no e2e latency series")
 	}
@@ -82,7 +94,7 @@ func TestPausedStageLatencyScratchFlushed(t *testing.T) {
 		t.Fatalf("pause: %v", err)
 	}
 	consumed := sink.Stats().PacketsIn
-	count, ok := ob.Registry.Value(obs.MetricE2ELatency, sink.ObsLabels())
+	count, ok := registryValue(ob.Registry, obs.MetricE2ELatency, sink.ObsLabels())
 	if !ok && consumed > 0 {
 		t.Fatalf("sink consumed %d packets but has no e2e latency series", consumed)
 	}
@@ -102,7 +114,7 @@ func TestPausedStageLatencyScratchFlushed(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("pipeline did not finish")
 	}
-	count, _ = ob.Registry.Value(obs.MetricE2ELatency, sink.ObsLabels())
+	count, _ = registryValue(ob.Registry, obs.MetricE2ELatency, sink.ObsLabels())
 	if count != 100 {
 		t.Fatalf("final e2e observation count = %g, want exactly 100", count)
 	}

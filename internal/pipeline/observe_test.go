@@ -39,7 +39,7 @@ func TestParamValuesPublished(t *testing.T) {
 	paramValue := func(reg *obs.Registry, st *Stage) (float64, bool) {
 		lb := st.ObsLabels()
 		lb["param"] = "rate"
-		return reg.Value(obs.MetricParamValue, lb)
+		return registryValue(reg, obs.MetricParamValue, lb)
 	}
 
 	clk := clock.NewManual()

@@ -236,9 +236,9 @@ type Document struct {
 	Faults    FaultPolicy     `xml:"faults" json:"faults,omitempty"`
 }
 
-// DefaultDocument returns the policy the middleware ships with — the exact
-// constants that were previously hard-wired into RebalancerConfig,
-// SLOConfig, and the Planner.
+// DefaultDocument returns the policy the middleware ships with: the
+// rebalancer's, the SLO detector's and the Planner's constants, none of
+// which those components keep a copy of.
 func DefaultDocument() Document {
 	doc := Document{Version: "default"}
 	doc.Normalize()

@@ -5,61 +5,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/obs"
 	"github.com/gates-middleware/gates/internal/pipeline"
 	"github.com/gates-middleware/gates/internal/policy"
 )
-
-// RebalancerConfig tunes a Rebalancer. The zero value selects the defaults
-// documented per field.
-//
-// Deprecated shim: the config compiles into a policy.Document (see
-// PolicyDocument) loaded into a private engine, so the rebalancer itself
-// holds no numeric control constants. New code hands a shared, hot-reloadable
-// engine to NewPolicyRebalancer instead.
-type RebalancerConfig struct {
-	// Interval is the virtual time between placement sweeps. Zero selects
-	// policy.DefaultRebalanceInterval.
-	Interval time.Duration
-	// Threshold is how much worse (as a ratio) the current placement's
-	// link cost must be than the best alternative before a move is worth
-	// its disruption. Zero selects policy.DefaultRebalanceThreshold;
-	// values <= 1 migrate on any improvement.
-	Threshold float64
-	// Cooldown is the minimum virtual time between two migrations of the
-	// same instance. Zero selects Interval.
-	Cooldown time.Duration
-	// MaxMigrations caps the total moves the rebalancer will perform.
-	// Zero means unlimited.
-	MaxMigrations int
-	// Stages restricts the sweep to the named stage ids. Empty means
-	// every non-source stage.
-	Stages []string
-}
-
-// PolicyDocument compiles the config into its declarative form — the
-// rebalance section of a policy document under version "config". Zero and
-// out-of-range fields are left zero so Normalize fills the documented
-// defaults (negative values previously meant "use the default" too).
-func (c RebalancerConfig) PolicyDocument() policy.Document {
-	doc := policy.Document{Version: "config"}
-	if c.Interval > 0 {
-		doc.Rebalance.Interval = policy.Duration(c.Interval)
-	}
-	if c.Threshold > 0 {
-		doc.Rebalance.Threshold = c.Threshold
-	}
-	if c.Cooldown > 0 {
-		doc.Rebalance.Cooldown = policy.Duration(c.Cooldown)
-	}
-	if c.MaxMigrations > 0 {
-		doc.Rebalance.MigrationBudget = c.MaxMigrations
-	}
-	doc.Rebalance.Stages = c.Stages
-	doc.Normalize()
-	return doc
-}
 
 // Rebalancer watches the deployment's placement against the directory and
 // network state and re-deploys stage instances whose communication cost
@@ -88,26 +37,6 @@ type Rebalancer struct {
 	lastMove   map[instRef]time.Time
 }
 
-// NewRebalancer returns a rebalancer over dep driven by a static config:
-// the config compiles into a private policy engine so the decision path is
-// identical to a policy-driven deployment, including decision logging when
-// the deployment is observed. The deployment must have been built by a
-// Deployer (Deploy or Apply).
-//
-// Deprecated shim: use NewPolicyRebalancer with a shared engine for
-// hot-reloadable policies.
-func NewRebalancer(dep *Deployment, cfg RebalancerConfig) *Rebalancer {
-	var clk clock.Clock
-	var o *obs.Observability
-	if dep != nil && dep.deployer != nil {
-		clk, o = dep.deployer.clk, dep.deployer.o
-	}
-	eng := policy.New(clk, o)
-	// Compiled documents always normalize into validity; Load cannot fail.
-	_ = eng.Load(cfg.PolicyDocument(), "config")
-	return NewPolicyRebalancer(dep, eng)
-}
-
 // NewPolicyRebalancer returns a rebalancer over dep that reads every
 // control constant from eng at each sweep. A nil engine behaves as the
 // default policy.
@@ -119,10 +48,6 @@ func NewPolicyRebalancer(dep *Deployment, eng *policy.Engine) *Rebalancer {
 		lastMove: make(map[instRef]time.Time),
 	}
 }
-
-// Policy returns the engine driving this rebalancer (the private compiled
-// one for config-built rebalancers).
-func (r *Rebalancer) Policy() *policy.Engine { return r.pol }
 
 // Migrations returns how many moves the rebalancer has performed.
 func (r *Rebalancer) Migrations() int { return int(r.migrations.Load()) }

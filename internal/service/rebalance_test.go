@@ -9,80 +9,18 @@ import (
 	"github.com/gates-middleware/gates/internal/policy"
 )
 
-// TestRebalancerConfigPolicyDocument pins the deprecated shim's compile
-// step: the zero config selects exactly the documented defaults, positive
-// fields carry over, and the legacy "non-positive means default" semantics
-// survive the translation.
-func TestRebalancerConfigPolicyDocument(t *testing.T) {
-	doc := RebalancerConfig{}.PolicyDocument()
-	if doc.Version != "config" {
-		t.Errorf("version %q, want config", doc.Version)
+// rebalancer returns a rebalancer over the fixture's deployment, driven by
+// an engine that has loaded a "test" document with rebalance section rb and
+// logs into the fixture's journal.
+func (f *migrationFixture) rebalancer(t *testing.T, rb policy.RebalancePolicy) *Rebalancer {
+	t.Helper()
+	doc := policy.Document{Version: "test", Rebalance: rb}
+	doc.Normalize()
+	eng := policy.New(f.app.Deployment.deployer.clk, f.o)
+	if err := eng.Load(doc, "test"); err != nil {
+		t.Fatal(err)
 	}
-	if got := doc.Rebalance.Interval.Std(); got != policy.DefaultRebalanceInterval {
-		t.Errorf("zero Interval compiled to %s, want %s", got, policy.DefaultRebalanceInterval)
-	}
-	if got := doc.Rebalance.Threshold; got != policy.DefaultRebalanceThreshold {
-		t.Errorf("zero Threshold compiled to %g, want %g", got, policy.DefaultRebalanceThreshold)
-	}
-	if doc.Rebalance.Cooldown != doc.Rebalance.Interval {
-		t.Errorf("zero Cooldown compiled to %s, want the interval %s",
-			doc.Rebalance.Cooldown.Std(), doc.Rebalance.Interval.Std())
-	}
-	if doc.Rebalance.MigrationBudget != 0 {
-		t.Errorf("zero MaxMigrations compiled to budget %d, want 0 (unlimited)", doc.Rebalance.MigrationBudget)
-	}
-
-	cfg := RebalancerConfig{
-		Interval:      7 * time.Second,
-		Threshold:     1.5,
-		Cooldown:      3 * time.Second,
-		MaxMigrations: 2,
-		Stages:        []string{"summarize"},
-	}
-	doc = cfg.PolicyDocument()
-	if doc.Rebalance.Interval.Std() != 7*time.Second ||
-		doc.Rebalance.Threshold != 1.5 ||
-		doc.Rebalance.Cooldown.Std() != 3*time.Second ||
-		doc.Rebalance.MigrationBudget != 2 {
-		t.Errorf("explicit config compiled to %+v", doc.Rebalance)
-	}
-	if len(doc.Rebalance.Stages) != 1 || doc.Rebalance.Stages[0] != "summarize" {
-		t.Errorf("stages %v", doc.Rebalance.Stages)
-	}
-	// Zero Cooldown with an explicit Interval tracks the interval.
-	doc = RebalancerConfig{Interval: 9 * time.Second}.PolicyDocument()
-	if doc.Rebalance.Cooldown.Std() != 9*time.Second {
-		t.Errorf("cooldown %s, want the 9s interval", doc.Rebalance.Cooldown.Std())
-	}
-	// Negative values have always meant "use the default" too.
-	doc = RebalancerConfig{Interval: -1, Threshold: -2, Cooldown: -3}.PolicyDocument()
-	if doc.Rebalance.Interval.Std() != policy.DefaultRebalanceInterval ||
-		doc.Rebalance.Threshold != policy.DefaultRebalanceThreshold ||
-		doc.Rebalance.Cooldown != doc.Rebalance.Interval {
-		t.Errorf("negative config compiled to %+v", doc.Rebalance)
-	}
-	// The compiled document always validates, so NewRebalancer's Load
-	// cannot fail.
-	if err := doc.Validate(); err != nil {
-		t.Errorf("compiled document invalid: %v", err)
-	}
-}
-
-// TestNewRebalancerDefaults: a config-built rebalancer reads the defaults
-// through its private engine under version "config".
-func TestNewRebalancerDefaults(t *testing.T) {
-	f := newMigrationFixture(t)
-	reb := NewRebalancer(f.app.Deployment, RebalancerConfig{})
-	pol, version := reb.Policy().Rebalance()
-	if version != "config" {
-		t.Errorf("policy version %q, want config", version)
-	}
-	if pol.Interval.Std() != policy.DefaultRebalanceInterval ||
-		pol.Threshold != policy.DefaultRebalanceThreshold ||
-		pol.Cooldown != pol.Interval {
-		t.Errorf("active rebalance policy %+v", pol)
-	}
-	f.run(t, nil)
+	return NewPolicyRebalancer(f.app.Deployment, eng)
 }
 
 // TestRebalancerCooldownSkipDecision: an instance inside its cooldown
@@ -91,8 +29,8 @@ func TestNewRebalancerDefaults(t *testing.T) {
 func TestRebalancerCooldownSkipDecision(t *testing.T) {
 	f := newMigrationFixture(t)
 	dep := f.app.Deployment
-	reb := NewRebalancer(dep, RebalancerConfig{
-		Cooldown: time.Hour,
+	reb := f.rebalancer(t, policy.RebalancePolicy{
+		Cooldown: policy.Duration(time.Hour),
 		Stages:   []string{"summarize"},
 	})
 	f.run(t, func() {
@@ -119,8 +57,8 @@ func TestRebalancerCooldownSkipDecision(t *testing.T) {
 	if skip.Stage != "summarize" || skip.Instance != 0 || skip.Node != "src-1" {
 		t.Errorf("cooldown decision names %s/%d@%s", skip.Stage, skip.Instance, skip.Node)
 	}
-	if skip.PolicyVersion != "config" {
-		t.Errorf("cooldown decision cites policy %q, want config", skip.PolicyVersion)
+	if skip.PolicyVersion != "test" {
+		t.Errorf("cooldown decision cites policy %q, want test", skip.PolicyVersion)
 	}
 	if d.Input["cooldown"] != time.Hour.String() {
 		t.Errorf("cooldown input %+v", d.Input)
@@ -137,7 +75,7 @@ func TestRebalancerCooldownSkipDecision(t *testing.T) {
 // unlimited, costs zero) a sweep leaves the placement alone and says why.
 func TestRebalancerAlreadyOptimalSkip(t *testing.T) {
 	f := newMigrationFixture(t)
-	reb := NewRebalancer(f.app.Deployment, RebalancerConfig{Stages: []string{"summarize"}})
+	reb := f.rebalancer(t, policy.RebalancePolicy{Stages: []string{"summarize"}})
 	f.run(t, func() {
 		reb.sweep(context.Background())
 	})
@@ -161,7 +99,7 @@ func TestRebalancerAlreadyOptimalSkip(t *testing.T) {
 // logs the halt decision exactly once.
 func TestRebalancerBudgetHalt(t *testing.T) {
 	f := newMigrationFixture(t)
-	reb := NewRebalancer(f.app.Deployment, RebalancerConfig{MaxMigrations: 1})
+	reb := f.rebalancer(t, policy.RebalancePolicy{MigrationBudget: 1})
 	if reb.budgetExhausted() {
 		t.Fatal("fresh rebalancer already over budget")
 	}

@@ -1,9 +1,12 @@
 #!/bin/sh
-# The full CI lane: vet, static analysis (when staticcheck is installed),
-# build, plain tests (among them the hot path's allocation test), the
-# race-detector lane, a coverage run emitting coverage.out, and the overhead
-# guards (the default path, the batched path and the TCP path on the bench
-# harness).
+# The full CI lane, in order: vet, static analysis (when staticcheck is
+# installed), build and gofmt, plain tests (among them the hot path's
+# allocation test), the race-detector lane, the bench module's vet and tests,
+# the transport stream lane, the migration smoke, the evaluation report (one
+# full -json run of the experiments), the endpoint smoke, the policy lane, the
+# bottleneck attribution smoke, the chaos lane, a coverage run emitting
+# coverage.out, and the overhead guards (the default path, the batched path
+# and the TCP path on the bench harness).
 # Run from anywhere; it cds to the repo root.
 set -eu
 
@@ -126,6 +129,21 @@ echo "== migration smoke =="
 go test -race -run 'Migration|Migrate|PlanApply|PauseResume|Relink' \
   ./internal/service ./internal/pipeline
 go run ./cmd/gates-experiments -exp migration -quick -scale 4000
+
+echo "== evaluation report =="
+# RunAll end to end, once: the -json report must carry all nine sections,
+# none of them null or empty. Tier-1 checks only the report's encoding, on two
+# sections.
+report_tmp="$(mktemp -d)"
+go run ./cmd/gates-experiments -quick -json "$report_tmp/report.json"
+for section in figure5 figure6 figure7 figure8 figure9 ablations scalingSources hierarchy migration; do
+	# WriteJSON indents by two spaces, so a non-empty array or object ends its
+	# key's line with the opening bracket; null, [] and {} do not.
+	grep -q "^  \"$section\": [[{]\$" "$report_tmp/report.json" \
+	  || { echo "evaluation report: section $section is missing, null or empty"; exit 1; }
+done
+echo "evaluation report: all nine sections present"
+rm -rf "$report_tmp"
 
 echo "== endpoint smoke =="
 # Observability-plane lane: a real gates-node must answer its probe and
