@@ -123,17 +123,13 @@ func run(exp string, cfg experiments.Config) error {
 		}
 	}
 	if all || exp == "ablations" {
-		for _, study := range []func(experiments.Config) (*experiments.AblationResult, error){
-			experiments.AblationDownstreamSign,
-			experiments.AblationPhi2,
-			experiments.AblationWeights,
-			experiments.AblationWindow,
-			experiments.AblationInterval,
-			experiments.AblationCongestionPriority,
-		} {
-			if err := show(study(cfg)); err != nil {
-				return err
-			}
+		studies, err := experiments.Ablations(cfg)
+		if err != nil {
+			return err
+		}
+		for _, res := range studies {
+			res.Render(os.Stdout)
+			fmt.Println()
 		}
 	}
 	if all || exp == "ext" {

@@ -124,7 +124,7 @@ type Options struct {
 	// positive feedback (send even more into a full pipe). Symmetrically,
 	// local slack is ignored while downstream reports overload. The paper
 	// attributes this stabilization to the σ functions without
-	// specifying it; the ablation bench compares both settings.
+	// specifying it; the congestion-priority ablation compares both settings.
 	DisableCongestionPriority bool
 	// DownstreamSign selects the Equation 4 sign convention.
 	// Default SignReinforcing.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/gates-middleware/gates/internal/adapt"
+	"github.com/gates-middleware/gates/internal/metrics"
 )
 
 // AblationRow is one variant's outcome in an ablation study.
@@ -26,11 +27,11 @@ type AblationRow struct {
 // AblationResult is a small comparison table over algorithm variants.
 type AblationResult struct {
 	// Name identifies the study.
-	Name string
+	Name string `json:"name"`
 	// Scenario describes the workload the variants ran against.
-	Scenario string
+	Scenario string `json:"-"`
 	// Rows holds one row per variant.
-	Rows []AblationRow
+	Rows []AblationRow `json:"rows"`
 }
 
 // Render prints the comparison.
@@ -44,209 +45,109 @@ func (r *AblationResult) Render(w io.Writer) {
 	tw.Flush()
 }
 
-// ablationScenarioAt runs the Figure 8 processing-constraint workload with
-// an explicit observation interval.
-func ablationScenarioAt(cfg Config, variant string, interval time.Duration, mutate func(*adapt.Options)) (AblationRow, error) {
-	run, err := runCompSteer(steerParams{
-		cfg:           cfg,
-		genRate:       160,
-		packetBytes:   16,
-		costPerByte:   20 * time.Millisecond,
-		initialRate:   0.13,
-		duration:      300 * time.Second,
-		adaptOverride: mutate,
-		adaptInterval: interval,
-	})
-	if err != nil {
-		return AblationRow{}, fmt.Errorf("ablation %s: %w", variant, err)
-	}
-	from := 300 * time.Second * 6 / 10
-	return AblationRow{
-		Variant:   variant,
-		Expected:  0.3125,
-		Converged: run.Converged,
-		Wobble:    windowStd(run, from, 300*time.Second),
-	}, nil
+// ablationVariant is one row of a study: Figure 8's 20 ms/byte cell with its
+// observation interval (0 keeps 500 ms) and sampler options (nil keeps
+// adapt.Defaults) changed. A variant that changes neither is the default
+// cell, which every study shares.
+type ablationVariant struct {
+	label    string
+	interval time.Duration
+	mutate   func(*adapt.Options)
 }
 
-// ablationScenario runs the Figure 8 processing-constraint workload
-// (20 ms/byte against 160 B/s; sustainable factor 0.3125) under a mutated
-// option set and summarizes the outcome.
-func ablationScenario(cfg Config, variant string, mutate func(*adapt.Options)) (AblationRow, error) {
-	return ablationScenarioAt(cfg, variant, 0, mutate)
+func (v ablationVariant) isDefault() bool { return v.interval == 0 && v.mutate == nil }
+
+// ablationStudies are the design choices DESIGN.md calls out: the paper's
+// two ambiguities (the Equation 4 sign and φ2), the constants of Figure 2,
+// the observation interval, and the congestion gating this implementation
+// adds.
+var ablationStudies = []struct {
+	name     string
+	variants []ablationVariant
+}{
+	{"Equation 4 downstream-term sign", []ablationVariant{
+		{label: "reinforcing (default)"},
+		{label: "literal (as printed)", mutate: func(o *adapt.Options) { o.DownstreamSign = adapt.SignLiteral }},
+	}},
+	{"phi2 variant", []ablationVariant{
+		{label: "exponential (default)"},
+		{label: "linear w/W", mutate: func(o *adapt.Options) { o.Phi2 = adapt.Phi2Linear }},
+	}},
+	{"load-factor weights (P1, P2, P3)", []ablationVariant{
+		{label: "0.2/0.3/0.5 (default)"},
+		{label: "phi1 only", mutate: func(o *adapt.Options) { o.P1, o.P2, o.P3 = 1, 0, 0 }},
+		{label: "phi2 only", mutate: func(o *adapt.Options) { o.P1, o.P2, o.P3 = 0, 1, 0 }},
+		{label: "phi3 only", mutate: func(o *adapt.Options) { o.P1, o.P2, o.P3 = 0, 0, 1 }},
+	}},
+	{"window size W", []ablationVariant{
+		{label: "W=4", mutate: func(o *adapt.Options) { o.Window = 4 }},
+		{label: "W=16 (default)"},
+		{label: "W=64", mutate: func(o *adapt.Options) { o.Window = 64 }},
+	}},
+	{"observation interval", []ablationVariant{
+		{label: "100ms", interval: 100 * time.Millisecond},
+		{label: "500ms (default)"},
+		{label: "2s", interval: 2 * time.Second},
+	}},
+	{"congestion-priority gating", []ablationVariant{
+		{label: "gated (default)"},
+		{label: "ungated", mutate: func(o *adapt.Options) { o.DisableCongestionPriority = true }},
+	}},
 }
 
-func windowStd(run *steerResult, from, to time.Duration) float64 {
-	var vals []float64
-	for _, p := range run.Trace.Points() {
-		if p.T >= from && p.T <= to {
-			vals = append(vals, p.V)
+// Ablations runs every study of ablationStudies against Figure 8's 20 ms/byte
+// cell. The default cell runs once and supplies each study's default row.
+func Ablations(cfg Config) ([]*AblationResult, error) {
+	base := fig8Cell(20)
+	cells := []steerCell{base}
+	for _, st := range ablationStudies {
+		for _, v := range st.variants {
+			if !v.isDefault() {
+				c := base
+				c.label, c.p.adaptInterval, c.p.adaptOverride = v.label, v.interval, v.mutate
+				cells = append(cells, c)
+			}
 		}
 	}
-	if len(vals) < 2 {
+	series, err := runConvergence(cfg, cells)
+	if err != nil {
+		return nil, fmt.Errorf("ablation %w", err)
+	}
+	from, to := base.p.settled()
+	scenario := fmt.Sprintf("Figure 8 workload, %s, sustainable factor %.4g", base.label, series[0].Expected)
+	var out []*AblationResult
+	next := 0
+	for _, st := range ablationStudies {
+		res := &AblationResult{Name: st.name, Scenario: scenario}
+		for _, v := range st.variants {
+			s := series[0]
+			if !v.isDefault() {
+				next++
+				s = series[next]
+			}
+			res.Rows = append(res.Rows, AblationRow{
+				Variant: v.label, Expected: s.Expected, Converged: s.Converged,
+				Wobble: windowStd(s.Trace, from, to),
+			})
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// windowStd is the standard deviation of the samples with T in [from, to].
+func windowStd(trace *metrics.TimeSeries, from, to time.Duration) float64 {
+	mean := trace.WindowMean(from, to)
+	var ss float64
+	n := 0
+	for _, p := range trace.Points() {
+		if p.T >= from && p.T <= to {
+			ss += (p.V - mean) * (p.V - mean)
+			n++
+		}
+	}
+	if n < 2 {
 		return 0
 	}
-	var mean float64
-	for _, v := range vals {
-		mean += v
-	}
-	mean /= float64(len(vals))
-	var ss float64
-	for _, v := range vals {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(vals)))
-}
-
-// AblationDownstreamSign compares the Equation 4 sign conventions: the
-// reinforcing orientation (default; reproduces Figures 8–9) against the
-// literal subtraction as printed in the paper.
-func AblationDownstreamSign(cfg Config) (*AblationResult, error) {
-	res := &AblationResult{
-		Name:     "Equation 4 downstream-term sign",
-		Scenario: "Figure 8 workload, 20 ms/byte, sustainable factor 0.3125",
-	}
-	variants := []struct {
-		name string
-		sign adapt.SignConvention
-	}{
-		{"reinforcing (default)", adapt.SignReinforcing},
-		{"literal (as printed)", adapt.SignLiteral},
-	}
-	for _, v := range variants {
-		sign := v.sign
-		row, err := ablationScenario(cfg, v.name, func(o *adapt.Options) { o.DownstreamSign = sign })
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// AblationPhi2 compares the two φ2 implementations (the printed formula is
-// ambiguous; see DESIGN.md).
-func AblationPhi2(cfg Config) (*AblationResult, error) {
-	res := &AblationResult{
-		Name:     "phi2 variant",
-		Scenario: "Figure 8 workload, 20 ms/byte, sustainable factor 0.3125",
-	}
-	variants := []struct {
-		name string
-		kind adapt.Phi2Kind
-	}{
-		{"exponential (default)", adapt.Phi2Exponential},
-		{"linear w/W", adapt.Phi2Linear},
-	}
-	for _, v := range variants {
-		kind := v.kind
-		row, err := ablationScenario(cfg, v.name, func(o *adapt.Options) { o.Phi2 = kind })
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// AblationWeights sweeps the (P1, P2, P3) load-factor weights, including the
-// degenerate single-factor settings.
-func AblationWeights(cfg Config) (*AblationResult, error) {
-	res := &AblationResult{
-		Name:     "load-factor weights (P1, P2, P3)",
-		Scenario: "Figure 8 workload, 20 ms/byte, sustainable factor 0.3125",
-	}
-	variants := []struct {
-		name       string
-		p1, p2, p3 float64
-	}{
-		{"0.2/0.3/0.5 (default)", 0.2, 0.3, 0.5},
-		{"phi1 only", 1, 0, 0},
-		{"phi2 only", 0, 1, 0},
-		{"phi3 only", 0, 0, 1},
-	}
-	for _, v := range variants {
-		p1, p2, p3 := v.p1, v.p2, v.p3
-		row, err := ablationScenario(cfg, v.name, func(o *adapt.Options) {
-			o.P1, o.P2, o.P3 = p1, p2, p3
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// AblationWindow sweeps the observation window W.
-func AblationWindow(cfg Config) (*AblationResult, error) {
-	res := &AblationResult{
-		Name:     "window size W",
-		Scenario: "Figure 8 workload, 20 ms/byte, sustainable factor 0.3125",
-	}
-	for _, w := range []int{4, 16, 64} {
-		w := w
-		name := fmt.Sprintf("W=%d", w)
-		if w == 16 {
-			name += " (default)"
-		}
-		row, err := ablationScenario(cfg, name, func(o *adapt.Options) { o.Window = w })
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// AblationInterval sweeps the observation interval: how often the
-// controller samples the queue and (every second tick) adjusts. Faster
-// observation converges sooner but reacts to noise; slow observation is
-// calm but sluggish.
-func AblationInterval(cfg Config) (*AblationResult, error) {
-	res := &AblationResult{
-		Name:     "observation interval",
-		Scenario: "Figure 8 workload, 20 ms/byte, sustainable factor 0.3125",
-	}
-	for _, iv := range []time.Duration{100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second} {
-		name := iv.String()
-		if iv == 500*time.Millisecond {
-			name += " (default)"
-		}
-		row, err := ablationScenarioAt(cfg, name, iv, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// AblationCongestionPriority compares the congestion-priority gating (the
-// stabilization this implementation adds; see DESIGN.md) against the
-// ungated law.
-func AblationCongestionPriority(cfg Config) (*AblationResult, error) {
-	res := &AblationResult{
-		Name:     "congestion-priority gating",
-		Scenario: "Figure 8 workload, 20 ms/byte, sustainable factor 0.3125",
-	}
-	variants := []struct {
-		name    string
-		disable bool
-	}{
-		{"gated (default)", false},
-		{"ungated", true},
-	}
-	for _, v := range variants {
-		disable := v.disable
-		row, err := ablationScenario(cfg, v.name, func(o *adapt.Options) {
-			o.DisableCongestionPriority = disable
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return math.Sqrt(ss / float64(n))
 }

@@ -180,7 +180,7 @@ func runChaos(cfg Config, scale float64, killAt time.Duration, chaos bool) (*Cha
 
 	row := &ChaosRow{
 		Mode:     "no-failure",
-		Seconds:  secondsOf(f.elapsed()),
+		Seconds:  f.elapsed().Seconds(),
 		Accuracy: metrics.TopKAccuracy(truth, merger.TopK(10), 10).Membership,
 		Coverage: 1,
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/adapt"
@@ -10,17 +11,18 @@ import (
 	"github.com/gates-middleware/gates/internal/metrics"
 	"github.com/gates-middleware/gates/internal/netsim"
 	"github.com/gates-middleware/gates/internal/pipeline"
+	"github.com/gates-middleware/gates/internal/queuing"
 	"github.com/gates-middleware/gates/internal/service"
 )
 
-// steerParams configures one comp-steer run.
+// steerParams configures one comp-steer run. Its generation rate, analysis
+// cost and link bandwidth are also the §4.1 model's inputs (see expected).
 type steerParams struct {
-	cfg Config
 	// genRate is the simulation's data generation rate (bytes/s).
 	genRate int
 	// packetBytes is the mesh-update granularity.
 	packetBytes int
-	// costPerByte is the analysis cost.
+	// costPerByte is the analysis cost (0 = analysis is no constraint).
 	costPerByte time.Duration
 	// linkBW constrains the sampler->analysis link (0 = unconstrained).
 	linkBW int64
@@ -34,23 +36,60 @@ type steerParams struct {
 	adaptInterval time.Duration
 }
 
-// steerResult is one run's outcome.
-type steerResult struct {
-	// Trace is the sampling factor over virtual time.
-	Trace *metrics.TimeSeries
-	// Converged is the settled value: the trace mean over the final
-	// steady window of the generation period.
-	Converged float64
+// steerCell is one comp-steer configuration of a convergence study.
+type steerCell struct {
+	label string
+	p     steerParams
+}
+
+// settled is the window "Converged" reads: the steady tail of the generation
+// period, excluding the end-of-stream drain.
+func (p steerParams) settled() (from, to time.Duration) {
+	return p.duration * 6 / 10, p.duration
+}
+
+// expected asks the §4.1 model for the run's sustainable sampling factor.
+func (p steerParams) expected() (float64, error) {
+	analysisRate := math.Inf(1)
+	if p.costPerByte > 0 {
+		analysisRate = 1 / p.costPerByte.Seconds()
+	}
+	return steeringModel(float64(p.genRate), analysisRate, float64(p.linkBW))
+}
+
+// runConvergence runs every cell on the experiment pool and returns one
+// series per cell, in cell order.
+func runConvergence(cfg Config, cells []steerCell) ([]ConvergenceSeries, error) {
+	series := make([]ConvergenceSeries, len(cells))
+	err := forEach(cfg.parallelism(), len(cells), func(i int) error {
+		c := cells[i]
+		trace, err := runCompSteer(cfg, c.p)
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.label, err)
+		}
+		expected, err := c.p.expected()
+		if err != nil {
+			return err
+		}
+		series[i] = ConvergenceSeries{
+			Label:     c.label,
+			Expected:  expected,
+			Converged: trace.WindowMean(c.p.settled()),
+			Trace:     trace,
+		}
+		return nil
+	})
+	return series, err
 }
 
 // runCompSteer deploys one comp-steer pipeline (simulation node → analysis
 // node) through the middleware stack and records the sampling factor the
 // middleware chooses over time.
-func runCompSteer(p steerParams) (*steerResult, error) {
+func runCompSteer(cfg Config, p steerParams) (*metrics.TimeSeries, error) {
 	// Quick mode does not shrink these runs: convergence from the
 	// paper's initial rates needs the full window, and a 300-virtual-
 	// second run is only ~1 wall second at the default scale.
-	scale := p.cfg.scale(300)
+	scale := cfg.scale(300)
 	if p.adaptInterval == 0 {
 		p.adaptInterval = 500 * time.Millisecond
 	}
@@ -94,9 +133,8 @@ func runCompSteer(p steerParams) (*steerResult, error) {
 
 	trace := metrics.NewTimeSeriesAt(f.clk.Now())
 	adaptOpts := func(capacity int) adapt.Options {
-		o := adapt.Options{Capacity: capacity}
+		o := adapt.Defaults(capacity)
 		if p.adaptOverride != nil {
-			o = adapt.Defaults(capacity)
 			p.adaptOverride(&o)
 		}
 		return o
@@ -138,12 +176,31 @@ func runCompSteer(p steerParams) (*steerResult, error) {
 	if err := app.Wait(); err != nil {
 		return nil, fmt.Errorf("comp-steer run: %w", err)
 	}
+	return trace, nil
+}
 
-	// "Converged" reads the steady tail of the generation window,
-	// excluding the end-of-stream drain.
-	from := p.duration * 6 / 10
-	return &steerResult{
-		Trace:     trace,
-		Converged: trace.WindowMean(from, p.duration),
-	}, nil
+// steeringModel builds the §4.1 queueing network of a comp-steer run —
+// generator → sampler → (link) → analysis — and asks it for the sustainable
+// sampling factor. linkBW of 0 means an unconstrained link.
+func steeringModel(genRate, analysisRate, linkBW float64) (float64, error) {
+	stations := []queuing.Station{{Name: "sampler"}}
+	if linkBW > 0 {
+		stations = append(stations, queuing.Station{Name: "link", ServiceRate: linkBW})
+	}
+	stations = append(stations, queuing.Station{Name: "analysis", ServiceRate: analysisRate})
+	n := queuing.New()
+	for i, st := range stations {
+		if err := n.AddStation(st); err != nil {
+			return 0, err
+		}
+		if i > 0 {
+			if err := n.Route(stations[i-1].Name, st.Name, 1); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if err := n.SetArrival("sampler", genRate); err != nil {
+		return 0, err
+	}
+	return n.SustainableFraction("sampler")
 }

@@ -15,16 +15,13 @@
 //   - Figure9: comp-steer sampling-rate convergence under five generation
 //     rates through a 10 KB/s link.
 //
-// The Ablation functions exercise the design choices DESIGN.md calls out
-// (φ2 variant, Equation 4 sign, weight vector, window size, congestion
-// priority).
+// Ablations exercises the design choices DESIGN.md calls out (Equation 4
+// sign, φ2 variant, weight vector, window size, observation interval,
+// congestion priority) as variants of Figure 8's 20 ms/byte cell; Figures 8
+// and 9 and the ablations share one comp-steer runner.
 package experiments
 
-import (
-	"time"
-
-	"github.com/gates-middleware/gates/internal/workload"
-)
+import "github.com/gates-middleware/gates/internal/workload"
 
 // Config controls how the experiments execute.
 type Config struct {
@@ -70,20 +67,15 @@ func (c Config) items() int {
 	return 25_000
 }
 
-// fourZipfStreams builds the evaluation workload: four sub-streams of
+// zipfStreams builds the evaluation workload: n sub-streams of
 // itemsPerStream Zipf-distributed integers, plus the merged ground truth.
 // The paper does not specify its distribution; the skew is calibrated so a
 // 100-item summary per source reproduces Figure 5's 97-accuracy regime
 // (heavier-tailed streams churn the counting-samples threshold and push
 // distributed accuracy lower — Figure 7's small-summary cells show that
-// effect within the calibrated workload).
-func fourZipfStreams(seed int64, itemsPerStream int) ([][]int, map[int]int) {
-	return zipfStreams(seed, 4, itemsPerStream)
-}
-
-// zipfStreams generalizes the workload to any sub-stream count (the paper
-// observes "with larger number of data sources ... a larger difference can
-// be expected"; the scaling extension measures that).
+// effect within the calibrated workload). The paper observes "with larger
+// number of data sources ... a larger difference can be expected"; the
+// scaling extension measures that with n > 4.
 func zipfStreams(seed int64, n, itemsPerStream int) ([][]int, map[int]int) {
 	streams := make([][]int, n)
 	parts := make([]map[int]int, n)
@@ -93,6 +85,3 @@ func zipfStreams(seed int64, n, itemsPerStream int) ([][]int, map[int]int) {
 	}
 	return streams, workload.MergeCounts(parts...)
 }
-
-// secondsOf renders a virtual duration as float seconds.
-func secondsOf(d time.Duration) float64 { return d.Seconds() }

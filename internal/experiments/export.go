@@ -17,15 +17,15 @@ type Report struct {
 	// Seed is the workload seed used.
 	Seed int64 `json:"seed"`
 
-	Figure5   []Fig5Row      `json:"figure5"`
-	Figure6   []SweepRowJSON `json:"figure6"`
-	Figure7   []SweepRowJSON `json:"figure7"`
-	Figure8   []SeriesJSON   `json:"figure8"`
-	Figure9   []SeriesJSON   `json:"figure9"`
-	Ablations []AblationJSON `json:"ablations"`
-	Scaling   []ScalingRow   `json:"scalingSources"`
-	Hierarchy []HierarchyRow `json:"hierarchy"`
-	Migration *MigrationJSON `json:"migration"`
+	Figure5   []Fig5Row         `json:"figure5"`
+	Figure6   []SweepRowJSON    `json:"figure6"`
+	Figure7   []SweepRowJSON    `json:"figure7"`
+	Figure8   []SeriesJSON      `json:"figure8"`
+	Figure9   []SeriesJSON      `json:"figure9"`
+	Ablations []*AblationResult `json:"ablations"`
+	Scaling   []ScalingRow      `json:"scalingSources"`
+	Hierarchy []HierarchyRow    `json:"hierarchy"`
+	Migration *MigrationJSON    `json:"migration"`
 }
 
 // MigrationJSON is the live re-deployment study.
@@ -63,12 +63,6 @@ type SeriesJSON struct {
 	Expected  float64     `json:"expected"`
 	Converged float64     `json:"converged"`
 	Trace     []PointJSON `json:"trace"`
-}
-
-// AblationJSON is one ablation study.
-type AblationJSON struct {
-	Name string        `json:"name"`
-	Rows []AblationRow `json:"rows"`
 }
 
 // tracePoints flattens a time series, downsampled to a plottable size.
@@ -135,15 +129,9 @@ func RunAll(cfg Config) (*Report, error) {
 	}
 	rep.Figure9 = seriesJSON(f9.Series)
 
-	for _, study := range []func(Config) (*AblationResult, error){
-		AblationDownstreamSign, AblationPhi2, AblationWeights,
-		AblationWindow, AblationInterval, AblationCongestionPriority,
-	} {
-		res, err := study(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("report: %w", err)
-		}
-		rep.Ablations = append(rep.Ablations, AblationJSON{Name: res.Name, Rows: res.Rows})
+	rep.Ablations, err = Ablations(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("report: %w", err)
 	}
 
 	scaling, err := ExtScalingSources(cfg)

@@ -55,9 +55,9 @@ func ExtScalingSources(cfg Config) (*ScalingResult, error) {
 		}
 		res.Rows = append(res.Rows, ScalingRow{
 			Sources:      m,
-			CentralizedS: secondsOf(cen.Elapsed),
-			DistributedS: secondsOf(dis.Elapsed),
-			Speedup:      secondsOf(cen.Elapsed) / secondsOf(dis.Elapsed),
+			CentralizedS: cen.Elapsed.Seconds(),
+			DistributedS: dis.Elapsed.Seconds(),
+			Speedup:      cen.Elapsed.Seconds() / dis.Elapsed.Seconds(),
 		})
 	}
 	return res, nil
@@ -235,7 +235,7 @@ func runHierarchy(cfg Config, hierarchical, autoPlace bool) (HierarchyRow, error
 	}
 	return HierarchyRow{
 		Topology: label,
-		Seconds:  secondsOf(f.elapsed()),
+		Seconds:  f.elapsed().Seconds(),
 		Accuracy: metrics.TopKAccuracy(truth, merger.TopK(10), 10).Score(),
 		WANBytes: wan["a"].Stats().Bytes + wan["b"].Stats().Bytes,
 	}, nil

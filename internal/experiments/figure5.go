@@ -36,7 +36,7 @@ func Figure5(cfg Config) (*Fig5Result, error) {
 		if err != nil {
 			return fmt.Errorf("figure5 %s: %w", params[i].style, err)
 		}
-		rows[i] = Fig5Row{Style: params[i].style, Seconds: secondsOf(run.Elapsed), Accuracy: run.Acc.Score()}
+		rows[i] = Fig5Row{Style: params[i].style, Seconds: run.Elapsed.Seconds(), Accuracy: run.Acc.Score()}
 		return nil
 	})
 	if err != nil {

@@ -58,7 +58,7 @@ func Figure67(cfg Config) (*Fig67Result, error) {
 			return fmt.Errorf("figure6/7 version=%s bw=%d: %w", version, bw, err)
 		}
 		res.Cells[v][b] = Fig67Cell{
-			Seconds:        secondsOf(run.Elapsed),
+			Seconds:        run.Elapsed.Seconds(),
 			Accuracy:       run.Acc.Score(),
 			AdaptiveFinalN: run.FinalSummarySize,
 		}

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 	"time"
 
 	"github.com/gates-middleware/gates/internal/metrics"
-	"github.com/gates-middleware/gates/internal/queuing"
 )
 
 // ConvergenceSeries is one line of a Figure 8/9-style plot: how the
@@ -25,142 +23,80 @@ type ConvergenceSeries struct {
 	Trace *metrics.TimeSeries
 }
 
+// ConvergenceResult reproduces Figure 8 or 9: one convergence series per
+// configuration, under the figure's title and the paper's reading.
+type ConvergenceResult struct {
+	title, paper string
+	Series       []ConvergenceSeries
+}
+
+// Render prints the convergence table.
+func (r *ConvergenceResult) Render(w io.Writer) {
+	fmt.Fprintln(w, r.title)
+	fmt.Fprintf(w, "  [paper: %s]\n", r.paper)
+	renderConvergence(w, r.Series)
+}
+
 // Fig8Costs are the five analysis costs of §5.4, in ms/byte.
 var Fig8Costs = []int{1, 5, 8, 10, 20}
 
-// Fig8Result reproduces Figure 8: sampling-factor convergence under a
-// processing constraint (generation 160 B/s, initial factor 0.13).
-type Fig8Result struct {
-	Series []ConvergenceSeries
+// fig8Cell is §5.4's comp-steer run: a 160 B/s stream, sampled from an
+// initial factor of 0.13, analysed at costMs ms/byte.
+func fig8Cell(costMs int) steerCell {
+	return steerCell{label: fmt.Sprintf("%d ms/byte", costMs), p: steerParams{
+		genRate:     160,
+		packetBytes: 16,
+		costPerByte: time.Duration(costMs) * time.Millisecond,
+		initialRate: 0.13,
+		duration:    300 * time.Second,
+	}}
 }
 
 // Figure8 runs §5.4: five comp-steer versions whose post-processing costs
 // 1, 5, 8, 10 and 20 ms/byte against a 160 B/s stream. The paper's factors
 // converge to 1, 1, .65, .55 and .31.
-func Figure8(cfg Config) (*Fig8Result, error) {
-	series := make([]ConvergenceSeries, len(Fig8Costs))
-	err := forEach(cfg.parallelism(), len(Fig8Costs), func(i int) error {
-		costMs := Fig8Costs[i]
-		run, err := runCompSteer(steerParams{
-			cfg:         cfg,
-			genRate:     160,
-			packetBytes: 16,
-			costPerByte: time.Duration(costMs) * time.Millisecond,
-			initialRate: 0.13,
-			duration:    300 * time.Second,
-		})
-		if err != nil {
-			return fmt.Errorf("figure8 cost=%dms: %w", costMs, err)
-		}
-		expected, err := steeringModel(160, 1000/float64(costMs), 0)
-		if err != nil {
-			return err
-		}
-		series[i] = ConvergenceSeries{
-			Label:     fmt.Sprintf("%d ms/byte", costMs),
-			Expected:  expected,
-			Converged: run.Converged,
-			Trace:     run.Trace,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+func Figure8(cfg Config) (*ConvergenceResult, error) {
+	cells := make([]steerCell, len(Fig8Costs))
+	for i, ms := range Fig8Costs {
+		cells[i] = fig8Cell(ms)
 	}
-	return &Fig8Result{Series: series}, nil
-}
-
-// Render prints the convergence table.
-func (r *Fig8Result) Render(w io.Writer) {
-	fmt.Fprintln(w, "Figure 8: Self-adaptation for a processing constraint (gen 160 B/s, initial 0.13)")
-	fmt.Fprintln(w, "  [paper: converges to 1, 1, .65, .55, .31]")
-	renderConvergence(w, r.Series)
+	series, err := runConvergence(cfg, cells)
+	if err != nil {
+		return nil, fmt.Errorf("figure8 %w", err)
+	}
+	return &ConvergenceResult{
+		title:  "Figure 8: Self-adaptation for a processing constraint (gen 160 B/s, initial 0.13)",
+		paper:  "converges to 1, 1, .65, .55, .31",
+		Series: series,
+	}, nil
 }
 
 // Fig9GenRates are the five generation rates of §5.5, in KB/s.
 var Fig9GenRates = []int{5, 10, 20, 40, 80}
 
-// Fig9Result reproduces Figure 9: sampling-factor convergence under a
-// network constraint (10 KB/s link, initial factor 0.01).
-type Fig9Result struct {
-	Series []ConvergenceSeries
-}
-
-// Figure9 runs §5.5: data generated at 5/10/20/40/80 KB/s, sampled, and
-// sent over a 10 KB/s link. The sustainable factors are 1, 1, .5, .25 and
-// .125.
-func Figure9(cfg Config) (*Fig9Result, error) {
-	series := make([]ConvergenceSeries, len(Fig9GenRates))
-	err := forEach(cfg.parallelism(), len(Fig9GenRates), func(i int) error {
-		genKB := Fig9GenRates[i]
-		run, err := runCompSteer(steerParams{
-			cfg:         cfg,
-			genRate:     genKB * 1000,
+// Figure9 runs §5.5: data generated at 5/10/20/40/80 KB/s, sampled from an
+// initial factor of 0.01, and sent over a 10 KB/s link. The sustainable
+// factors are 1, 1, .5, .25 and .125.
+func Figure9(cfg Config) (*ConvergenceResult, error) {
+	cells := make([]steerCell, len(Fig9GenRates))
+	for i, kb := range Fig9GenRates {
+		cells[i] = steerCell{label: fmt.Sprintf("%d KB/s", kb), p: steerParams{
+			genRate:     kb * 1000,
 			packetBytes: 500,
 			linkBW:      10_000,
 			initialRate: 0.01,
 			duration:    300 * time.Second,
-		})
-		if err != nil {
-			return fmt.Errorf("figure9 gen=%dKB/s: %w", genKB, err)
-		}
-		expected, err := steeringModel(float64(genKB)*1000, math.Inf(1), 10_000)
-		if err != nil {
-			return err
-		}
-		series[i] = ConvergenceSeries{
-			Label:     fmt.Sprintf("%d KB/s", genKB),
-			Expected:  expected,
-			Converged: run.Converged,
-			Trace:     run.Trace,
-		}
-		return nil
-	})
+		}}
+	}
+	series, err := runConvergence(cfg, cells)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("figure9 %w", err)
 	}
-	return &Fig9Result{Series: series}, nil
-}
-
-// Render prints the convergence table.
-func (r *Fig9Result) Render(w io.Writer) {
-	fmt.Fprintln(w, "Figure 9: Self-adaptation for a network constraint (10 KB/s link, initial 0.01)")
-	fmt.Fprintln(w, "  [paper: converges to ~1, 1, .5, .25, .125]")
-	renderConvergence(w, r.Series)
-}
-
-// steeringModel builds the §4.1 queueing network of a comp-steer run —
-// generator → sampler → (link) → analysis — and asks it for the sustainable
-// sampling factor. linkBW of 0 means an unconstrained link.
-func steeringModel(genRate, analysisRate float64, linkBW float64) (float64, error) {
-	n := queuing.New()
-	if err := n.AddStation(queuing.Station{Name: "sampler"}); err != nil {
-		return 0, err
-	}
-	prev := "sampler"
-	if linkBW > 0 {
-		if err := n.AddStation(queuing.Station{Name: "link", ServiceRate: linkBW}); err != nil {
-			return 0, err
-		}
-		if err := n.Route(prev, "link", 1); err != nil {
-			return 0, err
-		}
-		prev = "link"
-	}
-	if err := n.AddStation(queuing.Station{Name: "analysis", ServiceRate: analysisRate}); err != nil {
-		return 0, err
-	}
-	if prev != "sampler" {
-		if err := n.Route(prev, "analysis", 1); err != nil {
-			return 0, err
-		}
-	} else if err := n.Route("sampler", "analysis", 1); err != nil {
-		return 0, err
-	}
-	if err := n.SetArrival("sampler", genRate); err != nil {
-		return 0, err
-	}
-	return n.SustainableFraction("sampler")
+	return &ConvergenceResult{
+		title:  "Figure 9: Self-adaptation for a network constraint (10 KB/s link, initial 0.01)",
+		paper:  "converges to ~1, 1, .5, .25, .125",
+		Series: series,
+	}, nil
 }
 
 // renderConvergence prints settled values plus a downsampled trace per

@@ -132,7 +132,7 @@ func runMigration(cfg Config, collapseAt time.Duration, migrating bool) (*Migrat
 
 	row := &MigrationRow{
 		Mode:             "static",
-		Seconds:          secondsOf(f.elapsed()),
+		Seconds:          f.elapsed().Seconds(),
 		Accuracy:         metrics.TopKAccuracy(truth, merger.TopK(10), 10).Membership,
 		PostCollapseRate: postCollapseRate(trace, collapseAt),
 		Trace:            trace,

@@ -159,7 +159,7 @@ func runPolicyMode(cfg Config, collapseAt, reloadAt time.Duration, hotReload boo
 
 	row := &PolicyRow{
 		Mode:       "static-v1",
-		Seconds:    secondsOf(f.elapsed()),
+		Seconds:    f.elapsed().Seconds(),
 		Migrations: reb.Migrations(),
 	}
 	if hotReload {

@@ -100,23 +100,7 @@ func MergeMetrics(snaps []NodeSnapshot) ([]MetricPoint, error) {
 	var mergeErr error
 	for _, snap := range snaps {
 		for _, p := range snap.Metrics {
-			// Pool stats are per-process resources, not per-stage work:
-			// summing them across nodes would hide which node's pool is
-			// exhausted, so their node label survives the merge (injected
-			// from the source name when the series has none).
-			keepNode := strings.HasPrefix(p.Name, "gates_pool_")
-			labels := make(map[string]string, len(p.Labels)+1)
-			for k, v := range p.Labels {
-				if k == "node" && !keepNode {
-					continue
-				}
-				labels[k] = v
-			}
-			if keepNode && labels["node"] == "" && snap.Node != "" {
-				labels["node"] = snap.Node
-			}
-			key, _ := canonical(labels)
-			key = p.Name + "{" + key + "}"
+			key, labels := mergeKey(p, snap.Node)
 			g, ok := merged[key]
 			if !ok {
 				cp := p
@@ -155,6 +139,27 @@ func MergeMetrics(snaps []NodeSnapshot) ([]MetricPoint, error) {
 		out = append(out, g.point)
 	}
 	return out, mergeErr
+}
+
+// mergeKey names the series p of node's snapshot folds into: its name plus
+// its labels with "node" dropped. Pool stats are per-process resources, not
+// per-stage work: summing them across nodes would hide which node's pool is
+// exhausted, so their node label survives the merge (injected from the
+// source name when the series has none).
+func mergeKey(p MetricPoint, node string) (string, map[string]string) {
+	keepNode := strings.HasPrefix(p.Name, "gates_pool_")
+	labels := make(map[string]string, len(p.Labels)+1)
+	for k, v := range p.Labels {
+		if k == "node" && !keepNode {
+			continue
+		}
+		labels[k] = v
+	}
+	if keepNode && labels["node"] == "" && node != "" {
+		labels["node"] = node
+	}
+	key, _ := canonical(labels)
+	return p.Name + "{" + key + "}", labels
 }
 
 // NodeStatus reports one source's health in a cluster view.

@@ -299,10 +299,9 @@ func (e *Engine) Run(ctx context.Context) error {
 		firstErr error
 	)
 	for _, st := range stages {
-		// The adaptation loop runs for processor stages (which own an
-		// observable server queue). Source stages have no queue; their
-		// parameters, if any, react only to downstream exceptions, so
-		// they get an adjust-only loop when adaptation is enabled.
+		// The adaptation loop runs for every stage with adaptation
+		// enabled. Source stages have no queue to observe; their
+		// parameters, if any, react only to downstream exceptions.
 		if !st.cfg.DisableAdaptation {
 			adaptWg.Add(1)
 			go func(st *Stage) {
@@ -310,7 +309,7 @@ func (e *Engine) Run(ctx context.Context) error {
 				// Adaptation shares the stage's CPU-attribution bucket: its
 				// epochs are work done on that stage's behalf.
 				pprof.Do(ctx, pprof.Labels("stage", st.id), func(ctx context.Context) {
-					st.adaptLoopFor(ctx)
+					st.adaptLoop(ctx)
 				})
 			}(st)
 		}
@@ -373,34 +372,4 @@ func (s *Stage) producers() int {
 		seen[up] = struct{}{}
 	}
 	return len(seen)
-}
-
-// adaptLoopFor dispatches to the queue-observing loop for processor stages
-// and the adjust-only loop for sources.
-func (s *Stage) adaptLoopFor(ctx context.Context) {
-	if s.src == nil {
-		s.adaptLoop(ctx)
-		return
-	}
-	ticks := 0
-	var rates epochRates
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.doneCh:
-			return
-		case <-s.clk.After(s.cfg.AdaptInterval):
-		}
-		ticks++
-		if ticks%s.cfg.AdjustEvery == 0 {
-			now := s.clk.Now()
-			res := s.ctrl.AdjustDetailed()
-			lambda, mu := rates.advance(now, s.Stats())
-			s.recordAdjustment(now, res, lambda, mu)
-			if s.cfg.OnAdjust != nil && len(res.Adjustments) > 0 {
-				s.cfg.OnAdjust(s, now, res.Adjustments)
-			}
-		}
-	}
 }

@@ -1305,9 +1305,10 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 	}
 }
 
-// adaptLoop samples the input queue on the configured interval, reports
-// exceptions to every upstream neighbor, and periodically adjusts
-// parameters. It stops when the stage finishes or the run is canceled.
+// adaptLoop ticks on the configured interval and adjusts parameters every
+// AdjustEvery ticks. A stage with an input queue (every stage but a source)
+// also samples that queue each tick and reports its exceptions to every
+// upstream neighbor. It stops when the stage finishes or the run is canceled.
 func (s *Stage) adaptLoop(ctx context.Context) {
 	ticks := 0
 	var rates epochRates
@@ -1319,13 +1320,15 @@ func (s *Stage) adaptLoop(ctx context.Context) {
 			return
 		case <-s.clk.After(s.cfg.AdaptInterval):
 		}
-		ob := s.ctrl.Observe(s.QueueLen())
-		if s.cfg.OnObserve != nil {
-			s.cfg.OnObserve(s, s.clk.Now(), ob)
-		}
-		if ob.Exception != adapt.ExceptionNone {
-			for _, up := range s.upstream {
-				up.ctrl.OnDownstreamException(ob.Exception)
+		if s.src == nil {
+			ob := s.ctrl.Observe(s.QueueLen())
+			if s.cfg.OnObserve != nil {
+				s.cfg.OnObserve(s, s.clk.Now(), ob)
+			}
+			if ob.Exception != adapt.ExceptionNone {
+				for _, up := range s.upstream {
+					up.ctrl.OnDownstreamException(ob.Exception)
+				}
 			}
 		}
 		ticks++

@@ -4,7 +4,7 @@
 // The paper's deployment ran each GATES grid-service instance on its own
 // node, exchanging data and control (over/under-load exceptions) over Java
 // sockets. This package is the Go equivalent: an explicit, versioned wire
-// format (DESIGN.md §6) — a 4-byte preamble from each end, then
+// format (DESIGN.md §6) — a 4-byte preamble from each end, dialer first, then
 // length-prefixed frames that each hold one hand-encoded Message — and a
 // client/server pair with pipeline bridges (Egress forwards a local stage's
 // output to a remote host; Ingress feeds packets received from the network
@@ -36,20 +36,37 @@ const WireVersion = 1
 // Tests shorten it.
 var handshakeTimeout = 5 * time.Second
 
-// handshake writes this end's preamble — 'G', 'T', 'S', WireVersion — and
-// reads the peer's, both under handshakeTimeout. Each end writes before it
-// reads, so neither waits on the other.
-func handshake(conn net.Conn) error {
+// handshake exchanges preambles — 'G', 'T', 'S', WireVersion — under
+// handshakeTimeout. The ends take turns, the dialer writing first, so the
+// exchange completes on a conn with no buffering (net.Pipe) as well as over
+// TCP. The listener answers even a wrong preamble, so a peer of another wire
+// version learns which one this end speaks.
+func handshake(conn net.Conn, dialer bool) error {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
-	var peer [4]byte
-	if _, err := conn.Write([]byte{'G', 'T', 'S', WireVersion}); err != nil {
-		return fmt.Errorf("transport: write preamble: %w", err)
+	if dialer {
+		if err := writePreamble(conn); err != nil {
+			return err
+		}
 	}
+	var peer [4]byte
 	if _, err := io.ReadFull(conn, peer[:]); err != nil {
 		return fmt.Errorf("transport: read preamble: %w", err)
 	}
-	return checkPreamble(peer)
+	err := checkPreamble(peer)
+	if !dialer {
+		if werr := writePreamble(conn); err == nil {
+			err = werr
+		}
+	}
+	return err
+}
+
+func writePreamble(conn net.Conn) error {
+	if _, err := conn.Write([]byte{'G', 'T', 'S', WireVersion}); err != nil {
+		return fmt.Errorf("transport: write preamble: %w", err)
+	}
+	return nil
 }
 
 // checkPreamble accepts exactly this build's preamble.

@@ -46,7 +46,7 @@ func rawDial(t *testing.T, addr string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := handshake(conn); err != nil {
+	if err := handshake(conn, true); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -240,6 +240,50 @@ func TestServerRefusesBadHandshake(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestHandshakeOverPipe: net.Pipe has no buffer, so a write completes only
+// once the other end reads it. The handshake must still finish on both ends,
+// well inside a shortened deadline, because the ends take turns; and a
+// listener that refuses another wire version still tells the peer its own.
+func TestHandshakeOverPipe(t *testing.T) {
+	old := handshakeTimeout
+	handshakeTimeout = time.Second
+	defer func() { handshakeTimeout = old }()
+	pipe := func() (dialer, listener net.Conn, served <-chan error) {
+		dialer, listener = net.Pipe()
+		t.Cleanup(func() { dialer.Close(); listener.Close() })
+		done := make(chan error, 1)
+		go func() { done <- handshake(listener, false) }()
+		return dialer, listener, done
+	}
+
+	dialer, _, served := pipe()
+	start := time.Now()
+	if err := handshake(dialer, true); err != nil {
+		t.Fatalf("dialer: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("listener: %v", err)
+	}
+	if took := time.Since(start); took >= handshakeTimeout {
+		t.Fatalf("handshake took %v, not under the %v deadline", took, handshakeTimeout)
+	}
+
+	peer, _, served := pipe()
+	if _, err := peer.Write([]byte{'G', 'T', 'S', 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	var answer [4]byte
+	if _, err := io.ReadFull(peer, answer[:]); err != nil {
+		t.Fatalf("listener did not answer a version-255 peer: %v", err)
+	}
+	if err := checkPreamble(answer); err != nil {
+		t.Fatalf("listener answered %q: %v", answer[:], err)
+	}
+	if err := <-served; err == nil || !strings.Contains(err.Error(), "version 255") {
+		t.Fatalf("listener accepted a version-255 peer: %v", err)
+	}
 }
 
 // TestStalledPeerHoldsNoFrameBuffer: a length prefix is a claim, not bytes.

@@ -125,7 +125,7 @@ func (s *Server) acceptLoop() {
 // deadline, is closed before any frame is read or counted.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	if handshake(conn) == nil {
+	if handshake(conn, false) == nil {
 		s.mu.Lock()
 		s.conns[conn] = true
 		s.mu.Unlock()
@@ -227,7 +227,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	if err := handshake(conn); err != nil {
+	if err := handshake(conn, true); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}

@@ -73,6 +73,10 @@ go test -run '^$' -fuzz FuzzRingModel -fuzztime 10s ./internal/queue
 # trip, and the application descriptor (-config) must parse or fail cleanly.
 go test -run '^$' -fuzz FuzzPolicyParse -fuzztime 10s ./internal/policy
 go test -run '^$' -fuzz FuzzParseConfig -fuzztime 10s ./internal/service
+# And for the snapshots a remote node serves the cluster aggregator (-top,
+# /cluster): MergeMetrics must not panic, and must report histograms whose
+# bounds differ rather than merge them.
+go test -run '^$' -fuzz FuzzMergeSnapshots -fuzztime 10s ./internal/obs
 # (Not "! grep": errexit ignores a negated command.)
 if grep -rn '"encoding/gob"' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "guard: encoding/gob is imported again; the wire has one codec"; exit 1
