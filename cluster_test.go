@@ -130,7 +130,9 @@ func TestClusterMergedLatencyMatchesVirtualClock(t *testing.T) {
 		t.Fatalf("sinks recorded %d + %d samples, want %d each", len(latA), len(latB), packets)
 	}
 
-	agg := obs.NewAggregator(clk, obs.SLOConfig{TargetP99: 1e6})
+	agg := obs.NewAggregator(clk, func() (obs.SLOConfig, string) {
+		return obs.SLOConfig{TargetP99: 1e6}, ""
+	})
 	agg.AddSource("node-a", obs.LocalSource(obA))
 	agg.AddSource("node-b", obs.LocalSource(obB))
 	srv, err := obs.ServeWith("127.0.0.1:0", obA, obs.HandlerOptions{Aggregator: agg})
@@ -293,7 +295,7 @@ func TestSLOFlagTripsUnderOverloadAndClears(t *testing.T) {
 	eng.Connect(smp, ana, nil)
 
 	// No latency target: the growth detector alone judges this run.
-	agg := obs.NewAggregator(clk, obs.SLOConfig{})
+	agg := obs.NewAggregator(clk, nil)
 	agg.SetJournal(ob.Journal)
 	agg.AddSource("local", obs.LocalSource(ob))
 

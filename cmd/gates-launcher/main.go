@@ -27,13 +27,15 @@
 // disables it).
 //
 // The run is policy-driven: -policy loads a declarative control-plane
-// document (placement rules, rebalance thresholds, SLO objectives),
-// -policy-watch and POST /policy hot-reload it mid-run with
+// document (placement rules, rebalance thresholds, SLO objectives, the fault
+// plane), -policy-watch and POST /policy hot-reload it mid-run with
 // validation-and-rollback, and /events (?kind=placement, rebalance, slo,
 // policy) serves every placement, rebalance verdict, and SLO evaluation with
-// the policy version that produced it. -slo-p99 overrides the document's
-// latency target. -flight-dump makes SIGQUIT, and every SLO violation,
-// snapshot the journal to disk.
+// the policy version that produced it. The document is the only place a
+// control constant is set: its faults section makes the service Launcher
+// arm checkpointing, failure detection and scripted injections, and its slo
+// section is what the cluster SLO detector judges by. -flight-dump makes
+// SIGQUIT, and every SLO violation, snapshot the journal to disk.
 package main
 
 import (
@@ -51,7 +53,6 @@ import (
 	"github.com/gates-middleware/gates/internal/cliconf"
 	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/obs"
-	"github.com/gates-middleware/gates/internal/policy"
 	"github.com/gates-middleware/gates/internal/service"
 )
 
@@ -61,7 +62,6 @@ func main() {
 		scale     = flag.Float64("scale", 500, "virtual seconds per wall second")
 		bandwidth = flag.Int64("bandwidth", 100_000, "cross-node link bandwidth, bytes per virtual second")
 		scrape    = flag.String("scrape", "", "comma-separated observability addresses of remote gates-node processes whose /snapshot feeds the /cluster view")
-		sloP99    = flag.Duration("slo-p99", 0, "end-to-end latency SLO: flag a violation when the merged sink-side p99 exceeds this much virtual time (0 = no latency target; queue-growth detection stays on; overrides the policy document's slo.target_p99)")
 		topIv     = flag.Duration("top", 0, "render the cluster-wide dashboard to stderr every this much virtual time, plus a final one to stdout (0 = off)")
 	)
 	shared := cliconf.Register(flag.CommandLine)
@@ -74,7 +74,6 @@ func main() {
 		scale:     *scale,
 		bandwidth: *bandwidth,
 		scrape:    splitScrape(*scrape),
-		sloP99:    *sloP99,
 		topIv:     *topIv,
 		conf:      *shared,
 	}
@@ -102,7 +101,6 @@ type launcherOptions struct {
 	scale     float64           // virtual seconds per wall second (<=0 = 1)
 	bandwidth int64             // cross-node bandwidth, bytes per virtual second
 	scrape    []string          // remote node obs addresses feeding /cluster
-	sloP99    time.Duration     // end-to-end p99 target (0 = policy document's)
 	topIv     time.Duration     // cluster dashboard interval (0 = off)
 	conf      cliconf.Flags     // shared observability + policy flags
 	onObs     func(addr string) // test hook: bound observability address
@@ -136,40 +134,16 @@ func run(config string, o launcherOptions) error {
 	defer o.conf.NotifyFlightDump(ob, "gates-launcher")()
 
 	// The policy engine is the declarative control plane behind every
-	// placement, rebalance, and SLO verdict of this run: -policy loads a
-	// document, -policy-watch and POST /policy hot-reload it, and each
-	// decision lands in /events citing the version that produced it.
-	// -slo-p99 survives as a flag override compiled into the document.
+	// placement, rebalance, SLO verdict and fault-plane knob of this run:
+	// -policy loads a document, -policy-watch and POST /policy hot-reload
+	// it, and each decision lands in /events citing the version that
+	// produced it.
 	pol, stopWatch, err := o.conf.StartPolicy(clk, ob)
 	if err != nil {
 		return err
 	}
 	defer stopWatch()
-	if o.sloP99 > 0 {
-		doc := pol.Active().Doc
-		doc.SLO.TargetP99 = policy.Duration(o.sloP99)
-		doc.Version = ""
-		if err := pol.Load(doc, "flag:slo-p99"); err != nil {
-			return err
-		}
-	}
 	deployer.SetPolicy(pol)
-
-	// Fault plane: the policy document's faults section (or the explicit
-	// -checkpoint-interval / -replay-buffer flags) turns on per-edge
-	// replay rings — which must be sized before the engine is built —
-	// plus periodic checkpointing and the failure detector after launch.
-	ftDoc := pol.Active().Doc
-	ckIv, replayN, ftOn := o.conf.FaultTolerance(ftDoc)
-	if ftOn {
-		if replayN <= 0 {
-			replayN = policy.DefaultReplayBuffer
-		}
-		if ckIv <= 0 {
-			ckIv = policy.DefaultCheckpointInterval
-		}
-		deployer.SetReplayBuffer(replayN)
-	}
 
 	// The cluster aggregator merges this process's snapshot (the launcher
 	// runs every in-process stage) with any scraped remote nodes, and its
@@ -177,8 +151,7 @@ func run(config string, o launcherOptions) error {
 	// the policy engine currently holds, recording each verdict in the
 	// journal. The violation flag is itself a metric, so a scrape of
 	// /metrics sees the detector's state.
-	agg := obs.NewAggregator(clk, obs.SLOConfig{})
-	agg.SetSLOSource(pol.SLOSource())
+	agg := obs.NewAggregator(clk, pol.SLOSource())
 	agg.SetJournal(ob.Journal)
 	agg.AddSource("launcher", obs.LocalSource(ob))
 	for _, addr := range o.scrape {
@@ -220,45 +193,21 @@ func run(config string, o launcherOptions) error {
 		return err
 	}
 
+	// The Launcher arms the fault plane from the same document it reads
+	// here; these two lines only report what it armed.
+	ft := pol.Active().Doc.Faults
 	sw := clock.NewStopwatch(clk)
 	app, err := launcher.Launch(context.Background(), config, nil)
 	if err != nil {
 		return err
 	}
 	readyFn.Store(app.Ready)
-	if ftOn {
-		store := service.NewCheckpointStore()
-		ck, err := service.NewCheckpointer(app.Deployment, store, ckIv)
-		if err != nil {
-			return err
-		}
-		ck.Start(context.Background())
-		defer ck.Stop()
-		he := ftDoc.Faults.HealthEvery.Std()
-		if he <= 0 {
-			he = policy.DefaultHealthEvery
-		}
-		da := ftDoc.Faults.DeadAfter
-		if da <= 0 {
-			da = policy.DefaultDeadAfter
-		}
-		rec, err := service.NewRecovery(app.Deployment, store, he, da)
-		if err != nil {
-			return err
-		}
-		rec.Start(context.Background())
-		defer rec.Stop()
+	if ft.Enabled {
 		fmt.Printf("fault tolerance on: checkpoints every %s, replay buffer %d, health epoch %s ×%d\n",
-			ckIv, replayN, he, da)
+			ft.CheckpointInterval.Std(), ft.ReplayBuffer, ft.HealthEvery.Std(), ft.DeadAfter)
 	}
-	if len(ftDoc.Faults.Injections) > 0 {
-		fsch, err := service.NewFaultScheduler(clk, net, ftDoc.Faults.Injections, ob)
-		if err != nil {
-			return err
-		}
-		fsch.Start(context.Background())
-		defer fsch.Stop()
-		fmt.Printf("fault schedule armed: %d scripted injections\n", len(ftDoc.Faults.Injections))
+	if n := len(ft.Injections); n > 0 {
+		fmt.Printf("fault schedule armed: %d scripted injections\n", n)
 	}
 	fmt.Printf("launched %q on %d nodes; placements:\n", app.Config.Name, len(dir.List()))
 	for _, p := range app.Placements {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -54,16 +56,21 @@ func TestRunWithObservability(t *testing.T) {
 
 // TestRunClusterEndpoint drives a full launcher run while polling the
 // /cluster endpoint: the merged view must carry end-to-end latency
-// quantiles for the pipeline's sink once the run completes.
+// quantiles for the pipeline's sink once the run completes, judged against
+// the objective the -policy document sets.
 func TestRunClusterEndpoint(t *testing.T) {
+	// A 1 h target is never violated in a smoke run.
+	pol := filepath.Join(t.TempDir(), "policy.json")
+	if err := os.WriteFile(pol, []byte(`{"version": "smoke", "slo": {"target_p99": "1h"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	obsCh := make(chan string, 1)
 	// The comp-steer smoke run covers ~350 virtual seconds; 1000x keeps the
 	// server alive for a few hundred wall milliseconds of polling.
 	opts := launcherOptions{
 		scale:     1000,
 		bandwidth: 100_000,
-		conf:      cliconf.Flags{ObsListen: "127.0.0.1:0"},
-		sloP99:    time.Hour, // never violated in a smoke run
+		conf:      cliconf.Flags{ObsListen: "127.0.0.1:0", PolicyPath: pol},
 		onObs:     func(addr string) { obsCh <- addr },
 	}
 	done := make(chan error, 1)
@@ -101,6 +108,9 @@ func TestRunClusterEndpoint(t *testing.T) {
 	// itself may be up: comp-steer's analysis stage is a deliberate
 	// bottleneck, and the last poll can catch the queue-growth rule on it
 	// (that rule's own scenario is obs.TestSLOMonitorQueueGrowthEpochs).
+	if view.SLO.TargetP99 != obs.JSONFloat(time.Hour.Seconds()) {
+		t.Fatalf("SLO target %v, want the policy document's 1h", view.SLO.TargetP99)
+	}
 	if view.SLO.SinkP99 > view.SLO.TargetP99 {
 		t.Fatalf("sink p99 %v above the 1h target %v: %+v", view.SLO.SinkP99, view.SLO.TargetP99, view.SLO)
 	}

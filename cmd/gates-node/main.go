@@ -26,9 +26,11 @@
 // The node is also policy-driven: -policy loads a declarative control-plane
 // document (and -policy-watch hot-reloads it on change), GET/POST /policy
 // inspects and hot-reloads it over HTTP, and /events?kind=policy shows each
-// load with the policy version it installed. -flight-dump makes SIGQUIT
-// snapshot the journal to disk and keep serving; without it SIGQUIT is the
-// Go runtime's stack dump and exit.
+// load with the policy version it installed. The document's faults section
+// is the only switch for the node's replay rings: with faults.enabled every
+// edge keeps faults.replay_buffer packets for a recovering peer.
+// -flight-dump makes SIGQUIT snapshot the journal to disk and keep serving;
+// without it SIGQUIT is the Go runtime's stack dump and exit.
 package main
 
 import (
@@ -44,7 +46,6 @@ import (
 	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/obs"
 	"github.com/gates-middleware/gates/internal/pipeline"
-	"github.com/gates-middleware/gates/internal/policy"
 	"github.com/gates-middleware/gates/internal/service"
 	"github.com/gates-middleware/gates/internal/transport"
 )
@@ -118,16 +119,13 @@ func run(o nodeOptions) error {
 	eng := pipeline.New(clk)
 	eng.SetObservability(ob)
 
-	// Fault tolerance: arm the per-edge replay rings and consumer-side
-	// watermarks when the flags or the policy document ask for them. The
-	// checkpoint and recovery controllers live with a launcher-owned
-	// deployment; a standalone node contributes the replayable edges and
-	// dedupe that recovery elsewhere depends on.
-	if _, replayN, ftOn := o.conf.FaultTolerance(pol.Active().Doc); ftOn {
-		if replayN <= 0 {
-			replayN = policy.DefaultReplayBuffer
-		}
-		eng.SetDefaultReplayBuffer(replayN)
+	// Fault tolerance: a policy document with faults enabled arms the
+	// per-edge replay rings and consumer-side watermarks. The checkpoint
+	// and recovery controllers live with a launcher-owned deployment; a
+	// standalone node contributes the replayable edges and dedupe that
+	// recovery elsewhere depends on.
+	if ft := pol.Active().Doc.Faults; ft.Enabled {
+		eng.SetDefaultReplayBuffer(ft.ReplayBuffer)
 	}
 
 	// Local stage hosting the user code. When upstream nodes feed this

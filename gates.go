@@ -323,16 +323,15 @@ func (g *Grid) launcher() (*service.Launcher, error) {
 	if g.o != nil {
 		d.SetObservability(g.o)
 	}
-	if g.pol != nil {
-		d.SetPolicy(g.pol)
-	}
+	d.SetPolicy(g.pol)
 	return service.NewLauncher(d)
 }
 
 // NewPolicyEngine builds a policy engine on the grid's clock (logging into
 // the attached observability bundle, when any) and attaches it: every
-// application launched from now on plans, rebalances, and judges SLOs
-// through it. Attach observability first so decisions are logged.
+// application launched from now on plans, rebalances, and arms its fault
+// plane through it, and every aggregator built from now on judges SLOs by
+// it. Attach observability first so decisions are logged.
 func (g *Grid) NewPolicyEngine() *PolicyEngine {
 	e := policy.New(g.clk, g.o)
 	g.pol = e
@@ -426,13 +425,17 @@ func ServeObservability(addr string, o *Observability) (*obs.Server, error) {
 type Aggregator = obs.Aggregator
 
 // NewAggregator returns an aggregator over the grid's observability bundle,
-// attaching a default bundle first when none is attached. Only applications
-// launched afterwards publish into the bundle, so call it before Launch.
+// attaching a default bundle first when none is attached. Its SLO detector
+// judges by the objectives of the policy engine attached now (the default
+// policy's when none is), read afresh at every collection, and records each
+// verdict in the bundle's journal. Only applications launched afterwards
+// publish into the bundle, so call it before Launch.
 func (g *Grid) NewAggregator() *Aggregator {
 	if g.o == nil {
 		g.NewObservability(ObsConfig{})
 	}
-	a := obs.NewAggregator(g.clk, obs.SLOConfig{})
+	a := obs.NewAggregator(g.clk, g.pol.SLOSource())
+	a.SetJournal(g.o.Journal)
 	a.AddSource("grid", obs.LocalSource(g.o))
 	return a
 }

@@ -290,6 +290,28 @@ func TestGridMonitor(t *testing.T) {
 	}
 }
 
+// TestGridAggregatorReadsPolicy: the grid's aggregator judges by the
+// attached policy engine's objectives and journals each verdict citing the
+// document's version.
+func TestGridAggregatorReadsPolicy(t *testing.T) {
+	g, _ := testGrid(t)
+	ob := g.NewObservability(gates.ObsConfig{})
+	doc, err := gates.ParsePolicy([]byte(`{"version": "slo-1ms", "slo": {"target_p99": "1ms"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.NewPolicyEngine().Load(doc, "test"); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.NewAggregator().Collect().SLO.TargetP99; got != 0.001 {
+		t.Fatalf("aggregator SLO target %v, want the policy's 0.001 s", got)
+	}
+	evs := ob.Journal.Events(gates.EventFilter{Kind: "slo"})
+	if len(evs) != 1 || evs[0].PolicyVersion != "slo-1ms" {
+		t.Fatalf("slo events %+v, want one citing slo-1ms", evs)
+	}
+}
+
 // TestGridPolicyEngine drives the declarative control plane through the
 // public API: a policy document with a named placement rule governs a
 // launch, and the journal records each placement citing the rule and the

@@ -1,10 +1,11 @@
 // Package cliconf holds the command-line surface every GATES binary
 // shares: the observability flags (obs endpoint, trace sampling, event
-// journal size and dump path), the policy flags (document path, hot-reload watch), and the
-// plumbing that turns them into a wired observability bundle and policy
-// engine. gates-node and gates-launcher previously each carried a copy of
-// this block; one definition here keeps the flags, their help text, and
-// their defaults from drifting apart.
+// journal size and dump path), the policy flags (document path, hot-reload
+// watch), and the plumbing that turns them into a wired observability
+// bundle and policy engine. One definition here keeps the flags, their help
+// text, and their defaults from drifting apart between gates-node and
+// gates-launcher. No flag here sets a control constant: SLO objectives and
+// the fault plane's knobs come from the -policy document alone.
 package cliconf
 
 import (
@@ -40,12 +41,6 @@ type Flags struct {
 	// PolicyWatch is the wall-clock interval for re-checking PolicyPath
 	// for hot reloads (0 = no watching).
 	PolicyWatch time.Duration
-	// CheckpointInterval is the virtual time between checkpoint rounds
-	// (0 = policy default when faults are enabled, else off).
-	CheckpointInterval time.Duration
-	// ReplayBuffer is the per-edge replay-ring depth (0 = policy default
-	// when faults are enabled, else off).
-	ReplayBuffer int
 }
 
 // Register defines the shared flag block on fs and returns the struct the
@@ -57,27 +52,9 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.FlightSize, "flight-recorder-size", obs.DefaultJournalCapacity, "events retained by the in-memory event journal (/events)")
 	fs.StringVar(&f.FlightDump, "flight-dump", "", "file path the event journal snapshots to on SLO violation or SIGQUIT (omit to disable disk dumps and leave SIGQUIT to the Go runtime)")
 	fs.BoolVar(&f.Verbose, "v", false, "log structured middleware events to stderr")
-	fs.StringVar(&f.PolicyPath, "policy", "", "policy document (JSON or XML) declaring placement rules, rebalance thresholds, and SLO targets (omit for built-in defaults)")
+	fs.StringVar(&f.PolicyPath, "policy", "", "policy document (JSON or XML) declaring placement rules, rebalance thresholds, SLO targets and the fault plane (omit for built-in defaults)")
 	fs.DurationVar(&f.PolicyWatch, "policy-watch", 0, "re-check the -policy file this often (wall clock) and hot-reload it on change (0 = no watching; POST /policy always works)")
-	fs.DurationVar(&f.CheckpointInterval, "checkpoint-interval", 0, "virtual time between asynchronous stage checkpoints (0 = the policy document's faults.checkpoint_interval when faults are enabled, else no checkpointing)")
-	fs.IntVar(&f.ReplayBuffer, "replay-buffer", 0, "per-edge replay-ring depth for crash recovery (0 = the policy document's faults.replay_buffer when faults are enabled, else fault tolerance off)")
 	return f
-}
-
-// FaultTolerance resolves the fault-tolerance knobs against the active
-// policy document: explicit flags win, the document's faults section fills
-// the gaps, and all-zero means the fault plane stays off.
-func (f *Flags) FaultTolerance(doc policy.Document) (checkpoint time.Duration, replay int, enabled bool) {
-	checkpoint, replay = f.CheckpointInterval, f.ReplayBuffer
-	if doc.Faults.Enabled {
-		if checkpoint == 0 {
-			checkpoint = doc.Faults.CheckpointInterval.Std()
-		}
-		if replay == 0 {
-			replay = doc.Faults.ReplayBuffer
-		}
-	}
-	return checkpoint, replay, checkpoint > 0 || replay > 0
 }
 
 // SampleEvery resolves the raw -trace-sample value into the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -57,6 +58,19 @@ func TestRegisterParse(t *testing.T) {
 	}
 	if f.ObsListen != "" || f.PolicyPath != "" || f.PolicyWatch != 0 {
 		t.Errorf("zero-value flags not zero: %+v", *f)
+	}
+}
+
+// TestRegisterRejectsControlConstants: the fault plane's knobs are set in
+// the -policy document, not by flags of their own.
+func TestRegisterRejectsControlConstants(t *testing.T) {
+	for _, arg := range []string{"-checkpoint-interval=1s", "-replay-buffer=64"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse([]string{arg}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", arg, err)
+		}
 	}
 }
 

@@ -263,7 +263,7 @@ type Aggregator struct {
 
 	mu      sync.Mutex
 	sources []aggSource
-	slo     *SLOMonitor
+	slo     *sloMonitor
 	attr    *Attribution
 	last    *ClusterView
 }
@@ -273,20 +273,14 @@ type aggSource struct {
 	fn   SnapshotFunc
 }
 
-// NewAggregator returns an empty aggregator on clk with the given SLO
-// objectives.
-func NewAggregator(clk clock.Clock, slo SLOConfig) *Aggregator {
+// NewAggregator returns an empty aggregator on clk whose SLO detector
+// reads its objectives from slo at every collection (a policy engine's
+// SLOSource).
+func NewAggregator(clk clock.Clock, slo SLOSource) *Aggregator {
 	if clk == nil {
 		panic("obs: NewAggregator requires a clock")
 	}
-	return &Aggregator{clk: clk, slo: NewSLOMonitor(slo), attr: NewAttribution(clk)}
-}
-
-// SetSLOSource makes the aggregator's SLO detector resolve its objectives
-// through the given source (a policy engine's SLO view) on every
-// collection, instead of the static SLOConfig it was built with.
-func (a *Aggregator) SetSLOSource(src SLOSource) {
-	a.slo.SetSource(src)
+	return &Aggregator{clk: clk, slo: newSLOMonitor(slo), attr: NewAttribution(clk)}
 }
 
 // SetJournal makes every SLO evaluation the aggregator runs record one slo
@@ -295,7 +289,9 @@ func (a *Aggregator) SetSLOSource(src SLOSource) {
 // source's journal (the launcher's own bundle), an evaluation's event
 // reaches the cluster view at the next collection. Nil detaches.
 func (a *Aggregator) SetJournal(j *Journal) {
-	a.slo.SetJournal(j)
+	a.mu.Lock()
+	a.slo.journal = j
+	a.mu.Unlock()
 }
 
 // AddSource registers one node snapshot source under name.
@@ -347,28 +343,10 @@ func (a *Aggregator) Collect() *ClusterView {
 	return view
 }
 
-// View returns the last collected view, collecting once if none exists
-// yet.
-func (a *Aggregator) View() *ClusterView {
-	a.mu.Lock()
-	last := a.last
-	a.mu.Unlock()
-	if last != nil {
-		return last
-	}
-	return a.Collect()
-}
-
-// SLOStatus returns the detector's current verdict without collecting.
-func (a *Aggregator) SLOStatus() SLOStatus {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.slo.Status()
-}
-
 // Violated reports the SLO flag as of the last collection, lock-free — the
-// form safe to publish as a registry gauge (SLOStatus would deadlock there:
-// the gauge fires while Collect scrapes the local registry under mu).
+// form safe to publish as a registry gauge (anything taking mu would
+// deadlock there: the gauge fires while Collect scrapes the local registry
+// under mu).
 func (a *Aggregator) Violated() bool { return a.violated.Load() }
 
 // recentEvents merges every snapshot's journal into one timeline ordered by

@@ -87,13 +87,37 @@ func TestMergeMetricsMisalignedBuckets(t *testing.T) {
 	}
 }
 
+// TestMergeMetricsKeepsLabelSetsApart folds remote series whose label
+// values hold a flat key's separators: the two nodes' series differ, so the
+// merge must keep both rather than sum them into one.
+func TestMergeMetricsKeepsLabelSetsApart(t *testing.T) {
+	snaps := []NodeSnapshot{
+		{Node: "n1", Metrics: []MetricPoint{{Name: "x_total", Kind: "counter",
+			Labels: map[string]string{"a": "1,b=2", "node": "n1"}, Value: 3}}},
+		{Node: "n2", Metrics: []MetricPoint{{Name: "x_total", Kind: "counter",
+			Labels: map[string]string{"a": "1", "b": "2", "node": "n2"}, Value: 4}}},
+	}
+	merged, err := MergeMetrics(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged) != 2 {
+		t.Fatalf("two distinct label sets merged into %d series: %+v", len(merged), merged)
+	}
+	for _, p := range merged {
+		if want := map[string]float64{"1,b=2": 3, "1": 4}[p.Labels["a"]]; float64(p.Value) != want {
+			t.Errorf("series %v = %g, want %g", p.Labels, float64(p.Value), want)
+		}
+	}
+}
+
 // TestAggregatorSLOTripAndClear scripts a deployment that falls behind —
 // arrival rate above processing rate shows up as positive d-tilde — and
 // then recovers after adaptation: the cluster flag must trip after the
 // configured epochs and clear once growth stops.
 func TestAggregatorSLOTripAndClear(t *testing.T) {
 	clk := clock.NewManual()
-	agg := NewAggregator(clk, SLOConfig{GrowthEpochs: 3})
+	agg := NewAggregator(clk, objectives(SLOConfig{GrowthEpochs: 3}))
 	j := NewJournal(clk, 16)
 	agg.SetJournal(j)
 	dTilde := 4.0
@@ -139,7 +163,7 @@ func TestClusterEventsKeepNodeSeqOrder(t *testing.T) {
 	clk := clock.NewManual()
 	at := clk.Now()
 	journals := map[string]*Journal{"n1": NewJournal(clk, 64), "n2": NewJournal(clk, 64)}
-	agg := NewAggregator(clk, SLOConfig{})
+	agg := NewAggregator(clk, nil)
 	for _, name := range []string{"n2", "n1"} {
 		j := journals[name]
 		for i := 0; i < 10; i++ {
@@ -176,7 +200,7 @@ func TestClusterEventsNewestPerKind(t *testing.T) {
 		clk.Advance(time.Second)
 		j.Record(Event{Kind: EventAdaptation, Instance: i})
 	}
-	agg := NewAggregator(clk, SLOConfig{})
+	agg := NewAggregator(clk, nil)
 	agg.AddSource("n1", func() (NodeSnapshot, error) {
 		return NodeSnapshot{At: clk.Now(), Events: j.Events(EventFilter{})}, nil
 	})
@@ -191,7 +215,7 @@ func TestClusterEventsNewestPerKind(t *testing.T) {
 
 func TestAggregatorFailedSource(t *testing.T) {
 	clk := clock.NewManual()
-	agg := NewAggregator(clk, SLOConfig{})
+	agg := NewAggregator(clk, nil)
 	agg.AddSource("good", func() (NodeSnapshot, error) {
 		return NodeSnapshot{At: clk.Now(), Metrics: []MetricPoint{counterPoint("gates_items_total", "n1", 7)}}, nil
 	})
@@ -247,7 +271,7 @@ func TestHTTPSource(t *testing.T) {
 
 func TestClusterViewRender(t *testing.T) {
 	clk := clock.NewManual()
-	agg := NewAggregator(clk, SLOConfig{TargetP99: 10})
+	agg := NewAggregator(clk, objectives(SLOConfig{TargetP99: 10}))
 	agg.AddSource("n1", func() (NodeSnapshot, error) {
 		return NodeSnapshot{At: clk.Now(), Metrics: []MetricPoint{
 			{Name: "gates_queue_depth", Kind: "gauge",
@@ -300,7 +324,7 @@ func (s *fakeStage) publish(reg *Registry, stage, node string) {
 // localAggregator collects one in-process bundle, as the launcher does.
 func localAggregator(clk clock.Clock) (*Aggregator, *Registry) {
 	ob := New(clk, Config{})
-	agg := NewAggregator(clk, SLOConfig{})
+	agg := NewAggregator(clk, nil)
 	agg.AddSource("local", LocalSource(ob))
 	return agg, ob.Registry
 }
@@ -478,5 +502,5 @@ func TestNewAggregatorRequiresClock(t *testing.T) {
 			t.Fatal("NewAggregator(nil, ...) did not panic")
 		}
 	}()
-	NewAggregator(nil, SLOConfig{})
+	NewAggregator(nil, nil)
 }

@@ -13,36 +13,20 @@ import (
 
 // BenchmarkOpStartUnsampled is a span site between samples: the period is
 // longer than b.N can reach, so after the first span every iteration is
-// unsampled. "due" is what a per-packet site runs — Due inline, Begin and the
-// Span in a function only the sampled iteration calls; "start" is Op.Start
-// with the span a local whose address End takes, the shape the sites had.
+// unsampled. It runs what a per-packet site runs — Due inline, Begin and the
+// Span in a function only the sampled iteration calls.
 func BenchmarkOpStartUnsampled(b *testing.B) {
-	newOp := func() *Op {
-		op := NewTracer(clock.NewManual(), 1<<40, 1).Op("bench")
-		sp := op.Start()
-		sp.End()
-		return op
+	op := NewTracer(clock.NewManual(), 1<<40, 1).Op("bench")
+	if op.Due() {
+		benchSampled(op)
 	}
-	b.Run("due", func(b *testing.B) {
-		op := newOp()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if op.Due() {
-				benchSampled(op)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if op.Due() {
+			benchSampled(op)
 		}
-	})
-	b.Run("start", func(b *testing.B) {
-		op := newOp()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if sp := op.Start(); sp.Sampled() {
-				sp.End()
-			}
-		}
-	})
+	}
 }
 
 //go:noinline

@@ -17,7 +17,7 @@ func newTestBundle(t *testing.T) (*Observability, *clock.Manual) {
 	clk := clock.NewManual()
 	o := New(clk, Config{SampleEvery: 1, TraceCapacity: 8, JournalCapacity: 8})
 	o.Registry.Counter("gates_items_total", "items", map[string]string{"stage": "sink"}).Add(9)
-	sp := o.Tracer.Start("stage.batch")
+	sp := start(o.Tracer.Op("stage.batch"))
 	clk.Advance(5 * time.Millisecond)
 	sp.End()
 	o.Journal.Record(Event{Kind: EventAdaptation, Stage: "sink", Payload: Adaptation{DeltaP: -0.25}})

@@ -318,7 +318,7 @@ func TestAggregatorDumpsFlightOnViolation(t *testing.T) {
 	target := filepath.Join(t.TempDir(), "journal.json")
 	j.SetDumpPath(target)
 
-	agg := NewAggregator(clk, SLOConfig{})
+	agg := NewAggregator(clk, nil)
 	agg.SetJournal(j)
 	agg.AddSource("n1", func() (NodeSnapshot, error) {
 		return NodeSnapshot{
@@ -386,17 +386,22 @@ func TestAggregatorDumpsFlightOnViolation(t *testing.T) {
 }
 
 // TestSLOMonitorConcurrentEvaluateStatus exercises the detector under the
-// race detector: evaluations mutate the growth map while scrapes read the
-// status and the journal — the /metrics-while-collecting pattern.
+// race detector: collections evaluate it and mutate its growth map while
+// scrapes read the violation flag and the journal — the
+// /metrics-while-collecting pattern.
 func TestSLOMonitorConcurrentEvaluateStatus(t *testing.T) {
-	m := NewSLOMonitor(SLOConfig{TargetP99: 0.5})
-	j := NewJournal(clock.NewManual(), 64)
-	m.SetJournal(j)
+	clk := clock.NewManual()
+	agg := NewAggregator(clk, objectives(SLOConfig{TargetP99: 0.5}))
+	j := NewJournal(clk, 64)
+	agg.SetJournal(j)
 	points := []MetricPoint{
 		fanoutPoint("sink", "0", 0),
 		e2ePoint("sink", "", 0, 100, 0),
 		dTildePoint("hot", "n1", 1),
 	}
+	agg.AddSource("n1", func() (NodeSnapshot, error) {
+		return NodeSnapshot{At: clk.Now(), Metrics: points}, nil
+	})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -408,19 +413,20 @@ func TestSLOMonitorConcurrentEvaluateStatus(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = m.Status()
+					_ = agg.Violated()
 					_ = j.Events(EventFilter{Kind: EventSLO})
 				}
 			}
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		m.Evaluate(sloBase.Add(time.Duration(i)*time.Second), points)
+		clk.Advance(time.Second)
+		agg.Collect()
 	}
 	close(stop)
 	wg.Wait()
-	if st := m.Status(); !st.Evaluated || !st.Violated {
-		t.Fatalf("status after concurrent evaluations = %+v", st)
+	if !agg.Violated() {
+		t.Fatal("flag down after 200 evaluations of a violating snapshot")
 	}
 	if got := j.Total(); got != 200 {
 		t.Fatalf("journal recorded %d slo events for 200 evaluations", got)
@@ -437,7 +443,7 @@ func TestAggregatorConcurrentScrape(t *testing.T) {
 		"stage": "hot", "instance": "0", "node": "n1",
 	}, func() float64 { return 1 })
 
-	agg := NewAggregator(clk, SLOConfig{})
+	agg := NewAggregator(clk, nil)
 	agg.SetJournal(ob.Journal)
 	agg.AddSource("local", LocalSource(ob))
 	ob.Registry.GaugeFunc("gates_slo_violation", "flag", nil, func() float64 {
@@ -463,8 +469,7 @@ func TestAggregatorConcurrentScrape(t *testing.T) {
 			}
 		}()
 	}
-	scrape(func() { _ = agg.SLOStatus() })
-	scrape(func() { _ = agg.View() })
+	scrape(func() { _ = agg.Collect() })
 	scrape(func() { _ = agg.Violated() })
 	scrape(func() { _ = ob.Registry.Snapshot() })
 	scrape(func() { _ = ob.Attr().Last() })
@@ -478,7 +483,7 @@ func TestAggregatorConcurrentScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if view := agg.View(); view.Bottlenecks == nil {
+	if view := agg.Collect(); view.Bottlenecks == nil {
 		t.Fatal("cluster view missing the attribution report")
 	}
 }

@@ -27,19 +27,13 @@ func makeLatencyBuckets() []float64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) of the observations, by
+// QuantileFromBuckets estimates the q-quantile (0 < q <= 1) from cumulative
+// buckets, as produced by Histogram.State or carried in a MetricPoint — the
+// form the cluster aggregator works in after merging node snapshots — by
 // linear interpolation inside the bucket holding the target rank. It
-// returns 0 when the histogram is empty. Values in the +Inf overflow bucket
-// clamp to the largest finite bound — percentiles cannot exceed what the
-// bucketing can represent.
-func (h *Histogram) Quantile(q float64) float64 {
-	_, count, buckets := h.State()
-	return QuantileFromBuckets(buckets, count, q)
-}
-
-// QuantileFromBuckets estimates the q-quantile from cumulative buckets, as
-// produced by Histogram.State or carried in a MetricPoint — this is the
-// form the cluster aggregator works in after merging node snapshots.
+// returns 0 when there are no observations. Values in the +Inf overflow
+// bucket clamp to the largest finite bound — percentiles cannot exceed what
+// the bucketing can represent.
 func QuantileFromBuckets(buckets []BucketCount, count uint64, q float64) float64 {
 	if count == 0 || len(buckets) == 0 {
 		return 0
@@ -75,29 +69,6 @@ func QuantileFromBuckets(buckets []BucketCount, count uint64, q float64) float64
 		prevBound, prevCount = bound, b.Count
 	}
 	return prevBound
-}
-
-// Bounds returns the histogram's finite upper bounds (the +Inf overflow
-// bucket is implicit). The slice is the histogram's own: do not mutate.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// HistogramQuantile evaluates the q-quantile of one histogram series, or
-// false when the series does not exist or is not a histogram.
-func (r *Registry) HistogramQuantile(name string, labels map[string]string, q float64) (float64, bool) {
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok || f.kind != KindHistogram {
-		return 0, false
-	}
-	key, _ := canonical(labels)
-	f.mu.Lock()
-	s, ok := f.series[key]
-	f.mu.Unlock()
-	if !ok || s.hist == nil {
-		return 0, false
-	}
-	return s.hist.Quantile(q), true
 }
 
 // quantilePoints are the percentiles exposition attaches to histograms.

@@ -49,7 +49,8 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		q     float64
 		exact float64
 	}{{0.50, 0.500}, {0.95, 0.950}, {0.99, 0.990}} {
-		got := h.Quantile(tc.q)
+		_, count, buckets := h.State()
+		got := QuantileFromBuckets(buckets, count, tc.q)
 		if got < tc.exact/factor || got > tc.exact*factor {
 			t.Errorf("q=%.2f: got %g, want within one bucket of %g", tc.q, got, tc.exact)
 		}
@@ -106,21 +107,25 @@ func TestMergeBuckets(t *testing.T) {
 	}
 }
 
+// TestRegistryHistogramQuantile checks the quantiles a registry snapshot
+// attaches: an observed histogram series carries p50/p95/p99, an empty one
+// and a counter carry none.
 func TestRegistryHistogramQuantile(t *testing.T) {
 	reg := NewRegistry(clock.NewManual())
-	lb := map[string]string{"stage": "sink"}
-	h := reg.Histogram(MetricE2ELatency, "", LatencyBuckets, lb)
-	h.Observe(0.1)
-	if _, ok := reg.HistogramQuantile(MetricE2ELatency, map[string]string{"stage": "other"}, 0.99); ok {
-		t.Fatal("missing series reported ok")
-	}
+	reg.Histogram(MetricE2ELatency, "", LatencyBuckets, map[string]string{"stage": "sink"}).Observe(0.1)
+	reg.Histogram(MetricE2ELatency, "", LatencyBuckets, map[string]string{"stage": "other"})
 	reg.Counter("plain", "", nil).Add(1)
-	if _, ok := reg.HistogramQuantile("plain", nil, 0.99); ok {
-		t.Fatal("counter series answered a histogram quantile")
-	}
-	v, ok := reg.HistogramQuantile(MetricE2ELatency, lb, 0.99)
-	if !ok || v <= 0 {
-		t.Fatalf("quantile = %g, %v", v, ok)
+	for _, p := range reg.Snapshot() {
+		switch {
+		case p.Name == "plain" || p.Labels["stage"] == "other":
+			if p.Quantiles != nil {
+				t.Errorf("%s %v carries quantiles %v", p.Name, p.Labels, p.Quantiles)
+			}
+		default:
+			if v := float64(p.Quantiles["p99"]); v <= 0 {
+				t.Errorf("observed histogram p99 = %g, quantiles %v", v, p.Quantiles)
+			}
+		}
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/gates-middleware/gates/internal/clock"
 )
@@ -97,7 +97,7 @@ func (s *series) value() float64 {
 }
 
 // NewRegistry returns an empty registry on clk; the clock timestamps
-// snapshots and drives Time'd histogram observations.
+// snapshots.
 func NewRegistry(clk clock.Clock) *Registry {
 	if clk == nil {
 		panic("obs: NewRegistry requires a clock")
@@ -123,6 +123,9 @@ func (r *Registry) familyFor(name, help string, kind Kind) *family {
 	return f
 }
 
+// canonical returns the series key of a label set plus its pairs sorted by
+// name. Names and values are quoted, so no value — a remote node's
+// included — can make two distinct label sets share one key.
 func canonical(labels map[string]string) (string, []labelPair) {
 	if len(labels) == 0 {
 		return "", nil
@@ -132,14 +135,14 @@ func canonical(labels map[string]string) (string, []labelPair) {
 		pairs = append(pairs, labelPair{k, v})
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].name < pairs[j].name })
-	var b strings.Builder
+	var b []byte
 	for _, p := range pairs {
-		b.WriteString(p.name)
-		b.WriteByte('=')
-		b.WriteString(p.value)
-		b.WriteByte(',')
+		b = strconv.AppendQuote(b, p.name)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, p.value)
+		b = append(b, ',')
 	}
-	return b.String(), pairs
+	return string(b), pairs
 }
 
 // Counter registers (or retrieves) an owned counter series.
@@ -213,13 +216,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels map[st
 	h := newHistogram(buckets)
 	f.series[key] = &series{labels: pairs, hist: h}
 	return h
-}
-
-// Time starts a virtual-clock timer; the returned function observes the
-// elapsed virtual seconds into h. Usage: defer reg.Time(h)().
-func (r *Registry) Time(h *Histogram) func() {
-	start := r.clk.Now()
-	return func() { h.Observe(r.clk.Now().Sub(start).Seconds()) }
 }
 
 // JSONFloat is a float64 that survives JSON encoding when non-finite:
@@ -702,10 +698,4 @@ func (h *Histogram) State() (sum float64, count uint64, buckets []BucketCount) {
 		buckets[i] = BucketCount{UpperBound: JSONFloat(bound), Count: cum}
 	}
 	return math.Float64frombits(h.sumBits.Load()), cum, buckets
-}
-
-// SinceSeconds returns the virtual seconds elapsed since start on clk — the
-// helper instrumented code uses to observe durations into histograms.
-func SinceSeconds(clk clock.Clock, start time.Time) float64 {
-	return clk.Now().Sub(start).Seconds()
 }

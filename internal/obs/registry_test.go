@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/gates-middleware/gates/internal/clock"
 )
@@ -90,8 +89,7 @@ func TestValueMissingSeries(t *testing.T) {
 }
 
 func TestHistogramBucketsAndTiming(t *testing.T) {
-	clk := clock.NewManual()
-	r := NewRegistry(clk)
+	r := NewRegistry(clock.NewManual())
 	h := r.Histogram("latency_seconds", "", []float64{0.1, 1, 10}, nil)
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
@@ -108,19 +106,6 @@ func TestHistogramBucketsAndTiming(t *testing.T) {
 		if b.Count != wantCum[i] {
 			t.Fatalf("bucket %d = %d, want %d", i, b.Count, wantCum[i])
 		}
-	}
-
-	// Time observes virtual elapsed seconds, driven by the Manual clock.
-	done := r.Time(h)
-	clk.Advance(2 * time.Second)
-	done()
-	_, count, _ = h.State()
-	if count != 6 {
-		t.Fatalf("count after Time = %d", count)
-	}
-	sum, _, _ = h.State()
-	if sum != 58.05 {
-		t.Fatalf("sum after Time = %v (2 virtual seconds expected)", sum)
 	}
 }
 
@@ -168,6 +153,31 @@ func TestSnapshotSortedAndLabeled(t *testing.T) {
 	}
 	if snap[1].Name != "b_total" || snap[1].Value != 1 {
 		t.Fatalf("second point = %+v", snap[1])
+	}
+}
+
+// TestLabelSetsNeverShareASeries registers label sets whose values hold the
+// separators a flat "k=v," key would use: each must stay its own series.
+func TestLabelSetsNeverShareASeries(t *testing.T) {
+	r := NewRegistry(clock.NewManual())
+	sets := []map[string]string{
+		{"a": "1,b=2"},
+		{"a": "1", "b": "2"},
+		{"a": "1=", "b": "2"},
+		{"a=1,b": "2"},
+		{"a": `1",b="2`},
+	}
+	for i, labels := range sets {
+		r.Counter("clash_total", "", labels).Add(float64(i + 1))
+	}
+	snap := r.Snapshot()
+	if len(snap) != len(sets) {
+		t.Fatalf("%d label sets gave %d series: %+v", len(sets), len(snap), snap)
+	}
+	for i, labels := range sets {
+		if v, ok := snapshotValue(r, "clash_total", labels); !ok || v != float64(i+1) {
+			t.Errorf("series %v = %g (present %v), want %d", labels, v, ok, i+1)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -36,10 +35,9 @@ const (
 // d-tilde must stay positive before the detector flags queue growth.
 const DefaultSLOGrowthEpochs = 3
 
-// SLOConfig tunes the violation detector: the static way to hand it its
-// objectives. Policy-driven deployments compile their policy document into
-// one of these per evaluation through an SLOSource, so the numbers live in
-// the (hot-reloadable) policy layer rather than here.
+// SLOConfig is the violation detector's objectives for one evaluation. The
+// policy layer compiles its active document into one through an SLOSource,
+// so the numbers live in the (hot-reloadable) policy document, not here.
 type SLOConfig struct {
 	// TargetP99 is the sink-side end-to-end p99 latency objective in
 	// virtual seconds; <= 0 disables the latency check.
@@ -52,8 +50,10 @@ type SLOConfig struct {
 
 // SLOSource supplies the detector's current objectives plus the policy
 // version they came from, consulted at every evaluation so a policy hot
-// reload changes the very next verdict. The obs layer stays policy-agnostic:
-// the policy engine provides this closure.
+// reload changes the very next verdict. It is the detector's only input:
+// the obs layer stays policy-agnostic, and the policy engine provides this
+// closure (policy.Engine.SLOSource, valid on a nil engine). A nil source
+// judges by the zero SLOConfig: no latency target, default growth epochs.
 type SLOSource func() (SLOConfig, string)
 
 // SLOStatus is the detector's verdict after one evaluation.
@@ -78,7 +78,7 @@ type SLOStatus struct {
 	Since time.Time `json:"since"`
 }
 
-// SLOMonitor turns the paper's §4 real-time constraint — "the processing
+// sloMonitor turns the paper's §4 real-time constraint — "the processing
 // can keep up with the arrival rate" — into a measurable objective. Each
 // Evaluate inspects one metric snapshot (node-local or cluster-merged) and
 // trips the violation flag when either signal says the pipeline is falling
@@ -88,59 +88,34 @@ type SLOStatus struct {
 //   - some stage's d-tilde stays positive for GrowthEpochs consecutive
 //     evaluations (queues growing without bound).
 //
-// With a journal attached, every evaluation is one slo event, so operators
-// can see when the pipeline fell behind and when the adaptation controller
-// recovered it. Safe for concurrent use: Evaluate serializes against itself
-// and against Status, so a scrape (Status from an HTTP handler or gauge
-// callback) can race an aggregator collect without tearing the status.
-type SLOMonitor struct {
-	cfg SLOConfig
-
-	mu      sync.Mutex
-	src     SLOSource      // nil = static cfg
+// With a journal attached, every evaluation is one slo event — the verdict,
+// its evidence, and the policy version that produced the objectives — so
+// operators can see when the pipeline fell behind and when the adaptation
+// controller recovered it; a transition into violation also snapshots the
+// journal to disk (see Journal.DumpToDisk). Not safe for concurrent use:
+// the Aggregator that owns it serializes every access under its mutex.
+type sloMonitor struct {
+	src     SLOSource      // nil = zero objectives
 	journal *Journal       // nil = verdicts not recorded
 	growth  map[string]int // series key → consecutive positive epochs
 	cur     SLOStatus
 }
 
-// NewSLOMonitor returns a detector with the given objectives.
-func NewSLOMonitor(cfg SLOConfig) *SLOMonitor {
-	if cfg.GrowthEpochs <= 0 {
-		cfg.GrowthEpochs = DefaultSLOGrowthEpochs
-	}
-	return &SLOMonitor{cfg: cfg, growth: make(map[string]int)}
-}
-
-// SetSource installs the dynamic objective source the detector consults at
-// every evaluation (a policy engine's SLO view). Nil reverts to the static
-// SLOConfig the monitor was built with.
-func (m *SLOMonitor) SetSource(src SLOSource) {
-	m.mu.Lock()
-	m.src = src
-	m.mu.Unlock()
-}
-
-// SetJournal makes every evaluation record one slo event — the verdict,
-// its evidence, and the policy version that produced the objectives — into
-// j. A transition into violation also snapshots j to disk (see
-// Journal.DumpToDisk). Nil stops the recording.
-func (m *SLOMonitor) SetJournal(j *Journal) {
-	m.mu.Lock()
-	m.journal = j
-	m.mu.Unlock()
+// newSLOMonitor returns a detector judging by src's objectives.
+func newSLOMonitor(src SLOSource) *sloMonitor {
+	return &sloMonitor{src: src, growth: make(map[string]int)}
 }
 
 // Evaluate runs one detection epoch over a metric snapshot and returns the
 // updated status. now is the snapshot's virtual timestamp.
-func (m *SLOMonitor) Evaluate(now time.Time, points []MetricPoint) SLOStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cfg, version := m.cfg, ""
+func (m *sloMonitor) Evaluate(now time.Time, points []MetricPoint) SLOStatus {
+	var cfg SLOConfig
+	var version string
 	if m.src != nil {
 		cfg, version = m.src()
-		if cfg.GrowthEpochs <= 0 {
-			cfg.GrowthEpochs = DefaultSLOGrowthEpochs
-		}
+	}
+	if cfg.GrowthEpochs <= 0 {
+		cfg.GrowthEpochs = DefaultSLOGrowthEpochs
 	}
 	sinkP99 := SinkP99(points)
 
@@ -210,7 +185,7 @@ func (m *SLOMonitor) Evaluate(now time.Time, points []MetricPoint) SLOStatus {
 // and returns the max d-tilde plus the stages currently past the
 // threshold. epochs is the currently effective GrowthEpochs objective
 // (policy-resolved, so a hot reload tightens or loosens it mid-run).
-func (m *SLOMonitor) trackGrowth(points []MetricPoint, epochs int) (maxDTilde float64, growing []string) {
+func (m *sloMonitor) trackGrowth(points []MetricPoint, epochs int) (maxDTilde float64, growing []string) {
 	seen := make(map[string]bool)
 	for _, p := range points {
 		if p.Name != MetricDTilde {
@@ -238,16 +213,6 @@ func (m *SLOMonitor) trackGrowth(points []MetricPoint, epochs int) (maxDTilde fl
 		}
 	}
 	return maxDTilde, growing
-}
-
-// Status returns the result of the last evaluation.
-func (m *SLOMonitor) Status() SLOStatus {
-	if m == nil {
-		return SLOStatus{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cur
 }
 
 // SinkStages returns the set of stage names whose fanout gauge reads 0 —

@@ -44,10 +44,15 @@ func dTildePoint(stage, node string, v float64) MetricPoint {
 		Value:  JSONFloat(v)}
 }
 
+// objectives is a fixed SLOSource, the policy engine's stand-in here.
+func objectives(cfg SLOConfig) SLOSource {
+	return func() (SLOConfig, string) { return cfg, "" }
+}
+
 func TestSLOMonitorLatencyTripAndClear(t *testing.T) {
-	m := NewSLOMonitor(SLOConfig{TargetP99: 0.5})
+	m := newSLOMonitor(objectives(SLOConfig{TargetP99: 0.5}))
 	j := NewJournal(clock.NewManual(), 8)
-	m.SetJournal(j)
+	m.journal = j
 
 	slow := []MetricPoint{fanoutPoint("sink", "0", 0), e2ePoint("sink", "", 0, 100, 0)}
 	st := m.Evaluate(sloBase, slow)
@@ -87,7 +92,7 @@ func TestSLOMonitorLatencyTripAndClear(t *testing.T) {
 }
 
 func TestSLOMonitorQueueGrowthEpochs(t *testing.T) {
-	m := NewSLOMonitor(SLOConfig{GrowthEpochs: 3})
+	m := newSLOMonitor(objectives(SLOConfig{GrowthEpochs: 3}))
 	growing := []MetricPoint{dTildePoint("filter", "n1", 2.5)}
 	for epoch := 1; epoch <= 2; epoch++ {
 		if st := m.Evaluate(sloBase, growing); st.Violated {
@@ -116,7 +121,7 @@ func TestSLOMonitorQueueGrowthEpochs(t *testing.T) {
 }
 
 func TestSLOMonitorGrowthForgetsVanishedSeries(t *testing.T) {
-	m := NewSLOMonitor(SLOConfig{GrowthEpochs: 2})
+	m := newSLOMonitor(objectives(SLOConfig{GrowthEpochs: 2}))
 	m.Evaluate(sloBase, []MetricPoint{dTildePoint("filter", "n1", 1)})
 	// The stage migrates: its old series vanishes for an epoch, then a new
 	// one appears on another node. The old streak must not carry over.

@@ -15,18 +15,18 @@ const DefaultSampleEvery = 64
 // DefaultTraceCapacity is the default retained-span ring size.
 const DefaultTraceCapacity = 256
 
-// Tracer samples lightweight spans on the hot data path. The unsampled
-// fast path is one atomic increment and a branch (an Op's: a plain one) —
-// no clock read, no allocation — so instrumenting a per-batch loop costs
-// effectively nothing between samples. Sampled spans read the virtual clock
-// at start and end and land in a bounded ring.
+// Tracer samples lightweight spans on the hot data path. Each call site
+// holds an Op whose unsampled fast path is an increment and a compare of
+// its own words — no clock read, no allocation — so instrumenting a
+// per-packet loop costs effectively nothing between samples. Sampled spans
+// read the virtual clock at start and end and land in a bounded ring.
 //
-// A nil *Tracer is valid: Start returns an inert span.
+// A nil *Tracer is valid: its Ops are nil and start nothing.
 type Tracer struct {
 	clk   clock.Clock
 	every uint64
 
-	seq     atomic.Uint64 // spans started via Start
+	seq     atomic.Uint64 // forced spans started via StartTraced
 	sampled atomic.Uint64 // spans recorded
 
 	mu    sync.Mutex
@@ -60,28 +60,12 @@ func (t *Tracer) SampleEvery() int {
 	return int(t.every)
 }
 
-// Start begins a span. On a nil tracer, or when this span falls between
-// samples, the returned span is inert (Sampled reports false and End is
-// free). Safe for concurrent use.
-func (t *Tracer) Start(name string) Span {
-	if t == nil {
-		return Span{}
-	}
-	n := t.seq.Add(1)
-	if (n-1)%t.every != 0 {
-		return Span{}
-	}
-	return Span{t: t, name: name, start: t.clk.Now()}
-}
-
-// Op is a per-call-site sampling handle. Start on a shared Tracer bounces
-// one cache line between every hot goroutine in the process; an Op gives a
-// call site a cadence of its own, so concurrent stages sample independently
-// at full speed. An Op belongs to the one goroutine that starts its spans —
-// the cadence is kept in plain words, so sharing one between goroutines is a
-// bug (a site several goroutines reach uses Tracer.Start). Create one per
-// instrumented site at setup time and reuse it. A nil *Op (from a nil or
-// disabled tracer) starts inert spans.
+// Op is a per-call-site sampling handle: it gives a call site a cadence of
+// its own, so concurrent stages sample independently at full speed without
+// sharing a cache line. An Op belongs to the one goroutine that starts its
+// spans — the cadence is kept in plain words, so sharing one between
+// goroutines is a bug. Create one per instrumented site at setup time and
+// reuse it. A nil *Op (from a nil or disabled tracer) is never due.
 type Op struct {
 	t    *Tracer
 	name string
@@ -106,20 +90,12 @@ func (t *Tracer) Op(name string) *Op {
 	return op
 }
 
-// Start begins a span on this call site's cadence: Due, then Begin when it
-// is. A per-packet site asks Due itself and keeps Begin, and the 88-byte Span
-// it returns, in a function only the sampled iteration calls.
-func (o *Op) Start() Span {
-	if !o.Due() {
-		return Span{}
-	}
-	return o.Begin()
-}
-
 // Due counts one span on this site's cadence and reports whether it is the
 // sampled one, which the caller then starts with Begin. Between samples that
 // is an increment and a compare of the owner's own words — small enough to
-// inline, no atomic, no clock read, no Span. False on a nil Op.
+// inline, no atomic, no clock read, no Span. A per-packet site keeps Begin,
+// and the 88-byte Span it returns, in a function only the sampled iteration
+// calls. False on a nil Op.
 func (o *Op) Due() bool {
 	if o == nil {
 		return false
@@ -212,8 +188,8 @@ func (r *RootSampler) Sample() (uint64, bool) {
 	return NewTraceID(), true
 }
 
-// Counts returns how many spans were started (across Start and every Op)
-// and how many were recorded. An Op publishes its count when it samples, so
+// Counts returns how many spans were started (across StartTraced and every
+// Op) and how many were recorded. An Op publishes its count when it samples, so
 // started trails a running site by fewer than SampleEvery spans; sampled is
 // read first, so a concurrent reader never sees it above started.
 func (t *Tracer) Counts() (started, sampled uint64) {

@@ -8,12 +8,22 @@ import (
 	"github.com/gates-middleware/gates/internal/clock"
 )
 
+// start is what an instrumented site does per span: Due, then Begin when
+// this span is the sampled one. Between samples the span is inert.
+func start(op *Op) Span {
+	if !op.Due() {
+		return Span{}
+	}
+	return op.Begin()
+}
+
 func TestTracerSamplingCadence(t *testing.T) {
 	clk := clock.NewManual()
 	tr := NewTracer(clk, 4, 16)
+	op := tr.Op("op")
 	var recorded int
 	for i := 0; i < 12; i++ {
-		sp := tr.Start("op")
+		sp := start(op)
 		if sp.Sampled() {
 			recorded++
 			clk.Advance(time.Millisecond)
@@ -23,9 +33,10 @@ func TestTracerSamplingCadence(t *testing.T) {
 	if recorded != 3 {
 		t.Fatalf("sampled %d of 12 at 1-in-4, want 3", recorded)
 	}
+	// The Op published its count at its third sample, the ninth span.
 	started, sampled := tr.Counts()
-	if started != 12 || sampled != 3 {
-		t.Fatalf("counts = %d started / %d sampled", started, sampled)
+	if started != 9 || sampled != 3 {
+		t.Fatalf("counts = %d started / %d sampled, want 9 / 3", started, sampled)
 	}
 	spans := tr.Spans()
 	if len(spans) != 3 {
@@ -40,7 +51,7 @@ func TestTracerSamplingCadence(t *testing.T) {
 
 func TestTracerFirstSpanSampled(t *testing.T) {
 	tr := NewTracer(clock.NewManual(), 64, 8)
-	if sp := tr.Start("first"); !sp.Sampled() {
+	if sp := start(tr.Op("first")); !sp.Sampled() {
 		t.Fatal("first span must be sampled so short runs still trace")
 	}
 }
@@ -56,9 +67,9 @@ func TestInertSpansAreFree(t *testing.T) {
 		t.Fatalf("zero span End = %v", d)
 	}
 
-	// Nil tracer: Start works and returns inert spans.
+	// Nil tracer: its Op is never due, so its spans are inert.
 	var tr *Tracer
-	s2 := tr.Start("x")
+	s2 := start(tr.Op("x"))
 	if s2.Sampled() {
 		t.Fatal("nil tracer produced a sampled span")
 	}
@@ -74,8 +85,9 @@ func TestInertSpansAreFree(t *testing.T) {
 func TestSpanAnnotationsAndRing(t *testing.T) {
 	clk := clock.NewManual()
 	tr := NewTracer(clk, 1, 2) // sample everything, keep 2
+	op := tr.Op("batch")
 	for i := 0; i < 5; i++ {
-		sp := tr.Start("batch")
+		sp := start(op)
 		sp.Annotate("items", float64(i))
 		sp.End()
 	}
@@ -91,7 +103,7 @@ func TestSpanAnnotationsAndRing(t *testing.T) {
 
 func TestSpanDoubleEndRecordsOnce(t *testing.T) {
 	tr := NewTracer(clock.NewManual(), 1, 8)
-	sp := tr.Start("op")
+	sp := start(tr.Op("op"))
 	sp.End()
 	sp.End()
 	if _, sampled := tr.Counts(); sampled != 1 {
@@ -111,7 +123,7 @@ func TestTracerOpCadence(t *testing.T) {
 			tr := NewTracer(clock.NewManual(), every, 16)
 			op := tr.Op("a")
 			for i := 0; i < 5*every+2; i++ {
-				sp := op.Start()
+				sp := start(op)
 				wasSampled := sp.Sampled()
 				if want := i%every == 0; wasSampled != want {
 					t.Fatalf("span %d: sampled = %v, want %v", i, wasSampled, want)
@@ -132,7 +144,7 @@ func TestTracerOpCadence(t *testing.T) {
 			}
 			// b's first span is sampled however many a has burned.
 			before, _ := tr.Counts()
-			sp := tr.Op("b").Start()
+			sp := start(tr.Op("b"))
 			if !sp.Sampled() {
 				t.Fatal("a second op's first span not sampled")
 			}
@@ -209,7 +221,7 @@ func TestTracerOpNil(t *testing.T) {
 	if op.Due() {
 		t.Fatal("nil op reports a span due")
 	}
-	sp := op.Start()
+	sp := start(op)
 	if sp.Sampled() {
 		t.Fatal("nil op produced a sampled span")
 	}

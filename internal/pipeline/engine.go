@@ -271,7 +271,11 @@ func (e *Engine) Run(ctx context.Context) error {
 			st.mu.Unlock()
 		}
 		if e.o != nil {
+			// Under pauseMu: a Pause requested before the run began (a
+			// control loop armed at launch) journals through st.o.
+			st.pauseMu.Lock()
 			st.o = e.o
+			st.pauseMu.Unlock()
 			st.procOp = e.o.Tracer.Op("stage.process")
 			st.batchOp = e.o.Tracer.Op("stage.batch")
 			st.flushOp = e.o.Tracer.Op("emitter.flush")

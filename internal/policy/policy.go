@@ -317,6 +317,9 @@ func (d *Document) Validate() error {
 	if d.Faults.CheckpointInterval < 0 {
 		return fmt.Errorf("policy: faults.checkpoint_interval %s must not be negative", d.Faults.CheckpointInterval.Std())
 	}
+	if d.Faults.ReplayBuffer < 0 {
+		return fmt.Errorf("policy: faults.replay_buffer %d must not be negative", d.Faults.ReplayBuffer)
+	}
 	if d.Faults.HealthEvery < 0 {
 		return fmt.Errorf("policy: faults.health_every %s must not be negative", d.Faults.HealthEvery.Std())
 	}

@@ -126,6 +126,11 @@ func TestValidate(t *testing.T) {
 		{"negative budget", func(d *Document) { d.Rebalance.MigrationBudget = -1 }, "migration_budget"},
 		{"negative p99", func(d *Document) { d.SLO.TargetP99 = Duration(-time.Second) }, "target_p99"},
 		{"negative weight", func(d *Document) { d.Placement.LinkCostWeight = -1 }, "link_cost_weight"},
+		// An enabled plane with a negative depth would checkpoint and
+		// detect with no replay rings to recover from.
+		{"negative replay buffer", func(d *Document) {
+			d.Faults.Enabled, d.Faults.ReplayBuffer = true, -1
+		}, "replay_buffer"},
 		{"unnamed rule", func(d *Document) {
 			d.Placement.Rules = []PlacementRule{{Site: "x"}}
 		}, "needs a name"},

@@ -67,42 +67,7 @@ type chaosFixture struct {
 func newChaosFixture(t *testing.T, items int, source pipeline.Source) *chaosFixture {
 	t.Helper()
 	clk := clock.NewManual()
-	dir := grid.NewDirectory()
-	for _, n := range []grid.Node{
-		{Name: "src-1", CPUPower: 1, MemoryMB: 512, Slots: 2, Sources: []string{"stream-1"}},
-		{Name: "edge-1", CPUPower: 1, MemoryMB: 512, Slots: 2, Site: "edge"},
-		{Name: "edge-2", CPUPower: 1, MemoryMB: 512, Slots: 2, Site: "edge"},
-		{Name: "core-1", CPUPower: 4, MemoryMB: 4096, Slots: 2, Site: "core"},
-		{Name: "core-2", CPUPower: 4, MemoryMB: 4096, Slots: 2, Site: "core"},
-	} {
-		if err := dir.Register(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net := netsim.NewNetwork(clk) // unlimited links: transfers never sleep
-
-	merger := &countsamps.SummaryMerger{}
-	repo := NewRepository()
-	if err := repo.RegisterSource("test/chaos", func(int) pipeline.Source { return source }); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.RegisterProcessor("test/summarize", func(int) pipeline.Processor {
-		return countsamps.NewSummarizer(countsamps.SummarizerConfig{
-			FlushEvery: 250,
-			Adaptive:   true,
-			Seed:       42,
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.RegisterProcessor("test/merge", func(int) pipeline.Processor { return merger }); err != nil {
-		t.Fatal(err)
-	}
-
-	dep, err := NewDeployer(clk, dir, repo, net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep, net, merger := newChaosDeployer(t, clk, source)
 	o := obs.New(clk, obs.Config{})
 	dep.SetObservability(o)
 	dep.SetReplayBuffer(4096)
@@ -110,22 +75,7 @@ func newChaosFixture(t *testing.T, items int, source pipeline.Source) *chaosFixt
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &AppConfig{
-		Name: "chaos-test",
-		Stages: []StageDef{
-			{ID: "stream", Code: "test/chaos", Source: true, NearSources: []string{"stream-1"}},
-			{ID: "summarize", Code: "test/summarize", Requirement: ReqDef{Site: "edge"}},
-			{ID: "central", Code: "test/merge", Requirement: ReqDef{MinCPU: 2, Site: "core"}},
-		},
-		Connections: []ConnDef{
-			{From: "stream", To: "summarize"},
-			{From: "summarize", To: "central"},
-		},
-	}
-	tuning := func(string, int) pipeline.StageConfig {
-		return pipeline.StageConfig{DisableAdaptation: true}
-	}
-	app, err := launcher.LaunchConfig(context.Background(), cfg, tuning)
+	app, err := launcher.LaunchConfig(context.Background(), chaosConfig(), chaosTuning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +96,70 @@ func newChaosFixture(t *testing.T, items int, source pipeline.Source) *chaosFixt
 		f.src = cs
 	}
 	return f
+}
+
+// newChaosDeployer builds the chaos pipeline's fabric on clk: five nodes,
+// an unlimited network (transfers never sleep), and a repository whose
+// source is source and whose sink is the returned merger.
+func newChaosDeployer(t *testing.T, clk clock.Clock, source pipeline.Source) (*Deployer, *netsim.Network, *countsamps.SummaryMerger) {
+	t.Helper()
+	dir := grid.NewDirectory()
+	for _, n := range []grid.Node{
+		{Name: "src-1", CPUPower: 1, MemoryMB: 512, Slots: 2, Sources: []string{"stream-1"}},
+		{Name: "edge-1", CPUPower: 1, MemoryMB: 512, Slots: 2, Site: "edge"},
+		{Name: "edge-2", CPUPower: 1, MemoryMB: 512, Slots: 2, Site: "edge"},
+		{Name: "core-1", CPUPower: 4, MemoryMB: 4096, Slots: 2, Site: "core"},
+		{Name: "core-2", CPUPower: 4, MemoryMB: 4096, Slots: 2, Site: "core"},
+	} {
+		if err := dir.Register(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net := netsim.NewNetwork(clk)
+
+	merger := &countsamps.SummaryMerger{}
+	repo := NewRepository()
+	if err := repo.RegisterSource("test/chaos", func(int) pipeline.Source { return source }); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.RegisterProcessor("test/summarize", func(int) pipeline.Processor {
+		return countsamps.NewSummarizer(countsamps.SummarizerConfig{
+			FlushEvery: 250,
+			Adaptive:   true,
+			Seed:       42,
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.RegisterProcessor("test/merge", func(int) pipeline.Processor { return merger }); err != nil {
+		t.Fatal(err)
+	}
+	dep, err := NewDeployer(clk, dir, repo, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dep, net, merger
+}
+
+// chaosConfig is the chaos pipeline: stream → summarize (site edge) →
+// central (site core).
+func chaosConfig() *AppConfig {
+	return &AppConfig{
+		Name: "chaos-test",
+		Stages: []StageDef{
+			{ID: "stream", Code: "test/chaos", Source: true, NearSources: []string{"stream-1"}},
+			{ID: "summarize", Code: "test/summarize", Requirement: ReqDef{Site: "edge"}},
+			{ID: "central", Code: "test/merge", Requirement: ReqDef{MinCPU: 2, Site: "core"}},
+		},
+		Connections: []ConnDef{
+			{From: "stream", To: "summarize"},
+			{From: "summarize", To: "central"},
+		},
+	}
+}
+
+func chaosTuning(string, int) pipeline.StageConfig {
+	return pipeline.StageConfig{DisableAdaptation: true}
 }
 
 func newGatedChaosFixture(t *testing.T, items int) *chaosFixture {

@@ -24,6 +24,7 @@ type FaultScheduler struct {
 	o   *obs.Observability
 
 	injections []policy.FaultInjection
+	version    string // policy version the schedule came from ("" = none)
 
 	mu     sync.Mutex
 	cancel context.CancelFunc
@@ -115,9 +116,10 @@ func (f *FaultScheduler) Apply(inj policy.FaultInjection) {
 	}
 	if f.o != nil {
 		f.o.Journal.Record(obs.Event{
-			Kind:   obs.EventFault,
-			Node:   inj.Kill + inj.Heal,
-			Detail: inj.Name + ": " + detail,
+			Kind:          obs.EventFault,
+			Node:          inj.Kill + inj.Heal,
+			PolicyVersion: f.version,
+			Detail:        inj.Name + ": " + detail,
 		})
 		f.o.Log().Info("fault injected", "name", inj.Name, "detail", detail)
 	}

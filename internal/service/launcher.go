@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"sync"
+
+	"github.com/gates-middleware/gates/internal/policy"
 )
 
 // Launcher is the user-facing entry point: "to start the application, the
@@ -65,11 +67,23 @@ func (l *Launcher) Launch(ctx context.Context, locator string, tuning StageTunin
 	return l.LaunchConfig(ctx, cfg, tuning)
 }
 
-// LaunchConfig deploys and starts an already parsed descriptor.
+// LaunchConfig deploys and starts an already parsed descriptor. It reads
+// the deployer's policy document once, here, and arms the fault plane from
+// it: with faults.enabled every stage keeps a replay ring of
+// faults.replay_buffer packets, a Checkpointer captures every instance each
+// faults.checkpoint_interval, and a Recovery detector probes the nodes each
+// faults.health_every; faults.injections start a FaultScheduler. Each of
+// them stops before Wait returns.
 func (l *Launcher) LaunchConfig(ctx context.Context, cfg *AppConfig, tuning StageTuning) (*Application, error) {
+	snap := l.deployer.Policy().Active()
 	dep, err := l.deployer.Deploy(cfg, tuning)
 	if err != nil {
 		l.deployer.o.Log().Warn("deployment failed", "app", cfg.Name, "err", err)
+		return nil, err
+	}
+	plane, err := armFaults(dep, snap)
+	if err != nil {
+		l.deployer.Planner().Release(dep.Plan)
 		return nil, err
 	}
 	l.deployer.o.Log().Info("application launched",
@@ -79,15 +93,74 @@ func (l *Launcher) LaunchConfig(ctx context.Context, cfg *AppConfig, tuning Stag
 		Deployment: dep,
 		cancel:     cancel,
 		done:       make(chan struct{}),
+		faults:     plane,
 	}
+	// The plane starts before the engine: a checkpoint round that reaches
+	// a stage first parks it at its first drain boundary.
+	app.faults.start(runCtx)
 	go func() {
 		defer close(app.done)
 		err := dep.Engine.Run(runCtx)
+		app.faults.stop()
 		app.mu.Lock()
 		app.err = err
 		app.mu.Unlock()
 	}()
 	return app, nil
+}
+
+// faultPlane is the fault-tolerance machinery one launch armed from its
+// policy document; a nil member is one the document left off.
+type faultPlane struct {
+	ck    *Checkpointer
+	rec   *Recovery
+	sched *FaultScheduler
+}
+
+// armFaults builds the fault plane snap's faults section asks for, sizing
+// the engine's replay rings when faults are enabled. Normalize has filled
+// every zero knob of an enabled section with its default.
+func armFaults(dep *Deployment, snap *policy.Snapshot) (p faultPlane, err error) {
+	ft := snap.Doc.Faults
+	d := dep.deployer
+	if ft.Enabled {
+		dep.Engine.SetDefaultReplayBuffer(ft.ReplayBuffer)
+		store := NewCheckpointStore()
+		if p.ck, err = NewCheckpointer(dep, store, ft.CheckpointInterval.Std()); err != nil {
+			return p, err
+		}
+		if p.rec, err = NewRecovery(dep, store, ft.HealthEvery.Std(), ft.DeadAfter); err != nil {
+			return p, err
+		}
+	}
+	if len(ft.Injections) > 0 {
+		if p.sched, err = NewFaultScheduler(d.clk, d.net, ft.Injections, d.o); err != nil {
+			return p, err
+		}
+		p.sched.version = snap.Version
+	}
+	return p, nil
+}
+
+func (p faultPlane) start(ctx context.Context) {
+	if p.ck != nil {
+		p.ck.Start(ctx)
+		p.rec.Start(ctx)
+	}
+	if p.sched != nil {
+		p.sched.Start(ctx)
+	}
+}
+
+// stop halts every loop of the plane and waits for each to exit.
+func (p faultPlane) stop() {
+	if p.sched != nil {
+		p.sched.Stop()
+	}
+	if p.ck != nil {
+		p.rec.Stop()
+		p.ck.Stop()
+	}
 }
 
 // Application is a running deployment: the paper's application-user handle,
@@ -98,6 +171,7 @@ type Application struct {
 
 	cancel context.CancelFunc
 	done   chan struct{}
+	faults faultPlane
 	mu     sync.Mutex
 	err    error
 }

@@ -213,9 +213,14 @@ if command -v curl >/dev/null 2>&1; then
 	  <connection from="sampler" to="analysis"/>
 	</application>'
 	# ~350 virtual seconds at 40x gives several wall seconds to poll /cluster
-	# and take three 1 s CPU profiles while the run is live.
+	# and take three 1 s CPU profiles while the run is live. The 1 h latency
+	# objective comes from a policy document: -policy is the one way to set
+	# a control constant from the command line.
+	cat > "$smoke_tmp/slo.json" <<-'EOF'
+	{"version": "ci-slo", "slo": {"target_p99": "1h"}}
+	EOF
 	"$smoke_tmp/gates-launcher" -config "$smoke_xml" -scale 40 \
-	  -obs-listen "$launch_obs" -slo-p99 1h >/dev/null &
+	  -obs-listen "$launch_obs" -policy "$smoke_tmp/slo.json" >/dev/null &
 	launch_pid=$!
 	curl -sf --retry 20 --retry-connrefused --retry-delay 1 \
 	  "http://$launch_obs/healthz" >/dev/null
@@ -260,7 +265,24 @@ if command -v curl >/dev/null 2>&1; then
 	if "$smoke_tmp/gates-launcher" -config "$smoke_xml" -monitor 1s >/dev/null 2>&1; then
 		echo "endpoint smoke: -monitor still accepted"; exit 1
 	fi
-	echo "gates-launcher -top dashboard ok"
+	# The SLO target and the fault plane's knobs are set in the policy
+	# document only; their old flags must be unknown to both binaries.
+	for knob in '-slo-p99 1h' '-checkpoint-interval 1s' '-replay-buffer 64'; do
+		# $knob is unquoted on purpose: flag and value are two words.
+		# shellcheck disable=SC2086
+		"$smoke_tmp/gates-launcher" -config "$smoke_xml" $knob 2>"$smoke_tmp/knob.err" >/dev/null \
+		  && { echo "endpoint smoke: gates-launcher accepted $knob"; exit 1; }
+		grep -q 'flag provided but not defined' "$smoke_tmp/knob.err" \
+		  || { echo "endpoint smoke: gates-launcher $knob failed for another reason"; exit 1; }
+	done
+	for knob in '-checkpoint-interval 1s' '-replay-buffer 64'; do
+		# shellcheck disable=SC2086
+		"$smoke_tmp/gates-node" -stage compsteer/analyzer $knob 2>"$smoke_tmp/knob.err" >/dev/null \
+		  && { echo "endpoint smoke: gates-node accepted $knob"; exit 1; }
+		grep -q 'flag provided but not defined' "$smoke_tmp/knob.err" \
+		  || { echo "endpoint smoke: gates-node $knob failed for another reason"; exit 1; }
+	done
+	echo "gates-launcher -top dashboard ok; -slo-p99, -checkpoint-interval, -replay-buffer rejected"
 else
 	echo "curl not installed; skipping endpoint smoke"
 fi
