@@ -154,7 +154,9 @@ type AdjustResult struct {
 	// T1 and T2 are the downstream overload/underload exception counts
 	// consumed — and reset — by this epoch.
 	T1, T2 float64
-	// PhiT is φ1(T1,T2) after congestion-priority clamping.
+	// PhiT is φ1(T1,T2) after congestion-priority clamping: zero when
+	// downstream reported underload while this server's queue was
+	// congested or held a backlog.
 	PhiT float64
 	// DeltaP is the canonical ΔP (after Gain, before per-parameter
 	// Step/Direction scaling).
@@ -163,6 +165,13 @@ type AdjustResult struct {
 	// registered no adjustment parameters).
 	Adjustments []Adjustment
 }
+
+// rampingPhi1 is the long-term load factor φ1 at or below which an
+// underloaded server counts as ramping up: fewer than one in twenty of its
+// (decayed) samples were over-loaded. Such a server's d̄ measures bursts
+// passing through its queue, not a backlog, so congestion priority lets a
+// downstream underload report through.
+const rampingPhi1 = -0.9
 
 // Adjust applies the ΔP law once to every registered parameter and starts a
 // new adjustment epoch. It returns the adjustments made (empty when no
@@ -192,11 +201,18 @@ func (c *Controller) AdjustDetailed() AdjustResult {
 	c.epochT1, c.epochT2 = 0, 0
 
 	if !c.opts.DisableCongestionPriority {
-		// Congestion dominates slack: a starving downstream does not
-		// get more data while this server's own queue is congested,
-		// and local slack does not speed this server up while
-		// downstream reports overload.
-		if phiT < 0 && dNorm > 0 {
+		// Congestion dominates slack. A starving downstream does not
+		// get more data while this server's own queue is congested
+		// (d̃ > 0) or holds a backlog (d̄ > 0): a server with a backlog
+		// already sends as fast as its output allows, so a higher rate
+		// only lengthens its queue. A server that reports underload
+		// itself and has almost never been over-loaded is ramping up:
+		// what its queue holds are bursts passing through, so the
+		// report stands. Local slack does not speed this server up
+		// while downstream reports overload.
+		ramping := c.lastObs.Exception == ExceptionUnderload && c.lastObs.Phi1 <= rampingPhi1
+		backlog := c.lastObs.DBar > 0 && !ramping
+		if phiT < 0 && (dNorm > 0 || backlog) {
 			phiT = 0
 		} else if phiT > 0 && dNorm < 0 {
 			dNorm = 0

@@ -181,7 +181,8 @@ func TestControllerAdjustReportsDeltas(t *testing.T) {
 // TestClosedLoopConvergence drives the controller against an analytic queue
 // model: packets arrive at rate gen·r(t) and are served at rate mu. The
 // sampling rate must converge near the sustainable ratio mu/gen — the
-// mechanism behind Figures 8 and 9.
+// mechanism behind Figures 8 and 9 — within the bound the plant's property
+// test holds the law to when nothing is hidden from it.
 func TestClosedLoopConvergence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -224,7 +225,7 @@ func TestClosedLoopConvergence(t *testing.T) {
 				mean += r
 			}
 			mean /= float64(len(rs))
-			if math.Abs(mean-tc.wantR) > 0.2*tc.wantR+0.05 {
+			if math.Abs(mean-tc.wantR) > maxSettledErr*tc.wantR {
 				t.Fatalf("converged to %.3f, want ≈ %.3f", mean, tc.wantR)
 			}
 		})

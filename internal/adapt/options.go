@@ -119,12 +119,16 @@ type Options struct {
 	// DisableCongestionPriority turns off the gating that makes
 	// congestion signals dominate slack signals in the ΔP law. With
 	// gating on (the default), a downstream underload report is ignored
-	// while the local queue is congested — the local bottleneck explains
-	// the downstream starvation, and obeying the report would create
-	// positive feedback (send even more into a full pipe). Symmetrically,
-	// local slack is ignored while downstream reports overload. The paper
-	// attributes this stabilization to the σ functions without
-	// specifying it; the congestion-priority ablation compares both settings.
+	// while the local queue is congested (d̃ > 0) or holds a backlog
+	// (d̄ > 0) — the local bottleneck explains the downstream
+	// starvation, and obeying the report would create positive feedback
+	// (send even more into a full pipe). The backlog test is skipped
+	// while the stage is still ramping up (it reports underload itself
+	// and its long-term φ1 shows almost no overload), so a burst in its
+	// queue does not slow the ramp. Symmetrically, local slack is ignored
+	// while downstream reports overload. The paper attributes this
+	// stabilization to the σ functions without specifying it; the
+	// congestion-priority ablation compares both settings.
 	DisableCongestionPriority bool
 	// DownstreamSign selects the Equation 4 sign convention.
 	// Default SignReinforcing.

@@ -180,6 +180,13 @@ func (i *Ingress) Run(ctx *pipeline.Context, out *pipeline.Emitter) error {
 				return err
 			}
 		}
+		// A batching emitter holds packets until its batch fills. With the
+		// ring drained, nothing more is due to fill it, so send them on.
+		if n > 0 && i.ring.Len() == 0 {
+			if err := out.Flush(); err != nil {
+				return fmt.Errorf("transport: ingress flush: %w", err)
+			}
+		}
 		if err != nil && ctx.Ctx().Err() != nil {
 			return context.Cause(ctx.Ctx())
 		}

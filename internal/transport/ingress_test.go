@@ -338,3 +338,45 @@ func TestIngressPausesWhileIdle(t *testing.T) {
 		t.Fatal("pipeline did not finish after resume")
 	}
 }
+
+// TestIngressFlushesWhenDrained pins delivery under a batching emitter: with
+// a batch of 16, three frames that arrive and stop must still reach the next
+// stage without waiting for more traffic or for the end-of-stream marker.
+func TestIngressFlushesWhenDrained(t *testing.T) {
+	ing := NewIngress(1, 8)
+	eng := pipeline.New(clock.NewScaled(1000))
+	eng.SetDefaultBatchSize(16)
+	inSt, err := eng.AddSourceStage("ingress", 0, ing, pipeline.StageConfig{DisableAdaptation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan any, 3)
+	collSt, err := eng.AddProcessorStage("collect", 0, &collectProc{fn: func(v any) { got <- v }}, pipeline.StageConfig{DisableAdaptation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Connect(inSt, collSt, nil); err != nil {
+		t.Fatal(err)
+	}
+	runDone := make(chan error, 1)
+	go func() { runDone <- eng.Run(context.Background()) }()
+
+	for v := 0; v < 3; v++ {
+		ing.Deliver(Message{Kind: KindPacket, Value: v, Items: 1, WireSize: 8})
+	}
+	timeout := time.After(10 * time.Second)
+	for want := 0; want < 3; want++ {
+		select {
+		case v := <-got:
+			if v != want {
+				t.Fatalf("collector got %v, want %d", v, want)
+			}
+		case <-timeout:
+			t.Fatalf("collector saw %d of 3 delivered frames before the end-of-stream marker", want)
+		}
+	}
+	ing.Deliver(Message{Kind: KindPacket, Final: true})
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
+	}
+}

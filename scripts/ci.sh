@@ -338,14 +338,18 @@ if command -v curl >/dev/null 2>&1; then
 else
 	echo "curl not installed; skipping policy endpoint smoke"
 fi
-go run ./cmd/gates-experiments -exp policy -quick -scale 4000 | tee /dev/stderr \
-  | grep -q 'policy-hotreload: placement changed src-1 -> helper under v2'
+# Each experiment's output is captured, echoed to stderr, then matched:
+# `tee /dev/stderr` would reopen a redirected stderr and truncate the log.
+policy_out="$(go run ./cmd/gates-experiments -exp policy -quick -scale 4000)"
+echo "$policy_out" >&2
+echo "$policy_out" | grep -q 'policy-hotreload: placement changed src-1 -> helper under v2'
 
 echo "== bottleneck attribution smoke =="
 # A pipeline with one deliberately slow stage; the backpressure attribution
 # engine must name it.
-go run ./cmd/gates-experiments -exp constriction -quick | tee /dev/stderr \
-  | grep -q 'bottleneck: constrict'
+constriction_out="$(go run ./cmd/gates-experiments -exp constriction -quick)"
+echo "$constriction_out" >&2
+echo "$constriction_out" | grep -q 'bottleneck: constrict'
 
 echo "== chaos lane =="
 # Fault-tolerance lane: the deterministic manual-clock kill/recover tests
@@ -359,7 +363,8 @@ echo "== chaos lane =="
 go test -race \
   -run 'TestChaos|TestHealthMonitor|TestFault|TestReplay|TestDropDup|TestEmitLoss|TestEmitReorder|TestNetworkKill|TestNetworkPartition' \
   ./internal/service ./internal/pipeline ./internal/netsim
-chaos_out="$(go run ./cmd/gates-experiments -exp chaos -quick | tee /dev/stderr)"
+chaos_out="$(go run ./cmd/gates-experiments -exp chaos -quick)"
+echo "$chaos_out" >&2
 echo "$chaos_out" | grep -q 'chaos-verdict: recoveries=1 restored=true gap=false coverage=1.000'
 echo "$chaos_out" | grep -q 'accuracy_ok=true'
 
