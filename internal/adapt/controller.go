@@ -35,6 +35,7 @@ type Controller struct {
 	sigma1   *volatility
 	sigma2   *volatility
 	lastObs  Observation
+	prevDBar float64 // d̄ at the previous adjustment epoch
 	adjusted uint64
 }
 
@@ -142,9 +143,9 @@ func (c *Controller) DownstreamEpochCounts() (t1, t2 float64) {
 
 // AdjustResult captures one adjustment epoch in full: the inputs the ΔP law
 // consumed (d̃ and its normalized form, the downstream exception counts
-// T1/T2 that this epoch reset, the combined φ1 pressure) and the outputs
-// (the canonical ΔP and every parameter move). It is the raw material of
-// the journal's adaptation events.
+// T1/T2 that this epoch reset, the combined φ1 pressure, the queue trend)
+// and the outputs (the canonical ΔP and every parameter move). It is the raw
+// material of the journal's adaptation events.
 type AdjustResult struct {
 	// DTilde is the long-term average queue size factor at adjustment time.
 	DTilde float64
@@ -158,6 +159,12 @@ type AdjustResult struct {
 	// downstream reported underload while this server's queue was
 	// congested or held a backlog.
 	PhiT float64
+	// Trend is the queue-trend term's input: the change in d̄ since the
+	// previous adjustment epoch, normalized by queue capacity. It enters
+	// ΔP (as trendGain·Trend) only in an epoch whose downstream term is
+	// silent (PhiT == 0); it is reported either way, and is zero in the
+	// first epoch.
+	Trend float64
 	// DeltaP is the canonical ΔP (after Gain, before per-parameter
 	// Step/Direction scaling).
 	DeltaP float64
@@ -173,16 +180,27 @@ type AdjustResult struct {
 // downstream underload report through.
 const rampingPhi1 = -0.9
 
+// trendGain is k in the queue-trend term k·(Δd̄/C) that Adjust adds to the
+// canonical ΔP when the downstream term is silent. The law's d̃ term
+// integrates the queue level, and the queue integrates the rate error, so
+// without it the loop has no damping and cycles between an empty and a full
+// queue; the trend term is the derivative that damps it. It is gated on a
+// silent downstream so that it never fights the receiver's reports: ungated,
+// k = 4 settled 6.4 % high where the receiver is the bottleneck.
+const trendGain = 4
+
 // Adjust applies the ΔP law once to every registered parameter and starts a
 // new adjustment epoch. It returns the adjustments made (empty when no
 // parameter is registered).
 //
-//	ΔP = (d̃/C)·σ1(d̃/C) ± φ1(T1,T2)·σ2(φ1(T1,T2))
+//	ΔP = (d̃/C)·σ1(d̃/C) ± φ1(T1,T2)·σ2(φ1(T1,T2)) [+ k·Δd̄/C]
 //
 // σ1 and σ2 are volatility gains: they grow with the recent standard
 // deviation of their input (an unsteady system takes big steps) and never
 // fall below SigmaFloor (a settled system can still creep toward the
-// optimum). The ± is the DownstreamSign option. The canonical ΔP is then
+// optimum). The ± is the DownstreamSign option. The bracketed queue-trend
+// term (k = trendGain, Δd̄ the change in d̄ since the previous epoch) is
+// added only when the downstream term is silent. The canonical ΔP is then
 // scaled by Gain and each parameter's Step/Direction.
 func (c *Controller) Adjust() []Adjustment {
 	return c.AdjustDetailed().Adjustments
@@ -199,6 +217,11 @@ func (c *Controller) AdjustDetailed() AdjustResult {
 	dNorm := dTilde / float64(c.opts.Capacity)
 	phiT := Phi1(c.epochT1, c.epochT2)
 	c.epochT1, c.epochT2 = 0, 0
+	var trend float64
+	if c.adjusted > 0 {
+		trend = (c.lastObs.DBar - c.prevDBar) / float64(c.opts.Capacity)
+	}
+	c.prevDBar = c.lastObs.DBar
 
 	if !c.opts.DisableCongestionPriority {
 		// Congestion dominates slack. A starving downstream does not
@@ -229,6 +252,9 @@ func (c *Controller) AdjustDetailed() AdjustResult {
 	default: // SignReinforcing
 		deltaP += phiT * s2
 	}
+	if phiT == 0 {
+		deltaP += trendGain * trend
+	}
 	deltaP *= c.opts.Gain
 	c.adjusted++
 
@@ -243,6 +269,7 @@ func (c *Controller) AdjustDetailed() AdjustResult {
 		T1:          t1,
 		T2:          t2,
 		PhiT:        phiT,
+		Trend:       trend,
 		DeltaP:      deltaP,
 		Adjustments: out,
 	}

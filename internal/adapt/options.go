@@ -27,6 +27,12 @@
 //     local congestion (toward faster/less-accurate processing), which is
 //     what Figures 8–9 show; SignLiteral implements the subtraction as
 //     printed.
+//
+// A third is resolved without an option: the paper leaves σ unspecified,
+// and the law as printed has no damping (its d̃ term integrates the queue
+// level, which integrates the rate error). When the downstream term is
+// silent, Adjust adds a queue-trend term k·Δd̄/C that pulls against the
+// queue's growth; see DESIGN.md §1.
 package adapt
 
 import (
@@ -134,11 +140,13 @@ type Options struct {
 	// Default SignReinforcing.
 	DownstreamSign SignConvention
 	// Gain scales ΔP into parameter steps: a fully saturated signal moves
-	// a parameter by about Gain × σ × its Step per adjustment. Small
-	// values matter: the queue behind a saturating stage is bistable
-	// (full just above the sustainable rate, empty just below), so the
-	// load signal is inherently bang-bang and the per-adjustment step
-	// bounds the oscillation amplitude around the equilibrium. Default 2.
+	// a parameter by about Gain × σ × its Step per adjustment. The queue
+	// behind a saturating stage fills just above the sustainable rate and
+	// drains just below it, so the level term alone drives a limit cycle;
+	// the queue-trend term (see Controller.Adjust) damps it, and Gain
+	// bounds each epoch's move. A lower Gain does not break the cycle (1
+	// left adapt-netlimit's p50 latency near 1 s and cost throughput).
+	// Default 2.
 	Gain float64
 	// SigmaFloor is the minimum value of the volatility gains σ1/σ2, so
 	// adaptation never stalls entirely. Default 0.25.
@@ -155,6 +163,13 @@ type Options struct {
 // the given capacity.
 func Defaults(capacity int) Options {
 	o := Options{Capacity: capacity}
+	o.fill()
+	return o
+}
+
+// Filled returns o with every zero-valued field set to its default for
+// o.Capacity, as NewController and NewMonitor fill it before validating.
+func (o Options) Filled() Options {
 	o.fill()
 	return o
 }

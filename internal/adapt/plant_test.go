@@ -168,27 +168,97 @@ func (p plant) run() plantReading {
 }
 
 // TestPlantLinkBias runs the plant in adapt-netlimit's shape: 80 packets/s
-// into a 20 packets/s link, observed every 0.5 s (λ 40, μ 10 a tick), a
-// sampler queue of 100, and a source that emits in bursts of four. The
-// receiver reports underload on every observation. While congestion priority
-// held those reports back only on d̃ > 0, the sampler obeyed them with a
-// backlog in its queue and settled 4 % (H 0) to 14 % (H ≥ C) above r*, above
-// it on 52–66 % of samples. Counting the backlog brings every row within 6 %;
-// the ramp from r = 0.01 keeps the speed it has on a smooth stream.
+// into a 20 packets/s link, observed every 0.5 s (λ 40, μ 10 a tick), and a
+// sampler queue of 100, with a fluid stream and with a source that emits in
+// bursts of ten. The receiver reports underload on every observation. While
+// congestion priority held those reports back only on d̃ > 0, the sampler
+// obeyed them with a backlog in its queue and settled 4 % (H 0) to 14 %
+// (H ≥ C) above r*. Counting the backlog brought the bursty rows within 6 %,
+// but the law, which integrates the queue level while the queue integrates
+// the rate error, still cycled between an empty and a full queue: swings of
+// 30–34 % with nothing hidden and 52–63 % behind a hidden buffer, and a fluid
+// stream 15 % above r* at H ≥ C. The queue-trend term damps the cycle: every
+// row now reads within 2.3 %, with swings of 18–22 % at H 0 and 37–40 % at
+// H ≥ C; the ramp from r = 0.01 keeps the speed it has on a smooth stream.
 func TestPlantLinkBias(t *testing.T) {
 	smooth := plant{lambda: 40, mu: 10, capacity: 100, initial: 0.01}.run()
-	for _, hidden := range []float64{0, 100, 400} {
-		t.Run(fmt.Sprintf("H=%.0f", hidden), func(t *testing.T) {
-			p := plant{lambda: 40, mu: 10, bursts: 10, capacity: 100, hidden: hidden, initial: 0.01}
-			got := p.run()
-			t.Log(got)
-			if math.Abs(got.meanErr) > 0.06 || got.swing > 0.6 || got.above > 0.6 {
-				t.Errorf("settled %v, want |error| ≤ 6 %%, swing ≤ 60 %%, above r* ≤ 60 %%", got)
+	for _, bursts := range []int{0, 10} {
+		for _, hidden := range []float64{0, 100, 400} {
+			name := fmt.Sprintf("H=%.0f", hidden)
+			if bursts == 0 {
+				name = "fluid-" + name
 			}
-			if got.rise < 0 || got.rise > smooth.rise+smooth.rise/10 {
-				t.Errorf("reached 0.9·r* at tick %d, want within 10 %% of a smooth stream's %d", got.rise, smooth.rise)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				p := plant{lambda: 40, mu: 10, bursts: bursts, capacity: 100, hidden: hidden, initial: 0.01}
+				got := p.run()
+				t.Log(got)
+				maxSwing := 0.25
+				if hidden > 0 {
+					maxSwing = 0.45
+				}
+				if math.Abs(got.meanErr) > 0.03 || got.swing > maxSwing || got.above > 0.57 {
+					t.Errorf("settled %v, want |error| ≤ 3 %%, swing ≤ %.0f %%, above r* ≤ 57 %%", got, 100*maxSwing)
+				}
+				if got.rise < 0 || got.rise > smooth.rise+smooth.rise/10 {
+					t.Errorf("reached 0.9·r* at tick %d, want within 10 %% of a smooth stream's %d", got.rise, smooth.rise)
+				}
+			})
+		}
+	}
+}
+
+// TestTrendTermPullsAgainstQueueGrowth pins the queue-trend term of the ΔP
+// law. With the volatility gains held at SigmaFloor, an epoch whose d̄ rose
+// since the last one must push the canonical knob toward less data by
+// Gain·trendGain·Trend beyond what d̃ alone asks for, an epoch whose d̄ fell
+// must pull it the other way, and an epoch with a downstream report must
+// leave the term out.
+func TestTrendTermPullsAgainstQueueGrowth(t *testing.T) {
+	o := Defaults(100)
+	o.SigmaVolatility = 1e-12 // σ1 = σ2 = SigmaFloor, to 1e-12
+	c := NewController(o)
+	epoch := func(d int) AdjustResult {
+		for i := 0; i < 4; i++ {
+			c.Observe(d)
+		}
+		return c.AdjustDetailed()
+	}
+	if res := epoch(10); res.Trend != 0 {
+		t.Fatalf("first epoch: Trend %v, want 0 (no previous d̄)", res.Trend)
+	}
+	prev := c.LastObservation().DBar
+	for _, tc := range []struct {
+		name string
+		d    int
+		grow bool
+	}{{"rising", 60, true}, {"falling", 0, false}} {
+		res := epoch(tc.d)
+		dbar := c.LastObservation().DBar
+		if want := (dbar - prev) / float64(o.Capacity); res.Trend != want || res.Trend == 0 {
+			t.Fatalf("%s: Trend %v, want Δd̄/C = %v ≠ 0", tc.name, res.Trend, want)
+		}
+		prev = dbar
+		if res.PhiT != 0 {
+			t.Fatalf("%s: PhiT %v with no downstream report", tc.name, res.PhiT)
+		}
+		local := o.Gain * res.DNorm * o.SigmaFloor
+		if want := local + o.Gain*trendGain*res.Trend; math.Abs(res.DeltaP-want) > 1e-9 {
+			t.Errorf("%s: ΔP %v, want Gain·(d̃/C·σ1 + k·Trend) = %v", tc.name, res.DeltaP, want)
+		}
+		if tc.grow != (res.Trend > 0) {
+			t.Fatalf("%s: Trend %v has the wrong sign", tc.name, res.Trend)
+		}
+		if pull := res.DeltaP - local; pull*res.Trend <= 0 || math.Abs(pull) < o.Gain*math.Abs(res.Trend) {
+			t.Errorf("%s: the trend term moved ΔP by %v for Trend %v, want a pull against the queue's change", tc.name, pull, res.Trend)
+		}
+	}
+	c.OnDownstreamException(ExceptionOverload)
+	res := epoch(50)
+	if res.PhiT == 0 || res.Trend == 0 {
+		t.Fatalf("gated epoch: PhiT %v, Trend %v, want both non-zero", res.PhiT, res.Trend)
+	}
+	if want := o.Gain * (res.DNorm + res.PhiT) * o.SigmaFloor; math.Abs(res.DeltaP-want) > 1e-9 {
+		t.Errorf("gated epoch: ΔP %v, want %v without the trend term", res.DeltaP, want)
 	}
 }
 
@@ -291,10 +361,11 @@ func TestLawTracksQueuingModel(t *testing.T) {
 		}
 		got := p.run()
 		errFrac := (got.mean - rs) / rs
-		// With a hidden buffer d̃ cannot see all of the backlog, and the law
-		// still overshoots: the draws read −11.7 % to +19.2 % and at most
-		// 70 % of samples above r*, against up to +21.9 % and 73 % before.
-		ok := errFrac >= -0.13 && errFrac <= 0.21 && got.above <= 0.75
+		// With a hidden buffer d̃ cannot see all of the backlog. Without the
+		// queue-trend term the law overshot: the draws read −11.7 % to
+		// +19.2 % and up to 70 % of samples above r*. With it they read
+		// −11.7 % to +6.3 % and at most 55 % above.
+		ok := errFrac >= -0.13 && errFrac <= 0.08 && got.above <= 0.6
 		if p.hidden == 0 {
 			ok = ok && math.Abs(errFrac) <= maxSettledErr
 		}

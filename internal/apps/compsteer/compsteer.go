@@ -12,6 +12,7 @@ package compsteer
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -166,6 +167,11 @@ func (s *Sampler) Restore(data []byte) error {
 	}
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("compsteer: restore sampler: %w", err)
+	}
+	// A running sampler's credit stays in [0, 1); any other value would
+	// forward every packet or none, whatever the rate says.
+	if !(w.Credit >= 0 && w.Credit < 1) {
+		return errors.New("compsteer: restore sampler: credit outside [0, 1)")
 	}
 	s.credit = w.Credit
 	return nil

@@ -71,7 +71,9 @@ type LinkStats struct {
 	// Messages is the number of Transfer calls completed.
 	Messages int64
 	// Waited is the cumulative virtual time senders spent blocked on this
-	// link (transmission pacing only, excluding fixed latency).
+	// link (transmission pacing only, excluding fixed latency). Pacing a
+	// Quantum holds back is counted when a later transfer sleeps it, so
+	// Waited never exceeds the time senders actually slept.
 	Waited time.Duration
 	// Dropped is the number of deliveries discarded by fault injection on
 	// this link (probabilistic loss or a black-hole after a node kill or
@@ -207,6 +209,10 @@ func (l *Link) TransferBatch(n, msgs int) time.Duration {
 	total := wait + l.cfg.Latency
 	if total > 0 && (wait >= l.cfg.Quantum || l.cfg.Latency > 0) {
 		l.clk.Sleep(total)
+	} else {
+		// A wait under Quantum stays in the shaper, and the next
+		// transfer's wait contains it again: count it once, when slept.
+		wait = 0
 	}
 	l.mu.Lock()
 	l.stats.Messages += int64(msgs)

@@ -107,11 +107,15 @@ func TestQuantumBatchesSleeps(t *testing.T) {
 	// suppressed the sleep, while the owed backlog still accumulates.
 	clk := clock.NewManual()
 	l := NewLink(clk, LinkConfig{Bandwidth: 1000, Burst: 1000, Quantum: 10 * time.Second})
+	var owed time.Duration
 	for i := 0; i < 5; i++ {
-		l.Transfer(1000) // 1s owed each after the burst
+		owed = l.Transfer(1000) // 1s more owed each after the burst
 	}
-	if w := l.Stats().Waited; w < 3*time.Second {
-		t.Fatalf("owed pacing = %v, want >= 3s of backlog", w)
+	if owed < 3*time.Second {
+		t.Fatalf("owed pacing = %v, want >= 3s of backlog", owed)
+	}
+	if w := l.Stats().Waited; w != 0 {
+		t.Fatalf("Waited = %v with no sleep, want 0", w)
 	}
 	// The sixth transfer would owe >= 5s, still under the 10s quantum.
 	done := make(chan struct{})
@@ -123,6 +127,56 @@ func TestQuantumBatchesSleeps(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("transfer under quantum slept")
+	}
+}
+
+// sleepClock is a clock whose time moves only when a caller sleeps: the
+// elapsed time is exactly what senders slept.
+type sleepClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *sleepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *sleepClock) Sleep(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+func (c *sleepClock) After(d time.Duration) <-chan time.Time {
+	c.Sleep(d)
+	ch := make(chan time.Time, 1)
+	ch <- c.Now()
+	return ch
+}
+
+// TestWaitedCountsOnlySleptPacing drives a 10 KB/s link with 200 transfers
+// of 500 B on a clock that advances only when a sender sleeps. Waited must
+// equal the time slept: a wait under Quantum stays in the shaper and is
+// slept (and counted) by a later transfer, not counted twice.
+func TestWaitedCountsOnlySleptPacing(t *testing.T) {
+	for _, quantum := range []time.Duration{0, 100 * time.Millisecond} {
+		clk := &sleepClock{now: clock.Epoch}
+		l := NewLink(clk, LinkConfig{Bandwidth: 10_000, Quantum: quantum})
+		for i := 0; i < 200; i++ {
+			l.Transfer(500)
+		}
+		elapsed := clk.Now().Sub(clock.Epoch)
+		if w := l.Stats().Waited; w != elapsed {
+			t.Errorf("quantum %v: Waited %v for %v slept", quantum, w, elapsed)
+		}
+		if elapsed < 9*time.Second {
+			t.Errorf("quantum %v: 100 KB minus the burst took %v at 10 KB/s, want ≥ 9s", quantum, elapsed)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func (l *Link) Instrument(reg *obs.Registry, name string) {
 		"Messages carried by the emulated link.", lb,
 		func() float64 { return float64(l.Stats().Messages) })
 	reg.CounterFunc("gates_link_waited_seconds_total",
-		"Cumulative virtual time senders were paced by the link shaper.", lb,
+		"Cumulative virtual time senders slept on the link shaper's pacing.", lb,
 		func() float64 { return l.Stats().Waited.Seconds() })
 	l.transferSec.Store(reg.Histogram("gates_link_transfer_seconds",
 		"Virtual time one coalesced batch spent on the link (pacing wait + propagation latency).",

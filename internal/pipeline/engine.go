@@ -88,6 +88,9 @@ func (e *Engine) addStage(id string, instance int, p Processor, src Source, cfg 
 		return nil, errors.New("pipeline: stage id must be non-empty")
 	}
 	cfg.fill()
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("pipeline: stage %s/%d: %w", id, instance, err)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.started {

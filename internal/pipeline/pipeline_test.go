@@ -103,6 +103,22 @@ func TestAddStageValidation(t *testing.T) {
 	if _, err := e.AddSourceStage("x", 0, nil, StageConfig{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
+	// Options the adaptation controller would panic on are an error, with
+	// adaptation on or off: a queue of one leaves no expected length D in
+	// [1, C).
+	for name, cfg := range map[string]StageConfig{
+		"capacity 1":                 {QueueCapacity: 1},
+		"capacity 1, adaptation off": {QueueCapacity: 1, DisableAdaptation: true},
+		"negative capacity":          {QueueCapacity: -4, Adapt: adapt.Options{Capacity: 100}},
+		"alpha out of range":         {Adapt: adapt.Options{Alpha: 1.5}},
+	} {
+		if _, err := e.AddProcessorStage("x", 0, &testProc{}, cfg); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if _, err := e.AddSourceStage("x", 0, &testSource{}, cfg); err == nil {
+			t.Fatalf("%s: source accepted", name)
+		}
+	}
 	if _, err := e.AddProcessorStage("x", 0, &testProc{}, StageConfig{}); err != nil {
 		t.Fatal(err)
 	}

@@ -100,6 +100,15 @@ func (c *StageConfig) fill() {
 	}
 }
 
+// validate reports why a filled config cannot run: a queue with no slot, or
+// adaptation options the controller would reject (and panic on).
+func (c *StageConfig) validate() error {
+	if c.QueueCapacity < 1 {
+		return fmt.Errorf("QueueCapacity %d must be >= 1", c.QueueCapacity)
+	}
+	return c.Adapt.Filled().Validate()
+}
+
 // StageStats counts a stage's lifetime activity. A stage counts on its own
 // goroutine and publishes per run (see publishLocal): a snapshot is exact
 // whenever the stage is blocked inside the middleware (empty input, full

@@ -126,6 +126,11 @@ func (c *AppConfig) Validate() error {
 		if s.Instances < 0 {
 			return fmt.Errorf("service: stage %q: negative instance count", s.ID)
 		}
+		if s.QueueCapacity < 0 || s.QueueCapacity == 1 {
+			// The adaptation law needs an expected queue length D in
+			// [1, C): a queue of one has no room below capacity.
+			return fmt.Errorf("service: stage %q: queueCapacity %d must be 0 (default) or >= 2", s.ID, s.QueueCapacity)
+		}
 		if len(s.NearSources) > 0 && len(s.NearSources) != s.EffectiveInstances() {
 			return fmt.Errorf("service: stage %q: %d nearSource hints for %d instances",
 				s.ID, len(s.NearSources), s.EffectiveInstances())

@@ -156,6 +156,10 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"bad fanout", `<application name="x"><stage id="a" code="c" source="true"/><stage id="b" code="c"/><connection from="a" to="b" fanout="ring"/></application>`},
 		{"pairwise mismatch", `<application name="x"><stage id="a" code="c" source="true" instances="3"/><stage id="b" code="c"/><connection from="a" to="b" fanout="pairwise"/></application>`},
 		{"hint count mismatch", `<application name="x"><stage id="a" code="c" source="true" instances="2"><nearSource>s1</nearSource></stage></application>`},
+		// A queue of one leaves the adaptation law no expected length D in
+		// [1, C); Deploy would fail on it.
+		{"queue capacity 1", `<application name="x"><stage id="a" code="c" source="true" queueCapacity="1"/></application>`},
+		{"negative queue capacity", `<application name="x"><stage id="a" code="c" source="true" queueCapacity="-64"/></application>`},
 	}
 	for _, tc := range cases {
 		if _, err := ParseConfigString(tc.xml); err == nil {

@@ -77,6 +77,10 @@ go test -run '^$' -fuzz FuzzParseConfig -fuzztime 10s ./internal/service
 # /cluster): MergeMetrics must not panic, and must report histograms whose
 # bounds differ rather than merge them.
 go test -run '^$' -fuzz FuzzMergeSnapshots -fuzztime 10s ./internal/obs
+# And for the comp-steer sampler's checkpoint blob (a recovery or migration
+# restores it on another node): Restore must not panic, and must accept only
+# a credit in [0, 1).
+go test -run '^$' -fuzz FuzzSamplerRestore -fuzztime 10s ./internal/apps/compsteer
 # (Not "! grep": errexit ignores a negated command.)
 if grep -rn '"encoding/gob"' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "guard: encoding/gob is imported again; the wire has one codec"; exit 1
