@@ -58,10 +58,19 @@ func (s *latSink) Process(_ *pipeline.Context, pkt *pipeline.Packet, _ *pipeline
 }
 func (s *latSink) Finish(*pipeline.Context, *pipeline.Emitter) error { return nil }
 
+// recorded returns how many latency samples the sink has taken.
+func (s *latSink) recorded() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.lat)
+}
+
 // runLatencyNode drives one source→link→sink engine to completion on the
 // shared manual clock, advancing it deadline-by-deadline so every virtual
 // timestamp is deterministic, and returns the node's obs bundle plus the
-// sink's exact latency samples.
+// sink's exact latency samples. Before each advance the sink must have timed
+// every packet the link has released (the link's completed messages, less
+// the final marker), or a sample would include the advance.
 func runLatencyNode(t *testing.T, clk *clock.Manual, packets int, bandwidth int64) (*obs.Observability, []float64) {
 	t.Helper()
 	ob := obs.New(clk, obs.Config{})
@@ -98,10 +107,12 @@ func runLatencyNode(t *testing.T, clk *clock.Manual, packets int, bandwidth int6
 		if time.Now().After(deadline) {
 			t.Fatal("engine never finished")
 		}
-		if dl, ok := clk.NextDeadline(); ok {
+		dl, ok := clk.NextDeadline()
+		if ok && sink.recorded() >= min(int(link.Stats().Messages), packets) {
 			clk.AdvanceTo(dl)
 		} else {
-			// No sleeper registered yet: let the engine goroutines run.
+			// No sleeper registered yet, or the sink is still timing a
+			// released packet: let the engine goroutines run.
 			time.Sleep(100 * time.Microsecond)
 		}
 	}

@@ -86,8 +86,11 @@ func TestRunClusterEndpoint(t *testing.T) {
 		if err != nil {
 			break // run finished, server closed
 		}
-		body, _ := io.ReadAll(resp.Body)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			break // body cut off: the server closed mid-write as the run ended
+		}
 		var v obs.ClusterView
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatalf("/cluster not JSON: %v\n%s", err, body)

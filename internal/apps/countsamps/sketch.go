@@ -19,6 +19,8 @@ package countsamps
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -118,10 +120,7 @@ func (s *Sketch) Observe(v int) {
 // the same stream diverge — reproducibility the experiments rely on.
 func (s *Sketch) raiseTau() {
 	oldTau := s.tau
-	s.tau = oldTau * 1.25
-	if s.tau < oldTau+1 {
-		s.tau = oldTau + 1
-	}
+	s.tau = nextTau(oldTau)
 	keepFirst := oldTau / s.tau
 	values := make([]int, 0, len(s.counts))
 	for v := range s.counts {
@@ -147,6 +146,22 @@ func (s *Sketch) raiseTau() {
 			s.counts[v] = c
 		}
 	}
+}
+
+// nextTau is the threshold one raise moves τ to: ×1.25, and at least +1.
+func nextTau(tau float64) float64 {
+	return math.Max(tau*1.25, tau+1)
+}
+
+// raisesTo returns how many raises take τ from 1 to exactly tau, and false
+// when none do: a finite τ a running sketch can hold is one of nextTau's
+// iterates from 1, and the iteration is the one raiseTau performs.
+func raisesTo(tau float64) (int, bool) {
+	raises, t := 0, 1.0
+	for ; t < tau; t = nextTau(t) {
+		raises++
+	}
+	return raises, t == tau && !math.IsInf(tau, 1)
 }
 
 // sketchWire is the serialized form of a Sketch. Values/Counts are
@@ -186,14 +201,44 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary replaces the sketch's state with a serialized one,
-// replaying the RNG to the recorded draw position.
+// replaying the RNG to the recorded draw position. It refuses state no
+// running sketch reaches, and then leaves the sketch unchanged: a τ that no
+// number of raises gives (below 1, NaN and infinite among them), more values
+// than the footprint, values out of order or repeated, a count below 1, a
+// count total above Observed, or more draws than Observed permits.
+//
+// The draw bound, for a sketch that observed O values and raised τ R times.
+// Observe draws once for each value it does not already track; a raise draws
+// once per tracked value (its first flip) and once more per decrement. Of the
+// O observations, those that draw and those that add a count overlap only in
+// admissions, and every decrement takes back a count an Observe added, so
+// Observe's draws plus the decrements are at most 2·O. A raise sees at most O
+// tracked values, so the first flips are at most R·O. Hence Draws ≤ (R + 2)·O,
+// and so is the number of steps the replay takes.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	var w sketchWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("countsamps: unmarshal sketch: %w", err)
 	}
-	if w.Footprint < 1 || len(w.Values) != len(w.Counts) {
+	if w.Footprint < 1 || len(w.Values) != len(w.Counts) || len(w.Values) > w.Footprint {
 		return fmt.Errorf("countsamps: unmarshal sketch: malformed state")
+	}
+	raises, ok := raisesTo(w.Tau)
+	if !ok {
+		return fmt.Errorf("countsamps: unmarshal sketch: τ %v is not reachable", w.Tau)
+	}
+	var total uint64
+	for i, c := range w.Counts {
+		if c < 1 || (i > 0 && w.Values[i] <= w.Values[i-1]) {
+			return fmt.Errorf("countsamps: unmarshal sketch: entry %d out of order or below count 1", i)
+		}
+		if total += uint64(c); total > w.Observed {
+			return fmt.Errorf("countsamps: unmarshal sketch: counts exceed %d observed values", w.Observed)
+		}
+	}
+	if hi, lo := bits.Mul64(uint64(raises)+2, w.Observed); hi == 0 && w.Draws > lo {
+		return fmt.Errorf("countsamps: unmarshal sketch: %d draws exceed the %d that %d observed values and %d raises allow",
+			w.Draws, lo, w.Observed, raises)
 	}
 	s.footprint = w.Footprint
 	s.tau = w.Tau

@@ -218,19 +218,22 @@ func (s *Summarizer) Snapshot() ([]byte, error) {
 	return json.Marshal(summarizerWire{Since: s.since, Sketch: sk})
 }
 
-// Restore implements pipeline.Snapshotter.
+// Restore implements pipeline.Snapshotter. A blob it refuses (see
+// Sketch.UnmarshalBinary; a negative flush countdown too) leaves the
+// summarizer unchanged.
 func (s *Summarizer) Restore(data []byte) error {
 	var w summarizerWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("countsamps: restore summarizer: %w", err)
 	}
-	if s.sketch == nil {
-		s.sketch = NewSketch(1, 0)
+	if w.Since < 0 {
+		return fmt.Errorf("countsamps: restore summarizer: negative flush countdown %d", w.Since)
 	}
-	if err := s.sketch.UnmarshalBinary(w.Sketch); err != nil {
+	sk := new(Sketch)
+	if err := sk.UnmarshalBinary(w.Sketch); err != nil {
 		return err
 	}
-	s.since = w.Since
+	s.sketch, s.since = sk, w.Since
 	return nil
 }
 

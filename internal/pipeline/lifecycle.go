@@ -8,11 +8,9 @@ import (
 	"github.com/gates-middleware/gates/internal/obs"
 )
 
-// ErrPausePending is wrapped by Pause when a pause is already in flight
-// (the stage is Draining or Paused). Callers that race other pausers — the
-// checkpointer against the recovery controller, say — match it with
-// errors.Is and retry instead of failing.
-var ErrPausePending = errors.New("pause already pending")
+// ErrStopped is wrapped by Pause when the stage has stopped: before the
+// call, while the call waited its turn, or while the stage drained.
+var ErrStopped = errors.New("stage stopped")
 
 // StageState is one phase of a stage instance's lifecycle. A stage is born
 // Init, becomes Running when the engine starts it, and ends Stopped. A
@@ -120,43 +118,62 @@ func (s *Stage) recordTransition(from, to StageState) {
 }
 
 // Pause asks the stage to drain its current work item and park, and blocks
-// until it is Paused. The input queue stays open: producers keep pushing
-// until it fills, then block — nothing is dropped. Pause fails if the
-// stage has already stopped, if a pause is already pending, or when ctx
-// expires first (the stage then still parks at its next drain boundary;
-// Resume recovers it).
+// until it is Paused. A pause is a lock: nil means the caller holds the pause
+// until it calls Resume; an error means it holds nothing. While another
+// pause is in flight (the stage is Draining or Paused), Pause waits for that
+// holder's Resume and then takes its own. The input queue stays open:
+// producers keep pushing until it fills, then block — nothing is dropped.
+// Pause fails with ErrStopped once the stage has stopped, and with ctx's
+// error when ctx expires first; a request the stage has not yet parked for
+// is then taken back, and a stage that parked for it meanwhile is released.
 func (s *Stage) Pause(ctx context.Context) error {
-	s.pauseMu.Lock()
-	switch StageState(s.state.Load()) {
-	case StateStopped:
+	for {
+		s.pauseMu.Lock()
+		switch StageState(s.state.Load()) {
+		case StateStopped:
+			s.pauseMu.Unlock()
+			return fmt.Errorf("pipeline: pause %s/%d: %w", s.id, s.instance, ErrStopped)
+		case StateDraining, StatePaused:
+			resume := s.resumeCh // another holder's: wait for its Resume
+			s.pauseMu.Unlock()
+			select {
+			case <-resume:
+			case <-s.doneCh: // Stopped is set before doneCh closes
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			continue
+		}
+		s.pausedCh = make(chan struct{})
+		s.resumeCh = make(chan struct{})
+		s.pauseReq.Store(true)
+		// Wake sources blocked outside the emit path; the channel stays
+		// closed — observably "pause pending" — until release re-arms it.
+		close(*s.pauseWake.Load())
+		if s.popCancel != nil {
+			// Wake a pop blocked on an empty queue; the queue removes
+			// nothing on cancellation, so no packet is lost.
+			s.popCancel()
+		}
+		s.toState(StateDraining)
+		paused := s.pausedCh
 		s.pauseMu.Unlock()
-		return fmt.Errorf("pipeline: pause %s/%d: stage already stopped", s.id, s.instance)
-	case StateDraining, StatePaused:
-		s.pauseMu.Unlock()
-		return fmt.Errorf("pipeline: pause %s/%d: %w", s.id, s.instance, ErrPausePending)
-	}
-	s.pausedCh = make(chan struct{})
-	s.resumeCh = make(chan struct{})
-	s.pauseReq.Store(true)
-	// Wake sources blocked outside the emit path; the channel stays closed —
-	// observably "pause pending" — until Resume re-arms it.
-	close(*s.pauseWake.Load())
-	if s.popCancel != nil {
-		// Wake a pop blocked on an empty queue; the queue removes
-		// nothing on cancellation, so no packet is lost.
-		s.popCancel()
-	}
-	s.toState(StateDraining)
-	paused := s.pausedCh
-	s.pauseMu.Unlock()
 
-	select {
-	case <-paused:
-		return nil
-	case <-s.doneCh:
-		return fmt.Errorf("pipeline: pause %s/%d: stage stopped while draining", s.id, s.instance)
-	case <-ctx.Done():
-		return ctx.Err()
+		select {
+		case <-paused:
+			return nil
+		case <-s.doneCh:
+			continue
+		case <-ctx.Done():
+			// Take the request back, or release the stage that parked for
+			// it meanwhile; a stopped stage, or a later epoch, is not ours.
+			s.pauseMu.Lock()
+			if st := s.State(); s.pausedCh == paused && (st == StateDraining || st == StatePaused) {
+				s.release()
+			}
+			s.pauseMu.Unlock()
+			return ctx.Err()
+		}
 	}
 }
 
@@ -167,6 +184,15 @@ func (s *Stage) Resume() error {
 	if StageState(s.state.Load()) != StatePaused {
 		return fmt.Errorf("pipeline: resume %s/%d: stage is not paused", s.id, s.instance)
 	}
+	s.release()
+	return nil
+}
+
+// release ends the current pause epoch: the stage returns to Running with
+// its wake-up re-armed and a fresh pop context, and whoever waits on the
+// epoch's resume channel — the parked stage, a queued pauser — goes on.
+// Caller holds pauseMu.
+func (s *Stage) release() {
 	s.pauseReq.Store(false)
 	wake := make(chan struct{}) // re-arm the cooperative wake-up
 	s.pauseWake.Store(&wake)
@@ -175,7 +201,6 @@ func (s *Stage) Resume() error {
 	}
 	s.toState(StateRunning)
 	close(s.resumeCh)
-	return nil
 }
 
 // parkIfRequested parks the stage goroutine at a drain boundary when a

@@ -2,7 +2,7 @@ package pipeline
 
 import (
 	"context"
-	"strings"
+	"errors"
 	"testing"
 	"time"
 
@@ -63,9 +63,14 @@ func TestPauseResumeDeliversEverything(t *testing.T) {
 	}
 	midCount := len(sink.values())
 
-	// A second pause of a paused stage must refuse.
-	if err := s2.Pause(context.Background()); err == nil || !strings.Contains(err.Error(), "pending") {
-		t.Fatalf("double pause = %v", err)
+	// A second pause of a paused stage waits for Resume.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	if err := s2.Pause(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second pause of a held stage = %v, want it to wait out its ctx", err)
+	}
+	cancel()
+	if got := s2.State(); got != StatePaused {
+		t.Fatalf("state after a waiter gave up %v, want paused", got)
 	}
 	// Nothing flows while paused, even as the source keeps pushing.
 	close(src.release)
@@ -95,8 +100,146 @@ func TestPauseResumeDeliversEverything(t *testing.T) {
 	if got := s2.State(); got != StateStopped {
 		t.Fatalf("terminal state %v, want stopped", got)
 	}
-	if err := s2.Pause(context.Background()); err == nil {
-		t.Fatal("pausing a stopped stage succeeded")
+	if err := s2.Pause(context.Background()); !errors.Is(err, ErrStopped) {
+		t.Fatalf("pausing a stopped stage = %v, want ErrStopped", err)
+	}
+}
+
+// TestPauseWaitsForHolder races two pauses: the second waits while the first
+// holds the stage Paused, takes its own pause once the holder resumes, and
+// one more Resume brings the stage back to Running.
+func TestPauseWaitsForHolder(t *testing.T) {
+	clk := clock.NewManual()
+	eng := New(clk)
+	values := make([]int, 200)
+	for i := range values {
+		values[i] = i
+	}
+	src := &gatedTestSource{values: values, reached: make(chan struct{}), release: make(chan struct{})}
+	sink := &collector{}
+	s1, _ := eng.AddSourceStage("src", 0, src, StageConfig{DisableAdaptation: true})
+	s2, _ := eng.AddProcessorStage("sink", 0, sink, StageConfig{DisableAdaptation: true, QueueCapacity: 500})
+	if err := eng.Connect(s1, s2, nil); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- eng.Run(context.Background()) }()
+
+	<-src.reached
+	if err := s2.Pause(context.Background()); err != nil {
+		t.Fatalf("first pause: %v", err)
+	}
+	second := make(chan error, 1)
+	go func() { second <- s2.Pause(context.Background()) }()
+	select {
+	case err := <-second:
+		t.Fatalf("second pause returned %v while the first holder keeps the stage paused", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := s2.State(); got != StatePaused {
+		t.Fatalf("held stage state %v, want paused", got)
+	}
+
+	if err := s2.Resume(); err != nil {
+		t.Fatalf("holder's resume: %v", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("second pause after the holder resumed: %v", err)
+	}
+	if got := s2.State(); got != StatePaused {
+		t.Fatalf("state after the second pause %v, want paused", got)
+	}
+	if err := s2.Resume(); err != nil {
+		t.Fatalf("second holder's resume: %v", err)
+	}
+	if got := s2.State(); got != StateRunning {
+		t.Fatalf("state after the last resume %v, want running", got)
+	}
+	close(src.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	got := sink.values()
+	if len(got) != len(values) {
+		t.Fatalf("delivered %d values, want %d", len(got), len(values))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("value %d = %d, out of order", i, v)
+		}
+	}
+}
+
+// heldProc blocks inside Process on the packet whose value is at, until
+// release closes: a stage that cannot reach a drain boundary.
+type heldProc struct {
+	collector
+	at      int
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (p *heldProc) Process(ctx *Context, pkt *Packet, out *Emitter) error {
+	if pkt.Value.(int) == p.at {
+		close(p.reached)
+		<-p.release
+	}
+	return p.collector.Process(ctx, pkt, out)
+}
+
+// TestPauseTimeoutWithdrawsRequest gives up on a pause before the stage can
+// park: the request is taken back, so the stage runs on, the next Pause
+// succeeds with no Resume in between, and no packet is lost or reordered.
+func TestPauseTimeoutWithdrawsRequest(t *testing.T) {
+	clk := clock.NewManual()
+	eng := New(clk)
+	values := make([]int, 200)
+	for i := range values {
+		values[i] = i
+	}
+	src := &gatedTestSource{values: values, reached: make(chan struct{}), release: make(chan struct{})}
+	proc := &heldProc{at: 50, reached: make(chan struct{}), release: make(chan struct{})}
+	s1, _ := eng.AddSourceStage("src", 0, src, StageConfig{DisableAdaptation: true})
+	s2, _ := eng.AddProcessorStage("sink", 0, proc, StageConfig{DisableAdaptation: true, QueueCapacity: 500})
+	if err := eng.Connect(s1, s2, nil); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- eng.Run(context.Background()) }()
+
+	<-proc.reached // the stage is inside Process and cannot park
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	err := s2.Pause(ctx)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("pause of a stage held in Process = %v, want its ctx's deadline", err)
+	}
+	if got := s2.State(); got != StateRunning {
+		t.Fatalf("state after a withdrawn pause %v, want running", got)
+	}
+	close(proc.release)
+	<-src.reached
+	// The stage drains everything queued so far: nothing parked it.
+	eventually(t, "first half delivered", func() bool { return len(proc.values()) == len(values)/2 })
+
+	if err := s2.Pause(context.Background()); err != nil {
+		t.Fatalf("pause after a withdrawn one: %v", err)
+	}
+	close(src.release)
+	if err := s2.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	got := proc.values()
+	if len(got) != len(values) {
+		t.Fatalf("delivered %d values, want %d", len(got), len(values))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("value %d = %d, out of order", i, v)
+		}
 	}
 }
 

@@ -235,13 +235,13 @@ type Stage struct {
 	// pauseReq is the hot-path flag drain loops and source emitters poll;
 	// pauseMu guards the per-pause-epoch channels and the pop context's
 	// cancel. pauseWake and popCtx are the current epoch: written only under
-	// pauseMu (bindRunContext, Pause, Resume), read with one atomic load.
+	// pauseMu (bindRunContext, Pause, release), read with one atomic load.
 	state     atomic.Int32
 	pauseReq  atomic.Bool
 	pauseMu   sync.Mutex
 	pausedCh  chan struct{}
 	resumeCh  chan struct{}
-	pauseWake atomic.Pointer[chan struct{}] // closed while a pause is pending; re-armed by Resume
+	pauseWake atomic.Pointer[chan struct{}] // closed while a pause is pending; re-armed when it ends
 	// midEmit marks the goroutine parked inside emit with a stamped packet
 	// still in hand — a liveness boundary, not a consistent cut. Snapshot
 	// and restore controllers must treat such a pause as uncheckpointable.

@@ -405,6 +405,73 @@ func TestChaosKillRecoverZeroLoss(t *testing.T) {
 	}
 }
 
+// TestRecoveryWaitsForPauseHolder starts a recovery while another pauser —
+// here the test, standing in for a checkpoint round or a migration — holds
+// the crashed instance's pause. The recovery waits, blocked, for the holder's
+// Resume, then runs the whole protocol: the sink's answer is the fault-free
+// one and the summarizer consumed every item exactly once.
+func TestRecoveryWaitsForPauseHolder(t *testing.T) {
+	const items = 2000
+	baseline := chaosBaseline(t, items)
+	f := newGatedChaosFixture(t, items)
+	stream := f.stage(t, "stream")
+	summarize := f.stage(t, "summarize")
+	central := f.stage(t, "central")
+
+	<-f.src.mid
+	waitUntil(t, "first half to quiesce", func() bool {
+		return summarize.Stats().ItemsIn == uint64(items/2) &&
+			central.Stats().PacketsIn == 4
+	})
+	ctx := context.Background()
+	if err := f.ck.CheckpointInstance(ctx, summarize); err != nil {
+		t.Fatal(err)
+	}
+	victim, _ := f.app.Deployment.NodeFor("summarize", 0)
+	f.net.Kill(victim)
+	close(f.src.goOn)
+	<-f.src.tail
+
+	if err := summarize.Pause(ctx); err != nil {
+		t.Fatal(err)
+	}
+	recDone := make(chan error, 1)
+	go func() { recDone <- f.rec.RecoverNode(ctx, victim) }()
+	select {
+	case err := <-recDone:
+		t.Fatalf("recovery returned %v while another pauser held the crashed instance", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := stream.State(); got != pipeline.StateRunning {
+		t.Fatalf("upstream %v before the holder resumed: recovery went past its first pause", got)
+	}
+	if err := summarize.Resume(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Recovery now pauses the parked source, which acknowledges inside its
+	// final-marker emission.
+	waitUntil(t, "recovery to pause the upstream", func() bool {
+		return stream.State() == pipeline.StateDraining
+	})
+	close(f.src.finish)
+	if err := <-recDone; err != nil {
+		t.Fatalf("recover %s: %v", victim, err)
+	}
+	if err := f.app.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if topk := f.merger.TopK(10); !reflect.DeepEqual(topk, baseline) {
+		t.Errorf("top-10 after recovery %v differs from baseline %v", topk, baseline)
+	}
+	if got := summarize.Stats().ItemsIn; got != uint64(items) {
+		t.Errorf("summarize consumed %d items, want %d", got, items)
+	}
+	if evs := f.rec.Events(); len(evs) != 1 || evs[0].Err != "" || !evs[0].Restored {
+		t.Errorf("recovery events %+v, want one restoring recovery", evs)
+	}
+}
+
 // TestChaosSnapshotterRestoreBitIdentical pins the checkpoint round trip
 // itself: the summarizer's restored sketch must serialize back to exactly
 // the bytes that were captured — restore is bit-identical, not merely
@@ -605,8 +672,8 @@ func TestChaosHammerRace(t *testing.T) {
 	}
 	// Checkpoint rounds: constant pause/capture/resume pressure.
 	hammer(60, func(int) { f.ck.CheckpointAll(ctx) })
-	// Migrations: bounce the summarizer between its two edge nodes;
-	// contention with a concurrent pause or a full node is expected.
+	// Migrations: bounce the summarizer between its two edge nodes; a move
+	// waits behind a concurrent pause, and a full node may refuse it.
 	targets := []string{"edge-1", "edge-2"}
 	hammer(60, func(i int) { _ = dep.Migrate(ctx, "summarize", 0, targets[i%2]) })
 	// Kill/recover cycles against whichever node hosts the summarizer.

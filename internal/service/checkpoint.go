@@ -151,9 +151,9 @@ func (c *Checkpointer) Stop() {
 }
 
 // CheckpointAll captures every instance of the deployment once, skipping
-// instances that are stopped or already being paused by someone else (the
-// next round, or recovery itself, will cover them). It returns the number
-// of instances captured.
+// instances that have stopped; an instance another pauser holds (a
+// migration, a recovery) is captured once that holder resumes it. It
+// returns the number of instances captured.
 func (c *Checkpointer) CheckpointAll(ctx context.Context) int {
 	captured := 0
 	for _, sts := range c.dep.Stages {
@@ -184,15 +184,11 @@ func (c *Checkpointer) CheckpointAll(ctx context.Context) int {
 }
 
 // CheckpointInstance captures one instance: pause at a drain boundary,
-// snapshot state + cursors, resume. Contention with another pauser
-// (a migration, a recovery) is reported as an error, not retried — the
-// instance keeps its previous checkpoint.
+// snapshot state + cursors, resume. The pause waits behind another pauser
+// (a migration, a recovery) until it resumes the instance. A stopped stage
+// fails with pipeline.ErrStopped: it needs no recovery point, as its final
+// state already reached downstream.
 func (c *Checkpointer) CheckpointInstance(ctx context.Context, st *pipeline.Stage) error {
-	if st.State() == pipeline.StateStopped {
-		// A finished stage needs no recovery point; its final state
-		// already reached downstream.
-		return fmt.Errorf("service: checkpoint %s/%d: stage stopped", st.ID(), st.Instance())
-	}
 	if err := st.Pause(ctx); err != nil {
 		return fmt.Errorf("service: checkpoint %s/%d: %w", st.ID(), st.Instance(), err)
 	}

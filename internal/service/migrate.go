@@ -31,8 +31,8 @@ import (
 // keeps its value across the move.
 //
 // Migrate blocks until the move completes and is safe to call while the
-// engine runs; concurrent migrations of different instances are fine, but
-// concurrent moves of the same instance fail with "pause already pending".
+// engine runs; a move of an instance another pauser holds (a checkpoint
+// round, a recovery, another move) waits until that holder resumes it.
 func (d *Deployment) Migrate(ctx context.Context, stageID string, instance int, toNode string) error {
 	return d.migrate(ctx, stageID, instance, toNode, "manual")
 }
@@ -66,6 +66,12 @@ func (d *Deployment) migrate(ctx context.Context, stageID string, instance int, 
 		return fmt.Errorf("service: migrate %s/%d: %w", stageID, instance, err)
 	}
 	drain := dep.clk.Now().Sub(drainStart)
+	// A holder this pause waited behind may have re-homed the instance.
+	if from = st.Node(); from == toNode {
+		_ = st.Resume()
+		dep.dir.Release(toNode, req)
+		return nil
+	}
 
 	var state []byte
 	snap, hasState := st.Snapshotter()

@@ -261,6 +261,50 @@ func TestMigrateErrors(t *testing.T) {
 	f.run(t, nil)
 }
 
+// TestMigrateWaitsBehindConcurrentMove starts two moves of the same instance
+// to the same node while another pauser holds it. Both wait; the first to
+// pause moves the instance, and the second finds it already there and gives
+// its reservation back: one migration, and one slot per placed instance.
+func TestMigrateWaitsBehindConcurrentMove(t *testing.T) {
+	f := newMigrationFixture(t)
+	dep := f.app.Deployment
+	dir := dep.deployer.dir
+	f.run(t, func() {
+		st, _ := dep.Stage("summarize", 0)
+		ctx := context.Background()
+		if err := st.Pause(ctx); err != nil {
+			t.Fatal(err)
+		}
+		moved := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func() { moved <- dep.Migrate(ctx, "summarize", 0, "helper") }()
+		}
+		waitUntil(t, "both moves to reserve the destination", func() bool {
+			return dir.Allocated("helper") == 2
+		})
+		if err := st.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-moved; err != nil {
+				t.Errorf("move %d: %v", i, err)
+			}
+		}
+	})
+	if node, _ := dep.NodeFor("summarize", 0); node != "helper" {
+		t.Errorf("summarize/0 on %s, want helper", node)
+	}
+	if got := dir.Allocated("helper"); got != 1 {
+		t.Errorf("helper holds %d reservations, want 1", got)
+	}
+	if got := dir.Allocated("src-1"); got != 1 {
+		t.Errorf("src-1 holds %d reservations, want 1 (the stream)", got)
+	}
+	if migs := f.o.Journal.Events(obs.EventFilter{Kind: obs.EventMigration}); len(migs) != 1 {
+		t.Errorf("%d migration events, want 1: %+v", len(migs), migs)
+	}
+}
+
 // TestPlanApplySplit checks the decision/execution split: Plan is
 // serializable and diffable, Apply materializes it, and an unapplied plan's
 // reservations can be released.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -230,37 +229,6 @@ func (r *Recovery) instancesOn(node string) []*pipeline.Stage {
 	return order
 }
 
-// pauseForRecovery pauses st, retrying while another pauser (a checkpointer
-// round, a concurrent migration) holds the pause. A stopped stage returns
-// errStopped.
-var errStopped = errors.New("stage stopped")
-
-func pauseForRecovery(ctx context.Context, st *pipeline.Stage) error {
-	for {
-		if st.State() == pipeline.StateStopped {
-			return errStopped
-		}
-		err := st.Pause(ctx)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, pipeline.ErrPausePending) {
-			// The holder's pause/capture/resume runs in wall time;
-			// yield and retry rather than fail the recovery.
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			runtime.Gosched()
-			continue
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		// "already stopped" / "stopped while draining" — terminal.
-		return errStopped
-	}
-}
-
 // recoverInstance executes the recovery protocol for one instance:
 //
 //  1. reserve capacity on the best live node,
@@ -290,6 +258,10 @@ func pauseForRecovery(ctx context.Context, st *pipeline.Stage) error {
 // rewound cursor, and every re-emission at or below a downstream's healed
 // watermark is absorbed by dedupe; an unrestored instance keeps its live
 // zombie state, so only the black-holed gaps themselves are replayed.
+//
+// Each pause waits its turn behind another holder of the same stage (a
+// checkpoint round, a migration); a stage that stopped (pipeline.ErrStopped)
+// needs no pause, and a crashed instance that stopped needs no recovery.
 func (r *Recovery) recoverInstance(ctx context.Context, st *pipeline.Stage, deadNode string) (err error) {
 	dep := r.dep.deployer
 	stageID, instance := st.ID(), st.Instance()
@@ -297,7 +269,7 @@ func (r *Recovery) recoverInstance(ctx context.Context, st *pipeline.Stage, dead
 	ev := RecoveryEvent{At: start, Node: deadNode, Stage: stageID, Instance: instance}
 	defer func() {
 		if err != nil {
-			if errors.Is(err, errStopped) {
+			if errors.Is(err, pipeline.ErrStopped) {
 				// Nothing to recover; not a failure.
 				err = nil
 				return
@@ -335,7 +307,7 @@ func (r *Recovery) recoverInstance(ctx context.Context, st *pipeline.Stage, dead
 
 	// 2. Pause the crashed instance and capture its pre-restore emission
 	// cursor — the upper bound of the output intervals to heal.
-	if err = pauseForRecovery(ctx, st); err != nil {
+	if err = st.Pause(ctx); err != nil {
 		return err
 	}
 	hiSelf := st.EmitSeq()
@@ -371,11 +343,11 @@ func (r *Recovery) recoverInstance(ctx context.Context, st *pipeline.Stage, dead
 		}
 	}()
 	for i, up := range ups {
-		upErr := pauseForRecovery(ctx, up)
+		upErr := up.Pause(ctx)
 		switch {
 		case upErr == nil:
 			pausedUp[i] = true
-		case errors.Is(upErr, errStopped):
+		case errors.Is(upErr, pipeline.ErrStopped):
 			// fine: cursor is final
 		default:
 			return fmt.Errorf("service: recover %s/%d: pause upstream %s/%d: %w",
@@ -436,35 +408,29 @@ func (r *Recovery) recoverInstance(ctx context.Context, st *pipeline.Stage, dead
 		if down == st {
 			continue
 		}
-		var from uint64
-		var known bool
-		dErr := pauseForRecovery(ctx, down)
-		switch {
-		case dErr == nil:
-			if m := markOf(down.Marks(), stageID, instance); m != nil {
-				from, known = m.Next, true
-			}
-			if rErr := down.Resume(); rErr != nil {
-				return fmt.Errorf("service: recover %s/%d: resume downstream %s/%d: %w",
-					stageID, instance, down.ID(), down.Instance(), rErr)
-			}
-		case errors.Is(dErr, errStopped):
-			// The downstream already terminated; nothing to heal into.
-			continue
-		default:
+		dErr := down.Pause(ctx)
+		if errors.Is(dErr, pipeline.ErrStopped) {
+			continue // the downstream already terminated; nothing to heal into
+		}
+		if dErr != nil {
 			return fmt.Errorf("service: recover %s/%d: pause downstream %s/%d: %w",
 				stageID, instance, down.ID(), down.Instance(), dErr)
 		}
-		if !known {
+		m := markOf(down.Marks(), stageID, instance) // a copy, stable past Resume
+		if rErr := down.Resume(); rErr != nil {
+			return fmt.Errorf("service: recover %s/%d: resume downstream %s/%d: %w",
+				stageID, instance, down.ID(), down.Instance(), rErr)
+		}
+		if m == nil {
 			// Fault tolerance off downstream: no watermark to anchor a
 			// heal, and no dedupe to absorb one.
 			ev.Gap = true
 			continue
 		}
-		if from >= hiSelf {
+		if m.Next >= hiSelf {
 			continue // this edge lost nothing
 		}
-		replayed, gap, repErr := st.ReplayInto(ctx, down, from, hiSelf)
+		replayed, gap, repErr := st.ReplayInto(ctx, down, m.Next, hiSelf)
 		ev.Replayed += replayed
 		if gap {
 			ev.Gap = true

@@ -38,7 +38,9 @@ go test -race ./...
 go test -race -count=20 ./internal/queue ./internal/clock ./internal/obs
 # The pause epoch (pop ctx, wake channel) is read with one atomic load and
 # written under pauseMu: hammer the tests that race a pause, a resume or a
-# cancel against a running stage, and the exact-stats ones that read it.
+# cancel against a running stage — a second pause waiting its turn and a
+# timed-out one taking its request back among them — and the exact-stats
+# ones that read it.
 go test -race -count=20 -run 'Pause|Resume|Cancel|RunLag|StatsExact' ./internal/pipeline
 
 echo "== bench module =="
@@ -81,6 +83,10 @@ go test -run '^$' -fuzz FuzzMergeSnapshots -fuzztime 10s ./internal/obs
 # restores it on another node): Restore must not panic, and must accept only
 # a credit in [0, 1).
 go test -run '^$' -fuzz FuzzSamplerRestore -fuzztime 10s ./internal/apps/compsteer
+# The same for the count-samps summarizer's blob: Restore must not panic, and
+# must accept only a sketch a running summarizer reaches, whose RNG replay is
+# bounded by the history it claims (Sketch.UnmarshalBinary).
+go test -run '^$' -fuzz FuzzSummarizerRestore -fuzztime 10s ./internal/apps/countsamps
 # (Not "! grep": errexit ignores a negated command.)
 if grep -rn '"encoding/gob"' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "guard: encoding/gob is imported again; the wire has one codec"; exit 1
@@ -365,7 +371,7 @@ echo "== chaos lane =="
 # gap, full sink sequence coverage, and accuracy within 0.1 of the
 # fault-free run.
 go test -race \
-  -run 'TestChaos|TestHealthMonitor|TestFault|TestReplay|TestDropDup|TestEmitLoss|TestEmitReorder|TestNetworkKill|TestNetworkPartition' \
+  -run 'TestChaos|TestRecoveryWaits|TestHealthMonitor|TestFault|TestReplay|TestDropDup|TestEmitLoss|TestEmitReorder|TestNetworkKill|TestNetworkPartition' \
   ./internal/service ./internal/pipeline ./internal/netsim
 chaos_out="$(go run ./cmd/gates-experiments -exp chaos -quick)"
 echo "$chaos_out" >&2
