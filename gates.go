@@ -89,7 +89,9 @@ type (
 	// Param is a live adjustment parameter; Value is the middleware's
 	// current suggestion.
 	Param = adapt.Param
-	// AdaptOptions carries the Section 4 algorithm constants.
+	// AdaptOptions carries the Section 4 algorithm settings the evaluation
+	// varies (capacity, window, φ weights and kind, and the two ablated
+	// rules); the law's other constants are fixed.
 	AdaptOptions = adapt.Options
 	// Adjustment records one parameter update.
 	Adjustment = adapt.Adjustment
@@ -207,12 +209,6 @@ type GridOptions struct {
 	// multi-minute runs then complete in seconds with every rate ratio
 	// preserved.
 	TimeScale float64
-	// DefaultBatchSize is the drain/coalesce batch size applied to every
-	// stage that does not set its own StageConfig.BatchSize. Zero or 1
-	// keeps strict per-packet semantics; larger values amortize queue,
-	// link-shaper, and wakeup costs across batches without changing
-	// packet order or byte accounting.
-	DefaultBatchSize int
 }
 
 // Grid is the top-level environment: a simulated grid fabric (resource
@@ -220,13 +216,12 @@ type GridOptions struct {
 // Launcher/Deployer pair. It plays the role Globus 3.0 and the GATES
 // services play in the paper's deployment.
 type Grid struct {
-	clk      clock.Clock
-	dir      *grid.Directory
-	net      *netsim.Network
-	repo     *service.Repository
-	defBatch int
-	o        *obs.Observability
-	pol      *policy.Engine
+	clk  clock.Clock
+	dir  *grid.Directory
+	net  *netsim.Network
+	repo *service.Repository
+	o    *obs.Observability
+	pol  *policy.Engine
 }
 
 // NewGrid returns an empty grid environment.
@@ -240,15 +235,11 @@ func NewGrid(opts GridOptions) (*Grid, error) {
 	default:
 		clk = clock.NewScaled(opts.TimeScale)
 	}
-	if opts.DefaultBatchSize < 0 {
-		return nil, fmt.Errorf("gates: negative DefaultBatchSize %d", opts.DefaultBatchSize)
-	}
 	return &Grid{
-		clk:      clk,
-		dir:      grid.NewDirectory(),
-		net:      netsim.NewNetwork(clk),
-		repo:     service.NewRepository(),
-		defBatch: opts.DefaultBatchSize,
+		clk:  clk,
+		dir:  grid.NewDirectory(),
+		net:  netsim.NewNetwork(clk),
+		repo: service.NewRepository(),
 	}, nil
 }
 
@@ -317,9 +308,6 @@ func (g *Grid) launcher() (*service.Launcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	if g.defBatch > 0 {
-		d.SetDefaultBatchSize(g.defBatch)
-	}
 	if g.o != nil {
 		d.SetObservability(g.o)
 	}
@@ -347,12 +335,10 @@ func (g *Grid) PolicyEngine() *PolicyEngine { return g.pol }
 
 // NewEngine returns a bare stage engine on the grid's clock for programs
 // that wire stages directly, without the XML descriptor and deployment
-// machinery. The grid's DefaultBatchSize and Observability carry over.
+// machinery. The grid's Observability carries over; Engine.SetDefaultBatchSize
+// batches every stage of the engine.
 func (g *Grid) NewEngine() *Engine {
 	e := pipeline.New(g.clk)
-	if g.defBatch > 0 {
-		e.SetDefaultBatchSize(g.defBatch)
-	}
 	if g.o != nil {
 		e.SetObservability(g.o)
 	}

@@ -49,8 +49,8 @@ func NewController(opts Options) *Controller {
 		opts:   opts,
 		mon:    m,
 		byName: make(map[string]*Param),
-		sigma1: newVolatility(opts.SigmaWindow, opts.SigmaFloor, opts.SigmaVolatility),
-		sigma2: newVolatility(opts.SigmaWindow, opts.SigmaFloor, opts.SigmaVolatility),
+		sigma1: newVolatility(),
+		sigma2: newVolatility(),
 	}
 }
 
@@ -165,7 +165,7 @@ type AdjustResult struct {
 	// silent (PhiT == 0); it is reported either way, and is zero in the
 	// first epoch.
 	Trend float64
-	// DeltaP is the canonical ΔP (after Gain, before per-parameter
+	// DeltaP is the canonical ΔP (after gain, before per-parameter
 	// Step/Direction scaling).
 	DeltaP float64
 	// Adjustments are the individual parameter moves (empty when the stage
@@ -189,6 +189,29 @@ const rampingPhi1 = -0.9
 // k = 4 settled 6.4 % high where the receiver is the bottleneck.
 const trendGain = 4
 
+// gain scales ΔP into parameter steps: a fully saturated signal moves a
+// parameter by about gain × σ × its Step per adjustment. The queue behind a
+// saturating stage fills just above the sustainable rate and drains just
+// below it, so the level term alone drives a limit cycle; the queue-trend
+// term damps it, and gain bounds each epoch's move. A lower gain does not
+// break the cycle (1 left adapt-netlimit's p50 latency near 1 s and cost
+// throughput).
+const gain float64 = 2
+
+// The volatility gains σ1/σ2 of Equation 4, which the paper leaves
+// unspecified: σ = sigmaFloor + sigmaVolatility·(standard deviation of the
+// last sigmaWindow inputs).
+const (
+	// sigmaFloor is the minimum value of σ1/σ2, so adaptation never
+	// stalls entirely.
+	sigmaFloor float64 = 0.25
+	// sigmaVolatility scales how much recent standard deviation of the
+	// input raises σ1/σ2.
+	sigmaVolatility float64 = 1
+	// sigmaWindow is how many recent samples the σ functions consider.
+	sigmaWindow = 8
+)
+
 // Adjust applies the ΔP law once to every registered parameter and starts a
 // new adjustment epoch. It returns the adjustments made (empty when no
 // parameter is registered).
@@ -197,11 +220,11 @@ const trendGain = 4
 //
 // σ1 and σ2 are volatility gains: they grow with the recent standard
 // deviation of their input (an unsteady system takes big steps) and never
-// fall below SigmaFloor (a settled system can still creep toward the
+// fall below sigmaFloor (a settled system can still creep toward the
 // optimum). The ± is the DownstreamSign option. The bracketed queue-trend
 // term (k = trendGain, Δd̄ the change in d̄ since the previous epoch) is
 // added only when the downstream term is silent. The canonical ΔP is then
-// scaled by Gain and each parameter's Step/Direction.
+// scaled by gain and each parameter's Step/Direction.
 func (c *Controller) Adjust() []Adjustment {
 	return c.AdjustDetailed().Adjustments
 }
@@ -255,7 +278,7 @@ func (c *Controller) AdjustDetailed() AdjustResult {
 	if phiT == 0 {
 		deltaP += trendGain * trend
 	}
-	deltaP *= c.opts.Gain
+	deltaP *= gain
 	c.adjusted++
 
 	out := make([]Adjustment, 0, len(c.params))
@@ -285,18 +308,17 @@ func (c *Controller) Adjustments() uint64 {
 // volatility tracks the recent standard deviation of a signal and turns it
 // into the σ gain of Equation 4.
 type volatility struct {
-	ring  []float64
-	idx   int
-	n     int
-	floor float64
-	gain  float64
+	ring [sigmaWindow]float64
+	idx  int
+	n    int
+	vol  float64 // sigmaVolatility; a test sets 0 to hold σ at sigmaFloor
 }
 
-func newVolatility(window int, floor, gain float64) *volatility {
-	return &volatility{ring: make([]float64, window), floor: floor, gain: gain}
+func newVolatility() *volatility {
+	return &volatility{vol: sigmaVolatility}
 }
 
-// observe records v and returns σ = floor + gain·stddev(recent values).
+// observe records v and returns σ = sigmaFloor + vol·stddev(recent values).
 func (v *volatility) observe(x float64) float64 {
 	v.ring[v.idx] = x
 	v.idx = (v.idx + 1) % len(v.ring)
@@ -304,7 +326,7 @@ func (v *volatility) observe(x float64) float64 {
 		v.n++
 	}
 	if v.n < 2 {
-		return v.floor
+		return sigmaFloor
 	}
 	var sum float64
 	for i := 0; i < v.n; i++ {
@@ -317,5 +339,5 @@ func (v *volatility) observe(x float64) float64 {
 		ss += d * d
 	}
 	sd := math.Sqrt(ss / float64(v.n))
-	return v.floor + v.gain*sd
+	return sigmaFloor + v.vol*sd
 }

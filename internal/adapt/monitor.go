@@ -7,9 +7,9 @@ const (
 	// LoadNormal means the occupancy fell between the under/over
 	// thresholds.
 	LoadNormal LoadClass = iota
-	// LoadOver means d exceeded OverFrac·C.
+	// LoadOver means d exceeded the expected length D.
 	LoadOver
-	// LoadUnder means d fell below UnderFrac·C.
+	// LoadUnder means d fell below D/4.
 	LoadUnder
 )
 
@@ -73,6 +73,27 @@ type Observation struct {
 	Exception Exception
 }
 
+// The Monitor's constants of Figure 2. The evaluation never varies them, so
+// they are fixed; DESIGN.md §1 gives each one's source.
+const (
+	// alpha is the learning rate α in (0,1) for the d̃ EWMA; larger keeps
+	// more history.
+	alpha float64 = 0.7
+	// lowThreshold (LT1) and highThreshold (LT2) bound the no-exception
+	// band for d̃, expressed as fractions of C.
+	lowThreshold, highThreshold float64 = -0.25, 0.25
+	// longTermDecay exponentially ages the lifetime counters t1/t2 each
+	// observation so that an early transient cannot bias φ1 forever. 1
+	// would disable aging (the paper's literal cumulative counts).
+	longTermDecay float64 = 0.995
+)
+
+// expectedLen is D, the expected queue length: C/4, and at least 1. A single
+// observation d is over-loaded when d > D and under-loaded when d < D/4.
+func expectedLen(capacity int) int {
+	return max(capacity/4, 1)
+}
+
 // Monitor maintains the queue-load state of Section 4.2 for one server:
 // the lifetime over/under counters t1/t2, the W-observation window behind w
 // and d̄, and the EWMA d̃. Monitor is not safe for concurrent use; the
@@ -80,7 +101,10 @@ type Observation struct {
 type Monitor struct {
 	opts Options
 
-	t1, t2 float64 // lifetime (optionally decayed) over/under counts
+	expected int     // D
+	decay    float64 // longTermDecay; a test sets 1 for the literal counters
+
+	t1, t2 float64 // lifetime (decayed) over/under counts
 
 	window []LoadClass // ring of the last W classifications
 	dvals  []int       // ring of the last W queue lengths
@@ -100,9 +124,11 @@ func NewMonitor(opts Options) *Monitor {
 		panic(err)
 	}
 	return &Monitor{
-		opts:   opts,
-		window: make([]LoadClass, opts.Window),
-		dvals:  make([]int, opts.Window),
+		opts:     opts,
+		expected: expectedLen(opts.Capacity),
+		decay:    longTermDecay,
+		window:   make([]LoadClass, opts.Window),
+		dvals:    make([]int, opts.Window),
 	}
 }
 
@@ -130,15 +156,15 @@ func (m *Monitor) Observe(d int) Observation {
 	// Classify the sample.
 	class := LoadNormal
 	switch {
-	case float64(d) > m.opts.OverFrac*c:
+	case d > m.expected:
 		class = LoadOver
-	case float64(d) < m.opts.UnderFrac*c:
+	case 4*d < m.expected:
 		class = LoadUnder
 	}
 
-	// Update lifetime counters with optional aging.
-	m.t1 *= m.opts.LongTermDecay
-	m.t2 *= m.opts.LongTermDecay
+	// Update lifetime counters with aging.
+	m.t1 *= m.decay
+	m.t2 *= m.decay
 	switch class {
 	case LoadOver:
 		m.t1++
@@ -177,19 +203,19 @@ func (m *Monitor) Observe(d int) Observation {
 	default:
 		p2 = Phi2Exp(w, m.opts.Window)
 	}
-	p3 := Phi3(dbar, m.opts.ExpectedLen, m.opts.Capacity)
+	p3 := Phi3(dbar, m.expected, m.opts.Capacity)
 
 	// d̃ EWMA (the paper's Equation 3).
 	signal := (m.opts.P1*p1 + m.opts.P2*p2 + m.opts.P3*p3) * c
-	m.dTilde = m.opts.Alpha*m.dTilde + (1-m.opts.Alpha)*signal
+	m.dTilde = alpha*m.dTilde + (1-alpha)*signal
 	m.dTilde = clamp(m.dTilde, -c, c)
 
 	// Exception when d̃ leaves [LT1, LT2] (thresholds are fractions of C).
 	exc := ExceptionNone
 	switch {
-	case m.dTilde > m.opts.HighThreshold*c:
+	case m.dTilde > highThreshold*c:
 		exc = ExceptionOverload
-	case m.dTilde < m.opts.LowThreshold*c:
+	case m.dTilde < lowThreshold*c:
 		exc = ExceptionUnderload
 	}
 

@@ -11,8 +11,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatalf("Defaults(100) invalid: %v", err)
 	}
-	if o.ExpectedLen != 25 {
-		t.Fatalf("default ExpectedLen = %d, want 25", o.ExpectedLen)
+	if d := NewMonitor(o).expected; d != 25 {
+		t.Fatalf("expected length D = %d, want C/4 = 25", d)
+	}
+	if d := expectedLen(3); d != 1 {
+		t.Fatalf("expected length D = %d for C = 3, want 1", d)
 	}
 	if sum := o.P1 + o.P2 + o.P3; math.Abs(sum-1) > 1e-12 {
 		t.Fatalf("default weights sum to %v", sum)
@@ -22,18 +25,10 @@ func TestOptionsDefaults(t *testing.T) {
 func TestOptionsValidateRejects(t *testing.T) {
 	bad := []func(*Options){
 		func(o *Options) { o.Capacity = 0 },
-		func(o *Options) { o.ExpectedLen = o.Capacity },
-		func(o *Options) { o.Alpha = 1.5 },
-		func(o *Options) { o.Window = -1; o.Alpha = 0.5 }, // Window<1 after fill only if set negative
+		func(o *Options) { o.Capacity = 1 }, // D = 1 is not below C
+		func(o *Options) { o.Window = -1 },  // Window<1 after fill only if set negative
 		func(o *Options) { o.P1, o.P2, o.P3 = 0.5, 0.5, 0.5 },
 		func(o *Options) { o.P1, o.P2, o.P3 = -0.5, 0.5, 1.0 },
-		func(o *Options) { o.LowThreshold, o.HighThreshold = 0.5, 0.25 },
-		func(o *Options) { o.LowThreshold, o.HighThreshold = -2, 0.25 },
-		func(o *Options) { o.OverFrac, o.UnderFrac = 0.1, 0.5 },
-		func(o *Options) { o.LongTermDecay = 1.5 },
-		func(o *Options) { o.Gain = -1 },
-		func(o *Options) { o.SigmaFloor = -0.1 },
-		func(o *Options) { o.SigmaWindow = 1 },
 	}
 	for i, mutate := range bad {
 		o := Defaults(100)
@@ -54,7 +49,7 @@ func TestNewMonitorPanicsOnInvalid(t *testing.T) {
 }
 
 func TestMonitorClassification(t *testing.T) {
-	o := Defaults(100) // D=25, OverFrac=0.25, UnderFrac=0.0625
+	o := Defaults(100) // D=25: over above 25, under below 6.25
 	m := NewMonitor(o)
 	if obs := m.Observe(90); obs.Class != LoadOver {
 		t.Fatalf("d=90 classified %v, want over", obs.Class)
@@ -147,11 +142,10 @@ func TestMonitorRecoveryAfterTransient(t *testing.T) {
 }
 
 func TestMonitorLiteralCumulativeCounters(t *testing.T) {
-	// With LongTermDecay=1 (the paper's literal counters), the early
-	// transient keeps φ1 positive long after recovery.
-	o := Defaults(100)
-	o.LongTermDecay = 1
-	m := NewMonitor(o)
+	// Without aging (the paper's literal counters), the early transient
+	// keeps φ1 positive long after recovery.
+	m := NewMonitor(Defaults(100))
+	m.decay = 1
 	for i := 0; i < 100; i++ {
 		m.Observe(95)
 	}

@@ -89,37 +89,22 @@ func (s SignConvention) String() string {
 	}
 }
 
-// Options carries the constants of Figure 2 plus the knobs this
-// implementation adds. The zero value is not valid; call Defaults or fill
-// every field and Validate.
+// Options carries the settings of the Section 4 algorithm that the
+// evaluation varies: the queue capacity, the φ2 window and kind, the φ
+// weights, and the two rules the ablation table switches. The other
+// constants of Figure 2 and of this implementation are fixed; each sits
+// beside the code that reads it (DESIGN.md §1 lists them all). The zero value
+// is not valid; call Defaults or set Capacity and Validate.
 type Options struct {
-	// Capacity is C, the maximum capacity of the queue. Required.
+	// Capacity is C, the maximum capacity of the queue. Required, and at
+	// least 2: the expected queue length D = C/4 must lie in [1, C).
 	Capacity int
-	// ExpectedLen is D, the user-defined expected queue length.
-	// Defaults to Capacity/4.
-	ExpectedLen int
-	// Alpha is the learning rate α in (0,1) for the d̃ EWMA; larger keeps
-	// more history. Default 0.7.
-	Alpha float64
 	// Window is W, the sliding window (in observations) for φ2 and the
 	// recent average d̄. Default 16.
 	Window int
 	// P1, P2, P3 weight φ1, φ2, φ3 and must sum to 1.
 	// Defaults 0.2, 0.3, 0.5.
 	P1, P2, P3 float64
-	// LowThreshold (LT1) and HighThreshold (LT2) bound the no-exception
-	// band for d̃, expressed as fractions of Capacity in [-1,1].
-	// Defaults -0.25 and +0.25.
-	LowThreshold, HighThreshold float64
-	// OverFrac and UnderFrac classify a single observation d as
-	// over-loaded (d > OverFrac·C) or under-loaded (d < UnderFrac·C).
-	// Defaults: OverFrac = D/C, UnderFrac = D/(4C).
-	OverFrac, UnderFrac float64
-	// LongTermDecay exponentially ages the lifetime counters t1/t2 each
-	// observation so that an early transient cannot bias φ1 forever.
-	// 1.0 disables aging (the paper's literal cumulative counts).
-	// Default 0.995.
-	LongTermDecay float64
 	// Phi2 selects the φ2 implementation. Default Phi2Exponential.
 	Phi2 Phi2Kind
 	// DisableCongestionPriority turns off the gating that makes
@@ -139,24 +124,6 @@ type Options struct {
 	// DownstreamSign selects the Equation 4 sign convention.
 	// Default SignReinforcing.
 	DownstreamSign SignConvention
-	// Gain scales ΔP into parameter steps: a fully saturated signal moves
-	// a parameter by about Gain × σ × its Step per adjustment. The queue
-	// behind a saturating stage fills just above the sustainable rate and
-	// drains just below it, so the level term alone drives a limit cycle;
-	// the queue-trend term (see Controller.Adjust) damps it, and Gain
-	// bounds each epoch's move. A lower Gain does not break the cycle (1
-	// left adapt-netlimit's p50 latency near 1 s and cost throughput).
-	// Default 2.
-	Gain float64
-	// SigmaFloor is the minimum value of the volatility gains σ1/σ2, so
-	// adaptation never stalls entirely. Default 0.25.
-	SigmaFloor float64
-	// SigmaVolatility scales how much recent standard deviation of the
-	// input raises σ1/σ2. Default 1.
-	SigmaVolatility float64
-	// SigmaWindow is how many recent samples the σ functions consider.
-	// Default 8.
-	SigmaWindow int
 }
 
 // Defaults returns the options used throughout the evaluation for a queue of
@@ -167,84 +134,33 @@ func Defaults(capacity int) Options {
 	return o
 }
 
-// Filled returns o with every zero-valued field set to its default for
-// o.Capacity, as NewController and NewMonitor fill it before validating.
+// Filled returns o with every zero-valued field set to its default, as
+// NewController and NewMonitor fill it before validating.
 func (o Options) Filled() Options {
 	o.fill()
 	return o
 }
 
 func (o *Options) fill() {
-	if o.ExpectedLen == 0 {
-		o.ExpectedLen = o.Capacity / 4
-		if o.ExpectedLen < 1 {
-			o.ExpectedLen = 1
-		}
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.7
-	}
 	if o.Window == 0 {
 		o.Window = 16
 	}
 	if o.P1 == 0 && o.P2 == 0 && o.P3 == 0 {
 		o.P1, o.P2, o.P3 = 0.2, 0.3, 0.5
 	}
-	if o.LowThreshold == 0 && o.HighThreshold == 0 {
-		o.LowThreshold, o.HighThreshold = -0.25, 0.25
-	}
-	if o.OverFrac == 0 {
-		o.OverFrac = float64(o.ExpectedLen) / float64(o.Capacity)
-	}
-	if o.UnderFrac == 0 {
-		o.UnderFrac = float64(o.ExpectedLen) / (4 * float64(o.Capacity))
-	}
-	if o.LongTermDecay == 0 {
-		o.LongTermDecay = 0.995
-	}
-	if o.Gain == 0 {
-		o.Gain = 2
-	}
-	if o.SigmaFloor == 0 {
-		o.SigmaFloor = 0.25
-	}
-	if o.SigmaVolatility == 0 {
-		o.SigmaVolatility = 1
-	}
-	if o.SigmaWindow == 0 {
-		o.SigmaWindow = 8
-	}
 }
 
 // Validate reports the first violated constraint, or nil.
 func (o Options) Validate() error {
 	switch {
-	case o.Capacity < 1:
-		return errors.New("adapt: Capacity must be >= 1")
-	case o.ExpectedLen < 1 || o.ExpectedLen >= o.Capacity:
-		return fmt.Errorf("adapt: ExpectedLen %d must be in [1, Capacity)", o.ExpectedLen)
-	case o.Alpha <= 0 || o.Alpha >= 1:
-		return fmt.Errorf("adapt: Alpha %v must be in (0,1)", o.Alpha)
+	case o.Capacity < 2:
+		return fmt.Errorf("adapt: Capacity %d must be >= 2: the expected length D = C/4 must lie in [1, C)", o.Capacity)
 	case o.Window < 1:
 		return errors.New("adapt: Window must be >= 1")
 	case abs(o.P1+o.P2+o.P3-1) > 1e-9:
 		return fmt.Errorf("adapt: P1+P2+P3 = %v, must be 1", o.P1+o.P2+o.P3)
 	case o.P1 < 0 || o.P2 < 0 || o.P3 < 0:
 		return errors.New("adapt: P1, P2, P3 must be non-negative")
-	case o.LowThreshold >= o.HighThreshold:
-		return fmt.Errorf("adapt: LowThreshold %v must be < HighThreshold %v", o.LowThreshold, o.HighThreshold)
-	case o.LowThreshold < -1 || o.HighThreshold > 1:
-		return errors.New("adapt: thresholds must lie in [-1,1] (fractions of C)")
-	case o.OverFrac <= o.UnderFrac:
-		return fmt.Errorf("adapt: OverFrac %v must exceed UnderFrac %v", o.OverFrac, o.UnderFrac)
-	case o.LongTermDecay <= 0 || o.LongTermDecay > 1:
-		return fmt.Errorf("adapt: LongTermDecay %v must be in (0,1]", o.LongTermDecay)
-	case o.Gain <= 0:
-		return errors.New("adapt: Gain must be positive")
-	case o.SigmaFloor < 0:
-		return errors.New("adapt: SigmaFloor must be non-negative")
-	case o.SigmaWindow < 2:
-		return errors.New("adapt: SigmaWindow must be >= 2")
 	}
 	return nil
 }

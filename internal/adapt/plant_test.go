@@ -45,12 +45,15 @@ type plant struct {
 // AdjustEvery.
 const plantAdjustEvery = 2
 
+// plantStep is the sender parameter's Step, the comp-steer sampler's.
+const plantStep = 0.01
+
 // plantReading is what a plant run reports over its settled window.
 type plantReading struct {
 	mean        float64 // mean r
 	meanErr     float64 // (mean − r*)/r*
 	swing       float64 // (max − min)/r*
-	above       float64 // share of samples above r*
+	above       float64 // share of samples at least one Step above r*
 	excPerEpoch float64 // downstream exceptions per adjustment epoch
 	queue       float64 // mean visible queue length
 	rise        int     // ticks until r first reached 0.9·r* (-1: never)
@@ -82,7 +85,7 @@ func (p plant) run() plantReading {
 	p = p.filled()
 	sender := NewController(Defaults(p.capacity))
 	param, err := sender.Register(ParamSpec{
-		Name: "r", Initial: p.initial, Min: 0.01, Max: 1, Step: 0.01,
+		Name: "r", Initial: p.initial, Min: 0.01, Max: 1, Step: plantStep,
 		Direction: IncreaseSlowsProcessing,
 	})
 	if err != nil {
@@ -151,7 +154,9 @@ func (p plant) run() plantReading {
 	for _, v := range vals {
 		sum += v
 		lo, hi = math.Min(lo, v), math.Max(hi, v)
-		if v > rs+1e-9 {
+		// A loop that settles on the step just above r* is exact to the
+		// Step's resolution; only a sample a whole Step over r* is a bias.
+		if v >= rs+plantStep-1e-9 {
 			above++
 		}
 	}
@@ -180,6 +185,8 @@ func (p plant) run() plantReading {
 // stream 15 % above r* at H ≥ C. The queue-trend term damps the cycle: every
 // row now reads within 2.3 %, with swings of 18–22 % at H 0 and 37–40 % at
 // H ≥ C; the ramp from r = 0.01 keeps the speed it has on a smooth stream.
+// The rows read 32–46 % of samples a Step or more above r* (50–54 % counted
+// any distance above it).
 func TestPlantLinkBias(t *testing.T) {
 	smooth := plant{lambda: 40, mu: 10, capacity: 100, initial: 0.01}.run()
 	for _, bursts := range []int{0, 10} {
@@ -196,8 +203,8 @@ func TestPlantLinkBias(t *testing.T) {
 				if hidden > 0 {
 					maxSwing = 0.45
 				}
-				if math.Abs(got.meanErr) > 0.03 || got.swing > maxSwing || got.above > 0.57 {
-					t.Errorf("settled %v, want |error| ≤ 3 %%, swing ≤ %.0f %%, above r* ≤ 57 %%", got, 100*maxSwing)
+				if math.Abs(got.meanErr) > 0.03 || got.swing > maxSwing || got.above > 0.49 {
+					t.Errorf("settled %v, want |error| ≤ 3 %%, swing ≤ %.0f %%, a Step above r* ≤ 49 %%", got, 100*maxSwing)
 				}
 				if got.rise < 0 || got.rise > smooth.rise+smooth.rise/10 {
 					t.Errorf("reached 0.9·r* at tick %d, want within 10 %% of a smooth stream's %d", got.rise, smooth.rise)
@@ -208,15 +215,15 @@ func TestPlantLinkBias(t *testing.T) {
 }
 
 // TestTrendTermPullsAgainstQueueGrowth pins the queue-trend term of the ΔP
-// law. With the volatility gains held at SigmaFloor, an epoch whose d̄ rose
+// law. With the volatility gains held at sigmaFloor, an epoch whose d̄ rose
 // since the last one must push the canonical knob toward less data by
-// Gain·trendGain·Trend beyond what d̃ alone asks for, an epoch whose d̄ fell
+// gain·trendGain·Trend beyond what d̃ alone asks for, an epoch whose d̄ fell
 // must pull it the other way, and an epoch with a downstream report must
 // leave the term out.
 func TestTrendTermPullsAgainstQueueGrowth(t *testing.T) {
 	o := Defaults(100)
-	o.SigmaVolatility = 1e-12 // σ1 = σ2 = SigmaFloor, to 1e-12
 	c := NewController(o)
+	c.sigma1.vol, c.sigma2.vol = 0, 0 // σ1 = σ2 = sigmaFloor
 	epoch := func(d int) AdjustResult {
 		for i := 0; i < 4; i++ {
 			c.Observe(d)
@@ -241,14 +248,14 @@ func TestTrendTermPullsAgainstQueueGrowth(t *testing.T) {
 		if res.PhiT != 0 {
 			t.Fatalf("%s: PhiT %v with no downstream report", tc.name, res.PhiT)
 		}
-		local := o.Gain * res.DNorm * o.SigmaFloor
-		if want := local + o.Gain*trendGain*res.Trend; math.Abs(res.DeltaP-want) > 1e-9 {
-			t.Errorf("%s: ΔP %v, want Gain·(d̃/C·σ1 + k·Trend) = %v", tc.name, res.DeltaP, want)
+		local := gain * res.DNorm * sigmaFloor
+		if want := local + gain*trendGain*res.Trend; math.Abs(res.DeltaP-want) > 1e-9 {
+			t.Errorf("%s: ΔP %v, want gain·(d̃/C·σ1 + k·Trend) = %v", tc.name, res.DeltaP, want)
 		}
 		if tc.grow != (res.Trend > 0) {
 			t.Fatalf("%s: Trend %v has the wrong sign", tc.name, res.Trend)
 		}
-		if pull := res.DeltaP - local; pull*res.Trend <= 0 || math.Abs(pull) < o.Gain*math.Abs(res.Trend) {
+		if pull := res.DeltaP - local; pull*res.Trend <= 0 || math.Abs(pull) < gain*math.Abs(res.Trend) {
 			t.Errorf("%s: the trend term moved ΔP by %v for Trend %v, want a pull against the queue's change", tc.name, pull, res.Trend)
 		}
 	}
@@ -257,7 +264,7 @@ func TestTrendTermPullsAgainstQueueGrowth(t *testing.T) {
 	if res.PhiT == 0 || res.Trend == 0 {
 		t.Fatalf("gated epoch: PhiT %v, Trend %v, want both non-zero", res.PhiT, res.Trend)
 	}
-	if want := o.Gain * (res.DNorm + res.PhiT) * o.SigmaFloor; math.Abs(res.DeltaP-want) > 1e-9 {
+	if want := gain * (res.DNorm + res.PhiT) * sigmaFloor; math.Abs(res.DeltaP-want) > 1e-9 {
 		t.Errorf("gated epoch: ΔP %v, want %v without the trend term", res.DeltaP, want)
 	}
 }
@@ -364,8 +371,9 @@ func TestLawTracksQueuingModel(t *testing.T) {
 		// With a hidden buffer d̃ cannot see all of the backlog. Without the
 		// queue-trend term the law overshot: the draws read −11.7 % to
 		// +19.2 % and up to 70 % of samples above r*. With it they read
-		// −11.7 % to +6.3 % and at most 55 % above.
-		ok := errFrac >= -0.13 && errFrac <= 0.08 && got.above <= 0.6
+		// −11.7 % to +6.3 %, and at most 49 % of samples a Step or more
+		// above r* (55 % counted any distance above it).
+		ok := errFrac >= -0.13 && errFrac <= 0.08 && got.above <= 0.54
 		if p.hidden == 0 {
 			ok = ok && math.Abs(errFrac) <= maxSettledErr
 		}

@@ -4,10 +4,10 @@
 // The authors ran all experiments inside one cluster and "introduced delay in
 // the networks to create execution configurations with different bandwidths"
 // (1 KB/s, 10 KB/s, 100 KB/s, 1 MB/s). This package reproduces that setup: a
-// Link imposes transfer time n/bandwidth (plus propagation latency) in
-// virtual time on every payload of n bytes, using a token bucket so that
-// concurrent senders on one link share its capacity, exactly as competing
-// streams shared their injected-delay links.
+// Link imposes transfer time n/bandwidth in virtual time on every payload of
+// n bytes, using a token bucket so that concurrent senders on one link share
+// its capacity, exactly as competing streams shared their injected-delay
+// links.
 package netsim
 
 import (
@@ -36,13 +36,6 @@ type LinkConfig struct {
 	// Bandwidth is the link capacity in bytes per virtual second.
 	// Zero means unlimited (no transmission delay).
 	Bandwidth int64
-	// Latency is the one-way propagation delay added to every transfer.
-	Latency time.Duration
-	// Burst is the token-bucket depth in bytes: how much an idle link can
-	// absorb instantly. Zero selects a default of one bandwidth-second
-	// (min 2 KiB), which keeps short-term pacing tight while letting a
-	// handful of packets start without a stall.
-	Burst int64
 	// Quantum batches pacing sleeps: a sender blocks only once its owed
 	// transmission time reaches Quantum (the backlog persists in the
 	// shaper either way, so the average rate is exact). Batching exists
@@ -53,15 +46,14 @@ type LinkConfig struct {
 	Quantum time.Duration
 }
 
+// minBurst is the smallest token-bucket depth, in bytes.
+const minBurst = 2 << 10
+
+// burst is the token-bucket depth in bytes: how much an idle link can absorb
+// instantly. One bandwidth-second, and at least minBurst, keeps short-term
+// pacing tight while letting a handful of packets start without a stall.
 func (c LinkConfig) burst() int64 {
-	if c.Burst > 0 {
-		return c.Burst
-	}
-	b := c.Bandwidth
-	if b < 2<<10 {
-		b = 2 << 10
-	}
-	return b
+	return max(c.Bandwidth, minBurst)
 }
 
 // LinkStats is a snapshot of a link's accounting.
@@ -71,9 +63,9 @@ type LinkStats struct {
 	// Messages is the number of Transfer calls completed.
 	Messages int64
 	// Waited is the cumulative virtual time senders spent blocked on this
-	// link (transmission pacing only, excluding fixed latency). Pacing a
-	// Quantum holds back is counted when a later transfer sleeps it, so
-	// Waited never exceeds the time senders actually slept.
+	// link's transmission pacing. Pacing a Quantum holds back is counted
+	// when a later transfer sleeps it, so Waited never exceeds the time
+	// senders actually slept.
 	Waited time.Duration
 	// Dropped is the number of deliveries discarded by fault injection on
 	// this link (probabilistic loss or a black-hole after a node kill or
@@ -89,15 +81,14 @@ type LinkStats struct {
 //
 // The shaper uses the virtual-finish-time model: nextFree is the virtual
 // instant the link finishes transmitting everything accepted so far. An
-// idle link accrues at most Burst bytes of credit.
+// idle link accrues at most burst bytes of credit.
 type Link struct {
 	cfg LinkConfig
 	clk clock.Clock
 
-	// transferSec, when instrumented, records each batch's total
-	// transfer time (pacing wait + latency) — the per-edge contribution
-	// to end-to-end latency. Atomic so Instrument can attach it while
-	// traffic flows.
+	// transferSec, when instrumented, records each batch's pacing wait —
+	// the per-edge contribution to end-to-end latency. Atomic so Instrument
+	// can attach it while traffic flows.
 	transferSec atomic.Pointer[obs.Histogram]
 
 	// fault, when non-nil, is the installed fault-injection state (loss,
@@ -127,7 +118,7 @@ func NewLink(clk clock.Clock, cfg LinkConfig) *Link {
 	return l
 }
 
-// burstWindow is the idle credit expressed as time: Burst bytes at line
+// burstWindow is the idle credit expressed as time: burst bytes at line
 // rate.
 func (l *Link) burstWindow() time.Duration {
 	return time.Duration(float64(l.cfg.burst()) / float64(l.cfg.Bandwidth) * float64(time.Second))
@@ -144,8 +135,7 @@ func (l *Link) Config() LinkConfig {
 // unlimited), modeling a grid whose available bandwidth shifts mid-run —
 // the condition live re-deployment reacts to. Traffic already accepted
 // into the shaper keeps its committed finish time; only transfers after
-// the change pace at the new rate. Latency, Burst, and Quantum are
-// immutable.
+// the change pace at the new rate. Quantum is immutable.
 func (l *Link) SetBandwidth(bw int64) {
 	if bw < 0 {
 		panic(fmt.Sprintf("netsim: negative bandwidth %d", bw))
@@ -168,34 +158,33 @@ func (l *Link) SetBandwidth(bw int64) {
 }
 
 // Transfer blocks for the virtual time needed to carry n payload bytes and
-// returns the pacing delay owed (plus latency). When a Quantum is
-// configured, small owed delays are not slept immediately — they remain in
-// the shaper and a later transfer sleeps the accumulated backlog — so the
-// long-run rate is exact while the number of real timer operations stays
-// bounded. n <= 0 incurs only the propagation latency.
+// returns the pacing delay owed. When a Quantum is configured, small owed
+// delays are not slept immediately — they remain in the shaper and a later
+// transfer sleeps the accumulated backlog — so the long-run rate is exact
+// while the number of real timer operations stays bounded. n <= 0 owes
+// nothing.
 func (l *Link) Transfer(n int) time.Duration {
 	return l.TransferBatch(n, 1)
 }
 
 // TransferBatch carries msgs coalesced messages totaling n payload bytes in
-// one shaper reservation: a single token-bucket charge for the summed bytes
-// and a single propagation-latency charge for the whole batch. Because the
-// virtual-finish-time shaper is linear in bytes, reserving the sum is
-// byte-exact — the batch clears the link at the same virtual instant the
-// messages would have individually — so the paper's B/b transfer law holds
-// unchanged while the per-message locking and timer traffic collapses to
-// one round-trip per batch. LinkStats stays message- and byte-accurate:
+// one shaper reservation: a single token-bucket charge for the summed bytes.
+// Because the virtual-finish-time shaper is linear in bytes, reserving the
+// sum is byte-exact — the batch clears the link at the same virtual instant
+// the messages would have individually — so the paper's B/b transfer law
+// holds unchanged while the per-message locking and timer traffic collapses
+// to one round-trip per batch. LinkStats stays message- and byte-accurate:
 // Messages advances by msgs, Bytes by n.
 func (l *Link) TransferBatch(n, msgs int) time.Duration {
 	if msgs < 1 {
 		msgs = 1
 	}
-	// Co-located fast path: an unlimited, zero-latency link (the lazy
-	// loopback edges between stages sharing a node) imposes no pacing, so
-	// the shaper reservation is skipped and accounting takes one lock
-	// round-trip instead of two.
+	// Co-located fast path: an unlimited link (the lazy loopback edges
+	// between stages sharing a node) imposes no pacing, so the shaper
+	// reservation is skipped and accounting takes one lock round-trip
+	// instead of two.
 	l.mu.Lock()
-	if l.cfg.Bandwidth == 0 && l.cfg.Latency == 0 {
+	if l.cfg.Bandwidth == 0 {
 		l.stats.Messages += int64(msgs)
 		l.stats.Bytes += int64(n)
 		l.mu.Unlock()
@@ -206,23 +195,22 @@ func (l *Link) TransferBatch(n, msgs int) time.Duration {
 	}
 	l.mu.Unlock()
 	wait := l.reserve(n)
-	total := wait + l.cfg.Latency
-	if total > 0 && (wait >= l.cfg.Quantum || l.cfg.Latency > 0) {
-		l.clk.Sleep(total)
-	} else {
-		// A wait under Quantum stays in the shaper, and the next
-		// transfer's wait contains it again: count it once, when slept.
-		wait = 0
+	// A wait under Quantum stays in the shaper, and the next transfer's
+	// wait contains it again: Waited counts it once, when slept.
+	var slept time.Duration
+	if wait > 0 && wait >= l.cfg.Quantum {
+		l.clk.Sleep(wait)
+		slept = wait
 	}
 	l.mu.Lock()
 	l.stats.Messages += int64(msgs)
 	l.stats.Bytes += int64(n)
-	l.stats.Waited += wait
+	l.stats.Waited += slept
 	l.mu.Unlock()
 	if h := l.transferSec.Load(); h != nil {
-		h.Observe(total.Seconds())
+		h.Observe(wait.Seconds())
 	}
-	return total
+	return wait
 }
 
 // reserve accepts n bytes into the shaper and returns how long the caller

@@ -36,57 +36,53 @@ func TestUnlimitedLinkNoDelay(t *testing.T) {
 	}
 }
 
-func TestLatencyOnly(t *testing.T) {
-	clk := clock.NewScaled(100000)
-	l := NewLink(clk, LinkConfig{Latency: 3 * time.Second})
-	if d := l.Transfer(10); d != 3*time.Second {
-		t.Fatalf("latency-only delay = %v, want 3s", d)
-	}
-}
-
 func TestTransferPacesAtBandwidth(t *testing.T) {
-	// 10 KB/s link, burst 1 KB. Sending 101 KB total must take
-	// (101KB - 1KB burst)/10KBps = 10 virtual seconds. A Manual clock
-	// advanced by each owed wait makes the check deterministic (wall
-	// timers would add scheduler overshoot to the measurement).
+	// 10 KB/s link, so a burst of one bandwidth-second, 10 KB. Sending
+	// 110 KB total must take (110KB - 10KB burst)/10KBps = 10 virtual
+	// seconds. A Manual clock advanced by each owed wait makes the check
+	// deterministic (wall timers would add scheduler overshoot to the
+	// measurement).
 	clk := clock.NewManual()
-	l := NewLink(clk, LinkConfig{Bandwidth: 10 * KBps, Burst: 1000})
+	l := NewLink(clk, LinkConfig{Bandwidth: 10 * KBps})
 	var total time.Duration
-	for i := 0; i < 101; i++ {
+	for i := 0; i < 110; i++ {
 		w := l.reserve(1000)
 		total += w
 		clk.Advance(w)
 	}
 	if total < 9999*time.Millisecond || total > 10001*time.Millisecond {
-		t.Fatalf("101KB over 10KB/s owed %v of pacing, want 10s", total)
+		t.Fatalf("110KB over 10KB/s owed %v of pacing, want 10s", total)
 	}
 }
 
+// TestBurstAbsorbsInitialPayload: an idle link absorbs one bandwidth-second,
+// and at least minBurst bytes, without pacing.
 func TestBurstAbsorbsInitialPayload(t *testing.T) {
-	clk := clock.NewScaled(100000)
-	l := NewLink(clk, LinkConfig{Bandwidth: 1 * KBps, Burst: 5000})
-	if d := l.Transfer(5000); d != 0 {
-		t.Fatalf("burst-sized first transfer delayed %v, want 0", d)
-	}
-	if d := l.Transfer(1000); d <= 0 {
-		t.Fatal("post-burst transfer was not paced")
+	for bw, burst := range map[int64]int{1 * KBps: minBurst, 10 * KBps: 10_000} {
+		l := NewLink(clock.NewManual(), LinkConfig{Bandwidth: bw})
+		if w := l.reserve(burst); w != 0 {
+			t.Fatalf("%d B/s: burst-sized first transfer delayed %v, want 0", bw, w)
+		}
+		if w := l.reserve(1000); w != time.Duration(1000*float64(time.Second)/float64(bw)) {
+			t.Fatalf("%d B/s: post-burst 1000 B owed %v, want it paced at line rate", bw, w)
+		}
 	}
 }
 
 func TestTokensRefillWhileIdle(t *testing.T) {
 	clk := clock.NewManual()
-	l := NewLink(clk, LinkConfig{Bandwidth: 1000, Burst: 1000})
+	l := NewLink(clk, LinkConfig{Bandwidth: 1000})
 	// Drain the bucket without blocking (burst covers it).
-	if w := l.reserve(1000); w != 0 {
+	if w := l.reserve(minBurst); w != 0 {
 		t.Fatalf("first reserve waited %v", w)
 	}
 	// Immediately, another 500B should require 0.5s of pacing.
 	if w := l.reserve(500); w != 500*time.Millisecond {
 		t.Fatalf("backlogged reserve = %v, want 500ms", w)
 	}
-	// After 2s idle the bucket refills (capped at burst), so a fresh 500B
+	// After 3s idle the bucket refills (capped at burst), so a fresh 500B
 	// is free again.
-	clk.Advance(2 * time.Second)
+	clk.Advance(3 * time.Second)
 	if w := l.reserve(500); w != 0 {
 		t.Fatalf("post-idle reserve = %v, want 0", w)
 	}
@@ -94,9 +90,9 @@ func TestTokensRefillWhileIdle(t *testing.T) {
 
 func TestBurstCapsRefill(t *testing.T) {
 	clk := clock.NewManual()
-	l := NewLink(clk, LinkConfig{Bandwidth: 1000, Burst: 1000})
+	l := NewLink(clk, LinkConfig{Bandwidth: 1000})
 	clk.Advance(time.Hour) // would accumulate 3.6MB without the cap
-	if w := l.reserve(2000); w != time.Second {
+	if w := l.reserve(minBurst + 1000); w != time.Second {
 		t.Fatalf("reserve after long idle = %v, want 1s (only burst available)", w)
 	}
 }
@@ -106,9 +102,9 @@ func TestQuantumBatchesSleeps(t *testing.T) {
 	// would block forever — so completing Transfers proves the quantum
 	// suppressed the sleep, while the owed backlog still accumulates.
 	clk := clock.NewManual()
-	l := NewLink(clk, LinkConfig{Bandwidth: 1000, Burst: 1000, Quantum: 10 * time.Second})
+	l := NewLink(clk, LinkConfig{Bandwidth: 1000, Quantum: 10 * time.Second})
 	var owed time.Duration
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		owed = l.Transfer(1000) // 1s more owed each after the burst
 	}
 	if owed < 3*time.Second {
@@ -117,7 +113,7 @@ func TestQuantumBatchesSleeps(t *testing.T) {
 	if w := l.Stats().Waited; w != 0 {
 		t.Fatalf("Waited = %v with no sleep, want 0", w)
 	}
-	// The sixth transfer would owe >= 5s, still under the 10s quantum.
+	// The seventh transfer would owe about 5s, still under the 10s quantum.
 	done := make(chan struct{})
 	go func() {
 		l.Transfer(1000)
@@ -195,7 +191,7 @@ func TestConcurrentSendersShareBandwidth(t *testing.T) {
 	// Two senders each pushing 50KB through a shared 10KB/s link: total
 	// 100KB minus burst must take >= ~9 virtual seconds.
 	clk := clock.NewScaled(100000)
-	l := NewLink(clk, LinkConfig{Bandwidth: 10 * KBps, Burst: 10000})
+	l := NewLink(clk, LinkConfig{Bandwidth: 10 * KBps})
 	sw := clock.NewStopwatch(clk)
 	var wg sync.WaitGroup
 	for s := 0; s < 2; s++ {
@@ -270,8 +266,8 @@ func TestConnectBidirectional(t *testing.T) {
 func TestPacingLowerBoundProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		clk := clock.NewManual()
-		const bw, burst = 1000, 2000
-		l := NewLink(clk, LinkConfig{Bandwidth: bw, Burst: burst})
+		const bw, burst = 1000, minBurst
+		l := NewLink(clk, LinkConfig{Bandwidth: bw})
 		var total int64
 		var waited time.Duration
 		for _, s := range sizes {
@@ -297,7 +293,7 @@ func TestPacingLowerBoundProperty(t *testing.T) {
 func TestInstallLinkShares(t *testing.T) {
 	clk := clock.NewManual()
 	n := NewNetwork(clk)
-	shared := NewLink(clk, LinkConfig{Bandwidth: 1000, Burst: 1000, Quantum: time.Hour})
+	shared := NewLink(clk, LinkConfig{Bandwidth: 1000, Quantum: time.Hour})
 	n.InstallLink("a1", "b", shared)
 	n.InstallLink("a2", "b", shared)
 	if n.Link("a1", "b") != shared || n.Link("a2", "b") != shared {
@@ -331,7 +327,7 @@ func TestInstallLinkNilPanics(t *testing.T) {
 func TestTransferBatchBytesExact(t *testing.T) {
 	mk := func() (*clock.Manual, *Link) {
 		clk := clock.NewManual()
-		return clk, NewLink(clk, LinkConfig{Bandwidth: 10 * KBps, Burst: 1000})
+		return clk, NewLink(clk, LinkConfig{Bandwidth: 10 * KBps})
 	}
 
 	clkA, perItem := mk()
@@ -369,16 +365,6 @@ func TestTransferBatchStatsAccurate(t *testing.T) {
 	}
 	if st.Bytes != 4096+100+50 {
 		t.Fatalf("Bytes = %d, want %d", st.Bytes, 4096+100+50)
-	}
-}
-
-// TestTransferBatchSingleLatencyCharge: one propagation delay per batch,
-// not per message.
-func TestTransferBatchSingleLatencyCharge(t *testing.T) {
-	clk := clock.NewScaled(100000)
-	l := NewLink(clk, LinkConfig{Latency: 2 * time.Second})
-	if d := l.TransferBatch(100, 10); d != 2*time.Second {
-		t.Fatalf("batched latency charge = %v, want one 2s charge", d)
 	}
 }
 

@@ -24,7 +24,7 @@ func (l *Link) Instrument(reg *obs.Registry, name string) {
 		"Cumulative virtual time senders slept on the link shaper's pacing.", lb,
 		func() float64 { return l.Stats().Waited.Seconds() })
 	l.transferSec.Store(reg.Histogram("gates_link_transfer_seconds",
-		"Virtual time one coalesced batch spent on the link (pacing wait + propagation latency).",
+		"Virtual time one coalesced batch owed the link's pacing.",
 		obs.LatencyBuckets, lb))
 }
 

@@ -31,7 +31,7 @@ type Tracer struct {
 
 	mu    sync.Mutex
 	ops   []*Op
-	ring  []SpanRecord
+	ring  []spanEntry
 	next  int
 	count int
 }
@@ -49,7 +49,7 @@ func NewTracer(clk clock.Clock, every, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{clk: clk, every: uint64(every), ring: make([]SpanRecord, capacity)}
+	return &Tracer{clk: clk, every: uint64(every), ring: make([]spanEntry, capacity)}
 }
 
 // SampleEvery returns the sampling period.
@@ -94,7 +94,7 @@ func (t *Tracer) Op(name string) *Op {
 // sampled one, which the caller then starts with Begin. Between samples that
 // is an increment and a compare of the owner's own words — small enough to
 // inline, no atomic, no clock read, no Span. A per-packet site keeps Begin,
-// and the 88-byte Span it returns, in a function only the sampled iteration
+// and the 112-byte Span it returns, in a function only the sampled iteration
 // calls. False on a nil Op.
 func (o *Op) Due() bool {
 	if o == nil {
@@ -217,16 +217,28 @@ func (t *Tracer) Spans() []SpanRecord {
 	out := make([]SpanRecord, 0, t.count)
 	start := t.next - t.count
 	for i := 0; i < t.count; i++ {
-		idx := (start + i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
+		e := &t.ring[(start+i+len(t.ring))%len(t.ring)]
+		r := e.rec
+		if e.nattr > 0 {
+			r.Attrs = append([]SpanAttr(nil), e.attrs[:e.nattr]...)
+		}
+		out = append(out, r)
 	}
 	return out
 }
 
-func (t *Tracer) record(r SpanRecord) {
+// spanEntry is one retained span: its record without Attrs, and the
+// annotations held inline until Spans builds the slice.
+type spanEntry struct {
+	rec   SpanRecord
+	attrs [maxSpanAttrs]SpanAttr
+	nattr uint8
+}
+
+func (t *Tracer) record(e spanEntry) {
 	t.sampled.Add(1)
 	t.mu.Lock()
-	t.ring[t.next] = r
+	t.ring[t.next] = e
 	t.next = (t.next + 1) % len(t.ring)
 	if t.count < len(t.ring) {
 		t.count++
@@ -260,6 +272,10 @@ type SpanRecord struct {
 	Attrs []SpanAttr `json:"attrs,omitempty"`
 }
 
+// maxSpanAttrs is how many annotations a span holds. They are held inline,
+// so a sampled span allocates nothing; no call site adds more than two.
+const maxSpanAttrs = 2
+
 // Span is one in-flight trace span. The zero value is inert.
 type Span struct {
 	t       *Tracer
@@ -267,19 +283,22 @@ type Span struct {
 	start   time.Time
 	traceID uint64
 	hop     uint8
-	attrs   []SpanAttr
+	nattr   uint8
+	attrs   [maxSpanAttrs]SpanAttr
 }
 
 // Sampled reports whether this span will be recorded. Use it to gate any
 // extra work (building annotations, timing sub-steps) on the sampled path.
 func (s *Span) Sampled() bool { return s.t != nil }
 
-// Annotate attaches a numeric attribute; a no-op on inert spans.
+// Annotate attaches a numeric attribute; a no-op on inert spans. A span
+// keeps its first maxSpanAttrs annotations and drops the rest.
 func (s *Span) Annotate(key string, value float64) {
-	if s.t == nil {
+	if s.t == nil || s.nattr == maxSpanAttrs {
 		return
 	}
-	s.attrs = append(s.attrs, SpanAttr{Key: key, Value: value})
+	s.attrs[s.nattr] = SpanAttr{Key: key, Value: value}
+	s.nattr++
 }
 
 // End completes the span and returns its virtual duration (zero for inert
@@ -289,8 +308,10 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := s.t.clk.Now().Sub(s.start)
-	s.t.record(SpanRecord{Name: s.name, Start: s.start, Duration: d,
-		TraceID: s.traceID, Hop: s.hop, Attrs: s.attrs})
+	s.t.record(spanEntry{
+		rec:   SpanRecord{Name: s.name, Start: s.start, Duration: d, TraceID: s.traceID, Hop: s.hop},
+		attrs: s.attrs, nattr: s.nattr,
+	})
 	s.t = nil
 	return d
 }

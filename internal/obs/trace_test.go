@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,6 +80,39 @@ func TestInertSpansAreFree(t *testing.T) {
 	}
 	if tr.Spans() != nil {
 		t.Fatal("nil tracer has spans")
+	}
+}
+
+// TestSampledSpansAreFree: a sampled span holds its annotations inline, so
+// starting one, annotating it twice and ending it allocates nothing; the
+// slice a reader sees is built when the spans are read, and an annotation
+// past maxSpanAttrs is dropped.
+func TestSampledSpansAreFree(t *testing.T) {
+	tr := NewTracer(clock.NewManual(), 1, 8)
+	op := tr.Op("batch")
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := start(op)
+		sp.Annotate("packets", 16)
+		sp.Annotate("bytes", 1024)
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("sampled span with two annotations: %v allocs, want 0", allocs)
+	}
+	sp := start(op)
+	sp.Annotate("packets", 1)
+	sp.Annotate("bytes", 2)
+	sp.Annotate("dropped", 3)
+	sp.End()
+	spans := tr.Spans()
+	want := []SpanAttr{{Key: "packets", Value: 1}, {Key: "bytes", Value: 2}}
+	if got := spans[len(spans)-1].Attrs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("attrs %+v, want %+v", got, want)
+	}
+	bare := start(op)
+	bare.End()
+	if spans = tr.Spans(); spans[len(spans)-1].Attrs != nil {
+		t.Fatalf("span without annotations reads attrs %+v, want nil (omitted from /traces)", spans[len(spans)-1].Attrs)
 	}
 }
 

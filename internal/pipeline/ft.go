@@ -329,7 +329,7 @@ func (s *Stage) ReplayInto(ctx context.Context, dst *Stage, from, to uint64) (re
 func (s *Stage) emitFaulty(ctx context.Context, out *edge, l *netsim.Link, pkt *Packet, size int) error {
 	if pkt.Final {
 		for _, h := range out.held {
-			l.Transfer(h.pkt.size(s.cfg.DefaultPacketSize))
+			l.Transfer(h.pkt.size())
 			if err := s.pushFaulty(ctx, out, h.pkt); err != nil {
 				return err
 			}
@@ -369,7 +369,7 @@ func (s *Stage) releaseDueHeld(ctx context.Context, out *edge, l *netsim.Link, r
 			keep = append(keep, h)
 			continue
 		}
-		l.Transfer(h.pkt.size(s.cfg.DefaultPacketSize))
+		l.Transfer(h.pkt.size())
 		if err := s.pushFaulty(ctx, out, h.pkt); err != nil {
 			// Drop the rest of the held buffer's entries from tracking;
 			// a closed downstream released nothing further anyway.

@@ -266,7 +266,7 @@ func (s *Stage) currentPopCtx() context.Context {
 func (s *Stage) QueuedState() (packets int, bytes int) {
 	for _, p := range s.inq().Snapshot() {
 		packets++
-		bytes += p.size(s.cfg.DefaultPacketSize)
+		bytes += p.size()
 	}
 	return packets, bytes
 }

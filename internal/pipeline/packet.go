@@ -30,7 +30,8 @@ type Packet struct {
 	Items int
 	// WireSize is the number of bytes this packet occupies on a link.
 	// The paper's JVM-era transport wrapped every message in a heavy
-	// envelope; experiments model that with explicit wire sizes.
+	// envelope; experiments model that with explicit wire sizes. Zero is
+	// charged as 64 bytes.
 	WireSize int
 	// Created is the virtual time the packet was emitted.
 	Created time.Time
@@ -77,11 +78,15 @@ func (p *Packet) ItemCount() int {
 	return p.Items
 }
 
-// Size returns the bytes charged on links: WireSize if set, otherwise the
-// engine's configured default packet size.
-func (p *Packet) size(defaultSize int) int {
+// defaultPacketSize is the wire size charged for packets that do not set
+// one.
+const defaultPacketSize = 64
+
+// size returns the bytes charged on links: WireSize if set, otherwise
+// defaultPacketSize.
+func (p *Packet) size() int {
 	if p.WireSize > 0 {
 		return p.WireSize
 	}
-	return defaultSize
+	return defaultPacketSize
 }

@@ -110,7 +110,7 @@ func TestAddStageValidation(t *testing.T) {
 		"capacity 1":                 {QueueCapacity: 1},
 		"capacity 1, adaptation off": {QueueCapacity: 1, DisableAdaptation: true},
 		"negative capacity":          {QueueCapacity: -4, Adapt: adapt.Options{Capacity: 100}},
-		"alpha out of range":         {Adapt: adapt.Options{Alpha: 1.5}},
+		"window out of range":        {Adapt: adapt.Options{Window: -1}},
 	} {
 		if _, err := e.AddProcessorStage("x", 0, &testProc{}, cfg); err == nil {
 			t.Fatalf("%s: accepted", name)
@@ -588,11 +588,11 @@ func TestPacketHelpers(t *testing.T) {
 	if p.ItemCount() != 5 {
 		t.Fatal("Items not honored")
 	}
-	if p.size(64) != 64 {
+	if p.size() != 64 {
 		t.Fatal("default size not applied")
 	}
 	p.WireSize = 10
-	if p.size(64) != 10 {
+	if p.size() != 10 {
 		t.Fatal("explicit WireSize not applied")
 	}
 }

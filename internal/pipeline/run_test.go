@@ -253,17 +253,24 @@ func TestStatsExactWhileBlocked(t *testing.T) {
 		eng := New(clk)
 		s, _ := eng.AddSourceStage("src", 0, &hammerSource{count: 16}, batched)
 		sink, _ := eng.AddProcessorStage("sink", 0, &countSink{}, cfg)
-		if err := eng.Connect(s, sink, netsim.NewLink(clk, netsim.LinkConfig{Latency: time.Millisecond})); err != nil {
+		// A 2048 B/s link whose burst credit is spent before the run: the
+		// batch's 256 bytes owe 125 ms, and the final marker's 64 bytes
+		// 31.25 ms more.
+		link := netsim.NewLink(clk, netsim.LinkConfig{Bandwidth: 2048})
+		if owed := link.Transfer(2048); owed != 0 {
+			t.Fatalf("burst credit owed %v", owed)
+		}
+		if err := eng.Connect(s, sink, link); err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
 		go func() { done <- eng.Run(context.Background()) }()
-		for i := 0; i < 2; i++ { // the batch's transfer, then the final marker's
+		for i, owed := range []time.Duration{125 * time.Millisecond, 31250 * time.Microsecond} { // the batch's transfer, then the final marker's
 			eventually(t, "source asleep in its link transfer", func() bool { return clk.Waiters() == 1 })
 			if got := s.Stats(); i == 0 && got != sixteen {
 				t.Errorf("source asleep in a transfer: stats %+v, want %+v", got, sixteen)
 			}
-			clk.Advance(time.Millisecond)
+			clk.Advance(owed)
 		}
 		if err := <-done; err != nil {
 			t.Fatal(err)

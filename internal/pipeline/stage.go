@@ -52,9 +52,6 @@ type StageConfig struct {
 	// AdjustEvery applies the ΔP law once per this many observations.
 	// Default 4.
 	AdjustEvery int
-	// DefaultPacketSize is the wire size charged for packets that do not
-	// set one. Default 64 bytes.
-	DefaultPacketSize int
 	// BatchSize is the number of packets the stage drains from its input
 	// queue per wakeup and coalesces per downstream flush. 1 preserves
 	// strict per-packet semantics (every emission paces its link and
@@ -94,9 +91,6 @@ func (c *StageConfig) fill() {
 	}
 	if c.AdjustEvery == 0 {
 		c.AdjustEvery = 4
-	}
-	if c.DefaultPacketSize == 0 {
-		c.DefaultPacketSize = 64
 	}
 }
 
@@ -556,7 +550,7 @@ func (e *Emitter) buffer(pkt *Packet, only int) error {
 			return err
 		}
 	}
-	size := pkt.size(s.cfg.DefaultPacketSize)
+	size := pkt.size()
 	pkt.SourceStage = s.id
 	pkt.SourceInstance = s.instance
 	pkt.Seq = s.emitSeq
@@ -642,7 +636,7 @@ func (e *Emitter) Flush() error {
 		sum := 0
 		if l != nil || sp.Sampled() { // nothing else reads the byte count
 			for _, p := range deliver {
-				sum += p.size(s.cfg.DefaultPacketSize)
+				sum += p.size()
 			}
 		}
 		if l != nil {
@@ -820,7 +814,7 @@ func (s *Stage) emit(ctx context.Context, pkt *Packet, only int) error {
 	// Everything the accounting below needs is captured before the first
 	// push: once the last edge holds the packet, a downstream sink may
 	// consume and recycle it at any moment.
-	size := pkt.size(s.cfg.DefaultPacketSize)
+	size := pkt.size()
 	final := pkt.Final
 	items := uint64(pkt.ItemCount())
 

@@ -110,7 +110,6 @@ type Deployer struct {
 	repo *Repository
 	net  *netsim.Network
 
-	defBatch  int
 	defReplay int
 	o         *obs.Observability
 	pol       *policy.Engine
@@ -127,11 +126,6 @@ func (d *Deployer) SetReplayBuffer(n int) { d.defReplay = n }
 // metrics, and adaptation decisions land in the journal. Nil (the default)
 // means unobserved.
 func (d *Deployer) SetObservability(o *obs.Observability) { d.o = o }
-
-// SetDefaultBatchSize sets the drain/coalesce batch size the deployer
-// installs on every engine it builds (see pipeline.Engine.SetDefaultBatchSize).
-// Per-stage StageConfig.BatchSize from tuning still wins.
-func (d *Deployer) SetDefaultBatchSize(n int) { d.defBatch = n }
 
 // SetPolicy installs the policy engine that drives every placement this
 // deployer plans (see Planner.SetPolicy) and that policy-driven
@@ -205,9 +199,6 @@ func (d *Deployer) Apply(cfg *AppConfig, plan *Plan, tuning StageTuning) (*Deplo
 	// Instantiation: pull stage codes from the repository and customize
 	// one engine stage per instance.
 	eng := pipeline.New(d.clk)
-	if d.defBatch > 0 {
-		eng.SetDefaultBatchSize(d.defBatch)
-	}
 	if d.defReplay > 0 {
 		eng.SetDefaultReplayBuffer(d.defReplay)
 	}
