@@ -82,7 +82,8 @@ type Point struct {
 }
 
 // TimeSeries records (virtual time, value) samples. It is safe for
-// concurrent appends, which the per-stage adaptation hooks perform.
+// concurrent appends, which hooks on different engines' adaptation loops
+// may perform.
 type TimeSeries struct {
 	mu     sync.Mutex
 	epoch  time.Time

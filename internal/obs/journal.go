@@ -92,12 +92,14 @@ type ParamDelta struct {
 	New   float64 `json:"new"`
 }
 
-// Adaptation is one Controller.Adjust epoch: the observation that drove it
-// (queue length d, long-term factor d̃, measured λ/μ, the downstream
-// exception counts T1/T2 consumed by this epoch) and the resulting
-// canonical ΔP with every parameter's move. It makes the Figure 8/9
-// convergence traces explainable: for any parameter step, the event shows
-// exactly which pressure (own queue vs. downstream exceptions) produced it.
+// Adaptation is one Controller.Adjust epoch: the inputs it read (queue
+// length d, long-term factor d̃, measured λ/μ, the downstream exception
+// counts T1/T2 consumed by this epoch) and the resulting canonical ΔP with
+// every parameter's move. It does not carry the law's terms: not φ1(T1,T2)
+// after congestion priority (which may zero it or the queue term), not the
+// queue-trend term, not σ1/σ2. So it shows what pressure was present, but
+// not which term produced a given step (ROADMAP.md item 14, "ΔP explains
+// itself").
 type Adaptation struct {
 	// QueueLen is the input-queue occupancy d at adjustment time.
 	QueueLen int `json:"queue_len"`

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/gates-middleware/gates/internal/clock"
+	"github.com/gates-middleware/gates/internal/obs"
 )
 
 // blankSource emits n pooled packets that carry no value, so whatever the
@@ -75,5 +76,34 @@ func TestHotPathAllocationFree(t *testing.T) {
 					perPkt, batch, total, long, base, short)
 			}
 		})
+	}
+}
+
+// TestStallOnsetIsFree: an observed stage journals each stall onset from a
+// Detail string its destination built once, at registration, so an onset
+// allocates nothing.
+func TestStallOnsetIsFree(t *testing.T) {
+	clk := clock.NewManual()
+	o := obs.New(clk, obs.Config{})
+	e := New(clk)
+	src, err := e.AddSourceStage("src", 0, &blankSource{}, StageConfig{DisableAdaptation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := e.AddProcessorStage("sink", 0, &testProc{}, StageConfig{DisableAdaptation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.o = o
+	allocs := testing.AllocsPerRun(100, func() {
+		src.emitStalled = false
+		src.noteEmitStall(sink)
+	})
+	if allocs != 0 {
+		t.Fatalf("stall onset: %v allocs, want 0", allocs)
+	}
+	evs := o.Journal.Events(obs.EventFilter{Kind: obs.EventStallOnset})
+	if len(evs) == 0 || evs[len(evs)-1].Detail != "emit blocked: input buffer of sink full" {
+		t.Fatalf("stall onset events %+v", evs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sync"
 
 	"github.com/gates-middleware/gates/internal/adapt"
@@ -112,6 +113,7 @@ func (e *Engine) addStage(id string, instance int, p Processor, src Source, cfg 
 		in:       queue.NewMPSC[*Packet](cfg.QueueCapacity),
 		ctrl:     adapt.NewController(cfg.Adapt),
 		doneCh:   make(chan struct{}),
+		stall:    "emit blocked: input buffer of " + id + " full",
 	}
 	wake := make(chan struct{})
 	st.pauseWake.Store(&wake)
@@ -305,21 +307,15 @@ func (e *Engine) Run(ctx context.Context) error {
 		errOnce  sync.Once
 		firstErr error
 	)
+	// One adaptation loop per distinct AdaptInterval (see adaptLoop).
+	for _, group := range adaptGroups(stages) {
+		adaptWg.Add(1)
+		go func() {
+			defer adaptWg.Done()
+			e.adaptLoop(ctx, group)
+		}()
+	}
 	for _, st := range stages {
-		// The adaptation loop runs for every stage with adaptation
-		// enabled. Source stages have no queue to observe; their
-		// parameters, if any, react only to downstream exceptions.
-		if !st.cfg.DisableAdaptation {
-			adaptWg.Add(1)
-			go func(st *Stage) {
-				defer adaptWg.Done()
-				// Adaptation shares the stage's CPU-attribution bucket: its
-				// epochs are work done on that stage's behalf.
-				pprof.Do(ctx, pprof.Labels("stage", st.id), func(ctx context.Context) {
-					st.adaptLoop(ctx)
-				})
-			}(st)
-		}
 		wg.Add(1)
 		go func(st *Stage) {
 			defer wg.Done()
@@ -369,6 +365,77 @@ func (e *Engine) Run(ctx context.Context) error {
 		return err
 	}
 	return nil
+}
+
+// adaptGroups splits the adapting stages by AdaptInterval, each group sinks
+// first: a post-order walk of outs puts a stage after every stage it feeds.
+func adaptGroups(stages []*Stage) [][]*Stage {
+	var groups [][]*Stage
+	seen := make(map[*Stage]bool, len(stages))
+	var visit func(st *Stage)
+	visit = func(st *Stage) {
+		if seen[st] {
+			return
+		}
+		seen[st] = true
+		for _, out := range st.outs {
+			visit(out.to)
+		}
+		i := slices.IndexFunc(groups, func(g []*Stage) bool { return g[0].cfg.AdaptInterval == st.cfg.AdaptInterval })
+		switch {
+		case st.cfg.DisableAdaptation:
+		case i < 0:
+			groups = append(groups, []*Stage{st})
+		default:
+			groups[i] = append(groups[i], st)
+		}
+	}
+	for _, st := range stages {
+		visit(st)
+	}
+	return groups
+}
+
+// adaptLoop runs one group's §4 epochs, under the control plane's pprof
+// label, until the run ends. Each tick samples every running stage's queue,
+// sinks first, delivering its exceptions upstream, and then applies the ΔP
+// law on each running stage whose AdjustEvery count is due: an exception
+// observed in a tick is in its upstream's T1/T2 in that same tick.
+func (e *Engine) adaptLoop(ctx context.Context, group []*Stage) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("stage", "control-plane")))
+	ticks := make([]int, len(group))
+	rates := make([]epochRates, len(group))
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-e.clk.After(group[0].cfg.AdaptInterval):
+		}
+		now := e.clk.Now()
+		for _, s := range group {
+			if s.src != nil || s.State() == StateStopped {
+				continue
+			}
+			ob := s.ctrl.Observe(s.QueueLen())
+			if s.cfg.OnObserve != nil {
+				s.cfg.OnObserve(s, now, ob)
+			}
+			for _, up := range s.upstream {
+				up.ctrl.OnDownstreamException(ob.Exception)
+			}
+		}
+		for i, s := range group {
+			if ticks[i]++; ticks[i]%s.cfg.AdjustEvery != 0 || s.State() == StateStopped {
+				continue
+			}
+			res := s.ctrl.AdjustDetailed()
+			lambda, mu := rates[i].advance(now, s.Stats())
+			s.recordAdjustment(now, res, lambda, mu)
+			if s.cfg.OnAdjust != nil && len(res.Adjustments) > 0 {
+				s.cfg.OnAdjust(s, now, res.Adjustments)
+			}
+		}
+	}
 }
 
 // producers counts the distinct upstream stages wired into s: two Connect

@@ -5,9 +5,9 @@
 // more streams" (paper §3.1, goal 2). This package provides the stage
 // container: a bounded input queue (the server queue of the §4 model), a
 // user-supplied Processor or Source, emitters that carry packets across
-// emulated or real links, and the per-stage adaptation loop that samples the
-// queue, exchanges load exceptions with neighboring stages, and adjusts the
-// stage's registered parameters.
+// emulated or real links, and the engine's adaptation loop that samples each
+// stage's queue, delivers its load exceptions upstream, and then adjusts
+// every stage's registered parameters.
 package pipeline
 
 import "time"

@@ -13,6 +13,7 @@ import (
 	"github.com/gates-middleware/gates/internal/adapt"
 	"github.com/gates-middleware/gates/internal/clock"
 	"github.com/gates-middleware/gates/internal/netsim"
+	"github.com/gates-middleware/gates/internal/obs"
 )
 
 // testProc adapts closures to the Processor interface.
@@ -576,6 +577,73 @@ func TestAdaptationSlowsOverloadedSampler(t *testing.T) {
 	}
 	if rate.Value() < 0.01 || rate.Value() > 1 {
 		t.Fatalf("rate %v escaped its bounds", rate.Value())
+	}
+}
+
+// TestExceptionReachesUpstreamSameEpoch pins the §4 epoch order: in every
+// tick the engine observes the downstream stage before its upstream adjusts,
+// so an overload exception observed in a tick is in the upstream's T1 in
+// that same tick. The downstream queue is held full, so it raises one
+// overload exception a tick once d̃ crosses LT2; the upstream adjusts every
+// tick, so its T1 must equal that tick's exception count exactly.
+func TestExceptionReachesUpstreamSameEpoch(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	clk := clock.NewManual()
+	o := obs.New(clk, obs.Config{})
+	e := New(clk)
+	e.SetObservability(o)
+	src, _ := e.AddSourceStage("src", 0, &testSource{values: make([]int, 50)}, StageConfig{DisableAdaptation: true})
+	up, _ := e.AddProcessorStage("up", 0, &testProc{process: func(_ *Context, pkt *Packet, out *Emitter) error {
+		return out.EmitValue(pkt.Value, 8)
+	}}, StageConfig{AdaptInterval: interval, AdjustEvery: 1})
+	release := make(chan struct{})
+	overloads := map[time.Time]float64{} // written only by the adaptation loop
+	down, _ := e.AddProcessorStage("down", 0, &testProc{process: func(*Context, *Packet, *Emitter) error {
+		<-release
+		return nil
+	}}, StageConfig{
+		QueueCapacity: 4, AdaptInterval: interval,
+		OnObserve: func(_ *Stage, now time.Time, ob adapt.Observation) {
+			if ob.Exception == adapt.ExceptionOverload {
+				overloads[now]++
+			}
+		},
+	})
+	e.Connect(src, up, nil)
+	e.Connect(up, down, nil)
+	done := make(chan error, 1)
+	go func() { done <- e.Run(context.Background()) }()
+
+	eventually(t, "down's queue full and the adaptation loop parked", func() bool {
+		return down.QueueLen() == 4 && clk.Waiters() >= 1
+	})
+	const epochs = 60
+	for i := 0; i < epochs; i++ {
+		clk.Advance(interval)
+		eventually(t, "adaptation loop parked again", func() bool { return clk.Waiters() >= 1 })
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	events := o.Journal.Events(obs.EventFilter{Kind: obs.EventAdaptation, Stage: "up"})
+	if len(events) < epochs {
+		t.Fatalf("%d adaptation events of up, want >= %d", len(events), epochs)
+	}
+	withException := 0
+	for _, ev := range events[:epochs] {
+		t1 := ev.Payload.(obs.Adaptation).T1
+		if want := overloads[ev.At]; t1 != want {
+			t.Fatalf("epoch at %v: up's T1 %v, want the %v overload exceptions down raised in that tick",
+				ev.At.Sub(clock.Epoch), t1, want)
+		}
+		if t1 > 0 {
+			withException++
+		}
+	}
+	if withException < 30 {
+		t.Fatalf("%d of %d epochs carried an exception, want >= 30", withException, epochs)
 	}
 }
 

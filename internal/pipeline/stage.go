@@ -43,8 +43,8 @@ type StageConfig struct {
 	// Adapt configures the §4 algorithm for this stage. Zero-valued
 	// fields default per adapt.Defaults with the stage's queue capacity.
 	Adapt adapt.Options
-	// DisableAdaptation turns the adaptation loop off (used by the
-	// paper's fixed-parameter baseline versions).
+	// DisableAdaptation leaves the stage out of the engine's adaptation
+	// loop (the paper's fixed-parameter baseline versions).
 	DisableAdaptation bool
 	// AdaptInterval is the virtual-time spacing of queue observations.
 	// Default 200ms.
@@ -250,7 +250,7 @@ type Stage struct {
 	inbound int // number of inbound edges
 	started bool
 	doneCh  chan struct{}
-	adaptCh chan struct{}
+	stall   string // the Detail of a stall onset on this stage's input, built once
 	err     error
 }
 
@@ -981,7 +981,7 @@ func (s *Stage) noteEmitStall(dst *Stage) {
 	s.o.Journal.Record(obs.Event{
 		Kind: obs.EventStallOnset, Stage: s.id,
 		Instance: s.instance, Node: s.Node(),
-		Detail: "emit blocked: input buffer of " + dst.id + " full",
+		Detail: dst.stall,
 	})
 }
 
@@ -1304,45 +1304,6 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 		}
 		if done {
 			return nil
-		}
-	}
-}
-
-// adaptLoop ticks on the configured interval and adjusts parameters every
-// AdjustEvery ticks. A stage with an input queue (every stage but a source)
-// also samples that queue each tick and reports its exceptions to every
-// upstream neighbor. It stops when the stage finishes or the run is canceled.
-func (s *Stage) adaptLoop(ctx context.Context) {
-	ticks := 0
-	var rates epochRates
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.doneCh:
-			return
-		case <-s.clk.After(s.cfg.AdaptInterval):
-		}
-		if s.src == nil {
-			ob := s.ctrl.Observe(s.QueueLen())
-			if s.cfg.OnObserve != nil {
-				s.cfg.OnObserve(s, s.clk.Now(), ob)
-			}
-			if ob.Exception != adapt.ExceptionNone {
-				for _, up := range s.upstream {
-					up.ctrl.OnDownstreamException(ob.Exception)
-				}
-			}
-		}
-		ticks++
-		if ticks%s.cfg.AdjustEvery == 0 {
-			now := s.clk.Now()
-			res := s.ctrl.AdjustDetailed()
-			lambda, mu := rates.advance(now, s.Stats())
-			s.recordAdjustment(now, res, lambda, mu)
-			if s.cfg.OnAdjust != nil && len(res.Adjustments) > 0 {
-				s.cfg.OnAdjust(s, now, res.Adjustments)
-			}
 		}
 	}
 }

@@ -2,11 +2,11 @@
 # The full CI lane, in order: vet, static analysis (when staticcheck is
 # installed), build and gofmt, plain tests (among them the hot path's
 # allocation test), the race-detector lane, the bench module's vet and tests,
-# the transport stream lane, the migration smoke, the evaluation report (one
-# full -json run of the experiments), the endpoint smoke, the policy lane, the
-# bottleneck attribution smoke, the chaos lane, a coverage run emitting
-# coverage.out, and the overhead guards (the default path, the batched path
-# and the TCP path on the bench harness).
+# the lockstep lane, the transport stream lane, the migration smoke, the
+# evaluation report (one full -json run of the experiments), the endpoint
+# smoke, the policy lane, the bottleneck attribution smoke, the chaos lane, a
+# coverage run emitting coverage.out, and the overhead guards (the default
+# path, the batched path and the TCP path on the bench harness).
 # Run from anywhere; it cds to the repo root.
 set -eu
 
@@ -48,6 +48,13 @@ echo "== bench module =="
 # ./... patterns above never compile it: an API removal here can break the
 # benchmark unseen. Vet it and run its tests (under 10 s).
 (cd bench && go vet ./... && go test ./...)
+
+echo "== lockstep lane =="
+# Figures 8 and 9 and the ablations, 40 times each inside a testing/synctest
+# bubble at one P (internal/experiments/lockstep_test.go, built only with the
+# synctest experiment): Figure 8 must print one output; Figure 9's and the
+# ablations' distinct-output counts are logged as known unstable.
+GOEXPERIMENT=synctest GOMAXPROCS=1 go test -v -run Lockstep ./internal/experiments
 
 echo "== transport stream lane =="
 # The TCP wire is GATES wire format v1 (DESIGN.md §6), hand-encoded: the race
